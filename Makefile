@@ -5,9 +5,9 @@ GO ?= go
 # Worker count for the chaos/soak harnesses (0 = all cores).
 JOBS ?= 0
 
-.PHONY: check vet fmt-check build test race fuzz bench-quick bench-json bench-kernels bench-hotloop backends fleet obs-smoke chaos soak
+.PHONY: check vet fmt-check build test seam race fuzz bench-quick bench-json bench-kernels bench-hotloop backends fleet obs-smoke chaos soak
 
-check: vet fmt-check build test race bench-kernels bench-hotloop backends fleet obs-smoke chaos
+check: vet fmt-check build test seam race bench-kernels bench-hotloop backends fleet obs-smoke chaos
 
 vet:
 	$(GO) vet ./...
@@ -22,6 +22,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The host-time benchmark is its own module, so `go test ./...` above
+# does not reach it. Its seam tests rebuild RunSingle and RunMix from
+# the layer packages and require byte-identical results on every
+# backend: an independent oracle for the simulator's run loop.
+seam:
+	cd benchmark && $(GO) test ./...
 
 # The concurrency-bearing packages: the parallel fan-out primitive,
 # the experiments that run cells through it, and the simulator whose

@@ -7,8 +7,9 @@ import (
 	"compresso/internal/metadata"
 )
 
-// Registered backend (DESIGN.md §12). Mod is func(*core.Config), the
-// same hook sim.Config.CompressoMod has always carried.
+// Registered backend (DESIGN.md §12). Mod is func(*core.Config), routed
+// from sim.Config.CompressoMod; compresso is the only backend that
+// takes one.
 func init() {
 	memctl.RegisterBackend(memctl.Backend{
 		Name:         "compresso",

@@ -445,22 +445,14 @@ func (c *Controller) Audit(scope audit.Scope, repair bool) audit.Report {
 	return rep
 }
 
-// Registered backend (DESIGN.md §12). Mod is func(*cram.Config).
+// Registered backend (DESIGN.md §12).
 func init() {
 	memctl.RegisterBackend(memctl.Backend{
 		Name:         "cram",
 		Desc:         "CRAM-style bandwidth enhancement: burst-packed line pairs, location predictor, no capacity benefit (Young et al.)",
 		MachineBytes: memctl.BaselineMachineBytes,
 		New: func(p memctl.BuildParams) memctl.Controller {
-			c := DefaultConfig(p.OSPAPages, p.MachineBytes)
-			if p.Mod != nil {
-				mod, ok := p.Mod.(func(*Config))
-				if !ok {
-					panic(fmt.Sprintf("cram: backend mod has type %T, want func(*cram.Config)", p.Mod))
-				}
-				mod(&c)
-			}
-			return New(c, p.Mem, p.Source)
+			return New(DefaultConfig(p.OSPAPages, p.MachineBytes), p.Mem, p.Source)
 		},
 	})
 }

@@ -392,22 +392,14 @@ func (c *Controller) Audit(scope audit.Scope, repair bool) audit.Report {
 	return rep
 }
 
-// Registered backend (DESIGN.md §12). Mod is func(*cxl.Config).
+// Registered backend (DESIGN.md §12).
 func init() {
 	memctl.RegisterBackend(memctl.Backend{
 		Name:         "cxl",
 		Desc:         "CXL expander tier: near DDR + far DRAM behind a serialized link with IBEX-style link compression",
 		MachineBytes: memctl.BaselineMachineBytes,
 		New: func(p memctl.BuildParams) memctl.Controller {
-			c := DefaultConfig(p.OSPAPages, p.MachineBytes)
-			if p.Mod != nil {
-				mod, ok := p.Mod.(func(*Config))
-				if !ok {
-					panic(fmt.Sprintf("cxl: backend mod has type %T, want func(*cxl.Config)", p.Mod))
-				}
-				mod(&c)
-			}
-			return New(c, p.Mem, p.Source)
+			return New(DefaultConfig(p.OSPAPages, p.MachineBytes), p.Mem, p.Source)
 		},
 	})
 }

@@ -1,13 +1,11 @@
 package dmc
 
 import (
-	"fmt"
-
 	"compresso/internal/memctl"
 	"compresso/internal/metadata"
 )
 
-// Registered backends (DESIGN.md §12). Mod is func(*dmc.Config).
+// Registered backends (DESIGN.md §12).
 func init() {
 	register := func(name, desc string, base func(ospaPages int, machineBytes int64) Config) {
 		memctl.RegisterBackend(memctl.Backend{
@@ -16,13 +14,6 @@ func init() {
 			MachineBytes: memctl.CompressedMachineBytes,
 			New: func(p memctl.BuildParams) memctl.Controller {
 				c := base(p.OSPAPages, p.MachineBytes)
-				if p.Mod != nil {
-					mod, ok := p.Mod.(func(*Config))
-					if !ok {
-						panic(fmt.Sprintf("dmc: backend mod has type %T, want func(*dmc.Config)", p.Mod))
-					}
-					mod(&c)
-				}
 				metadata.ScaleCacheForFootprint(&c.MetadataCache, p.FootprintScale)
 				return New(c, p.Mem, p.Source)
 			},

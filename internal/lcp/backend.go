@@ -1,15 +1,12 @@
 package lcp
 
 import (
-	"fmt"
-
 	"compresso/internal/memctl"
 	"compresso/internal/metadata"
 )
 
-// Registered backends (DESIGN.md §12). Mod is func(*lcp.Config), the
-// same hook sim.Config.LCPMod has always carried; it applies to
-// whichever LCP variant the run selects.
+// Registered backends (DESIGN.md §12). Neither variant takes a config
+// modifier.
 func init() {
 	register := func(name, desc string, base func(ospaPages int, machineBytes int64) Config) {
 		memctl.RegisterBackend(memctl.Backend{
@@ -18,13 +15,6 @@ func init() {
 			MachineBytes: memctl.CompressedMachineBytes,
 			New: func(p memctl.BuildParams) memctl.Controller {
 				c := base(p.OSPAPages, p.MachineBytes)
-				if p.Mod != nil {
-					mod, ok := p.Mod.(func(*Config))
-					if !ok {
-						panic(fmt.Sprintf("lcp: backend mod has type %T, want func(*lcp.Config)", p.Mod))
-					}
-					mod(&c)
-				}
 				metadata.ScaleCacheForFootprint(&c.MetadataCache, p.FootprintScale)
 				return New(c, p.Mem, p.Source)
 			},

@@ -64,9 +64,10 @@ type BuildParams struct {
 	Overlap bool
 
 	// Mod is the backend-specific config modifier routed from
-	// sim.Config (nil when none). Each backend documents its expected
-	// function type and panics on a mismatch — a silently dropped
-	// ablation hook is worse than a crash.
+	// sim.Config (nil when none). A backend that accepts one documents
+	// its expected function type and panics on a mismatch — a silently
+	// dropped ablation hook is worse than a crash. Only compresso takes
+	// one (func(*core.Config)); the others ignore it.
 	Mod any
 }
 

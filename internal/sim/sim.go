@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"compresso/internal/audit"
 	"compresso/internal/cache"
@@ -17,7 +18,6 @@ import (
 	"compresso/internal/cpu"
 	"compresso/internal/dram"
 	"compresso/internal/faults"
-	"compresso/internal/lcp"
 	"compresso/internal/memctl"
 	"compresso/internal/metadata"
 	"compresso/internal/obs"
@@ -26,10 +26,11 @@ import (
 
 	// Registered backends without direct config plumbing in this
 	// package: importing them is what makes their names resolvable
-	// (DESIGN.md §12). core and lcp register too, via the imports above.
+	// (DESIGN.md §12). core registers too, via the import above.
 	_ "compresso/internal/cram"
 	_ "compresso/internal/cxl"
 	_ "compresso/internal/dmc"
+	_ "compresso/internal/lcp"
 )
 
 // System names the memory architecture under test: any backend name
@@ -97,15 +98,9 @@ type Config struct {
 	CPU  cpu.Config
 	DRAM dram.Config
 
-	// CompressoMod / LCPMod tweak the controller configs (ablations).
+	// CompressoMod tweaks the compresso controller's config (ablations);
+	// other systems ignore it.
 	CompressoMod func(*core.Config)
-	LCPMod       func(*lcp.Config)
-
-	// Mods routes config modifiers to arbitrary registered backends by
-	// name; each backend documents its expected function type (e.g.
-	// func(*cram.Config) for "cram"). An entry here wins over the
-	// legacy CompressoMod/LCPMod fields for its backend.
-	Mods map[string]any
 
 	// Inject configures deterministic fault injection (internal/faults).
 	// The zero value injects nothing and leaves the run bit-identical to
@@ -186,7 +181,7 @@ type Config struct {
 const cancelCheckPeriod = 1024
 
 // canceledError is the cooperative-abort sentinel thrown by the run
-// loops; it unwraps to the context's error (context.Canceled or
+// loop; it unwraps to the context's error (context.Canceled or
 // context.DeadlineExceeded) so recovery sites can classify it.
 type canceledError struct{ err error }
 
@@ -350,29 +345,28 @@ type routedSource struct {
 	images    []*workload.Image
 }
 
-func (r *routedSource) ReadLine(lineAddr uint64, buf []byte) {
+// route returns the image owning a global line address and the line's
+// index within that image.
+func (r *routedSource) route(lineAddr uint64) (*workload.Image, uint64) {
 	page := lineAddr / memctl.LinesPerPage
 	for i := len(r.basePages) - 1; i >= 0; i-- {
 		if page >= r.basePages[i] {
-			local := lineAddr - r.basePages[i]*memctl.LinesPerPage
-			r.images[i].ReadLine(local, buf)
-			return
+			return r.images[i], lineAddr - r.basePages[i]*memctl.LinesPerPage
 		}
 	}
 	panic(fmt.Sprintf("sim: line %d outside every core's range", lineAddr))
 }
 
+func (r *routedSource) ReadLine(lineAddr uint64, buf []byte) {
+	img, local := r.route(lineAddr)
+	img.ReadLine(local, buf)
+}
+
 // SizeLine implements memctl.LineSizer by routing to the owning
 // image's per-line size memo.
 func (r *routedSource) SizeLine(codec compress.Codec, lineAddr uint64) int {
-	page := lineAddr / memctl.LinesPerPage
-	for i := len(r.basePages) - 1; i >= 0; i-- {
-		if page >= r.basePages[i] {
-			local := lineAddr - r.basePages[i]*memctl.LinesPerPage
-			return r.images[i].SizeLine(codec, local)
-		}
-	}
-	panic(fmt.Sprintf("sim: line %d outside every core's range", lineAddr))
+	img, local := r.route(lineAddr)
+	return img.SizeLine(codec, local)
 }
 
 // MixAssets is the shareable, immutable-by-convention part of a run's
@@ -407,7 +401,7 @@ type MixAssets struct {
 func PrepareAssets(profs []workload.Profile, cfg Config, codec compress.Codec, jobs int) *MixAssets {
 	a := &MixAssets{scale: cfg.FootprintScale, seed: cfg.Seed, ops: cfg.Ops}
 	for i, p := range profs {
-		p = scaled(p, cfg.FootprintScale)
+		p = workload.Scale(p, cfg.FootprintScale)
 		img := workload.NewImage(p, cfg.Seed+uint64(i)*7919)
 		img.Materialize(jobs)
 		img.SizeAll(codec, jobs)
@@ -424,23 +418,16 @@ func PrepareAssets(profs []workload.Profile, cfg Config, codec compress.Codec, j
 	return a
 }
 
-// image returns a private clone of master i after validating that the
-// assets were prepared for this run's shape.
-func (a *MixAssets) image(i int, prof workload.Profile, seed uint64) *workload.Image {
-	a.check(i, prof, seed)
-	return a.images[i].Clone()
-}
-
 // stream returns core i's op source: a replay over an overlay of the
 // shared master when the recording matches the run's op count (no page
 // bytes are copied), else a generating trace over a private clone.
 // Output is byte-identical either way.
 func (a *MixAssets) stream(i int, prof workload.Profile, seed, ops uint64) workload.OpStream {
+	a.check(i, prof, seed)
 	if a.logs != nil && a.logs[i] != nil && a.ops == ops {
-		a.check(i, prof, seed)
 		return a.logs[i].ReplayOver(a.images[i])
 	}
-	return workload.NewTraceOn(a.image(i, prof, seed), prof, seed, ops)
+	return workload.NewTraceOn(a.images[i].Clone(), prof, seed, ops)
 }
 
 // check validates that the assets were prepared for this run's shape.
@@ -469,22 +456,13 @@ func scaledL3Bytes(perCore, scale int) int {
 	return p
 }
 
-// backendMod resolves the backend-specific config modifier for sys:
-// an explicit Mods entry wins, then the legacy typed fields for the
-// backends that predate the registry.
-func (c Config) backendMod(sys System) any {
-	if m, ok := c.Mods[string(sys)]; ok {
-		return m
-	}
-	switch sys {
-	case Compresso:
-		if c.CompressoMod != nil {
-			return c.CompressoMod
-		}
-	case LCP, LCPAlign:
-		if c.LCPMod != nil {
-			return c.LCPMod
-		}
+// backendMod is the config modifier handed to the run's backend:
+// compresso gets CompressoMod, every other backend none. An unset
+// CompressoMod stays an untyped nil — a nil func stored in an any is
+// non-nil, and the backend would call it.
+func (c Config) backendMod() any {
+	if c.System == Compresso && c.CompressoMod != nil {
+		return c.CompressoMod
 	}
 	return nil
 }
@@ -496,10 +474,10 @@ func (c Config) backendMod(sys System) any {
 // runs are never capacity constrained (capacity effects are evaluated
 // by internal/capacity, per the paper's dual methodology) and
 // metadata-free backends are not charged for metadata they don't keep.
-func buildController(cfg Config, sys System, ospaPages int, mem *dram.Memory, src memctl.LineSource) (memctl.Controller, *faults.Injector) {
-	b, ok := memctl.LookupBackend(string(sys))
+func buildController(cfg Config, ospaPages int, mem *dram.Memory, src memctl.LineSource) (memctl.Controller, *faults.Injector) {
+	b, ok := memctl.LookupBackend(string(cfg.System))
 	if !ok {
-		panic(fmt.Sprintf("sim: unknown system %q (registered: %v)", sys, memctl.BackendNames()))
+		panic(fmt.Sprintf("sim: unknown system %q (registered: %v)", cfg.System, memctl.BackendNames()))
 	}
 	inj := faults.New(cfg.Inject)
 	if inj.Enabled() {
@@ -513,7 +491,7 @@ func buildController(cfg Config, sys System, ospaPages int, mem *dram.Memory, sr
 		Source:         src,
 		Injector:       inj,
 		Overlap:        cfg.Overlap,
-		Mod:            cfg.backendMod(sys),
+		Mod:            cfg.backendMod(),
 	})
 	return ctl, inj
 }
@@ -531,84 +509,247 @@ func newAuditor(cfg Config, ctl memctl.Controller) *audit.Runner {
 	return audit.NewRunner(a, cfg.AuditEvery)
 }
 
-func scaled(p workload.Profile, scale int) workload.Profile {
-	return workload.Scale(p, scale)
+// machine is the simulated system of one run: n cores with private
+// L1/L2 over a shared L3, one memory controller and its DRAM, and the
+// run's observers. RunSingle is its one-core case and RunMix the
+// general one; they differ only in how they report its state.
+type machine struct {
+	cfg     Config
+	benches []string
+	streams []workload.OpStream
+	base    []uint64 // first OSPA page of each core's image
+	mem     *dram.Memory
+	ctl     memctl.Controller
+	inj     *faults.Injector
+	l3      *cache.Cache
+	hiers   []*cache.Hierarchy
+	cores   []*cpu.Core
+	auditor *audit.Runner
+	tracer  *obs.Tracer
+	attr    *obs.Attribution
+	sampler *obs.Sampler
 }
 
-// RunSingle simulates one benchmark on a single-core system.
-func RunSingle(prof workload.Profile, cfg Config) Result {
-	prof = scaled(prof, cfg.FootprintScale)
-	var tr workload.OpStream
-	if cfg.Assets != nil {
-		tr = cfg.Assets.stream(0, prof, cfg.Seed, cfg.Ops)
-	} else {
-		tr = workload.NewTrace(prof, cfg.Seed, cfg.Ops)
+// newMachine provisions the machine for one core per profile. Core i
+// runs its scaled profile under seed Seed+7919i, its image placed in
+// the OSPA after core i-1's. One core gets the Tab. III system: one
+// DRAM channel and a 2 MB L3, both scaled with the footprint. Several
+// cores get the Xeon-class provisioning the paper's 4-core results
+// imply: a second channel, 2 MB of shared L3 per core (8 MB for four),
+// and a metadata cache and L3 sized at half the footprint scale, since
+// they cover n cores' pages.
+func newMachine(profs []workload.Profile, cfg Config) *machine {
+	n := len(profs)
+	m := &machine{
+		benches: make([]string, n),
+		streams: make([]workload.OpStream, n),
+		base:    make([]uint64, n),
+		hiers:   make([]*cache.Hierarchy, n),
+		cores:   make([]*cpu.Core, n),
 	}
-	img := tr.Image()
-
-	mem := dram.New(cfg.DRAM)
-	src := &routedSource{basePages: []uint64{0}, images: []*workload.Image{img}}
-	ctl, inj := buildController(cfg, cfg.System, prof.FootprintPages, mem, src)
-	img.InstallInto(ctl)
-	auditor := newAuditor(cfg, ctl)
-	tracer := attachTracer(cfg, ctl)
-	attr := attachAttribution(cfg, ctl)
-
-	l3 := cache.New("l3", scaledL3Bytes(2<<20, cfg.FootprintScale), 16)
-	hier := cache.NewHierarchy(l3)
-	c := cpu.New(cfg.CPU, hier, ctl, src)
-
-	sampler := newRunSampler(cfg)
-	sampleSingle := func() {
-		snap := collect(prof.Name, cfg.System, c, ctl, mem, l3).Registry().Snapshot()
-		sampler.Sample(c.Now(), snap)
-		if cfg.OnSample != nil {
-			cfg.OnSample(c.Now(), snap)
+	images := make([]*workload.Image, n)
+	var pages uint64
+	for i, p := range profs {
+		p = workload.Scale(p, cfg.FootprintScale)
+		seed := cfg.Seed + uint64(i)*7919
+		if cfg.Assets != nil {
+			m.streams[i] = cfg.Assets.stream(i, p, seed, cfg.Ops)
+		} else {
+			m.streams[i] = workload.NewTrace(p, seed, cfg.Ops)
+		}
+		m.benches[i] = p.Name
+		images[i] = m.streams[i].Image()
+		m.base[i] = pages
+		pages += uint64(p.FootprintPages)
+	}
+	dcfg := cfg.DRAM
+	if n > 1 {
+		if dcfg.Channels == 1 {
+			dcfg.Channels = 2
+		}
+		if cfg.FootprintScale > 2 {
+			cfg.FootprintScale /= 2
 		}
 	}
+	m.cfg = cfg
+	m.mem = dram.New(dcfg)
+	src := &routedSource{basePages: m.base, images: images}
+	m.ctl, m.inj = buildController(cfg, int(pages), m.mem, src)
+	for i, img := range images {
+		img.InstallIntoAt(m.ctl, m.base[i])
+	}
+	m.auditor = newAuditor(cfg, m.ctl)
+	m.tracer = attachTracer(cfg, m.ctl)
+	m.attr = attachAttribution(cfg, m.ctl)
 
+	m.l3 = cache.New("l3", scaledL3Bytes(2<<20*n, cfg.FootprintScale), 16)
+	for i := range m.cores {
+		m.hiers[i] = cache.NewHierarchy(m.l3)
+		m.cores[i] = cpu.New(cfg.CPU, m.hiers[i], m.ctl, src)
+	}
+	m.sampler = newRunSampler(cfg)
+	return m
+}
+
+// run steps every core through Ops trace operations and drains them.
+// Each step advances the core with the smallest local clock, so the
+// cores contend continuously (the syncedFastForward analogue: everyone
+// starts at its region). Statistics reset once every core has finished
+// its warmup share; snapshot renders the state the sampler records.
+func (m *machine) run(snapshot func() obs.Snapshot) {
+	cfg := m.cfg
+	sample := func() {
+		now, snap := m.now(), snapshot()
+		m.sampler.Sample(now, snap)
+		if cfg.OnSample != nil {
+			cfg.OnSample(now, snap)
+		}
+	}
 	warm := uint64(float64(cfg.Ops) * cfg.WarmupFrac)
+	warmed := warm == 0 // no warmup: the statistics cover the whole run
+	done := make([]uint64, len(m.cores))
+	var steps uint64 // ops across all cores (the sampling clock)
 	var op workload.Op
-	for i := uint64(0); i < cfg.Ops; i++ {
-		checkCancel(cfg, i)
-		tr.Next(&op)
-		c.Step(&op)
-		if auditor != nil {
-			if rep := auditor.Tick(); rep != nil {
-				tracer.Emit(c.Now(), obs.EvAuditRun, obs.NoPage, uint64(len(rep.Violations)))
+	for {
+		sel := -1
+		for i, c := range m.cores {
+			if done[i] < cfg.Ops && (sel == -1 || c.Now() < m.cores[sel].Now()) {
+				sel = i
 			}
 		}
-		if cfg.SampleEvery > 0 && (i+1)%cfg.SampleEvery == 0 {
-			sampleSingle()
+		if sel == -1 {
+			break
 		}
-		if i+1 == warm {
-			resetAll(ctl, mem, c, hier)
-			attr.Reset()
+		checkCancel(cfg, steps)
+		m.streams[sel].Next(&op)
+		op.LineAddr += m.base[sel] * memctl.LinesPerPage
+		c := m.cores[sel]
+		c.Step(&op)
+		if m.auditor != nil {
+			if rep := m.auditor.Tick(); rep != nil {
+				m.tracer.Emit(c.Now(), obs.EvAuditRun, obs.NoPage, uint64(len(rep.Violations)))
+			}
+		}
+		done[sel]++
+		steps++
+		if cfg.SampleEvery > 0 && steps%cfg.SampleEvery == 0 {
+			sample()
+		}
+		// Only the core that just ran its last warmup op can be the one
+		// completing the set.
+		if !warmed && done[sel] == warm && slices.Min(done) >= warm {
+			m.resetStats()
+			warmed = true
 		}
 	}
-	c.Drain()
+	for _, c := range m.cores {
+		c.Drain()
+	}
 	if cfg.SampleEvery > 0 {
-		sampleSingle() // close the partial final window at the drained clock
+		sample() // close the partial final window at the drained clocks
 	}
+}
 
-	res := collect(prof.Name, cfg.System, c, ctl, mem, l3)
-	res.Series = sampler.Series()
-	if auditor != nil {
-		rep := auditor.Final(audit.Structural)
-		tracer.Emit(c.Now(), obs.EvAuditRun, obs.NoPage, uint64(len(rep.Violations)))
-		res.Audit = auditor.Outcome()
-		// Pick up the final audit's counters: the repair pass touches
-		// both the controller tallies and real DRAM traffic.
-		res.Mem = ctl.Stats()
-		res.Dram = mem.Stats()
-		res.BackendMetrics = backendMetrics(ctl)
+// resetStats marks the warmup boundary: all counters restart, and the
+// DRAM model additionally drops its in-flight bus/bank timing so the
+// first measured accesses aren't charged wait cycles for warmup
+// traffic the stats no longer count (row buffers and cache contents
+// stay warm).
+func (m *machine) resetStats() {
+	m.ctl.ResetStats()
+	m.mem.ResetStats()
+	m.mem.ResetTiming()
+	for i := range m.cores {
+		m.hiers[i].ResetStats()
+		m.cores[i].ResetStats()
 	}
-	res.Faults = inj.Totals()
-	res.Trace = tracer.Trace()
-	if attr != nil {
-		res.Attribution = attr.Snapshot()
+	m.attr.Reset()
+}
+
+// now is the machine's clock: the latest core-local cycle.
+func (m *machine) now() uint64 {
+	var now uint64
+	for _, c := range m.cores {
+		now = max(now, c.Now())
 	}
-	return res
+	return now
+}
+
+// state packages the machine's current counters: each core's CPU
+// result over the shared memory system. The page-size histogram and
+// the observers' output are left to the caller.
+func (m *machine) state() MultiResult {
+	out := MultiResult{
+		System:         m.cfg.System.String(),
+		Mem:            m.ctl.Stats(),
+		Dram:           m.mem.Stats(),
+		Ratio:          memctl.CompressionRatio(m.ctl),
+		BackendMetrics: backendMetrics(m.ctl),
+	}
+	if ms, ok := m.ctl.(mdStatser); ok {
+		out.MDCache = ms.MetadataCacheStats()
+	}
+	for i, c := range m.cores {
+		s := c.Stats()
+		out.Cores = append(out.Cores, Result{
+			Bench:  m.benches[i],
+			System: out.System,
+			Cycles: s.Cycles,
+			Instrs: s.Instrs,
+			IPC:    s.IPC(),
+			CPU:    s,
+		})
+	}
+	return out
+}
+
+// finish packages the end of a run: the drained state with its page
+// sizes and time series, then the final structural audit, then the
+// fault, trace and attribution observers. Only Mem, Dram and
+// BackendMetrics are re-read after the audit, whose repair pass
+// touches the controller tallies and real DRAM traffic.
+func (m *machine) finish() MultiResult {
+	out := m.state()
+	out.PageSizes = pageSizes(m.ctl)
+	out.Series = m.sampler.Series()
+	if m.auditor != nil {
+		rep := m.auditor.Final(audit.Structural)
+		m.tracer.Emit(m.now(), obs.EvAuditRun, obs.NoPage, uint64(len(rep.Violations)))
+		out.Audit = m.auditor.Outcome()
+		out.Mem = m.ctl.Stats()
+		out.Dram = m.mem.Stats()
+		out.BackendMetrics = backendMetrics(m.ctl)
+	}
+	out.Faults = m.inj.Totals()
+	out.Trace = m.tracer.Trace()
+	if m.attr != nil {
+		out.Attribution = m.attr.Snapshot()
+	}
+	return out
+}
+
+// soloResult reports a one-core run as a Result: the core's counters
+// over the memory system it had to itself, plus its L3.
+func soloResult(m MultiResult, l3 cache.Stats) Result {
+	r := m.Cores[0]
+	r.Mem, r.Dram, r.MDCache, r.Ratio = m.Mem, m.Dram, m.MDCache, m.Ratio
+	r.L3, r.L3MissRate = l3, l3.MissRate()
+	r.Faults, r.Audit, r.PageSizes, r.Trace = m.Faults, m.Audit, m.PageSizes, m.Trace
+	r.Series, r.BackendMetrics, r.Attribution = m.Series, m.BackendMetrics, m.Attribution
+	return r
+}
+
+// RunSingle simulates one benchmark on a single-core system: exactly
+// a one-core RunMix, reported as a Result.
+func RunSingle(prof workload.Profile, cfg Config) Result {
+	m := newMachine([]workload.Profile{prof}, cfg)
+	m.run(func() obs.Snapshot {
+		mr := m.state()
+		mr.PageSizes = pageSizes(m.ctl)
+		return soloResult(mr, m.l3.Stats()).Registry().Snapshot()
+	})
+	l3 := m.l3.Stats()
+	return soloResult(m.finish(), l3)
 }
 
 // newRunSampler builds the run's windowed time-series sampler from
@@ -673,42 +814,6 @@ func attachAttribution(cfg Config, ctl memctl.Controller) *obs.Attribution {
 	attr := obs.NewAttribution(top)
 	as.SetAttribution(attr)
 	return attr
-}
-
-// resetAll marks the warmup boundary: all counters restart, and the
-// DRAM model additionally drops its in-flight bus/bank timing so the
-// first measured accesses aren't charged wait cycles for warmup
-// traffic the stats no longer count (row buffers and cache contents
-// stay warm).
-func resetAll(ctl memctl.Controller, mem *dram.Memory, hiers ...interface{ ResetStats() }) {
-	ctl.ResetStats()
-	mem.ResetStats()
-	mem.ResetTiming()
-	for _, h := range hiers {
-		h.ResetStats()
-	}
-}
-
-func collect(bench string, sys System, c *cpu.Core, ctl memctl.Controller, mem *dram.Memory, l3 *cache.Cache) Result {
-	res := Result{
-		Bench:  bench,
-		System: sys.String(),
-		Cycles: c.Stats().Cycles,
-		Instrs: c.Stats().Instrs,
-		IPC:    c.Stats().IPC(),
-		CPU:    c.Stats(),
-		Mem:    ctl.Stats(),
-		Dram:   mem.Stats(),
-		L3:     l3.Stats(),
-		Ratio:  memctl.CompressionRatio(ctl),
-	}
-	if ms, ok := ctl.(mdStatser); ok {
-		res.MDCache = ms.MetadataCacheStats()
-	}
-	res.L3MissRate = l3.Stats().MissRate()
-	res.PageSizes = pageSizes(ctl)
-	res.BackendMetrics = backendMetrics(ctl)
-	return res
 }
 
 // MultiResult is a 4-core run's outcome: per-core results plus the
@@ -796,192 +901,17 @@ func (m MultiResult) WeightedSpeedup(base MultiResult) (float64, error) {
 	return total / float64(len(m.Cores)), nil
 }
 
-// RunMix simulates a multi-core mix sharing the L3, controller and
-// DRAM. Cores interleave in local-time order (the syncedFastForward
-// analogue: everyone starts at its region and contends throughout).
+// RunMix simulates a multi-core mix, one core per profile, sharing the
+// L3, controller and DRAM (see newMachine for the provisioning and
+// machine.run for the interleave). Mix samples carry per-core
+// "coreN.cpu" counters and no page-size histogram.
 func RunMix(mixName string, profs []workload.Profile, cfg Config) MultiResult {
-	n := len(profs)
-	if n == 0 {
+	if len(profs) == 0 {
 		panic("sim: empty mix")
 	}
-	traces := make([]workload.OpStream, n)
-	images := make([]*workload.Image, n)
-	base := make([]uint64, n)
-	var nextPage uint64
-	for i, p := range profs {
-		p = scaled(p, cfg.FootprintScale)
-		seed := cfg.Seed + uint64(i)*7919
-		if cfg.Assets != nil {
-			traces[i] = cfg.Assets.stream(i, p, seed, cfg.Ops)
-		} else {
-			traces[i] = workload.NewTrace(p, seed, cfg.Ops)
-		}
-		images[i] = traces[i].Image()
-		base[i] = nextPage
-		nextPage += uint64(p.FootprintPages)
-	}
-	// Multi-core systems get a second memory channel and a shared
-	// metadata cache sized for the combined footprint, the Xeon-class
-	// provisioning the paper's 4-core results imply.
-	dcfg := cfg.DRAM
-	if n > 1 && dcfg.Channels == 1 {
-		dcfg.Channels = 2
-	}
-	mem := dram.New(dcfg)
-	if cfg.FootprintScale > 2 {
-		cfg.FootprintScale /= 2 // shared md cache covers n cores' pages
-	}
-	src := &routedSource{basePages: base, images: images}
-	ctl, inj := buildController(cfg, cfg.System, int(nextPage), mem, src)
-	for i := range images {
-		images[i].InstallIntoAt(ctl, base[i])
-	}
-	auditor := newAuditor(cfg, ctl)
-	tracer := attachTracer(cfg, ctl)
-	attr := attachAttribution(cfg, ctl)
-
-	// Shared L3: 8 MB for 4 cores (Tab. III), scaled by core count and
-	// footprint scale.
-	l3 := cache.New("l3", scaledL3Bytes(2<<20*n, cfg.FootprintScale), 16)
-	cores := make([]*cpu.Core, n)
-	hiers := make([]*cache.Hierarchy, n)
-	for i := range cores {
-		hiers[i] = cache.NewHierarchy(l3)
-		cores[i] = cpu.New(cfg.CPU, hiers[i], ctl, src)
-	}
-
-	sampler := newRunSampler(cfg)
-	sampleMix := func() {
-		var now uint64
-		for i := range cores {
-			if cores[i].Now() > now {
-				now = cores[i].Now()
-			}
-		}
-		m := MultiResult{
-			Mem:            ctl.Stats(),
-			Dram:           mem.Stats(),
-			Ratio:          memctl.CompressionRatio(ctl),
-			BackendMetrics: backendMetrics(ctl),
-		}
-		if ms, ok := ctl.(mdStatser); ok {
-			m.MDCache = ms.MetadataCacheStats()
-		}
-		for i := range cores {
-			m.Cores = append(m.Cores, Result{CPU: cores[i].Stats()})
-		}
-		snap := m.Registry().Snapshot()
-		sampler.Sample(now, snap)
-		if cfg.OnSample != nil {
-			cfg.OnSample(now, snap)
-		}
-	}
-
-	warm := uint64(float64(cfg.Ops) * cfg.WarmupFrac)
-	done := make([]uint64, n) // ops completed per core
-	var steps uint64          // total ops across cores (sampling clock)
-	var op workload.Op
-	// WarmupFrac == 0 means "no warmup": start warmed so the minDone
-	// check below cannot reset the statistics one op into the run
-	// (RunSingle's `i+1 == warm` comparison never fires for warm == 0;
-	// this keeps the two runners consistent).
-	warmed := warm == 0
-	for {
-		// Pick the core with the smallest local clock that still has
-		// work; this keeps the cores continuously contending.
-		sel := -1
-		for i := range cores {
-			if done[i] >= cfg.Ops {
-				continue
-			}
-			if sel == -1 || cores[i].Now() < cores[sel].Now() {
-				sel = i
-			}
-		}
-		if sel == -1 {
-			break
-		}
-		checkCancel(cfg, steps)
-		traces[sel].Next(&op)
-		op.LineAddr += base[sel] * memctl.LinesPerPage
-		cores[sel].Step(&op)
-		if auditor != nil {
-			if rep := auditor.Tick(); rep != nil {
-				tracer.Emit(cores[sel].Now(), obs.EvAuditRun, obs.NoPage, uint64(len(rep.Violations)))
-			}
-		}
-		done[sel]++
-		steps++
-		if cfg.SampleEvery > 0 && steps%cfg.SampleEvery == 0 {
-			sampleMix()
-		}
-		if !warmed {
-			var minDone uint64 = 1 << 62
-			for _, d := range done {
-				if d < minDone {
-					minDone = d
-				}
-			}
-			if minDone >= warm {
-				rs := make([]interface{ ResetStats() }, 0, len(hiers)+len(cores))
-				for i := range hiers {
-					rs = append(rs, hiers[i])
-				}
-				for i := range cores {
-					rs = append(rs, cores[i])
-				}
-				resetAll(ctl, mem, rs...)
-				attr.Reset()
-				warmed = true
-			}
-		}
-	}
-	out := MultiResult{
-		MixName:        mixName,
-		System:         cfg.System.String(),
-		Mem:            ctl.Stats(),
-		Dram:           mem.Stats(),
-		Ratio:          memctl.CompressionRatio(ctl),
-		BackendMetrics: backendMetrics(ctl),
-	}
-	if ms, ok := ctl.(mdStatser); ok {
-		out.MDCache = ms.MetadataCacheStats()
-	}
-	var lastNow uint64
-	for i := range cores {
-		cores[i].Drain()
-		if cores[i].Now() > lastNow {
-			lastNow = cores[i].Now()
-		}
-		r := Result{
-			Bench:  profs[i].Name,
-			System: cfg.System.String(),
-			Cycles: cores[i].Stats().Cycles,
-			Instrs: cores[i].Stats().Instrs,
-			IPC:    cores[i].Stats().IPC(),
-			CPU:    cores[i].Stats(),
-		}
-		out.Cores = append(out.Cores, r)
-	}
-	if cfg.SampleEvery > 0 {
-		sampleMix() // close the partial final window at the drained clocks
-	}
-	out.Series = sampler.Series()
-	out.PageSizes = pageSizes(ctl)
-	if auditor != nil {
-		rep := auditor.Final(audit.Structural)
-		tracer.Emit(lastNow, obs.EvAuditRun, obs.NoPage, uint64(len(rep.Violations)))
-		out.Audit = auditor.Outcome()
-		// Pick up the final audit's counters: the repair pass touches
-		// both the controller tallies and real DRAM traffic.
-		out.Mem = ctl.Stats()
-		out.Dram = mem.Stats()
-		out.BackendMetrics = backendMetrics(ctl)
-	}
-	out.Faults = inj.Totals()
-	out.Trace = tracer.Trace()
-	if attr != nil {
-		out.Attribution = attr.Snapshot()
-	}
+	m := newMachine(profs, cfg)
+	m.run(func() obs.Snapshot { return m.state().Registry().Snapshot() })
+	out := m.finish()
+	out.MixName = mixName
 	return out
 }

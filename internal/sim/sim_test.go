@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -251,39 +253,57 @@ func TestPanicMessages(t *testing.T) {
 	}
 }
 
-// TestRunMixZeroWarmupParity pins the WarmupFrac == 0 semantics: "no
-// warmup" must mean the statistics cover the whole run in both
-// runners. A 1-core mix configured identically to a single-core run
-// must reproduce it exactly; before the warm == 0 guard in RunMix, the
-// mix runner reset its memory-side statistics one op into the run and
-// this parity broke.
-func TestRunMixZeroWarmupParity(t *testing.T) {
-	prof, err := workload.ByName("povray")
-	if err != nil {
-		t.Fatal(err)
+// TestRunSingleIsOneCoreMix pins RunSingle as the one-core case of
+// RunMix on every registered backend: a one-core mix must provision the
+// single-core machine (no halved metadata-cache and L3 scale, which
+// only several cores sharing them get) and reproduce the single-core
+// run exactly, with and without a warmup. WarmupFrac 0 covers the old
+// mix-runner bug that reset the statistics one op into the run; scale
+// 16 covers the shared-cache halving.
+func TestRunSingleIsOneCoreMix(t *testing.T) {
+	cases := []struct {
+		bench string
+		scale int
+	}{
+		{"povray", 2}, // small footprint
+		{"mcf", 16},   // large footprint
 	}
-	cfg := DefaultConfig(Compresso)
-	cfg.Ops = 8_000
-	cfg.WarmupFrac = 0
-	// Scale 2 keeps RunMix's shared-metadata-cache halving (applied
-	// only for scales > 2) out of play so the configs match exactly.
-	cfg.FootprintScale = 2
-
-	single := RunSingle(prof, cfg)
-	mix := RunMix("solo", []workload.Profile{prof}, cfg)
-
-	if len(mix.Cores) != 1 {
-		t.Fatalf("%d cores", len(mix.Cores))
-	}
-	if mix.Cores[0].Cycles != single.Cycles || mix.Cores[0].Instrs != single.Instrs {
-		t.Fatalf("cycle/instr parity lost: mix %d/%d vs single %d/%d",
-			mix.Cores[0].Cycles, mix.Cores[0].Instrs, single.Cycles, single.Instrs)
-	}
-	if mix.Cores[0].IPC != single.IPC {
-		t.Fatalf("IPC parity lost: mix %v vs single %v", mix.Cores[0].IPC, single.IPC)
-	}
-	if mix.Mem != single.Mem {
-		t.Fatalf("memory stats parity lost:\nmix    %+v\nsingle %+v", mix.Mem, single.Mem)
+	for _, sys := range memctl.BackendNames() {
+		for _, tc := range cases {
+			prof, err := workload.ByName(tc.bench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, warm := range []float64{0, 0.1} {
+				t.Run(fmt.Sprintf("%s/%s-x%d/warm%v", sys, tc.bench, tc.scale, warm), func(t *testing.T) {
+					t.Parallel() // mxt's LZ-priced install dominates; overlap it
+					cfg := DefaultConfig(System(sys))
+					cfg.Ops = 4_000
+					cfg.WarmupFrac = warm
+					cfg.FootprintScale = tc.scale
+					single := RunSingle(prof, cfg)
+					mix := RunMix("solo", []workload.Profile{prof}, cfg)
+					if len(mix.Cores) != 1 {
+						t.Fatalf("%d cores", len(mix.Cores))
+					}
+					for _, f := range []struct {
+						name      string
+						mix, solo any
+					}{
+						{"CPU", mix.Cores[0].CPU, single.CPU},
+						{"Mem", mix.Mem, single.Mem},
+						{"Dram", mix.Dram, single.Dram},
+						{"MDCache", mix.MDCache, single.MDCache},
+						{"Ratio", mix.Ratio, single.Ratio},
+						{"PageSizes", mix.PageSizes, single.PageSizes},
+					} {
+						if !reflect.DeepEqual(f.mix, f.solo) {
+							t.Errorf("%s differs:\nmix    %+v\nsingle %+v", f.name, f.mix, f.solo)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical and presentation
-// helpers shared by the simulator and the experiment runners: geometric
-// means, histograms, and fixed-width table rendering for reproducing
-// the paper's tables and figure series as text.
+// helpers shared by the simulator and the experiment runners: means,
+// percentiles, and fixed-width table rendering for reproducing the
+// paper's tables and figure series as text.
 package stats
 
 import (
@@ -72,47 +72,6 @@ func Percentile(xs []float64, p float64) (float64, bool) {
 		return s[lo], true
 	}
 	return s[lo]*(1-frac) + s[lo+1]*frac, true
-}
-
-// Histogram counts values into named integer buckets.
-type Histogram struct {
-	counts map[int]uint64
-	total  uint64
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	return &Histogram{counts: make(map[int]uint64)}
-}
-
-// Add increments the count for bucket b.
-func (h *Histogram) Add(b int) {
-	h.counts[b]++
-	h.total++
-}
-
-// Count returns the count in bucket b.
-func (h *Histogram) Count(b int) uint64 { return h.counts[b] }
-
-// Total returns the total number of samples.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Frac returns the fraction of samples in bucket b.
-func (h *Histogram) Frac(b int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[b]) / float64(h.total)
-}
-
-// Buckets returns the populated buckets in ascending order.
-func (h *Histogram) Buckets() []int {
-	out := make([]int, 0, len(h.counts))
-	for b := range h.counts {
-		out = append(out, b)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Table accumulates rows and renders them with aligned columns, used by

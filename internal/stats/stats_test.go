@@ -96,26 +96,6 @@ func TestPercentileRejectsBadP(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram()
-	h.Add(512)
-	h.Add(512)
-	h.Add(4096)
-	if h.Total() != 3 || h.Count(512) != 2 || h.Count(1024) != 0 {
-		t.Fatalf("histogram counts wrong: %v", h)
-	}
-	if h.Frac(512) != 2.0/3 {
-		t.Errorf("Frac = %v", h.Frac(512))
-	}
-	if b := h.Buckets(); len(b) != 2 || b[0] != 512 || b[1] != 4096 {
-		t.Errorf("Buckets = %v", b)
-	}
-	empty := NewHistogram()
-	if empty.Frac(1) != 0 {
-		t.Error("empty Frac != 0")
-	}
-}
-
 func TestTableRender(t *testing.T) {
 	tbl := NewTable("bench", "ratio")
 	tbl.AddRow("gcc", 1.85)
@@ -162,18 +142,5 @@ func TestPercentileEmptyInput(t *testing.T) {
 	// Single element: every percentile is that element.
 	if got, ok := Percentile([]float64{7}, 50); !ok || got != 7 {
 		t.Errorf("Percentile([7], 50) = %v,%v", got, ok)
-	}
-}
-
-func TestHistogramEmptyEdges(t *testing.T) {
-	h := NewHistogram()
-	if h.Total() != 0 || h.Count(3) != 0 {
-		t.Fatal("empty histogram has samples")
-	}
-	if got := h.Frac(3); got != 0 {
-		t.Errorf("empty Frac = %v, want 0 (not NaN)", got)
-	}
-	if b := h.Buckets(); len(b) != 0 {
-		t.Errorf("empty Buckets = %v", b)
 	}
 }
