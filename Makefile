@@ -51,8 +51,9 @@ bench-quick:
 # Compression-kernel microbenchmarks (DESIGN.md §10): one iteration
 # each with -benchmem, enough for `check` to catch an allocation
 # regression on the hot paths (the 0-allocs property is also pinned
-# hard by TestSizeOnlyZeroAllocs/TestCompressWithZeroAllocs). Run with
-# a real -benchtime for ns/op numbers.
+# hard by TestSizeOnlyZeroAllocs/TestCompressWithZeroAllocs, and at
+# the 1 KiB LZ block size by TestLZBlockZeroAllocs). Run with a real
+# -benchtime for ns/op numbers.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'Compress|SizeOnly|Writer|Reader' \
 		-benchmem -benchtime 1x ./internal/compress/ ./internal/bitstream/
@@ -217,7 +218,9 @@ soak:
 	[ "$$ref_sha" = "$$out_sha" ] || { echo "soak: artifacts diverged from clean run"; exit 1; }; \
 	echo "soak: ok (survived SIGKILL loop; output and artifacts byte-identical)"
 
-# Longer fuzz of the controller invariants (the default corpus runs
+# Longer fuzz of the controller invariants and of the LZ hash-chain
+# matcher against its brute-force reference (the default corpora run
 # as part of `test`).
 fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzControllerReadWrite -fuzztime 60s
+	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzLZMatchEquivalence$$' -fuzztime 20s

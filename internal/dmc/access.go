@@ -126,14 +126,7 @@ func (c *Controller) convert(now uint64, page uint64, p *dmcPage, toCold bool) {
 // priceCold recomputes the page's per-block LZ sizes from its data.
 func (c *Controller) priceCold(page uint64, p *dmcPage) {
 	for b := 0; b < blocksPerPage; b++ {
-		for l := 0; l < LZBlockBytes/memctl.LineBytes; l++ {
-			line := b*(LZBlockBytes/memctl.LineBytes) + l
-			c.source.ReadLine(page*metadata.LinesPerPage+uint64(line), c.lineBuf[:])
-			copy(c.blockBuf[l*memctl.LineBytes:], c.lineBuf[:])
-		}
-		n := compress.LZSizeBlock(c.blockBuf[:])
-		// Blocks are stored line-aligned for sane offsets.
-		p.blockBytes[b] = (n + memctl.LineBytes - 1) &^ (memctl.LineBytes - 1)
+		c.repriceBlock(page, p, b)
 	}
 }
 
@@ -415,11 +408,12 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 }
 
 // repriceBlock recomputes one cold block's LZ size from source data.
+// Blocks are stored line-aligned for sane offsets.
 func (c *Controller) repriceBlock(page uint64, p *dmcPage, b int) {
-	for l := 0; l < LZBlockBytes/memctl.LineBytes; l++ {
-		line := b*(LZBlockBytes/memctl.LineBytes) + l
-		c.source.ReadLine(page*metadata.LinesPerPage+uint64(line), c.lineBuf[:])
-		copy(c.blockBuf[l*memctl.LineBytes:], c.lineBuf[:])
+	const blockLines = LZBlockBytes / memctl.LineBytes
+	first := page*metadata.LinesPerPage + uint64(b*blockLines)
+	for l := 0; l < blockLines; l++ {
+		c.source.ReadLine(first+uint64(l), c.blockBuf[l*memctl.LineBytes:(l+1)*memctl.LineBytes])
 	}
 	n := compress.LZSizeBlock(c.blockBuf[:])
 	p.blockBytes[b] = (n + memctl.LineBytes - 1) &^ (memctl.LineBytes - 1)

@@ -59,9 +59,12 @@ func (c *memo[T]) reset() {
 	c.mu.Unlock()
 }
 
-// resetMemos clears the cross-experiment sweep caches.
+// resetMemos clears every package-level sweep cache.
+// TestResetMemosClearsEveryMemo fails when a new one is left out.
 func resetMemos() {
 	fig10Cache.reset()
 	fig11Cache.reset()
 	backendsCache.reset()
+	fleetSweepCache.reset()
+	fleetPolicyCache.reset()
 }
