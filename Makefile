@@ -14,7 +14,7 @@ vet:
 
 # gofmt cleanliness gate: any file gofmt would rewrite fails the check.
 fmt-check:
-	@files=$$(gofmt -l cmd internal); if [ -n "$$files" ]; then \
+	@files=$$(gofmt -l cmd internal examples benchmark *.go); if [ -n "$$files" ]; then \
 		echo "gofmt needed on:"; echo "$$files"; exit 1; fi
 
 build:
@@ -34,7 +34,7 @@ seam:
 # the experiments that run cells through it, and the simulator whose
 # state those cells must not share. The heaviest sweeps skip under the
 # race detector (see raceEnabled in internal/experiments); the light
-# cells still cover every parallel.Map call site.
+# cells still cover every grid call shape on parallel.MapResilient.
 race:
 	$(GO) test -race -timeout 20m ./internal/core/... ./internal/sim/... \
 		./internal/parallel/... ./internal/experiments/... \

@@ -58,8 +58,8 @@ var heavyExperiments = map[string]bool{
 
 // raceSlow are light experiments additionally skipped under the race
 // detector (~11x slowdown): each is a duplicate of a parallel call
-// shape the remaining set still covers (fig4 races Map over full
-// sims, fig9 races MapErr, ab-align and bpc-variants race the
+// shape the remaining set still covers (fig4 races a grid of full
+// sims, fig9 races a failable grid, ab-align and bpc-variants race the
 // ablation sites), so dropping them costs wall time only.
 var raceSlow = map[string]bool{
 	"fig6": true, "fig7": true, "ab-bins": true, "related-dmc": true,

@@ -52,10 +52,10 @@ type Options struct {
 	// Progress sink attached (DESIGN.md §9).
 	Progress parallel.Progress
 
-	// Resilience options (DESIGN.md §11). Any of them switches the
-	// grids from the plain deterministic fan-out to the resilient
-	// engine (parallel.MapResilient); results stay byte-identical on
-	// success either way.
+	// Resilience options (DESIGN.md §11). Every grid runs on
+	// parallel.MapResilient; the zero values run each cell once, with
+	// no deadline, journal or chaos, and abort the grid on the first
+	// failure a serial loop would hit.
 
 	// Ctx cancels the run: queued cells are skipped, in-flight
 	// simulation cells abort cooperatively (sim.Config.Cancel), and
@@ -83,13 +83,6 @@ type Options struct {
 	// manifest). Required when Quarantine is set and a manifest is
 	// wanted; a nil log just drops the records.
 	Failures *parallel.FailureLog
-}
-
-// resilient reports whether any resilience feature routes the grids
-// through parallel.MapResilient.
-func (o Options) resilient() bool {
-	return o.Ctx != nil || o.CellTimeout > 0 || o.Retry.MaxAttempts > 1 ||
-		o.Quarantine || o.Chaos != nil || o.Journal != nil
 }
 
 // ops and scale return the trace length and footprint divisor for the
@@ -158,38 +151,23 @@ func Run(name string, opt Options) error {
 }
 
 // grid fans an experiment's simulation cells out under opt's job
-// bound, reporting per-cell progress to opt.Progress under label. The
-// cell function receives the grid context (context.Background when no
-// resilience feature is active); cells that build a sim.Config should
-// install it as Config.Cancel so in-flight work aborts cooperatively.
+// bound on parallel.MapResilient, reporting per-cell progress to
+// opt.Progress under label. The cell function receives the attempt
+// context (derived from opt.Ctx, context.Background when unset); cells
+// that build a sim.Config should install it as Config.Cancel so
+// in-flight work aborts cooperatively.
 //
-// When a resilience option is set the grid runs on
-// parallel.MapResilient; a fatal grid error (cancellation, exhausted
-// retries outside quarantine mode) unwinds as a gridFatal panic, which
+// A fatal grid error (a panicking cell, cancellation, exhausted retries
+// outside quarantine mode) unwinds as a gridFatal panic, which
 // runRecovering converts back to the experiment's error.
 func grid[T any](opt Options, label string, n int, fn func(ctx context.Context, i int) T) []T {
-	if !opt.resilient() {
-		return parallel.MapProgress(opt.Jobs, n, opt.Progress, label, func(i int) T {
-			return fn(context.Background(), i)
-		})
-	}
-	rows, err := resilientGrid(opt, label, n, func(ctx context.Context, i int) (T, error) {
+	rows, err := gridErr(opt, label, n, func(ctx context.Context, i int) (T, error) {
 		return fn(ctx, i), nil
 	})
 	if err != nil {
 		panic(gridFatal{err: err})
 	}
 	return rows
-}
-
-// gridErr is grid for cells that can fail (see parallel.MapErr).
-func gridErr[T any](opt Options, label string, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if !opt.resilient() {
-		return parallel.MapErrProgress(opt.Jobs, n, opt.Progress, label, func(i int) (T, error) {
-			return fn(context.Background(), i)
-		})
-	}
-	return resilientGrid(opt, label, n, fn)
 }
 
 // gridFatal carries a resilient grid's fatal error out of grid (which
@@ -201,21 +179,21 @@ type gridFatal struct{ err error }
 // formats it with %v (e.g. the memo cache's poison message).
 func (g gridFatal) Error() string { return g.err.Error() }
 
-// resilientGrid executes one grid on parallel.MapResilient: journal
-// replay and record around each cell, chaos disruption per attempt,
-// retry/deadline/quarantine per opt, and the grid's quarantined cells
-// appended to opt.Failures.
-func resilientGrid[T any](opt Options, label string, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+// gridErr is grid for cells that can fail, returning the grid error
+// instead of unwinding. It executes one grid on parallel.MapResilient:
+// journal replay and record around each cell, chaos disruption per
+// attempt, retry/deadline/quarantine per opt, and the grid's
+// quarantined cells appended to opt.Failures.
+func gridErr[T any](opt Options, label string, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	hash := cellHash[T](opt)
 	run := parallel.Run{
-		Jobs:          opt.Jobs,
-		Ctx:           opt.Ctx,
-		CellTimeout:   opt.CellTimeout,
-		Retry:         opt.Retry,
-		Quarantine:    opt.Quarantine,
-		CancelOnFatal: true,
-		Progress:      opt.Progress,
-		Label:         label,
+		Jobs:        opt.Jobs,
+		Ctx:         opt.Ctx,
+		CellTimeout: opt.CellTimeout,
+		Retry:       opt.Retry,
+		Quarantine:  opt.Quarantine,
+		Progress:    opt.Progress,
+		Label:       label,
 	}
 	rows, failures, err := parallel.MapResilient(run, n, func(ctx context.Context, i, attempt int) (T, error) {
 		var zero T
@@ -298,15 +276,18 @@ func RunAll(opt Options) error {
 		text string
 		err  error
 	}
-	outs := parallel.MapProgress(opt.Jobs, len(list), opt.Progress, "all", func(i int) outcome {
+	// The cells never fail: runRecovering turns every experiment panic
+	// into the outcome's error, so the grid error is always nil.
+	run := parallel.Run{Jobs: opt.Jobs, Progress: opt.Progress, Label: "all"}
+	outs, _, _ := parallel.MapResilient(run, len(list), func(_ context.Context, i, _ int) (outcome, error) {
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			return outcome{err: fmt.Errorf("experiments: %s skipped: %w", list[i].Name, opt.Ctx.Err())}
+			return outcome{err: fmt.Errorf("experiments: %s skipped: %w", list[i].Name, opt.Ctx.Err())}, nil
 		}
 		var buf bytes.Buffer
 		sub := opt
 		sub.Out = &buf
 		err := runRecovering(list[i], sub)
-		return outcome{text: buf.String(), err: err}
+		return outcome{text: buf.String(), err: err}, nil
 	})
 	var errs []error
 	for i, o := range outs {

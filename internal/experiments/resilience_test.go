@@ -71,32 +71,57 @@ func (c *cancelAfter) GridCell(string, int, time.Duration) {
 	}
 }
 
-// TestResilientMatchesLegacy: routing a grid through the resilient
-// engine (here: just a background context) must not change a byte of
-// output or artifacts versus the legacy fan-out.
-func TestResilientMatchesLegacy(t *testing.T) {
-	legacyDir, resDir := t.TempDir(), t.TempDir()
+// TestGridPanicNamesItsCell: a panicking grid cell fails the
+// experiment with an error that names the grid and the cell index and
+// still unwraps to the *parallel.PanicError.
+func TestGridPanicNamesItsCell(t *testing.T) {
+	register("test-grid-panic", "one grid, one panicking cell", func(opt Options) (any, error) {
+		grid(opt, "panicky", 4, func(_ context.Context, i int) int {
+			if i == 2 {
+				panic("boom")
+			}
+			return i
+		})
+		return nil, nil
+	})
+	defer delete(registry, "test-grid-panic")
+	for _, jobs := range []int{1, 4} {
+		err := Run("test-grid-panic", Options{Out: io.Discard, Quick: true, Jobs: jobs})
+		if err == nil || !strings.Contains(err.Error(), "panicky[2]") || !strings.Contains(err.Error(), "boom") {
+			t.Fatalf("jobs=%d: err = %v, want panicky[2] ... boom", jobs, err)
+		}
+		var pe *parallel.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("jobs=%d: %v does not unwrap to *parallel.PanicError", jobs, err)
+		}
+	}
+}
 
-	resetMemos()
-	var legacy bytes.Buffer
-	if err := Run("fig2", Options{Out: &legacy, Quick: true, Seed: 42, Jobs: 4, JSONDir: legacyDir}); err != nil {
-		t.Fatal(err)
+// TestGridFatalErrorIsSerialLoopError: under a run context (as every
+// CLI sweep has) a fast failure at a high index neither cancels nor
+// outranks a slower failure at a lower index, so the experiment error
+// is the one a serial loop would report, at any worker count.
+func TestGridFatalErrorIsSerialLoopError(t *testing.T) {
+	for _, jobs := range []int{1, 8} {
+		opt := Options{Jobs: jobs, Ctx: context.Background()}
+		_, err := gridErr(opt, "g", 20, func(ctx context.Context, i int) (int, error) {
+			switch i {
+			case 3:
+				select {
+				case <-ctx.Done():
+					return 0, ctx.Err()
+				case <-time.After(50 * time.Millisecond):
+					return 0, errors.New("cell 3 failed")
+				}
+			case 17:
+				return 0, errors.New("cell 17 failed")
+			}
+			return i, nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "cell 3 failed") {
+			t.Fatalf("jobs=%d: err = %v, want cell 3 failed", jobs, err)
+		}
 	}
-
-	resetMemos()
-	var res bytes.Buffer
-	opt := Options{Out: &res, Quick: true, Seed: 42, Jobs: 4, JSONDir: resDir, Ctx: context.Background()}
-	if !opt.resilient() {
-		t.Fatal("context did not select the resilient engine")
-	}
-	if err := Run("fig2", opt); err != nil {
-		t.Fatal(err)
-	}
-
-	if legacy.String() != res.String() {
-		t.Fatal("resilient engine changed the rendered output")
-	}
-	sameArtifacts(t, "resilient-vs-legacy", readArtifacts(t, resDir), readArtifacts(t, legacyDir))
 }
 
 // TestJournalResumeAfterCancel pins the tentpole contract: a journaled

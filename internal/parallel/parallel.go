@@ -10,8 +10,9 @@
 //     written by cell j. Each simulation cell builds its own trace,
 //     DRAM, controller and caches, so this holds by construction.
 //   - Results are placed by index, never by completion order.
-//   - Error and panic propagation are deterministic: the lowest-index
-//     failure wins regardless of goroutine scheduling.
+//   - Error and panic propagation are deterministic: the reported
+//     failure is the one a serial loop would have hit first,
+//     regardless of goroutine scheduling.
 package parallel
 
 import (
@@ -21,14 +22,14 @@ import (
 	"time"
 )
 
-// Progress receives grid-execution notifications from MapProgress /
-// MapErrProgress: one GridStart per grid, one GridCell per completed
-// cell (with its wall time), and a closing GridEnd. Implementations
-// must be safe for concurrent use — GridCell is called from worker
-// goroutines in completion order, which is scheduler-dependent, so a
-// Progress sink must never influence results (display and telemetry
-// only; see the determinism contract in DESIGN.md §7/§9). A panicking
-// cell reports no GridCell, but GridEnd still fires.
+// Progress receives grid-execution notifications from MapResilient:
+// one GridStart per grid, one GridCell per cell that ran (with its
+// wall time, failed and panicking cells included), and a closing
+// GridEnd. Implementations must be safe for concurrent use — GridCell
+// is called from worker goroutines in completion order, which is
+// scheduler-dependent, so a Progress sink must never influence results
+// (display and telemetry only; see the determinism contract in
+// DESIGN.md §7/§9).
 type Progress interface {
 	GridStart(label string, cells int)
 	GridCell(label string, index int, wall time.Duration)
@@ -64,15 +65,8 @@ type cellPanic struct {
 // re-panics with the lowest-index cell's panic value, so the caller
 // sees the same panic a serial loop would have surfaced first.
 func Map[T any](jobs, n int, fn func(int) T) []T {
-	return MapProgress(jobs, n, nil, "", fn)
-}
-
-// MapProgress is Map with per-cell progress reporting: p (when
-// non-nil) observes the grid under the given label. A nil p costs
-// nothing — no clock reads, no extra allocation.
-func MapProgress[T any](jobs, n int, p Progress, label string, fn func(int) T) []T {
 	out := make([]T, n)
-	panics := fanOut(jobs, n, p, label, func(i int) { out[i] = fn(i) })
+	panics := fanOut(jobs, n, func(i int) { out[i] = fn(i) })
 	for _, pc := range panics {
 		if pc != nil {
 			panic(pc.value)
@@ -81,49 +75,13 @@ func MapProgress[T any](jobs, n int, p Progress, label string, fn func(int) T) [
 	return out
 }
 
-// MapErr is Map for cells that can fail. All cells run; the returned
-// error is the lowest-index cell's error (deterministic under any
-// scheduling), alongside the full result slice.
-func MapErr[T any](jobs, n int, fn func(int) (T, error)) ([]T, error) {
-	return MapErrProgress(jobs, n, nil, "", fn)
-}
-
-// MapErrProgress is MapErr with per-cell progress reporting (see
-// MapProgress).
-func MapErrProgress[T any](jobs, n int, p Progress, label string, fn func(int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	errs := make([]error, n)
-	panics := fanOut(jobs, n, p, label, func(i int) { out[i], errs[i] = fn(i) })
-	for _, pc := range panics {
-		if pc != nil {
-			panic(pc.value)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
-
 // fanOut executes cell(0..n-1) across Workers(jobs, n) goroutines and
 // returns any recovered panics indexed by cell. Workers pull the next
 // index from a shared counter, so result placement (by index) is
 // independent of which worker runs which cell.
-func fanOut(jobs, n int, p Progress, label string, cell func(int)) []*cellPanic {
+func fanOut(jobs, n int, cell func(int)) []*cellPanic {
 	if n <= 0 {
 		return nil
-	}
-	if p != nil {
-		p.GridStart(label, n)
-		defer p.GridEnd(label)
-		inner := cell
-		cell = func(i int) {
-			t0 := time.Now()
-			inner(i)
-			p.GridCell(label, i, time.Since(t0))
-		}
 	}
 	panics := make([]*cellPanic, n)
 	run := func(i int) {

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync/atomic"
@@ -53,52 +52,6 @@ func TestMapRunsEveryCellOnce(t *testing.T) {
 	for i := range counts {
 		if n := counts[i].Load(); n != 1 {
 			t.Fatalf("cell %d ran %d times", i, n)
-		}
-	}
-}
-
-func TestMapErrLowestIndexWins(t *testing.T) {
-	for _, jobs := range []int{1, 8} {
-		_, err := MapErr(jobs, 50, func(i int) (int, error) {
-			if i%2 == 1 {
-				return 0, fmt.Errorf("cell %d failed", i)
-			}
-			return i, nil
-		})
-		if err == nil || err.Error() != "cell 1 failed" {
-			t.Fatalf("jobs=%d: err = %v, want cell 1 failed", jobs, err)
-		}
-	}
-}
-
-func TestMapErrNoError(t *testing.T) {
-	got, err := MapErr(4, 10, func(i int) (int, error) { return i + 1, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i+1 {
-			t.Fatalf("index %d = %d", i, v)
-		}
-	}
-}
-
-func TestMapErrPartialResults(t *testing.T) {
-	boom := errors.New("boom")
-	got, err := MapErr(4, 4, func(i int) (int, error) {
-		if i == 2 {
-			return 0, boom
-		}
-		return i * 10, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-	// All non-failing cells still ran and landed at their index.
-	want := []int{0, 10, 0, 30}
-	for i, v := range got {
-		if v != want[i] {
-			t.Fatalf("partial results %v, want %v", got, want)
 		}
 	}
 }

@@ -1,9 +1,7 @@
 // Resilient grid execution: context plumbing, per-cell deadlines,
 // bounded retry with deterministic exponential backoff, and failure
-// quarantine. MapResilient is the engine behind the experiment grids
-// when any resilience feature is active; the plain Map/MapErr entry
-// points keep their historical semantics (all cells run, lowest-index
-// error, panics re-panic) untouched.
+// quarantine. MapResilient is the one engine behind the experiment
+// grids; plain Map remains the fan-out for cells that cannot fail.
 //
 // The determinism contract extends to failures (DESIGN.md §11):
 //
@@ -12,8 +10,10 @@
 //     (policy seed, cell index, attempt), so it never depends on
 //     goroutine scheduling.
 //   - The quarantine manifest is reported in index order.
-//   - The reported fatal error is the lowest-index cell failure that
-//     is not a mere consequence of cancellation.
+//   - A fatal failure skips only unstarted cells above it, so every
+//     lower cell runs and the reported error is the lowest-index
+//     failure that is not a mere consequence of cancellation — the
+//     one a serial loop would report, at any worker count.
 package parallel
 
 import (
@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"compresso/internal/rng"
@@ -161,11 +162,11 @@ type Run struct {
 	Retry RetryPolicy
 	// Quarantine switches to partial-results mode: cells that exhaust
 	// their attempts are recorded in the failure manifest (zero value at
-	// their index) and the grid completes instead of aborting.
+	// their index) and the grid completes instead of aborting. Without
+	// it a cell that exhausts its attempts fails the grid: unstarted
+	// cells above the lowest failed index are skipped, while in-flight
+	// cells run to completion.
 	Quarantine bool
-	// CancelOnFatal cancels queued and in-flight cells as soon as a
-	// cell fails fatally (non-quarantine mode only).
-	CancelOnFatal bool
 	// Progress observes the grid (may be nil). Sinks that also
 	// implement ResilienceObserver additionally see retries and
 	// quarantines.
@@ -303,19 +304,19 @@ func runAttempt[T any](ctx context.Context, timeout time.Duration, index, attemp
 // per-attempt deadline when CellTimeout is set) and its 1-based
 // attempt number. Failing attempts retry under run.Retry while
 // IsTransient(err); exhausted cells either quarantine (partial-results
-// mode) or fail the grid. Cells not yet started when the grid is
-// canceled are skipped and keep their zero value.
+// mode) or fail the grid, reported as "<label>[<index>]: <err>".
+// Cells not yet started when the grid is canceled, or that lie above
+// the lowest fatally failed index, are skipped and keep their zero
+// value.
 func MapResilient[T any](run Run, n int, fn func(ctx context.Context, index, attempt int) (T, error)) ([]T, []CellFailure, error) {
 	out := make([]T, n)
 	if n <= 0 {
 		return out, nil, nil
 	}
-	parent := run.Ctx
-	if parent == nil {
-		parent = context.Background()
+	ctx := run.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	gctx, cancel := context.WithCancelCause(parent)
-	defer cancel(nil)
 
 	obsv, _ := run.Progress.(ResilienceObserver)
 	sleep := run.Retry.sleep
@@ -325,7 +326,12 @@ func MapResilient[T any](run Run, n int, fn func(ctx context.Context, index, att
 
 	fail := make([]*CellFailure, n)
 	fatal := make([]error, n)
-	skipped := make([]bool, n)
+	var skipped atomic.Bool
+	// lowestFatal is the lowest fatally failed index so far (n while
+	// none has). Workers claim cells in index order, so every cell
+	// below it has started and will finish.
+	var lowestFatal atomic.Int64
+	lowestFatal.Store(int64(n))
 
 	if run.Progress != nil {
 		run.Progress.GridStart(run.Label, n)
@@ -333,8 +339,11 @@ func MapResilient[T any](run Run, n int, fn func(ctx context.Context, index, att
 	}
 
 	cell := func(i int) {
-		if gctx.Err() != nil {
-			skipped[i] = true
+		if int64(i) > lowestFatal.Load() {
+			return
+		}
+		if ctx.Err() != nil {
+			skipped.Store(true)
 			return
 		}
 		var t0 time.Time
@@ -345,7 +354,7 @@ func MapResilient[T any](run Run, n int, fn func(ctx context.Context, index, att
 		tried := 0
 		var lastErr error
 		for attempt := 1; attempt <= attempts; attempt++ {
-			v, err := runAttempt(gctx, run.CellTimeout, i, attempt, fn)
+			v, err := runAttempt(ctx, run.CellTimeout, i, attempt, fn)
 			tried = attempt
 			if err == nil {
 				out[i] = v
@@ -355,12 +364,12 @@ func MapResilient[T any](run Run, n int, fn func(ctx context.Context, index, att
 				return
 			}
 			lastErr = err
-			if attempt < attempts && IsTransient(err) && gctx.Err() == nil {
+			if attempt < attempts && IsTransient(err) && ctx.Err() == nil {
 				d := run.Retry.Backoff(i, attempt)
 				if obsv != nil {
 					obsv.CellRetry(run.Label, i, attempt, d, err)
 				}
-				if sleep(gctx, d) {
+				if sleep(ctx, d) {
 					continue
 				}
 			}
@@ -381,17 +390,20 @@ func MapResilient[T any](run Run, n int, fn func(ctx context.Context, index, att
 			}
 			return
 		}
-		fatal[i] = lastErr
-		if run.CancelOnFatal {
-			cancel(lastErr)
+		fatal[i] = fmt.Errorf("%s[%d]: %w", run.Label, i, lastErr)
+		for cur := lowestFatal.Load(); int64(i) < cur; cur = lowestFatal.Load() {
+			if lowestFatal.CompareAndSwap(cur, int64(i)) {
+				break
+			}
 		}
 	}
 
-	fanOut(run.Jobs, n, nil, "", cell)
+	fanOut(run.Jobs, n, cell)
 
 	// Deterministic error selection: the lowest-index fatal error that
-	// is not itself a cancellation consequence; then the cancel cause;
-	// then the parent context's error when cells were skipped.
+	// is not itself a cancellation consequence; then the parent
+	// context's error when cells were skipped or aborted by it; then
+	// the lowest-index cancellation error.
 	var firstCancel error
 	for _, fe := range fatal {
 		if fe == nil {
@@ -411,20 +423,8 @@ func MapResilient[T any](run Run, n int, fn func(ctx context.Context, index, att
 			failures = append(failures, *f)
 		}
 	}
-	if cause := context.Cause(gctx); cause != nil && !errors.Is(cause, context.Canceled) {
-		return out, failures, cause
+	if err := ctx.Err(); err != nil && (skipped.Load() || firstCancel != nil) {
+		return out, failures, err
 	}
-	anySkipped := false
-	for _, s := range skipped {
-		anySkipped = anySkipped || s
-	}
-	if anySkipped || firstCancel != nil {
-		if err := parent.Err(); err != nil {
-			return out, failures, err
-		}
-		if firstCancel != nil {
-			return out, failures, firstCancel
-		}
-	}
-	return out, failures, nil
+	return out, failures, firstCancel
 }

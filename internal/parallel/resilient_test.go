@@ -221,12 +221,12 @@ func TestCellTimeoutRetriesThenQuarantines(t *testing.T) {
 	}
 }
 
-// TestCancelOnFatalSkipsQueuedCells: with CancelOnFatal and serial
-// execution, a fatal error in an early cell prevents later cells from
-// running at all.
-func TestCancelOnFatalSkipsQueuedCells(t *testing.T) {
+// TestFatalSkipsHigherQueuedCells: under serial execution a fatal
+// error in an early cell prevents every later cell from running at
+// all, exactly like a loop that stops at its first failure.
+func TestFatalSkipsHigherQueuedCells(t *testing.T) {
 	var ran int32
-	run := Run{Jobs: 1, CancelOnFatal: true}
+	run := Run{Jobs: 1}
 	_, _, err := MapResilient(run, 100, func(ctx context.Context, i, attempt int) (int, error) {
 		atomic.AddInt32(&ran, 1)
 		if i == 2 {
@@ -239,6 +239,35 @@ func TestCancelOnFatalSkipsQueuedCells(t *testing.T) {
 	}
 	if got := atomic.LoadInt32(&ran); got != 3 {
 		t.Fatalf("%d cells ran, want 3 (cells after the fatal one must be skipped)", got)
+	}
+}
+
+// TestFatalErrorIsSerialLoopError pins the fatal-error rule: a fatal
+// cell skips only unstarted cells above it and cancels nothing in
+// flight, so a slow low-index failure still beats a fast high-index
+// one and the grid reports what a serial loop would, at any worker
+// count. Cell 3 fails after 50 ms unless its context is canceled first
+// (as a simulation cell honouring Config.Cancel does); cell 17 fails
+// at once.
+func TestFatalErrorIsSerialLoopError(t *testing.T) {
+	for _, jobs := range []int{1, 8} {
+		_, _, err := MapResilient(Run{Jobs: jobs, Label: "g"}, 20, func(ctx context.Context, i, attempt int) (int, error) {
+			switch i {
+			case 3:
+				select {
+				case <-ctx.Done():
+					return 0, ctx.Err()
+				case <-time.After(50 * time.Millisecond):
+					return 0, errors.New("cell 3 failed")
+				}
+			case 17:
+				return 0, errors.New("cell 17 failed")
+			}
+			return i, nil
+		})
+		if err == nil || err.Error() != "g[3]: cell 3 failed" {
+			t.Fatalf("jobs=%d: err = %v, want g[3]: cell 3 failed", jobs, err)
+		}
 	}
 }
 

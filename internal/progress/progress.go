@@ -25,7 +25,7 @@ type cellSpan struct {
 	start, end time.Duration
 }
 
-// grid is one Map/MapErr fan-out's accumulated state.
+// grid is one MapResilient grid's accumulated state.
 type grid struct {
 	label  string
 	total  int
