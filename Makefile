@@ -218,9 +218,11 @@ soak:
 	[ "$$ref_sha" = "$$out_sha" ] || { echo "soak: artifacts diverged from clean run"; exit 1; }; \
 	echo "soak: ok (survived SIGKILL loop; output and artifacts byte-identical)"
 
-# Longer fuzz of the controller invariants and of the LZ hash-chain
-# matcher against its brute-force reference (the default corpora run
-# as part of `test`).
+# Longer fuzz of the controller invariants, of the LZ hash-chain
+# matcher against its brute-force reference, and of the fused BPC size
+# kernel against the pre-fusion size path (the default corpora run as
+# part of `test`).
 fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzControllerReadWrite -fuzztime 60s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzLZMatchEquivalence$$' -fuzztime 20s
+	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzBPCSizeEquivalence$$' -fuzztime 20s

@@ -66,144 +66,271 @@ func (b BPC) Compress(dst, src []byte) int {
 	return b.CompressScratch(dst, src, &s)
 }
 
-// CompressScratch implements ScratchCompressor: both best-of encodings
-// run against the scratch's two writers, so steady-state compression
-// performs no heap allocation.
+// CompressScratch implements ScratchCompressor: the fused kernel
+// prices both best-of variants, and only the winner is encoded, into
+// the scratch writer, so steady-state compression performs no heap
+// allocation.
 func (b BPC) CompressScratch(dst, src []byte, s *Scratch) int {
 	checkCompressArgs(dst, src)
 	if IsZeroLine(src) {
 		return 0
 	}
 	words := loadWords(src)
-
-	wT := &s.wa
-	wT.Reset()
-	encodeBPCTransformed(wT, &words)
-
-	best := wT
-	if !b.DisableBestOf {
-		wR := &s.wb
-		wR.Reset()
-		encodeBPCRaw(wR, &words)
-		if wR.Len() < wT.Len() {
-			best = wR
-		}
-	}
-	if best.Len() >= LineSize {
+	var m bpcMatrix
+	m.build(&words)
+	n, raw := b.pick(&m, words[0])
+	if n >= LineSize {
 		copy(dst[:LineSize], src)
 		return LineSize
 	}
-	copy(dst, best.Bytes())
-	return best.Len()
+	w := &s.w
+	w.Reset()
+	if raw {
+		m.encodeRaw(w)
+	} else {
+		m.encodeTransformed(w, words[0])
+	}
+	copy(dst, w.Bytes())
+	return w.Len()
 }
 
-// SizeOnly implements Sizer: it counts the bits both best-of variants
-// would emit without materializing either stream. Equality with
-// Compress is pinned by FuzzCodecSizeOnly. Note the best-of compare is
-// on byte lengths (as in CompressScratch), with ties going to the
-// transformed variant.
+// SizeOnly implements Sizer: the fused kernel counts the bits both
+// best-of variants would emit without materializing either stream.
+// Equality with Compress is pinned by FuzzCodecSizeOnly, and with the
+// pre-fusion counting walk by FuzzBPCSizeEquivalence.
 func (b BPC) SizeOnly(src []byte) int {
 	checkLine(src)
 	if IsZeroLine(src) {
 		return 0
 	}
 	words := loadWords(src)
-	best := (countBPCTransformed(&words) + 7) / 8
-	if !b.DisableBestOf {
-		if lenR := (countBPCRaw(&words) + 7) / 8; lenR < best {
-			best = lenR
-		}
-	}
-	if best >= LineSize {
+	var m bpcMatrix
+	m.build(&words)
+	n, _ := b.pick(&m, words[0])
+	if n >= LineSize {
 		return LineSize
 	}
-	return best
+	return n
 }
 
-// bpcTranspose32 runs the recursive delta-swap bit-matrix transpose
-// network (Hacker's Delight §7-3) over the 32 words of a. In
-// position terms the result satisfies
-//
-//	a'[r] bit p == a[31-p] bit (31-r)
-//
-// so loading source word j into row 31-j makes a'[31-q] exactly bit-
-// plane q (plane q bit j = word j bit q) — the whole plane build in
-// ~160 word ops instead of ~500 single-bit scatter iterations per
-// variant. TestBPCPlaneBuilders pins this against the scalar
-// reference builders.
-func bpcTranspose32(a *[32]uint32) {
-	m := uint32(0x0000ffff)
-	for j := 16; j != 0; {
-		for k := 0; k < 32; k = (k + j + 1) &^ j {
-			t := (a[k] ^ (a[k+j] >> uint(j))) & m
-			a[k] ^= t
-			a[k+j] ^= t << uint(j)
-		}
-		j >>= 1
-		m ^= m << uint(j)
+// pick prices both variants of the line whose planes m holds and base
+// word is base, and returns the winner's length in bytes and whether
+// the winner is the untransformed variant. The compare is on byte
+// lengths, with ties going to the transformed variant.
+func (b BPC) pick(m *bpcMatrix, base uint32) (n int, raw bool) {
+	bitsT, bitsR := m.sizes(base)
+	n = (bitsT + 7) / 8
+	if b.DisableBestOf {
+		return n, false
 	}
+	if nR := (bitsR + 7) / 8; nR < n {
+		return nR, true
+	}
+	return n, false
 }
 
-// bpcTransformedPlanes builds the 33 delta bit-planes in encode order
-// (MSB plane first) into ord: 15 word-to-word deltas in 33-bit two's
-// complement, plane p holding bit p of every delta, delta j in plane
-// bit j. Writing into a caller-provided array keeps the hot sizing
-// path free of large-array value copies.
-func bpcTransformedPlanes(words *[WordsPerLine]uint32, ord *[33]uint32) {
-	const nDeltas = WordsPerLine - 1
-	const nPlanes = 33
-	// Low 32 delta bits via the transpose network; plane 32 (the top
-	// delta bit) is gathered scalarly.
-	var a [32]uint32
+// bpcMatrix holds the bit-planes of both best-of variants in one
+// 32×64 bit matrix, already in encode order (MSB plane first). Row i
+// holds raw plane 31-i in its low half (bit j = word j bit 31-i) and
+// delta plane 31-i in its high half (bit j = bit 31-i of delta j, the
+// 33-bit two's complement words[j+1]-words[j]). top is delta plane 32,
+// the deltas' sign bits, which the 32-row matrix has no room for.
+type bpcMatrix struct {
+	rows [32]uint64
+	top  uint32
+}
+
+// Delta-swap masks for the transpose network, repeated in both
+// halves so one pass transposes the raw and the delta matrix at once.
+const (
+	bpcMask16 = 0x0000ffff_0000ffff
+	bpcMask8  = 0x00ff00ff_00ff00ff
+	bpcMask4  = 0x0f0f0f0f_0f0f0f0f
+	bpcMask2  = 0x33333333_33333333
+	bpcMask1  = 0x55555555_55555555
+)
+
+// build fills m from the line's words. It runs the recursive
+// delta-swap transpose (Hacker's Delight §7-3) on both 32×32 halves
+// at once. Source word j (and delta j) is loaded into row 31-j, which
+// makes row 31-q of the result bit-plane q. Rows 0-15 start at zero,
+// so the first (j=16) stage reduces to splitting each loaded row in
+// two. TestBPCPlaneBuilders pins the result against the scalar
+// single-bit scatter loops.
+func (m *bpcMatrix) build(words *[WordsPerLine]uint32) {
+	a := &m.rows
 	var top uint32
-	for j := 0; j < nDeltas; j++ {
-		d := int64(words[j+1]) - int64(words[j])
-		u := uint64(d) & (1<<33 - 1)
-		a[31-j] = uint32(u)
-		top |= uint32(u>>32) << uint(j)
-	}
-	bpcTranspose32(&a)
-	ord[0] = top // plane 32
-	for i := 1; i < nPlanes; i++ {
-		ord[i] = a[i-1] // a[31-q] is plane q; ord[i] is plane 32-i
-	}
-}
-
-// bpcRawPlanes builds the 32 bit-planes of the raw words in encode
-// order (MSB plane first) into a.
-func bpcRawPlanes(words *[WordsPerLine]uint32, a *[32]uint32) {
 	for j := 0; j < WordsPerLine; j++ {
-		a[31-j] = words[j]
+		v := uint64(words[j])
+		if j < WordsPerLine-1 {
+			// The 33-bit delta's sign bit is the subtraction's borrow.
+			d, borrow := mathbits.Sub32(words[j+1], words[j], 0)
+			v |= uint64(d) << 32
+			top |= borrow << uint(j)
+		}
+		a[15-j] = v >> 16 & bpcMask16
+		a[31-j] = v & bpcMask16
 	}
-	bpcTranspose32(a)
-	// a[31-q] is plane q, so a is already in encode order (MSB first).
+	m.top = top
+	bpcSwapStages(a)
 }
 
-func encodeBPCTransformed(w *bitstream.Writer, words *[WordsPerLine]uint32) {
+// bpcSwap exchanges the bits selected by mask between rows k and k+j.
+func bpcSwap(a *[32]uint64, k, j int, mask uint64) {
+	t := (a[k] ^ a[k+j]>>uint(j)) & mask
+	a[k] ^= t
+	a[k+j] ^= t << uint(j)
+}
+
+// bpcTranspose runs the whole delta-swap network on a. It is an
+// involution on each 32×32 half: a'[r] bit p == a[31-p] bit (31-r).
+func bpcTranspose(a *[32]uint64) {
+	for k := 0; k < 16; k++ {
+		bpcSwap(a, k, 16, bpcMask16)
+	}
+	bpcSwapStages(a)
+}
+
+// bpcSwapStages runs the j=8, 4, 2, 1 stages of the transpose network.
+// Each stage's loop bound and row offsets are constants, so the
+// compiler proves every row index in range and drops the bounds
+// checks.
+func bpcSwapStages(a *[32]uint64) {
+	for k := 0; k < 8; k++ {
+		bpcSwap(a, k, 8, bpcMask8)
+		bpcSwap(a, k+16, 8, bpcMask8)
+	}
+	for k := 0; k < 4; k++ {
+		bpcSwap(a, k, 4, bpcMask4)
+		bpcSwap(a, k+8, 4, bpcMask4)
+		bpcSwap(a, k+16, 4, bpcMask4)
+		bpcSwap(a, k+24, 4, bpcMask4)
+	}
+	for k := 0; k < 2; k++ {
+		bpcSwap(a, k, 2, bpcMask2)
+		bpcSwap(a, k+4, 2, bpcMask2)
+		bpcSwap(a, k+8, 2, bpcMask2)
+		bpcSwap(a, k+12, 2, bpcMask2)
+		bpcSwap(a, k+16, 2, bpcMask2)
+		bpcSwap(a, k+20, 2, bpcMask2)
+		bpcSwap(a, k+24, 2, bpcMask2)
+		bpcSwap(a, k+28, 2, bpcMask2)
+	}
+	for k := 0; k < 16; k++ {
+		bpcSwap(a, 2*k, 1, bpcMask1)
+	}
+}
+
+// transformed copies the 33 delta planes into ord in encode order.
+func (m *bpcMatrix) transformed(ord *[33]uint32) {
+	ord[0] = m.top
+	for i, row := range &m.rows {
+		ord[i+1] = uint32(row >> 32)
+	}
+}
+
+// raw copies the 32 raw-word planes into ord in encode order.
+func (m *bpcMatrix) raw(ord *[32]uint32) {
+	for i, row := range &m.rows {
+		ord[i] = uint32(row)
+	}
+}
+
+// Plane widths and all-ones plane values of the two variants: the
+// transformed variant's planes hold 15 deltas, the raw variant's 16
+// words.
+const (
+	bpcWidthT   = WordsPerLine - 1
+	bpcWidthR   = WordsPerLine
+	bpcAllOnesT = 1<<bpcWidthT - 1
+	bpcAllOnesR = 1<<bpcWidthR - 1
+)
+
+// sizes returns the bit lengths of the transformed and raw encodings
+// of the line whose planes m holds and whose base word is base.
+//
+// Plane symbols are priced without walking runs. A plane whose DBX
+// value x (the plane XOR the previous plane for the transformed
+// variant, the plane itself for the raw one) is non-zero costs a
+// fixed symbol chosen from x alone; a zero-DBX plane sets its
+// encode-order bit in a zero mask, and the maximal runs of that mask
+// are the encoder's zero-run symbols (bpcRunBits).
+func (m *bpcMatrix) sizes(base uint32) (bitsT, bitsR int) {
+	prev := m.top
+	bitsT = 1 + countBPCBase(base) + bpcSymbolBits(prev, prev, bpcAllOnesT, 1+bpcWidthT)
+	bitsR = 1
+	var zeroT, zeroR uint64
+	if prev == 0 {
+		zeroT = 1
+	}
+	for i, row := range &m.rows {
+		r, d := uint32(row), uint32(row>>32)
+		x := d ^ prev
+		prev = d
+		bitsT += bpcSymbolBits(x, d, bpcAllOnesT, 1+bpcWidthT)
+		bitsR += bpcSymbolBits(r, r, bpcAllOnesR, 1+bpcWidthR)
+		var zt, zr uint64
+		if x == 0 {
+			zt = 1
+		}
+		if r == 0 {
+			zr = 1
+		}
+		zeroT |= zt << uint(i+1)
+		zeroR |= zr << uint(i)
+	}
+	return bitsT + bpcRunBits(zeroT), bitsR + bpcRunBits(zeroR)
+}
+
+// bpcSymbolBits returns the bits encodePlanes spends on a plane with
+// DBX value x and plane value dbp, or 0 when x is zero (zero planes
+// are priced by bpcRunBits). For the raw variant dbp == x, so the
+// "DBX != 0 but DBP == 0" symbol can never apply. The assignments are
+// ordered so that the cheapest applicable symbol wins, exactly as the
+// encoder's switch tries them; each is a conditional move, not a
+// branch.
+func bpcSymbolBits(x, dbp, allOnes uint32, rawBits int) int {
+	c := rawBits
+	if x&^(3*(x&-x)) == 0 { // one set bit, or two adjacent ones
+		c = 5 + bpcPosBits
+	}
+	if x == allOnes {
+		c = 5
+	}
+	if dbp == 0 {
+		c = 5
+	}
+	if x == 0 {
+		c = 0
+	}
+	return c
+}
+
+// bpcRunBits prices the zero-run symbols for the zero-DBX planes
+// marked in zero (bit i = plane i in encode order): each maximal run
+// costs 8 bits (001 + 5-bit length), or 2 (01) when it is a single
+// plane. The encoder caps a run at 33 planes, which never binds since
+// no variant has more than 33 planes, so its runs are exactly the
+// maximal runs of the mask.
+func bpcRunBits(zero uint64) int {
+	starts := zero &^ (zero << 1)
+	ends := zero &^ (zero >> 1)
+	return 8*mathbits.OnesCount64(starts) - 6*mathbits.OnesCount64(starts&ends)
+}
+
+func (m *bpcMatrix) encodeTransformed(w *bitstream.Writer, base uint32) {
 	w.WriteBits(bpcVariantTransformed, 1)
-	encodeBPCBase(w, words[0])
+	encodeBPCBase(w, base)
 	var ord [33]uint32
-	bpcTransformedPlanes(words, &ord)
-	encodePlanes(w, ord[:], WordsPerLine-1, true)
+	m.transformed(&ord)
+	encodePlanes(w, ord[:], bpcWidthT, true)
 }
 
-func encodeBPCRaw(w *bitstream.Writer, words *[WordsPerLine]uint32) {
+func (m *bpcMatrix) encodeRaw(w *bitstream.Writer) {
 	w.WriteBits(bpcVariantRaw, 1)
 	var ord [32]uint32
-	bpcRawPlanes(words, &ord)
-	encodePlanes(w, ord[:], WordsPerLine, false)
-}
-
-func countBPCTransformed(words *[WordsPerLine]uint32) int {
-	var ord [33]uint32
-	bpcTransformedPlanes(words, &ord)
-	return 1 + countBPCBase(words[0]) + countPlanes(ord[:], WordsPerLine-1, true)
-}
-
-func countBPCRaw(words *[WordsPerLine]uint32) int {
-	var ord [32]uint32
-	bpcRawPlanes(words, &ord)
-	return 1 + countPlanes(ord[:], WordsPerLine, false)
+	m.raw(&ord)
+	encodePlanes(w, ord[:], bpcWidthR, false)
 }
 
 func encodeBPCBase(w *bitstream.Writer, base uint32) {
@@ -296,61 +423,6 @@ func encodePlanes(w *bitstream.Writer, planes []uint32, width int, chain bool) {
 	}
 }
 
-// countPlanes returns the bit count encodePlanes would emit for the
-// same plane sequence. The two walk the symbol stream identically; the
-// only divergence allowed is that this one never touches a writer.
-func countPlanes(planes []uint32, width int, chain bool) int {
-	allOnes := uint32(1)<<uint(width) - 1
-	prev := uint32(0)
-	bits := 0
-	for i := 0; i < len(planes); {
-		dbp := planes[i]
-		dbx := dbp
-		if chain {
-			dbx = dbp ^ prev
-		}
-		if dbx == 0 {
-			run := 1
-			p2 := dbp
-			for i+run < len(planes) && run < 33 {
-				next := planes[i+run]
-				ndbx := next
-				if chain {
-					ndbx = next ^ p2
-				}
-				if ndbx != 0 {
-					break
-				}
-				p2 = next
-				run++
-			}
-			if run >= 2 {
-				bits += 3 + 5
-			} else {
-				bits += 2
-			}
-			i += run
-			prev = p2
-			continue
-		}
-		switch {
-		case dbx == allOnes:
-			bits += 5
-		case chain && dbp == 0:
-			bits += 5
-		case isTwoConsecutiveOnes(dbx):
-			bits += 5 + bpcPosBits
-		case dbx&(dbx-1) == 0:
-			bits += 5 + bpcPosBits
-		default:
-			bits += 1 + width
-		}
-		prev = dbp
-		i++
-	}
-	return bits
-}
-
 func isTwoConsecutiveOnes(v uint32) bool {
 	t := trailingZeros32(v)
 	return v == 3<<uint(t)
@@ -373,51 +445,47 @@ func (b BPC) Decompress(dst, src []byte) error {
 		copy(dst, src)
 		return nil
 	}
-	r := bitstream.NewReader(src)
+	var r bitstream.Reader
+	r.Reset(src)
 	variant, err := r.ReadBits(1)
 	if err != nil {
 		return fmt.Errorf("bpc: truncated header: %w", err)
 	}
+	// The planes arrive in encode order, which is the row order of a
+	// bpcMatrix; the transpose (an involution) turns rows back into
+	// words, with word or delta j in row 31-j.
+	var ord [33]uint32
+	var a [32]uint64
 	var words [WordsPerLine]uint32
 	switch variant {
 	case bpcVariantTransformed:
-		base, err := decodeBPCBase(r)
+		base, err := decodeBPCBase(&r)
 		if err != nil {
 			return err
 		}
-		const nDeltas = WordsPerLine - 1
-		const nPlanes = 33
-		ord, err := decodePlanes(r, nPlanes, nDeltas, true)
-		if err != nil {
+		if err := decodePlanes(&r, &ord, 33, bpcWidthT, true); err != nil {
 			return err
 		}
-		// Undo plane ordering and rebuild deltas.
-		var deltas [nDeltas]uint64
-		for i, plane := range ord {
-			p := nPlanes - 1 - i
-			for j := 0; j < nDeltas; j++ {
-				deltas[j] |= uint64(plane>>uint(j)&1) << uint(p)
-			}
+		// ord[0] is the deltas' sign plane, which the sums below do
+		// not need: modulo 2^32 a 33-bit delta adds its low 32 bits.
+		for i := range a {
+			a[i] = uint64(ord[i+1])
 		}
+		bpcTranspose(&a)
 		words[0] = base
-		for j := 0; j < nDeltas; j++ {
-			d := int64(deltas[j])
-			if d&(1<<32) != 0 {
-				d -= 1 << 33
-			}
-			words[j+1] = uint32(int64(words[j]) + d)
+		for j := 0; j < WordsPerLine-1; j++ {
+			words[j+1] = words[j] + uint32(a[31-j])
 		}
 	case bpcVariantRaw:
-		const nPlanes = 32
-		ord, err := decodePlanes(r, nPlanes, WordsPerLine, false)
-		if err != nil {
+		if err := decodePlanes(&r, &ord, 32, bpcWidthR, false); err != nil {
 			return err
 		}
-		for i, plane := range ord {
-			p := nPlanes - 1 - i
-			for j := 0; j < WordsPerLine; j++ {
-				words[j] |= plane >> uint(j) & 1 << uint(p)
-			}
+		for i := range a {
+			a[i] = uint64(ord[i])
+		}
+		bpcTranspose(&a)
+		for j := range words {
+			words[j] = uint32(a[31-j])
 		}
 	}
 	storeWords(dst, words)
@@ -453,87 +521,90 @@ func decodeBPCBase(r *bitstream.Reader) (uint32, error) {
 	}
 }
 
-// decodePlanes reads count planes of the given width, undoing the DBX
-// chaining when chain is set, and returns them in encode order.
-func decodePlanes(r *bitstream.Reader, count, width int, chain bool) ([]uint32, error) {
-	allOnes := uint32(1)<<uint(width) - 1
-	planes := make([]uint32, 0, count)
+// decodePlanes reads count planes of the given width into planes, in
+// encode order, undoing the DBX chaining when chain is set.
+func decodePlanes(r *bitstream.Reader, planes *[33]uint32, count, width int, chain bool) error {
 	prev := uint32(0)
-	emit := func(dbx uint32) {
-		dbp := dbx
-		if chain {
-			dbp = dbx ^ prev
-		}
-		planes = append(planes, dbp)
-		prev = dbp
-	}
-	for len(planes) < count {
+	for n := 0; n < count; {
+		// Each symbol stands for run planes of DBX value dbx.
+		dbx, run := uint32(0), 1
 		b0, err := r.ReadBit()
 		if err != nil {
-			return nil, fmt.Errorf("bpc: truncated plane symbol at %d: %w", len(planes), err)
+			return fmt.Errorf("bpc: truncated plane symbol at %d: %w", n, err)
 		}
 		if b0 == 1 { // raw plane
 			v, err := r.ReadBits(width)
 			if err != nil {
-				return nil, fmt.Errorf("bpc: truncated raw plane: %w", err)
+				return fmt.Errorf("bpc: truncated raw plane: %w", err)
 			}
-			emit(uint32(v))
-			continue
+			dbx = uint32(v)
+		} else if dbx, run, err = decodePlaneSymbol(r, prev, width, chain); err != nil {
+			return err
 		}
-		b1, err := r.ReadBit()
-		if err != nil {
-			return nil, fmt.Errorf("bpc: truncated plane symbol: %w", err)
+		if n+run > count {
+			return fmt.Errorf("bpc: zero run of %d overflows %d planes", run, count)
 		}
-		if b1 == 1 { // 01: single zero-DBX plane
-			emit(0)
-			continue
-		}
-		b2, err := r.ReadBit()
-		if err != nil {
-			return nil, fmt.Errorf("bpc: truncated plane symbol: %w", err)
-		}
-		if b2 == 1 { // 001: zero-DBX run
-			rl, err := r.ReadBits(5)
-			if err != nil {
-				return nil, fmt.Errorf("bpc: truncated run length: %w", err)
+		for end := n + run; n < end; n++ {
+			dbp := dbx
+			if chain {
+				dbp ^= prev
 			}
-			run := int(rl) + 2
-			if len(planes)+run > count {
-				return nil, fmt.Errorf("bpc: zero run of %d overflows %d planes", run, count)
-			}
-			for k := 0; k < run; k++ {
-				emit(0)
-			}
-			continue
-		}
-		// 000xx: five-bit symbols.
-		rest, err := r.ReadBits(2)
-		if err != nil {
-			return nil, fmt.Errorf("bpc: truncated plane symbol: %w", err)
-		}
-		switch rest {
-		case 0b00: // all ones
-			emit(allOnes)
-		case 0b01: // DBX != 0 but DBP == 0
-			if !chain {
-				return nil, fmt.Errorf("bpc: DBP symbol in unchained stream")
-			}
-			planes = append(planes, 0)
-			prev = 0
-		case 0b10, 0b11: // two consecutive ones / single one
-			pos, err := r.ReadBits(bpcPosBits)
-			if err != nil {
-				return nil, fmt.Errorf("bpc: truncated position: %w", err)
-			}
-			v := uint32(1) << uint(pos)
-			if rest == 0b10 {
-				v |= v << 1
-			}
-			if v&^allOnes != 0 {
-				return nil, fmt.Errorf("bpc: position %d exceeds plane width %d", pos, width)
-			}
-			emit(v)
+			planes[n] = dbp
+			prev = dbp
 		}
 	}
-	return planes, nil
+	return nil
+}
+
+// decodePlaneSymbol decodes a plane symbol after its leading 0 bit
+// and returns the DBX value it stands for and how many planes it
+// covers. prev is the previous plane, which the "DBX != 0 but DBP ==
+// 0" symbol reproduces as its DBX.
+func decodePlaneSymbol(r *bitstream.Reader, prev uint32, width int, chain bool) (dbx uint32, run int, err error) {
+	allOnes := uint32(1)<<uint(width) - 1
+	b1, err := r.ReadBit()
+	if err != nil {
+		return 0, 0, fmt.Errorf("bpc: truncated plane symbol: %w", err)
+	}
+	if b1 == 1 { // 01: single zero-DBX plane
+		return 0, 1, nil
+	}
+	b2, err := r.ReadBit()
+	if err != nil {
+		return 0, 0, fmt.Errorf("bpc: truncated plane symbol: %w", err)
+	}
+	if b2 == 1 { // 001: zero-DBX run
+		rl, err := r.ReadBits(5)
+		if err != nil {
+			return 0, 0, fmt.Errorf("bpc: truncated run length: %w", err)
+		}
+		return 0, int(rl) + 2, nil
+	}
+	// 000xx: five-bit symbols.
+	rest, err := r.ReadBits(2)
+	if err != nil {
+		return 0, 0, fmt.Errorf("bpc: truncated plane symbol: %w", err)
+	}
+	switch rest {
+	case 0b00: // all ones
+		return allOnes, 1, nil
+	case 0b01: // DBX != 0 but DBP == 0
+		if !chain {
+			return 0, 0, fmt.Errorf("bpc: DBP symbol in unchained stream")
+		}
+		return prev, 1, nil
+	}
+	// 0b10, 0b11: two consecutive ones / single one
+	pos, err := r.ReadBits(bpcPosBits)
+	if err != nil {
+		return 0, 0, fmt.Errorf("bpc: truncated position: %w", err)
+	}
+	v := uint32(1) << uint(pos)
+	if rest == 0b10 {
+		v |= v << 1
+	}
+	if v&^allOnes != 0 {
+		return 0, 0, fmt.Errorf("bpc: position %d exceeds plane width %d", pos, width)
+	}
+	return v, 1, nil
 }

@@ -50,8 +50,19 @@ type Codec interface {
 	Decompress(dst, src []byte) error
 }
 
-// IsZeroLine reports whether all bytes of the line are zero.
+// IsZeroLine reports whether all bytes of src are zero. A 64 B line
+// is eight little-endian 64-bit loads OR-ed together; longer inputs
+// (LZ blocks) are checked a line at a time, and a tail shorter than a
+// line byte by byte.
 func IsZeroLine(src []byte) bool {
+	le := binary.LittleEndian
+	for ; len(src) >= LineSize; src = src[LineSize:] {
+		l := src[:LineSize]
+		if le.Uint64(l[0:])|le.Uint64(l[8:])|le.Uint64(l[16:])|le.Uint64(l[24:])|
+			le.Uint64(l[32:])|le.Uint64(l[40:])|le.Uint64(l[48:])|le.Uint64(l[56:]) != 0 {
+			return false
+		}
+	}
 	for _, b := range src {
 		if b != 0 {
 			return false

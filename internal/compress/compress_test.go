@@ -345,9 +345,34 @@ func TestIsZeroLine(t *testing.T) {
 	if !IsZeroLine(z) {
 		t.Error("zero line not detected")
 	}
-	z[63] = 1
-	if IsZeroLine(z) {
-		t.Error("non-zero line detected as zero")
+	// A single set bit in any byte, at any bit position, makes the
+	// line non-zero.
+	for i := 0; i < LineSize; i++ {
+		for _, bit := range []byte{0x01, 0x80} {
+			z[i] = bit
+			if IsZeroLine(z) {
+				t.Errorf("line with byte %d = %#x detected as zero", i, bit)
+			}
+			z[i] = 0
+		}
+	}
+	// Block lengths that are not a whole number of lines: the set byte
+	// may sit in a full line or in the tail.
+	for _, n := range []int{0, 1, 7, 63, 65, 130, 1024} {
+		b := make([]byte, n)
+		if !IsZeroLine(b) {
+			t.Errorf("zero block of %d bytes not detected", n)
+		}
+		if n == 0 {
+			continue
+		}
+		for _, i := range []int{0, n / 2, n - 1} {
+			b[i] = 1
+			if IsZeroLine(b) {
+				t.Errorf("block of %d bytes with byte %d set detected as zero", n, i)
+			}
+			b[i] = 0
+		}
 	}
 }
 

@@ -76,7 +76,7 @@ func (CPack) CompressScratch(dst, src []byte, s *Scratch) int {
 		return 0
 	}
 	words := loadWords(src)
-	w := &s.wa
+	w := &s.w
 	w.Reset()
 	var dict cpackDict
 	for _, v := range words {

@@ -202,6 +202,27 @@ func TestCompressWithZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestBPCDecompressZeroAllocs pins allocation freedom of BPC's
+// decoder on valid streams of both variants: the planes land in a
+// fixed array and the words are rebuilt by the transpose.
+func TestBPCDecompressZeroAllocs(t *testing.T) {
+	var out [LineSize]byte
+	for _, c := range []BPC{{}, {DisableBestOf: true}} {
+		for name, line := range testLines() {
+			var comp [LineSize]byte
+			n := c.Compress(comp[:], line)
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := c.Decompress(out[:], comp[:n]); err != nil {
+					t.Fatalf("%s/%s: %v", c.Name(), name, err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s/%s: Decompress allocates %v per run, want 0", c.Name(), name, allocs)
+			}
+		}
+	}
+}
+
 // benchLines is the mix used by the kernel microbenchmarks: one
 // integer, one pointer, one float, one incompressible line — roughly
 // the composition the experiments sweep over.

@@ -50,7 +50,7 @@ func (FPC) CompressScratch(dst, src []byte, s *Scratch) int {
 		return 0
 	}
 	words := loadWords(src)
-	w := &s.wa
+	w := &s.w
 	w.Reset()
 	for i := 0; i < WordsPerLine; {
 		v := words[i]

@@ -204,7 +204,7 @@ func LZCompressBlockScratch(dst, src []byte, s *Scratch) int {
 	if len(src) == 0 || IsZeroLine(src) {
 		return 0
 	}
-	w := &s.wa
+	w := &s.w
 	w.Reset()
 	n := lzParse(src, w)
 	if n == len(src) {

@@ -35,7 +35,7 @@ func lzCompressBlockRef(dst, src []byte) int {
 	}
 	offBits := lzOffBits(len(src))
 	var s Scratch
-	w := &s.wa
+	w := &s.w
 	for i := 0; i < len(src); {
 		bestLen, bestOff := lzBestMatchRef(src, i, offBits)
 		if bestLen >= lzMinMatch {

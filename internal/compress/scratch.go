@@ -2,20 +2,20 @@ package compress
 
 import "compresso/internal/bitstream"
 
-// Scratch holds reusable codec working memory: the bitstream writers
-// a Compress call needs (two for BPC's best-of-transform, one for the
-// other bit codecs). A zero Scratch is ready for use; buffers are
-// allocated on first use and retained across calls, so a caller that
-// owns a Scratch and passes it to CompressWith compresses without
-// per-call heap allocation.
+// Scratch holds reusable codec working memory: the bitstream writer
+// a Compress call encodes into (BPC prices both best-of variants
+// without a writer and encodes only the winner). A zero Scratch is
+// ready for use; the writer's buffer is allocated on first use and
+// retained across calls, so a caller that owns a Scratch and passes it
+// to CompressWith compresses without per-call heap allocation.
 //
 // Ownership rules (DESIGN.md §10): a Scratch belongs to exactly one
-// goroutine; codecs may reuse its writers freely within one call, and
+// goroutine; codecs may reuse its writer freely within one call, and
 // dst contents returned by Compress never alias scratch storage (the
 // compressed bytes are copied out), so the Scratch can be reused
 // immediately for the next line.
 type Scratch struct {
-	wa, wb bitstream.Writer
+	w bitstream.Writer
 }
 
 // Sizer is the size-only fast path: codecs that can report the exact
