@@ -58,14 +58,17 @@ bench-kernels:
 	$(GO) test -run '^$$' -bench 'Compress|SizeOnly|Writer|Reader' \
 		-benchmem -benchtime 1x ./internal/compress/ ./internal/bitstream/
 
-# Single-run hot-loop benchmark: the biggest committed -mix run (mix1,
+# Single-run hot-loop benchmarks: the biggest committed -mix run (mix1,
 # ops 50000, scale 8 — the BENCH_mix_mix1_*.json configuration) serial
-# vs fanned out. One iteration each is the `check` smoke run; for real
+# vs fanned out, and a serial single-core GemsFDTD comparison whose
+# first system records the cache-filter log and the rest replay it
+# (DESIGN.md §13). One iteration each is the `check` smoke run; for real
 # before/after numbers use -count and benchstat (recipe in
 # EXPERIMENTS.md, "Tracking hot-loop performance").
 bench-hotloop:
 	$(GO) test -run '^$$' -bench BenchmarkHotLoopMix -benchtime 1x -jobs 1 .
 	$(GO) test -run '^$$' -bench BenchmarkHotLoopMix -benchtime 1x .
+	$(GO) test -run '^$$' -bench BenchmarkCompareSingle -benchtime 1x -jobs 1 .
 
 # Snapshot the perf-tracking baseline as BENCH_*.json artifacts
 # (DESIGN.md §8): a single-benchmark four-system comparison and one

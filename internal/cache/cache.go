@@ -224,6 +224,13 @@ type Hierarchy struct {
 	// Events collects the memory-bound events of the latest Access in
 	// issue order (at most: 1 fill + writebacks).
 	Events []MemoryEvent
+
+	// rec, when non-nil, receives the outcome of every live Access;
+	// play, when non-nil, supplies every Access instead of the caches,
+	// from op playOp and writeback playWB on (filter.go).
+	rec            *FilterLog
+	play           *FilterLog
+	playOp, playWB int
 }
 
 // NewHierarchy builds the paper's single-core hierarchy with the given
@@ -248,6 +255,20 @@ func (h *Hierarchy) ResetStats() {
 // level that served the request (1, 2, 3) or 4 for main memory, and
 // populates h.Events with the memory traffic this access generated.
 func (h *Hierarchy) Access(lineAddr uint64, write bool) int {
+	switch {
+	case h.play != nil:
+		return h.replay(lineAddr)
+	case h.rec != nil:
+		before := h.L3.stats
+		level := h.access(lineAddr, write)
+		h.rec.add(level, before, h.L3.stats, h.Events)
+		return level
+	}
+	return h.access(lineAddr, write)
+}
+
+// access is Access on the live caches.
+func (h *Hierarchy) access(lineAddr uint64, write bool) int {
 	h.Events = h.Events[:0]
 
 	if hit, _, _ := h.accessLevel(h.L1, h.L2, lineAddr, write); hit {

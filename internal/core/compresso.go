@@ -48,8 +48,8 @@ type Controller struct {
 	stats      memctl.Stats
 	validPages int64
 
-	prefetch []uint64 // FIFO of recently fetched machine data lines
-	irDecay  uint64   // inflation-room placements since start (predictor decay)
+	prefetch memctl.LineFIFO // recently fetched machine data lines
+	irDecay  uint64          // inflation-room placements since start (predictor decay)
 
 	// pinned is the page of the in-flight demand access: the
 	// ballooning path must not reclaim it mid-operation (a real
@@ -96,6 +96,7 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 		mdc:           metadata.NewCache(cfg.MetadataCache),
 		chunkBaseLine: uint64(cfg.OSPAPages), // metadata occupies one line per page
 		inj:           cfg.Faults,
+		prefetch:      memctl.NewLineFIFO(cfg.PrefetchBuffer),
 	}
 	if c.inj.Enabled() {
 		c.corrupt = make(map[uint64]struct{})
@@ -482,13 +483,9 @@ func (c *Controller) storeBacking(page uint64) {
 // fetchData reads one machine line on the demand path, honouring the
 // free-prefetch buffer; extra marks it a split-access second half.
 func (c *Controller) fetchData(start uint64, machineLine uint64, extra bool) uint64 {
-	if c.cfg.PrefetchBuffer > 0 {
-		for _, ml := range c.prefetch {
-			if ml == machineLine {
-				c.stats.PrefetchHits++
-				return start
-			}
-		}
+	if c.prefetch.Contains(machineLine) {
+		c.stats.PrefetchHits++
+		return start
 	}
 	done := c.mem.Access(start, machineLine, false)
 	if extra {
@@ -496,12 +493,7 @@ func (c *Controller) fetchData(start uint64, machineLine uint64, extra bool) uin
 	} else {
 		c.stats.DataReads++
 	}
-	if c.cfg.PrefetchBuffer > 0 {
-		c.prefetch = append(c.prefetch, machineLine)
-		if len(c.prefetch) > c.cfg.PrefetchBuffer {
-			c.prefetch = c.prefetch[1:]
-		}
-	}
+	c.prefetch.Push(machineLine)
 	return done
 }
 

@@ -84,7 +84,10 @@ type Core struct {
 	now   uint64
 	stats Stats
 
-	misses  []outstanding // outstanding memory loads (MLP window)
+	// misses is the MLP window of outstanding memory loads, oldest
+	// first. Its MLP+1 capacity is allocated once in New and never
+	// outgrown: memLoad retires down to fewer than MLP before adding one.
+	misses  []outstanding
 	instrs  uint64
 	lineBuf [memctl.LineBytes]byte
 	// leftover fractional issue cycles, in instruction units.
@@ -100,7 +103,8 @@ func New(cfg Config, hier *cache.Hierarchy, ctl memctl.Controller, src memctl.Li
 	if cfg.IssueWidth <= 0 || cfg.MLP <= 0 {
 		panic("cpu: invalid config")
 	}
-	return &Core{cfg: cfg, hier: hier, ctl: ctl, src: src}
+	return &Core{cfg: cfg, hier: hier, ctl: ctl, src: src,
+		misses: make([]outstanding, 0, cfg.MLP+1)}
 }
 
 // Now returns the core's current cycle.
@@ -193,13 +197,13 @@ func (c *Core) memLoad(done uint64) {
 	for len(c.misses) > 0 {
 		head := c.misses[0]
 		if head.done <= c.now {
-			c.misses = c.misses[1:]
+			c.retireOldest()
 			continue
 		}
 		if c.instrs-head.atInstr > uint64(c.cfg.ROB) || len(c.misses) >= c.cfg.MLP {
 			// The window is exhausted: wait for the oldest miss.
 			c.stall(head.done - c.now)
-			c.misses = c.misses[1:]
+			c.retireOldest()
 			continue
 		}
 		break
@@ -209,6 +213,12 @@ func (c *Core) memLoad(done uint64) {
 	}
 }
 
+// retireOldest drops the window's head, shifting the rest down in
+// place (at most MLP entries) so the window never reallocates.
+func (c *Core) retireOldest() {
+	c.misses = c.misses[:copy(c.misses, c.misses[1:])]
+}
+
 // Drain retires all outstanding misses (end of simulation).
 func (c *Core) Drain() {
 	for _, m := range c.misses {
@@ -216,5 +226,5 @@ func (c *Core) Drain() {
 			c.stall(m.done - c.now)
 		}
 	}
-	c.misses = nil
+	c.misses = c.misses[:0]
 }

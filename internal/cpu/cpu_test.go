@@ -180,3 +180,58 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("stats %+v", st)
 	}
 }
+
+// TestStepMemoryMissesZeroAllocs pins the MLP window as allocation-free:
+// a long run of cold loads keeps the window full, so every Step both
+// retires and adds an outstanding miss.
+func TestStepMemoryMissesZeroAllocs(t *testing.T) {
+	c, _ := newCore(t)
+	var addr uint64
+	op := workload.Op{NonMemInstrs: 2}
+	allocs := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 256; i++ {
+			addr += 977 // always a fresh line: every load goes to memory
+			op.LineAddr = addr
+			c.Step(&op)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Step allocated %v times per 256 memory misses, want 0", allocs)
+	}
+	if c.Stats().LoadsMem == 0 {
+		t.Fatal("no load reached memory")
+	}
+}
+
+// scriptedController serves reads with preset latencies, in order.
+type scriptedController struct {
+	faultingController
+	lat []uint64
+}
+
+func (s *scriptedController) ReadLine(now uint64, a uint64) memctl.Result {
+	l := s.lat[0]
+	s.lat = s.lat[1:]
+	return memctl.Result{Done: now + l}
+}
+
+// TestMLPWindowRetiresOldestFirst: a completed miss leaves the window
+// from its head, so the slow miss behind it stays outstanding and
+// stalls the core once the window fills again.
+func TestMLPWindowRetiresOldestFirst(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MLP = 2
+	ctl := &scriptedController{lat: []uint64{10, 1000, 10, 10}}
+	c := New(cfg, cache.NewHierarchy(cache.New("l3", 2<<20, 16)), ctl, zeroSource{})
+	step(c, 0, 64, false)   // A: done at 10
+	step(c, 0, 128, false)  // B: done at ~1000; window [A B]
+	step(c, 100, 64, false) // L1 hit on A's line; the clock passes A's completion
+	step(c, 0, 192, false)  // C: A retires, window [B C]
+	if st := c.Stats().StallCycles; st != 0 {
+		t.Fatalf("stalled %d cycles before the window filled", st)
+	}
+	step(c, 0, 256, false) // D: the full window waits for B
+	if st := c.Stats().StallCycles; st < 900 {
+		t.Fatalf("stalled %d cycles, want B's remaining ~975: the window retired the wrong miss", st)
+	}
+}

@@ -95,7 +95,7 @@ type Controller struct {
 
 	// prefetch is the burst-buffer FIFO of pair-base line addresses
 	// whose partner halves are on chip.
-	prefetch []uint64
+	prefetch memctl.LineFIFO
 
 	stats      memctl.Stats
 	cram       cramStats
@@ -118,13 +118,14 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 	}
 	lines := cfg.OSPAPages * memctl.LinesPerPage
 	return &Controller{
-		cfg:    cfg,
-		mem:    mem,
-		source: source,
-		sizes:  make([]uint8, lines),
-		packed: make([]bool, lines/2),
-		valid:  make([]bool, cfg.OSPAPages),
-		pred:   make([]uint8, cfg.OSPAPages),
+		cfg:      cfg,
+		mem:      mem,
+		source:   source,
+		sizes:    make([]uint8, lines),
+		packed:   make([]bool, lines/2),
+		valid:    make([]bool, cfg.OSPAPages),
+		pred:     make([]uint8, cfg.OSPAPages),
+		prefetch: memctl.NewLineFIFO(cfg.PrefetchBuffer),
 	}
 }
 
@@ -162,35 +163,6 @@ func (c *Controller) pairPackable(pair uint64) bool {
 	return c.sizes[2*pair] <= t && c.sizes[2*pair+1] <= t
 }
 
-// bufferHas reports whether the burst buffer holds pairBase.
-func (c *Controller) bufferHas(pairBase uint64) bool {
-	for _, p := range c.prefetch {
-		if p == pairBase {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *Controller) bufferPush(pairBase uint64) {
-	if c.cfg.PrefetchBuffer <= 0 || c.bufferHas(pairBase) {
-		return
-	}
-	if len(c.prefetch) >= c.cfg.PrefetchBuffer {
-		c.prefetch = c.prefetch[1:]
-	}
-	c.prefetch = append(c.prefetch, pairBase)
-}
-
-func (c *Controller) bufferDrop(pairBase uint64) {
-	for i, p := range c.prefetch {
-		if p == pairBase {
-			c.prefetch = append(c.prefetch[:i], c.prefetch[i+1:]...)
-			return
-		}
-	}
-}
-
 // predictPacked consults and later trains the page's location
 // predictor; the actual state is only discovered by the access itself
 // (the ECC-marker check of the CRAM paper).
@@ -214,7 +186,7 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 
 	pair := lineAddr / 2
 	pairBase := pair * 2
-	if c.bufferHas(pairBase) {
+	if c.prefetch.Contains(pairBase) {
 		// Partner half of a previously fetched packed burst: no DRAM
 		// access, decompression already done at fill time.
 		c.stats.PrefetchHits++
@@ -258,7 +230,7 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 
 	if isPacked {
 		c.cram.PackedReads++
-		c.bufferPush(pairBase)
+		c.prefetch.Push(pairBase) // not buffered: ReadLine returned early otherwise
 		done += c.cfg.DecompressLatency
 		c.attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
 	} else {
@@ -280,7 +252,7 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	pair := lineAddr / 2
 	pairBase := pair * 2
 	partner := pairBase + (1 - lineAddr%2)
-	c.bufferDrop(pairBase) // the buffered copy is stale now
+	c.prefetch.Remove(pairBase) // the buffered copy is stale now
 
 	c.sizes[lineAddr] = c.sizeOf(data)
 	was := c.packed[pair]

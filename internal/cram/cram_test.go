@@ -187,14 +187,14 @@ func TestWritesArePostedAndInvalidateBuffer(t *testing.T) {
 	installUniform(c, im, zeroLine())
 
 	c.ReadLine(0, 1) // pulls pair 0 into the burst buffer
-	if !c.bufferHas(0) {
+	if !c.prefetch.Contains(0) {
 		t.Fatal("pair 0 not buffered after packed read")
 	}
 	res := c.WriteLine(50, 0, zeroLine())
 	if res.Done != 50 {
 		t.Fatalf("posted write Done %d, want 50", res.Done)
 	}
-	if c.bufferHas(0) {
+	if c.prefetch.Contains(0) {
 		t.Fatal("stale pair 0 still in burst buffer after write")
 	}
 }

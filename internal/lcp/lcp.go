@@ -121,7 +121,7 @@ type Controller struct {
 	stats      memctl.Stats
 	validPages int64
 
-	prefetch      []uint64
+	prefetch      memctl.LineFIFO
 	chunkBaseLine uint64
 	pinned        uint64
 	hasPinned     bool
@@ -163,6 +163,7 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 		mdc:           metadata.NewCache(cfg.MetadataCache),
 		chunkBaseLine: uint64(cfg.OSPAPages),
 		name:          name,
+		prefetch:      memctl.NewLineFIFO(cfg.PrefetchBuffer),
 	}
 }
 
@@ -336,13 +337,9 @@ func (c *Controller) lookupMetadata(now uint64, page uint64) (*metadata.Line, ui
 // --- data helpers ----------------------------------------------------------
 
 func (c *Controller) fetchData(start uint64, machineLine uint64, extra bool) uint64 {
-	if c.cfg.PrefetchBuffer > 0 {
-		for _, ml := range c.prefetch {
-			if ml == machineLine {
-				c.stats.PrefetchHits++
-				return start
-			}
-		}
+	if c.prefetch.Contains(machineLine) {
+		c.stats.PrefetchHits++
+		return start
 	}
 	done := c.mem.Access(start, machineLine, false)
 	if extra {
@@ -350,12 +347,7 @@ func (c *Controller) fetchData(start uint64, machineLine uint64, extra bool) uin
 	} else {
 		c.stats.DataReads++
 	}
-	if c.cfg.PrefetchBuffer > 0 {
-		c.prefetch = append(c.prefetch, machineLine)
-		if len(c.prefetch) > c.cfg.PrefetchBuffer {
-			c.prefetch = c.prefetch[1:]
-		}
-	}
+	c.prefetch.Push(machineLine)
 	return done
 }
 

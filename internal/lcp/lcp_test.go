@@ -334,3 +334,28 @@ func TestCompressoVsLCPFootprint(t *testing.T) {
 		t.Fatalf("LCP (%d) beat LinePack (%d) on a heterogeneous page", lcpBytes, linePackBytes)
 	}
 }
+
+// TestReadLineWarmZeroAllocs pins the demand read path as
+// allocation-free once warm: reads cycle over the 64 distinct machine
+// lines of an incompressible page, so every read misses the 8-entry
+// prefetch buffer and pushes into it.
+func TestReadLineWarmZeroAllocs(t *testing.T) {
+	c, im := testController(nil)
+	installPage(c, im, 0, pageOfLines(rng.New(5), datagen.Random))
+	var now, line uint64
+	read := func() {
+		for i := 0; i < metadata.LinesPerPage; i++ {
+			c.ReadLine(now, line%metadata.LinesPerPage)
+			line++
+			now += 200
+		}
+	}
+	read() // warm the metadata cache
+	hits := c.Stats().PrefetchHits
+	if allocs := testing.AllocsPerRun(20, read); allocs != 0 {
+		t.Fatalf("ReadLine allocated %v times per %d reads, want 0", allocs, metadata.LinesPerPage)
+	}
+	if c.Stats().PrefetchHits != hits {
+		t.Fatal("a read hit the prefetch buffer: the loop no longer pushes on every read")
+	}
+}

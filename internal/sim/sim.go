@@ -188,11 +188,11 @@ type canceledError struct{ err error }
 func (e canceledError) Error() string { return "sim: run canceled: " + e.err.Error() }
 func (e canceledError) Unwrap() error { return e.err }
 
-// checkCancel aborts the run when cfg.Cancel has fired (called with
-// the loop's op counter to amortize the context poll).
-func checkCancel(cfg Config, ops uint64) {
-	if cfg.Cancel != nil && ops%cancelCheckPeriod == 0 {
-		if err := cfg.Cancel.Err(); err != nil {
+// checkCancel aborts the run when its Config.Cancel context has fired
+// (called with the loop's op counter to amortize the context poll).
+func checkCancel(cancel context.Context, ops uint64) {
+	if cancel != nil && ops%cancelCheckPeriod == 0 {
+		if err := cancel.Err(); err != nil {
 			panic(canceledError{err: err})
 		}
 	}
@@ -382,6 +382,10 @@ type MixAssets struct {
 	profs  []workload.Profile // post-scaling profiles
 	images []*workload.Image
 	logs   []*workload.TraceLog
+
+	// filter is the one-core cache-filter log, recorded by the first
+	// single-core run on these assets (filter.go).
+	filter filterSlot
 }
 
 // PrepareAssets materializes and sizes master images for the given
@@ -392,12 +396,15 @@ type MixAssets struct {
 // the compressed systems size with, compress.BPC{} for the defaults);
 // systems using another codec simply bypass the memo.
 //
-// Each core's op stream is also recorded once (over a throwaway
-// clone): runs with these assets replay the log instead of
-// regenerating the trace, and the log's shared store-size slots let
-// the several systems of a comparison run share the recompression of
-// stored lines — the sizes are content-determined, so replays are
-// byte-identical to generation.
+// Each core's op stream is also recorded once, over a throwaway clone
+// that each worker reuses for its cores one after another (a fresh
+// clone per core left image-sized garbage whose collection, and with it
+// the process's peak RSS, varied with GC timing). Runs with these
+// assets replay the log instead of regenerating the trace, and the
+// log's shared store-size slots let the several systems of a
+// comparison run share the recompression of stored lines — the sizes
+// are content-determined, so replays are byte-identical to generation. The single-core cache-filter log is
+// not built here: the first one-core run on the assets records it.
 func PrepareAssets(profs []workload.Profile, cfg Config, codec compress.Codec, jobs int) *MixAssets {
 	a := &MixAssets{scale: cfg.FootprintScale, seed: cfg.Seed, ops: cfg.Ops}
 	for i, p := range profs {
@@ -410,9 +417,13 @@ func PrepareAssets(profs []workload.Profile, cfg Config, codec compress.Codec, j
 	}
 	a.logs = make([]*workload.TraceLog, len(a.profs))
 	workers := parallel.Workers(jobs, len(a.profs))
-	parallel.Map(workers, len(a.profs), func(i int) struct{} {
-		a.logs[i] = workload.RecordTrace(a.images[i].Clone(), a.profs[i],
-			cfg.Seed+uint64(i)*7919, cfg.Ops, codec)
+	parallel.Map(workers, workers, func(w int) struct{} {
+		var scratch *workload.Image
+		for i := w; i < len(a.profs); i += workers {
+			scratch = a.images[i].CloneInto(scratch)
+			a.logs[i] = workload.RecordTrace(scratch, a.profs[i],
+				cfg.Seed+uint64(i)*7919, cfg.Ops, codec)
+		}
 		return struct{}{}
 	})
 	return a
@@ -598,6 +609,10 @@ func newMachine(profs []workload.Profile, cfg Config) *machine {
 // its warmup share; snapshot renders the state the sampler records.
 func (m *machine) run(snapshot func() obs.Snapshot) {
 	cfg := m.cfg
+	completed := false
+	if release := m.filterCaches(); release != nil {
+		defer func() { release(completed) }()
+	}
 	sample := func() {
 		now, snap := m.now(), snapshot()
 		m.sampler.Sample(now, snap)
@@ -620,7 +635,7 @@ func (m *machine) run(snapshot func() obs.Snapshot) {
 		if sel == -1 {
 			break
 		}
-		checkCancel(cfg, steps)
+		checkCancel(cfg.Cancel, steps)
 		m.streams[sel].Next(&op)
 		op.LineAddr += m.base[sel] * memctl.LinesPerPage
 		c := m.cores[sel]
@@ -642,6 +657,7 @@ func (m *machine) run(snapshot func() obs.Snapshot) {
 			warmed = true
 		}
 	}
+	completed = true
 	for _, c := range m.cores {
 		c.Drain()
 	}
@@ -742,7 +758,11 @@ func soloResult(m MultiResult, l3 cache.Stats) Result {
 // RunSingle simulates one benchmark on a single-core system: exactly
 // a one-core RunMix, reported as a Result.
 func RunSingle(prof workload.Profile, cfg Config) Result {
-	m := newMachine([]workload.Profile{prof}, cfg)
+	return newMachine([]workload.Profile{prof}, cfg).runSolo()
+}
+
+// runSolo runs a one-core machine and reports it as a Result.
+func (m *machine) runSolo() Result {
 	m.run(func() obs.Snapshot {
 		mr := m.state()
 		mr.PageSizes = pageSizes(m.ctl)

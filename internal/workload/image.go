@@ -380,20 +380,33 @@ func (im *Image) noteSharedStore(lineAddr uint64, store int32) {
 // copy never affect the other. Pages not yet generated stay lazy in
 // the clone. The flat backing makes this one memmove per array rather
 // than per-page work.
-func (im *Image) Clone() *Image {
-	cp := *im
-	cp.pages = nil // view cache points into the source's backing
-	if im.flat != nil {
-		cp.flat = append([]byte(nil), im.flat...)
-		cp.gen = append([]bool(nil), im.gen...)
+func (im *Image) Clone() *Image { return im.CloneInto(nil) }
+
+// CloneInto is Clone into dst's storage: dst (nil for a fresh image; it
+// must not be im) is overwritten, and its arrays are reused wherever
+// they are large enough, so a caller that needs one throwaway copy
+// after another allocates one copy instead of one per image.
+func (im *Image) CloneInto(dst *Image) *Image {
+	if dst == nil {
+		dst = new(Image)
 	}
-	if im.lineSize != nil {
-		cp.lineSize = append([]int16(nil), im.lineSize...)
+	flat, gen, lineSize, lastStore := dst.flat, dst.gen, dst.lineSize, dst.lastStore
+	*dst = *im
+	dst.pages = nil // view cache points into the source's backing
+	dst.flat = copyInto(flat, im.flat)
+	dst.gen = copyInto(gen, im.gen)
+	dst.lineSize = copyInto(lineSize, im.lineSize)
+	dst.lastStore = copyInto(lastStore, im.lastStore)
+	return dst
+}
+
+// copyInto returns a copy of src, in buf's array when it fits; a nil
+// src stays nil.
+func copyInto[T any](buf, src []T) []T {
+	if src == nil {
+		return nil
 	}
-	if im.lastStore != nil {
-		cp.lastStore = append([]int32(nil), im.lastStore...)
-	}
-	return &cp
+	return append(buf[:0], src...)
 }
 
 // MeasureRatio computes the image's current compression ratio under

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -353,3 +354,49 @@ func (c *countingController) ResetStats()                          {}
 func (c *countingController) Stats() memctl.Stats                  { return memctl.Stats{} }
 func (c *countingController) CompressedBytes() int64               { return 0 }
 func (c *countingController) InstalledBytes() int64                { return 0 }
+
+// TestCloneIntoReusesStorage pins CloneInto: copying a smaller image
+// into a larger one's clone reuses that clone's arrays, and the result
+// is a deep copy equal to Clone's, independent of its source, that
+// drives a trace exactly as a fresh clone does.
+func TestCloneIntoReusesStorage(t *testing.T) {
+	big, _ := ByName("mcf")
+	small, _ := ByName("GemsFDTD")
+	big.FootprintPages, small.FootprintPages = 96, 64
+	codec := compress.BPC{}
+	bigImg, smallImg := NewImage(big, 5), NewImage(small, 6)
+	bigImg.SizeAll(codec, 1)
+	smallImg.SizeAll(codec, 1)
+
+	scratch := bigImg.CloneInto(nil)
+	base := &scratch.flat[0]
+	got := smallImg.CloneInto(scratch)
+	if got != scratch || &got.flat[0] != base {
+		t.Fatal("CloneInto did not reuse the destination's storage")
+	}
+	want := smallImg.Clone()
+	if got.Lines() != want.Lines() {
+		t.Fatalf("clone has %d lines, want %d", got.Lines(), want.Lines())
+	}
+	for l := uint64(0); l < want.Lines(); l++ {
+		if !bytes.Equal(got.Line(l), want.Line(l)) || got.lineSize[l] != want.lineSize[l] {
+			t.Fatalf("line %d differs from Clone's", l)
+		}
+	}
+
+	a, b := NewTraceOn(got, small, 6, 20000), NewTraceOn(want, small, 6, 20000)
+	var x, y Op
+	for i := 0; i < 20000; i++ {
+		a.Next(&x)
+		b.Next(&y)
+		if x != y || !bytes.Equal(got.Line(x.LineAddr), want.Line(y.LineAddr)) {
+			t.Fatalf("op %d: trace over CloneInto diverged from trace over Clone", i)
+		}
+	}
+	ref := NewImage(small, 6)
+	for l := uint64(0); l < ref.Lines(); l++ {
+		if !bytes.Equal(smallImg.Line(l), ref.Line(l)) {
+			t.Fatalf("stores through the clone changed the source's line %d", l)
+		}
+	}
+}
