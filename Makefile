@@ -222,10 +222,12 @@ soak:
 	echo "soak: ok (survived SIGKILL loop; output and artifacts byte-identical)"
 
 # Longer fuzz of the controller invariants, of the LZ hash-chain
-# matcher against its brute-force reference, and of the fused BPC size
-# kernel against the pre-fusion size path (the default corpora run as
-# part of `test`).
+# matcher against its brute-force reference, of the fused BPC size
+# kernel against the pre-fusion size path, and of the shared LCP page
+# layout behind the capacity model's LCP price (the default corpora
+# run as part of `test`).
 fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzControllerReadWrite -fuzztime 60s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzLZMatchEquivalence$$' -fuzztime 20s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzBPCSizeEquivalence$$' -fuzztime 20s
+	$(GO) test ./internal/capacity/ -run '^$$' -fuzz '^FuzzLCPPageBytesBounded$$' -fuzztime 20s

@@ -133,7 +133,7 @@ func TestOverallPerformance(t *testing.T) {
 func TestPageMath(t *testing.T) {
 	// All-zero page costs nothing everywhere.
 	zeros := make([]uint8, 64)
-	if compressoPageBytes(zeros) != 0 || lcpPageBytes(zeros, compress.LegacyBins) != 0 {
+	if LinePackPageBytes(zeros, compress.CompressoBins) != 0 || LCPPageBytes(zeros, compress.LegacyBins) != 0 {
 		t.Fatal("zero page priced nonzero")
 	}
 	// Uniform 8-byte lines: Compresso 1 chunk; LCP rounds to 2 K with
@@ -142,13 +142,13 @@ func TestPageMath(t *testing.T) {
 	for i := range eights {
 		eights[i] = 8
 	}
-	if got := compressoPageBytes(eights); got != 512 {
+	if got := LinePackPageBytes(eights, compress.CompressoBins); got != 512 {
 		t.Fatalf("compresso uniform-8 page = %d", got)
 	}
-	if got := lcpPageBytes(eights, compress.LegacyBins); got != 2048 {
+	if got := LCPPageBytes(eights, compress.LegacyBins); got != 2048 {
 		t.Fatalf("lcp legacy uniform-8 page = %d", got)
 	}
-	if got := lcpPageBytes(eights, compress.CompressoBins); got != 512 {
+	if got := LCPPageBytes(eights, compress.CompressoBins); got != 512 {
 		t.Fatalf("lcp aligned uniform-8 page = %d", got)
 	}
 	// Heterogeneous page: half 8 B, half 64 B lines. LinePack packs
@@ -163,10 +163,10 @@ func TestPageMath(t *testing.T) {
 			mixed[i] = 64
 		}
 	}
-	if got := compressoPageBytes(mixed[:]); got != 2560 {
+	if got := LinePackPageBytes(mixed[:], compress.CompressoBins); got != 2560 {
 		t.Fatalf("compresso mixed page = %d", got)
 	}
-	if got := lcpPageBytes(mixed[:], compress.CompressoBins); got != 4096 {
+	if got := LCPPageBytes(mixed[:], compress.CompressoBins); got != 4096 {
 		t.Fatalf("lcp mixed page = %d", got)
 	}
 	// With one zero line per pair, target 0 + exceptions wins: 32
@@ -177,7 +177,7 @@ func TestPageMath(t *testing.T) {
 			sparse[i] = 64
 		}
 	}
-	if got := lcpPageBytes(sparse[:], compress.CompressoBins); got != 2048 {
+	if got := LCPPageBytes(sparse[:], compress.CompressoBins); got != 2048 {
 		t.Fatalf("lcp sparse page = %d", got)
 	}
 }

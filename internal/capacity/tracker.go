@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"compresso/internal/compress"
+	"compresso/internal/lcp"
 	"compresso/internal/memctl"
 	"compresso/internal/parallel"
 	"compresso/internal/workload"
@@ -118,11 +119,11 @@ func (t *tracker) refresh() {
 func (t *tracker) priceFresh(p uint32) {
 	raws := t.lineRaw[uint64(p)*memctl.LinesPerPage : uint64(p+1)*memctl.LinesPerPage]
 	t.bytes[Uncompressed][p] = memctl.PageSize
-	c := compressoPageBytes(raws)
+	c := LinePackPageBytes(raws, compress.CompressoBins)
 	t.bytes[Compresso][p] = c
 	t.bytes[CompressoNoRepack][p] = c
-	t.bytes[LCP][p] = lcpPageBytes(raws, compress.LegacyBins)
-	t.bytes[LCPAlign][p] = lcpPageBytes(raws, compress.CompressoBins)
+	t.bytes[LCP][p] = LCPPageBytes(raws, compress.LegacyBins)
+	t.bytes[LCPAlign][p] = LCPPageBytes(raws, compress.CompressoBins)
 }
 
 // priceDirty re-prices page p after stores: repacking systems track
@@ -130,10 +131,11 @@ func (t *tracker) priceFresh(p uint32) {
 // Fig. 7 — "a page only grows in size from its allocation").
 func (t *tracker) priceDirty(p uint32, old [NSizers]int32) {
 	raws := t.lineRaw[uint64(p)*memctl.LinesPerPage : uint64(p+1)*memctl.LinesPerPage]
-	t.bytes[Compresso][p] = compressoPageBytes(raws)
-	t.bytes[CompressoNoRepack][p] = maxI32(old[CompressoNoRepack], compressoPageBytes(raws))
-	t.bytes[LCP][p] = maxI32(old[LCP], lcpPageBytes(raws, compress.LegacyBins))
-	t.bytes[LCPAlign][p] = maxI32(old[LCPAlign], lcpPageBytes(raws, compress.CompressoBins))
+	c := LinePackPageBytes(raws, compress.CompressoBins)
+	t.bytes[Compresso][p] = c
+	t.bytes[CompressoNoRepack][p] = maxI32(old[CompressoNoRepack], c)
+	t.bytes[LCP][p] = maxI32(old[LCP], LCPPageBytes(raws, compress.LegacyBins))
+	t.bytes[LCPAlign][p] = maxI32(old[LCPAlign], LCPPageBytes(raws, compress.CompressoBins))
 }
 
 func maxI32(a, b int32) int32 {
@@ -163,20 +165,10 @@ func (t *tracker) ratios() [NSizers]float64 {
 	return out
 }
 
-// CompressoPageBytes prices a page (given its lines' raw compressed
-// sizes) under Compresso's storage model: LinePack with
-// alignment-friendly bins, incremental 512 B chunks, 8 page sizes,
-// zero pages free. Exported for the Fig. 2 packing-comparison
-// experiment.
-func CompressoPageBytes(raws []uint8) int32 { return compressoPageBytes(raws) }
-
-// LCPPageBytes prices a page under LCP-packing with the given line
-// bins (4 page sizes, exceptions at 64 B). Exported for Fig. 2.
-func LCPPageBytes(raws []uint8, bins compress.Bins) int32 { return lcpPageBytes(raws, bins) }
-
-// LinePackPageBytes prices a page under pure LinePack with arbitrary
-// bins and 8 incremental page sizes (the Fig. 2 LinePack bars, which
-// predate the alignment-friendly bin choice).
+// LinePackPageBytes prices a page (given its lines' raw compressed
+// sizes) under LinePack with the given bins: incremental 512 B chunks,
+// 8 page sizes, zero pages free. With CompressoBins this is Compresso's
+// storage model; the Fig. 2 LinePack bars use it with other bins.
 func LinePackPageBytes(raws []uint8, bins compress.Bins) int32 {
 	fresh := 0
 	for _, r := range raws {
@@ -189,52 +181,20 @@ func LinePackPageBytes(raws []uint8, bins compress.Bins) int32 {
 	return int32(chunks * 512)
 }
 
-// compressoPageBytes prices a page under Compresso's storage model:
-// LinePack with alignment-friendly bins, incremental 512 B chunks,
-// 8 page sizes, zero pages free.
-func compressoPageBytes(raws []uint8) int32 {
-	fresh := 0
-	for _, r := range raws {
-		fresh += compress.CompressoBins.Fit(int(r))
-	}
-	if fresh == 0 {
+// LCPPageBytes prices a page under LCP-packing with the given line
+// bins: the shared lcp.ChooseTarget layout, rounded up to the 4 LCP
+// page sizes; all-zero pages are free. Unlike the lcp controller's
+// allocation (lcp.SizeFor), the price carries no exception reserve
+// (DESIGN.md §3.5).
+func LCPPageBytes(raws []uint8, bins compress.Bins) int32 {
+	_, bytes := lcp.ChooseTarget(bins, raws)
+	if bytes == 0 {
 		return 0
-	}
-	chunks := (fresh + 511) / 512
-	return int32(chunks * 512)
-}
-
-// lcpPageBytes prices a page under LCP-packing with the given line
-// bins: all lines at the best single target size, exceptions
-// uncompressed, rounded to the 4 LCP page sizes.
-func lcpPageBytes(raws []uint8, bins compress.Bins) int32 {
-	allZero := true
-	for _, r := range raws {
-		if r != 0 {
-			allZero = false
-			break
-		}
-	}
-	if allZero {
-		return 0
-	}
-	best := 1 << 30
-	for _, tb := range bins.Sizes() {
-		exc := 0
-		for _, r := range raws {
-			if r != 0 && int(r) > tb {
-				exc++
-			}
-		}
-		total := len(raws)*tb + exc*memctl.LineBytes
-		if total < best {
-			best = total
-		}
 	}
 	for _, size := range []int{512, 1024, 2048, 4096} {
-		if best <= size {
+		if bytes <= size {
 			return int32(size)
 		}
 	}
-	return 4096
+	return memctl.PageSize
 }

@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"compresso/internal/compress"
+	"compresso/internal/dram"
+	"compresso/internal/lcp"
 	"compresso/internal/memctl"
+	"compresso/internal/metadata"
 	"compresso/internal/rng"
 	"compresso/internal/workload"
 )
@@ -43,12 +46,12 @@ func TestRawSizeRejectsOversizedLine(t *testing.T) {
 	tr.rawSize(0)
 }
 
-// TestLCPPageBytesClampsAt4096 pins lcpPageBytes' terminal clamp to
+// TestLCPPageBytesClampsAt4096 pins LCPPageBytes' terminal clamp to
 // the 4096 B uncompressed page. Every bin set starts at a 0 B target,
 // so a 64-line all-exception page prices at exactly 64*64 = 4096 B
-// pre-round; a longer vector through the exported wrapper (128
-// incompressible lines: 8192 B at every target) must clamp down to
-// 4096 rather than invent a page size above uncompressed.
+// pre-round; a longer vector (128 incompressible lines: 8192 B at every
+// target) must clamp down to 4096 rather than invent a page size above
+// uncompressed.
 func TestLCPPageBytesClampsAt4096(t *testing.T) {
 	raws := make([]uint8, memctl.LinesPerPage)
 	for i := range raws {
@@ -96,7 +99,9 @@ func TestLCPNeverExceedsUncompressed(t *testing.T) {
 }
 
 // FuzzLCPPageBytesBounded fuzzes arbitrary line-size vectors through
-// both LCP bin sets: prices must stay within [0, PageSize].
+// both LCP bin sets: prices must stay within [0, PageSize], and the
+// shared layout behind them must place every non-zero line either at
+// the target (it fits) or in an exception slot (it does not).
 func FuzzLCPPageBytesBounded(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, memctl.LinesPerPage))
@@ -112,6 +117,60 @@ func FuzzLCPPageBytesBounded(f *testing.F) {
 			if got := LCPPageBytes(raws, bins); got < 0 || got > memctl.PageSize {
 				t.Fatalf("%v: page priced at %d, outside [0, %d]", bins, got, memctl.PageSize)
 			}
+			var p lcp.Page
+			copy(p.Sizes[:], raws)
+			p.Pack(bins)
+			for line, size := range p.Sizes {
+				_, exc := p.ExcSlot(line)
+				if size != 0 && (size <= p.Target) == exc {
+					t.Fatalf("%v: line %d of %d B against a %d B target: exception=%v",
+						bins, line, size, p.Target, exc)
+				}
+			}
 		}
 	})
+}
+
+// TestLCPPageBytesZeroAllocs pins page pricing as allocation-free: the
+// tracker prices every page twice per refresh.
+func TestLCPPageBytesZeroAllocs(t *testing.T) {
+	raws := make([]uint8, memctl.LinesPerPage)
+	for i := range raws {
+		raws[i] = uint8(i)
+	}
+	for _, bins := range []compress.Bins{compress.LegacyBins, compress.CompressoBins} {
+		if allocs := testing.AllocsPerRun(100, func() { LCPPageBytes(raws, bins) }); allocs != 0 {
+			t.Fatalf("%v: LCPPageBytes allocated %v times per page, want 0", bins, allocs)
+		}
+	}
+}
+
+// sizedSource is a memctl.LineSizer whose every line compresses to n
+// bytes.
+type sizedSource struct{ n int }
+
+func (s sizedSource) ReadLine(addr uint64, buf []byte)                   { clear(buf) }
+func (s sizedSource) SizeLine(codec compress.Codec, lineAddr uint64) int { return s.n }
+
+// TestLCPPriceOmitsExceptionReserve pins the one modelling gap between
+// the capacity model and the lcp controller (DESIGN.md §3.5): both lay
+// a page out with lcp.ChooseTarget, but the capacity price rounds the
+// layout alone up to a page size, while the controller adds the 128 B
+// exception reserve first. 64 lines of 8 B on lcp-align bins is a
+// 512 B layout: capacity prices it at 512 B, lcp allocates 2 chunks.
+func TestLCPPriceOmitsExceptionReserve(t *testing.T) {
+	raws := make([]uint8, memctl.LinesPerPage)
+	lines := make([][]byte, memctl.LinesPerPage)
+	for i := range raws {
+		raws[i] = 8
+		lines[i] = make([]byte, memctl.LineBytes)
+	}
+	if got := LCPPageBytes(raws, compress.CompressoBins); got != 512 {
+		t.Fatalf("capacity prices the page at %d B, want 512", got)
+	}
+	c := lcp.New(lcp.AlignConfig(16, 1<<20), dram.New(dram.DDR4_2666()), sizedSource{n: 8})
+	c.InstallPage(0, lines)
+	if got := c.CompressedBytes(); got != 2*metadata.ChunkSize {
+		t.Fatalf("lcp allocates %d B for the page, want 2 chunks (%d B)", got, 2*metadata.ChunkSize)
+	}
 }

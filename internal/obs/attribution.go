@@ -221,6 +221,17 @@ func (a *Attribution) ExposedDRAM(queue, service uint64) {
 	a.Exposed(CompDRAMService, service)
 }
 
+// HiddenDRAM records a dram.Memory access breakdown (queue share, then
+// service share) as off-critical-path work: a posted write's own DRAM
+// time, or a read that completed under a slower one.
+func (a *Attribution) HiddenDRAM(queue, service uint64) {
+	if a == nil {
+		return
+	}
+	a.Hidden(CompDRAMQueue, queue)
+	a.Hidden(CompDRAMService, service)
+}
+
 // End closes the access: verifies the conservation invariant (the
 // exposed charges sum to done-now exactly), folds the per-access
 // component totals into the latency histograms, and feeds the

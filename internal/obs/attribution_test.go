@@ -11,6 +11,7 @@ func TestAttributionNilIsFree(t *testing.T) {
 	a.Exposed(CompDRAMQueue, 10)
 	a.Hidden(CompRepack, 5)
 	a.ExposedDRAM(1, 2)
+	a.HiddenDRAM(3, 4)
 	a.End(100)
 	a.Reset()
 	if a.Violations() != 0 {

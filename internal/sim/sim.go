@@ -157,12 +157,14 @@ type Config struct {
 	TopPages int
 
 	// Assets, when non-nil, supplies pre-materialized workload images
-	// with warm per-line size memos (PrepareAssets). Each run clones
-	// the masters instead of regenerating and re-sizing them — sharing
-	// the page-generation and install-sizing work across the several
-	// systems of a comparison run. Must have been prepared for this
-	// config's profiles, FootprintScale and Seed; runs are
-	// byte-identical with or without it.
+	// with warm per-line size memos and recorded op streams
+	// (PrepareAssets). A run whose op count matches the recording
+	// replays it over a read-only overlay of the masters; any other run
+	// clones the masters. Either way the page-generation and
+	// install-sizing work is shared across the several systems of a
+	// comparison run. Must have been prepared for this config's
+	// profiles, FootprintScale and Seed; runs are byte-identical with or
+	// without it.
 	Assets *MixAssets
 
 	// Cancel, when non-nil, aborts the run cooperatively: the demand
@@ -372,9 +374,10 @@ func (r *routedSource) SizeLine(codec compress.Codec, lineAddr uint64) int {
 // MixAssets is the shareable, immutable-by-convention part of a run's
 // workload state: fully materialized master images with warm per-line
 // size memos, one per core. Prepare once with PrepareAssets, then run
-// several systems over clones of the masters (Config.Assets) — the
-// page generation and initial sizing work is paid once instead of per
-// system. The masters themselves are never run directly.
+// several systems over overlays or clones of the masters
+// (Config.Assets) — the page generation and initial sizing work is
+// paid once instead of per system. The masters themselves are never
+// written.
 type MixAssets struct {
 	scale  int
 	seed   uint64
@@ -403,8 +406,9 @@ type MixAssets struct {
 // assets replay the log instead of regenerating the trace, and the
 // log's shared store-size slots let the several systems of a
 // comparison run share the recompression of stored lines — the sizes
-// are content-determined, so replays are byte-identical to generation. The single-core cache-filter log is
-// not built here: the first one-core run on the assets records it.
+// are content-determined, so replays are byte-identical to generation.
+// The single-core cache-filter log is not built here: the first
+// one-core run on the assets records it.
 func PrepareAssets(profs []workload.Profile, cfg Config, codec compress.Codec, jobs int) *MixAssets {
 	a := &MixAssets{scale: cfg.FootprintScale, seed: cfg.Seed, ops: cfg.Ops}
 	for i, p := range profs {
