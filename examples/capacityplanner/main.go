@@ -43,11 +43,13 @@ func main() {
 		uncomp, lcp, compre float64
 	}
 	var points []point
+	// Profile the consolidated trace once; each budget only replays it.
+	cfg := capacity.DefaultConfig(0)
+	cfg.Ops = 40_000
+	cfg.FootprintScale = 8
+	profile := capacity.ProfileMix("planner", profs, cfg)
 	for _, frac := range []float64{0.9, 0.8, 0.7, 0.6, 0.5} {
-		cfg := capacity.DefaultConfig(frac)
-		cfg.Ops = 40_000
-		cfg.FootprintScale = 8
-		out := capacity.EvaluateMix("planner", profs, cfg)
+		out := profile.At(frac)
 		// Normalize to the unconstrained bound: progress fraction.
 		u := out.Unconstrained
 		p := point{

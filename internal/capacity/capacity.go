@@ -17,6 +17,10 @@
 //     measured ratio (the paper's dynamic cgroups adjustment). Page
 //     faults cost SwapCostOps operation-equivalents.
 //
+// The stages are separate calls: Profile (ProfileMix for a mix) runs
+// stage 1 once, and the returned profile's At replays it at any number
+// of fractions. Evaluate and EvaluateMix do both for one fraction.
+//
 // Relative performance is the baseline (constrained, uncompressed)
 // time over the system's time, exactly the quantity in Fig. 10a's
 // "Mem-Cap Impact" bars and Tab. II.
@@ -120,18 +124,32 @@ type Outcome struct {
 	RecordedTouch int
 }
 
-// Evaluate runs the full two-stage methodology for one benchmark.
+// Evaluate runs the full two-stage methodology for one benchmark at
+// cfg.Frac.
 func Evaluate(prof workload.Profile, cfg Config) Outcome {
-	if cfg.FootprintScale > 1 {
-		prof.FootprintPages /= cfg.FootprintScale
-		if prof.FootprintPages < 16 {
-			prof.FootprintPages = 16
-		}
-	}
+	return Profile(prof, cfg).At(cfg.Frac)
+}
+
+// BenchProfile is one benchmark's stage-1 result: the recorded page
+// touches and the per-interval storage ratios of every sizer. Neither
+// depends on the constrained fraction, so one profile serves every
+// fraction's replay (Tab. II's 80/70/60% share one).
+type BenchProfile struct {
+	bench     string
+	touches   []uint32
+	ratios    [][NSizers]float64
+	interval  uint64
+	footprint int64
+	swapCost  float64
+}
+
+// Profile runs stage 1 for one benchmark: the trace, the storage
+// tracker and the per-interval ratios. cfg.Frac is not used.
+func Profile(prof workload.Profile, cfg Config) *BenchProfile {
+	prof = workload.Scale(prof, cfg.FootprintScale)
 	tr := workload.NewTrace(prof, cfg.Seed, cfg.Ops)
 	trk := newTracker(tr.Image(), cfg.Jobs)
 
-	// Stage 1: profile — record page touches and per-interval ratios.
 	touches := make([]uint32, 0, cfg.Ops)
 	ratios := make([][NSizers]float64, 0, cfg.Intervals)
 	interval := cfg.Ops / uint64(cfg.Intervals)
@@ -154,35 +172,45 @@ func Evaluate(prof workload.Profile, cfg Config) Outcome {
 		trk.refresh()
 		ratios = append(ratios, trk.ratios())
 	}
+	return &BenchProfile{
+		bench:     prof.Name,
+		touches:   touches,
+		ratios:    ratios,
+		interval:  interval,
+		footprint: int64(prof.FootprintPages) * memctl.PageSize,
+		swapCost:  cfg.SwapCostOps,
+	}
+}
 
-	// Stage 2: constrained replays.
-	footprint := int64(prof.FootprintPages) * memctl.PageSize
+// At runs stage 2, the constrained replays, with memory constrained to
+// frac of the footprint.
+func (p *BenchProfile) At(frac float64) Outcome {
 	out := Outcome{
-		Bench:         prof.Name,
-		Frac:          cfg.Frac,
-		FootprintB:    footprint,
-		RecordedTouch: len(touches),
+		Bench:         p.bench,
+		Frac:          frac,
+		FootprintB:    p.footprint,
+		RecordedTouch: len(p.touches),
 	}
 	var times [NSizers]float64
 	for s := Sizer(0); s < NSizers; s++ {
-		faults := replay(touches, interval, func(iv int) int64 {
-			r := ratios[clampIdx(iv, len(ratios))][s]
-			return int64(cfg.Frac * float64(footprint) * r)
+		faults := replay(p.touches, p.interval, func(iv int) int64 {
+			r := p.ratios[clampIdx(iv, len(p.ratios))][s]
+			return int64(frac * float64(p.footprint) * r)
 		})
 		out.Faults[s] = faults
-		times[s] = float64(len(touches)) + float64(faults)*cfg.SwapCostOps
+		times[s] = float64(len(p.touches)) + float64(faults)*p.swapCost
 		total := 0.0
-		for _, rv := range ratios {
+		for _, rv := range p.ratios {
 			total += rv[s]
 		}
-		out.MeanRatio[s] = total / float64(len(ratios))
+		out.MeanRatio[s] = total / float64(len(p.ratios))
 	}
 	base := times[Uncompressed]
 	for s := Sizer(0); s < NSizers; s++ {
 		out.RelPerf[s] = base / times[s]
 	}
-	out.Unconstrained = base / float64(len(touches))
-	out.BaselineRate = float64(out.Faults[Uncompressed]) / float64(len(touches))
+	out.Unconstrained = base / float64(len(p.touches))
+	out.BaselineRate = float64(out.Faults[Uncompressed]) / float64(len(p.touches))
 	return out
 }
 
@@ -216,8 +244,35 @@ type MixOutcome struct {
 }
 
 // EvaluateMix runs the methodology for a multi-core mix with a shared
-// budget. Streams interleave round-robin (always under contention).
+// budget at cfg.Frac.
 func EvaluateMix(mixName string, profs []workload.Profile, cfg Config) MixOutcome {
+	return ProfileMix(mixName, profs, cfg).At(cfg.Frac)
+}
+
+// MixProfile is a mix's stage-1 result: the interleaved touch stream
+// and the combined per-interval ratios, shared by every fraction's
+// replay.
+type MixProfile struct {
+	name      string
+	cores     int
+	ops       uint64
+	steps     []mixStep
+	ratios    [][NSizers]float64
+	interval  uint64
+	footprint int64
+	swapCost  float64
+}
+
+// mixStep is one touch of the interleaved stream: a global page id and
+// the core that made it.
+type mixStep struct {
+	page uint32
+	core uint8
+}
+
+// ProfileMix runs stage 1 for a multi-core mix. Streams interleave
+// round-robin (always under contention); cfg.Frac is not used.
+func ProfileMix(mixName string, profs []workload.Profile, cfg Config) *MixProfile {
 	n := len(profs)
 	traces := make([]*workload.Trace, n)
 	trackers := make([]*tracker, n)
@@ -225,13 +280,7 @@ func EvaluateMix(mixName string, profs []workload.Profile, cfg Config) MixOutcom
 	pageBase := make([]uint64, n)
 	var nextPage uint64
 	for i := range profs {
-		p := profs[i]
-		if cfg.FootprintScale > 1 {
-			p.FootprintPages /= cfg.FootprintScale
-			if p.FootprintPages < 16 {
-				p.FootprintPages = 16
-			}
-		}
+		p := workload.Scale(profs[i], cfg.FootprintScale)
 		traces[i] = workload.NewTrace(p, cfg.Seed+uint64(i)*7919, cfg.Ops)
 		trackers[i] = newTracker(traces[i].Image(), cfg.Jobs)
 		pageBase[i] = nextPage
@@ -239,13 +288,8 @@ func EvaluateMix(mixName string, profs []workload.Profile, cfg Config) MixOutcom
 		footprint += int64(p.FootprintPages) * memctl.PageSize
 	}
 
-	// Stage 1 interleaved: per-core touches with global page ids.
-	type step struct {
-		page uint32
-		core uint8
-	}
 	stepsTotal := cfg.Ops * uint64(n)
-	steps := make([]step, 0, stepsTotal)
+	steps := make([]mixStep, 0, stepsTotal)
 	interval := stepsTotal / uint64(cfg.Intervals)
 	if interval == 0 {
 		interval = 1
@@ -258,7 +302,7 @@ func EvaluateMix(mixName string, profs []workload.Profile, cfg Config) MixOutcom
 			if op.Write {
 				trackers[c].noteStore(op.LineAddr)
 			}
-			steps = append(steps, step{
+			steps = append(steps, mixStep{
 				page: uint32(pageBase[c] + op.LineAddr/memctl.LinesPerPage),
 				core: uint8(c),
 			})
@@ -270,18 +314,32 @@ func EvaluateMix(mixName string, profs []workload.Profile, cfg Config) MixOutcom
 	for len(ratios) < cfg.Intervals {
 		ratios = append(ratios, combinedRatios(trackers))
 	}
+	return &MixProfile{
+		name:      mixName,
+		cores:     n,
+		ops:       cfg.Ops,
+		steps:     steps,
+		ratios:    ratios,
+		interval:  interval,
+		footprint: footprint,
+		swapCost:  cfg.SwapCostOps,
+	}
+}
 
-	// Stage 2: shared-budget replays, faults attributed per core.
-	out := MixOutcome{MixName: mixName}
+// At runs stage 2 for the mix: shared-budget replays at frac of the
+// combined footprint, faults attributed per core.
+func (p *MixProfile) At(frac float64) MixOutcome {
+	n := p.cores
+	out := MixOutcome{MixName: p.name}
 	var times [NSizers][]float64
 	var baseTimes []float64
 	for s := Sizer(0); s < NSizers; s++ {
-		pager := oskernel.NewPager(int64(cfg.Frac * float64(footprint) * ratios[0][s]))
+		pager := oskernel.NewPager(int64(frac * float64(p.footprint) * p.ratios[0][s]))
 		coreFaults := make([]uint64, n)
-		for i, st := range steps {
-			if i > 0 && uint64(i)%interval == 0 {
-				iv := clampIdx(int(uint64(i)/interval), len(ratios))
-				pager.SetBudget(int64(cfg.Frac * float64(footprint) * ratios[iv][s]))
+		for i, st := range p.steps {
+			if i > 0 && uint64(i)%p.interval == 0 {
+				iv := clampIdx(int(uint64(i)/p.interval), len(p.ratios))
+				pager.SetBudget(int64(frac * float64(p.footprint) * p.ratios[iv][s]))
 			}
 			if pager.Touch(uint64(st.page)) {
 				coreFaults[st.core]++
@@ -289,7 +347,7 @@ func EvaluateMix(mixName string, profs []workload.Profile, cfg Config) MixOutcom
 		}
 		perCore := make([]float64, n)
 		for c := 0; c < n; c++ {
-			perCore[c] = float64(cfg.Ops) + float64(coreFaults[c])*cfg.SwapCostOps
+			perCore[c] = float64(p.ops) + float64(coreFaults[c])*p.swapCost
 		}
 		times[s] = perCore
 		if s == Uncompressed {
@@ -305,7 +363,7 @@ func EvaluateMix(mixName string, profs []workload.Profile, cfg Config) MixOutcom
 	}
 	total := 0.0
 	for c := 0; c < n; c++ {
-		total += baseTimes[c] / float64(cfg.Ops)
+		total += baseTimes[c] / float64(p.ops)
 	}
 	out.Unconstrained = total / float64(n)
 	return out

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"compresso/internal/compress"
+	"compresso/internal/memctl"
+	"compresso/internal/oskernel"
 	"compresso/internal/workload"
 )
 
@@ -188,5 +190,160 @@ func TestDeterministic(t *testing.T) {
 	b := Evaluate(prof, quickCfg(0.7))
 	if a != b {
 		t.Fatal("capacity evaluation not deterministic")
+	}
+}
+
+// oneShotEvaluate is the pre-split single-fraction methodology, kept as
+// the differential oracle for Profile/At: stage 1 and stage 2 in one
+// pass at cfg.Frac.
+func oneShotEvaluate(prof workload.Profile, cfg Config) Outcome {
+	prof = workload.Scale(prof, cfg.FootprintScale)
+	tr := workload.NewTrace(prof, cfg.Seed, cfg.Ops)
+	trk := newTracker(tr.Image(), cfg.Jobs)
+	var touches []uint32
+	var ratios [][NSizers]float64
+	interval := max(cfg.Ops/uint64(cfg.Intervals), 1)
+	var op workload.Op
+	for i := uint64(0); i < cfg.Ops; i++ {
+		tr.Next(&op)
+		touches = append(touches, uint32(op.LineAddr/memctl.LinesPerPage))
+		if op.Write {
+			trk.noteStore(op.LineAddr)
+		}
+		if (i+1)%interval == 0 && len(ratios) < cfg.Intervals {
+			trk.refresh()
+			ratios = append(ratios, trk.ratios())
+		}
+	}
+	for len(ratios) < cfg.Intervals {
+		trk.refresh()
+		ratios = append(ratios, trk.ratios())
+	}
+	footprint := int64(prof.FootprintPages) * memctl.PageSize
+	out := Outcome{Bench: prof.Name, Frac: cfg.Frac, FootprintB: footprint, RecordedTouch: len(touches)}
+	var times [NSizers]float64
+	for s := Sizer(0); s < NSizers; s++ {
+		out.Faults[s] = replay(touches, interval, func(iv int) int64 {
+			return int64(cfg.Frac * float64(footprint) * ratios[clampIdx(iv, len(ratios))][s])
+		})
+		times[s] = float64(len(touches)) + float64(out.Faults[s])*cfg.SwapCostOps
+		total := 0.0
+		for _, rv := range ratios {
+			total += rv[s]
+		}
+		out.MeanRatio[s] = total / float64(len(ratios))
+	}
+	for s := Sizer(0); s < NSizers; s++ {
+		out.RelPerf[s] = times[Uncompressed] / times[s]
+	}
+	out.Unconstrained = times[Uncompressed] / float64(len(touches))
+	out.BaselineRate = float64(out.Faults[Uncompressed]) / float64(len(touches))
+	return out
+}
+
+// oneShotEvaluateMix is the pre-split single-fraction mix methodology.
+func oneShotEvaluateMix(mixName string, profs []workload.Profile, cfg Config) MixOutcome {
+	n := len(profs)
+	traces := make([]*workload.Trace, n)
+	trackers := make([]*tracker, n)
+	pageBase := make([]uint64, n)
+	var footprint int64
+	var nextPage uint64
+	for i, p := range profs {
+		p = workload.Scale(p, cfg.FootprintScale)
+		traces[i] = workload.NewTrace(p, cfg.Seed+uint64(i)*7919, cfg.Ops)
+		trackers[i] = newTracker(traces[i].Image(), cfg.Jobs)
+		pageBase[i] = nextPage
+		nextPage += uint64(p.FootprintPages)
+		footprint += int64(p.FootprintPages) * memctl.PageSize
+	}
+	var steps []mixStep
+	interval := max(cfg.Ops*uint64(n)/uint64(cfg.Intervals), 1)
+	var ratios [][NSizers]float64
+	var op workload.Op
+	for i := uint64(0); i < cfg.Ops; i++ {
+		for c := 0; c < n; c++ {
+			traces[c].Next(&op)
+			if op.Write {
+				trackers[c].noteStore(op.LineAddr)
+			}
+			steps = append(steps, mixStep{page: uint32(pageBase[c] + op.LineAddr/memctl.LinesPerPage), core: uint8(c)})
+			if uint64(len(steps))%interval == 0 && len(ratios) < cfg.Intervals {
+				ratios = append(ratios, combinedRatios(trackers))
+			}
+		}
+	}
+	for len(ratios) < cfg.Intervals {
+		ratios = append(ratios, combinedRatios(trackers))
+	}
+	out := MixOutcome{MixName: mixName}
+	var times [NSizers][]float64
+	for s := Sizer(0); s < NSizers; s++ {
+		pager := oskernel.NewPager(int64(cfg.Frac * float64(footprint) * ratios[0][s]))
+		coreFaults := make([]uint64, n)
+		for i, st := range steps {
+			if i > 0 && uint64(i)%interval == 0 {
+				iv := clampIdx(int(uint64(i)/interval), len(ratios))
+				pager.SetBudget(int64(cfg.Frac * float64(footprint) * ratios[iv][s]))
+			}
+			if pager.Touch(uint64(st.page)) {
+				coreFaults[st.core]++
+			}
+		}
+		times[s] = make([]float64, n)
+		for c := range times[s] {
+			times[s][c] = float64(cfg.Ops) + float64(coreFaults[c])*cfg.SwapCostOps
+		}
+	}
+	for s := Sizer(0); s < NSizers; s++ {
+		total := 0.0
+		for c := 0; c < n; c++ {
+			total += times[Uncompressed][c] / times[s][c]
+		}
+		out.RelPerf[s] = total / float64(n)
+	}
+	total := 0.0
+	for c := 0; c < n; c++ {
+		total += times[Uncompressed][c] / float64(cfg.Ops)
+	}
+	out.Unconstrained = total / float64(n)
+	return out
+}
+
+// TestProfileAtMatchesOneShot is the differential for the stage split:
+// one profile replayed at Tab. II's three fractions (in an order other
+// than the table's, so a replay that disturbed the profile would show)
+// equals the one-shot evaluation at each fraction, for a benchmark and
+// for a mix.
+func TestProfileAtMatchesOneShot(t *testing.T) {
+	fracs := []float64{0.6, 0.8, 0.7}
+	prof, err := workload.ByName("soplex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Profile(prof, quickCfg(0))
+	for _, f := range fracs {
+		if got, want := p.At(f), oneShotEvaluate(prof, quickCfg(f)); got != want {
+			t.Errorf("soplex at %.1f: At = %+v, one-shot = %+v", f, got, want)
+		}
+	}
+
+	var profs []workload.Profile
+	for _, n := range []string{"milc", "astar", "gamess", "tonto"} {
+		p, err := workload.ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profs = append(profs, p)
+	}
+	cfg := quickCfg(0)
+	cfg.Ops = 20_000
+	mp := ProfileMix("mix2", profs, cfg)
+	for _, f := range fracs {
+		want := cfg
+		want.Frac = f
+		if got, want := mp.At(f), oneShotEvaluateMix("mix2", profs, want); got != want {
+			t.Errorf("mix2 at %.1f: At = %+v, one-shot = %+v", f, got, want)
+		}
 	}
 }

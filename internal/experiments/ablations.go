@@ -33,17 +33,13 @@ func AbBinsData(opt Options) []AbBinsRow {
 	return grid(opt, "ab-bins", len(profs), func(ctx context.Context, i int) AbBinsRow {
 		prof := profs[i]
 		mk := func(mod func(*core.Config)) sim.Result {
-			cfg := sim.DefaultConfig(sim.Compresso)
-			cfg.Ops = opt.ops()
-			cfg.FootprintScale = opt.scale()
-			cfg.Seed = opt.seed()
-			cfg.CompressoMod = mod
-			cfg.Cancel = ctx
-			return sim.RunSingle(prof, cfg)
+			return runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso, mod: mod})
 		}
 		eightBins := mk(func(c *core.Config) { c.Bins = compress.EightBins })
+		// The default config is both the 4-bin and the 8-page-size
+		// column, so one run feeds both.
 		fourBins := mk(nil)
-		eightPages := mk(nil) // default: 8 page sizes
+		eightPages := fourBins
 		fourPages := mk(func(c *core.Config) {
 			c.PageSizes = []int{2, 4, 6, 8}
 			c.DynamicIRExpansion = false // needs +1-chunk growth
@@ -104,13 +100,8 @@ func AbAlignData(opt Options) []AbAlignRow {
 	return grid(opt, "ab-align", len(profs), func(ctx context.Context, i int) AbAlignRow {
 		prof := profs[i]
 		mk := func(bins compress.Bins) sim.Result {
-			cfg := sim.DefaultConfig(sim.Compresso)
-			cfg.Ops = opt.ops()
-			cfg.FootprintScale = opt.scale()
-			cfg.Seed = opt.seed()
-			cfg.CompressoMod = func(c *core.Config) { baselineMod(c); c.Bins = bins }
-			cfg.Cancel = ctx
-			return sim.RunSingle(prof, cfg)
+			return runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso,
+				mod: func(c *core.Config) { baselineMod(c); c.Bins = bins }})
 		}
 		legacy := mk(compress.LegacyBins)
 		aligned := mk(compress.CompressoBins)

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"compresso/internal/obs"
 	"compresso/internal/sim"
@@ -65,16 +66,12 @@ func AttributionData(opt Options) ([]AttributionRow, error) {
 			if err != nil {
 				return AttributionRow{}, fmt.Errorf("attribution: %w", err)
 			}
-			cfg := sim.DefaultConfig(sys)
-			cfg.Ops = opt.ops()
-			cfg.FootprintScale = opt.scale()
-			cfg.Seed = opt.seed()
-			cfg.Cancel = ctx
-			cfg.Attribution = true
-			cfg.TopPages = 8
-			res := sim.RunSingle(prof, cfg)
+			res := runSingle(ctx, opt, prof, runSpec{sys: sys, attribution: true, topPages: 8})
 			if merged.Components == nil {
+				// Merge updates Components in place, and the memoized
+				// result's snapshot must stay as the run produced it.
 				merged = res.Attribution
+				merged.Components = slices.Clone(merged.Components)
 			} else {
 				merged.Merge(res.Attribution, 8)
 			}

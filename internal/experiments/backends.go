@@ -31,7 +31,7 @@ type BackendRow struct {
 // backendsCache memoizes the registry-wide sweep shared by
 // backends-ratio and backends-traffic (one computation per
 // (quick, seed) configuration).
-var backendsCache memo[[]BackendRow]
+var backendsCache memo[[2]uint64, []BackendRow]
 
 // BackendsData sweeps every backend in the memctl registry over the
 // benchmark subset. The system list is taken from the registry at run
@@ -39,8 +39,7 @@ var backendsCache memo[[]BackendRow]
 // artifact — with no experiment changes (DESIGN.md §12). Benchmarks
 // are independent cells fanned out across Options.Jobs workers.
 func BackendsData(opt Options) []BackendRow {
-	key := [2]uint64{boolKey(opt.Quick), opt.seed()}
-	rows, err := backendsCache.get(key, func() ([]BackendRow, error) {
+	rows, err := backendsCache.get(opt.Ctx, opt.sweepKey(), func() ([]BackendRow, error) {
 		systems := sim.AllSystems()
 		return gridErr(opt, "backends", len(backendBenchmarks), func(ctx context.Context, i int) (BackendRow, error) {
 			prof, err := workload.ByName(backendBenchmarks[i])
@@ -58,7 +57,7 @@ func BackendsData(opt Options) []BackendRow {
 			var baseCycles uint64
 			for s, sys := range systems {
 				row.Systems[s] = sys.String()
-				results[s] = runCycle(ctx, prof, sys, opt)
+				results[s] = runSingle(ctx, opt, prof, runSpec{sys: sys})
 				if sys == sim.Uncompressed {
 					baseCycles = results[s].Cycles
 				}

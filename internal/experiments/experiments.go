@@ -108,6 +108,16 @@ func (o Options) seed() uint64 {
 	return o.Seed
 }
 
+// sweepKey keys the shared-grid memos: the (quick, seed) pair, the
+// only options the shared grids' rows depend on.
+func (o Options) sweepKey() [2]uint64 {
+	var quick uint64
+	if o.Quick {
+		quick = 1
+	}
+	return [2]uint64{quick, o.seed()}
+}
+
 // Experiment is a registered paper artifact.
 type Experiment struct {
 	Name string

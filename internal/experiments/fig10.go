@@ -52,24 +52,23 @@ var Fig10Excluded = map[string]bool{"mcf": true, "GemsFDTD": true, "lbm": true}
 // fig10a, fig10b and fig12 (which share the same runs) compute it
 // once per (quick, seed) configuration. Results are deterministic;
 // concurrent callers under a parallel RunAll share one computation.
-var fig10Cache memo[[]Fig10Row]
+var fig10Cache memo[[2]uint64, []Fig10Row]
 
 // Fig10Data runs the dual methodology for every performance benchmark.
 // Each benchmark is an independent cell, fanned out across
 // Options.Jobs workers and reassembled in suite order.
 func Fig10Data(opt Options) []Fig10Row {
-	key := [2]uint64{boolKey(opt.Quick), opt.seed()}
-	rows, err := fig10Cache.get(key, func() ([]Fig10Row, error) {
+	rows, err := fig10Cache.get(opt.Ctx, opt.sweepKey(), func() ([]Fig10Row, error) {
 		profs := workload.PerformanceSet()
 		return grid(opt, "fig10", len(profs), func(ctx context.Context, i int) Fig10Row {
 			prof := profs[i]
 			row := Fig10Row{Bench: prof.Name, Runs: map[string]sim.Result{}}
 
 			// Cycle-based simulations.
-			base := runCycle(ctx, prof, sim.Uncompressed, opt)
+			base := runSingle(ctx, opt, prof, runSpec{sys: sim.Uncompressed})
 			row.Runs[base.System] = base
 			for i, sys := range CompressedSystems {
-				res := runCycle(ctx, prof, sys, opt)
+				res := runSingle(ctx, opt, prof, runSpec{sys: sys})
 				row.Runs[res.System] = res
 				row.CycleRel[i] = float64(base.Cycles) / float64(res.Cycles)
 			}
@@ -89,27 +88,11 @@ func Fig10Data(opt Options) []Fig10Row {
 		}), nil
 	})
 	if err != nil {
-		// Only a panic in an earlier computation of the same key can
-		// leave an error here; resurface it for runRecovering.
-		panic(err)
+		// Only opt.Ctx firing while another caller computes the rows
+		// ends the wait with an error: report the cancellation.
+		panic(gridFatal{err: err})
 	}
 	return rows
-}
-
-func boolKey(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func runCycle(ctx context.Context, prof workload.Profile, sys sim.System, opt Options) sim.Result {
-	cfg := sim.DefaultConfig(sys)
-	cfg.Ops = opt.ops()
-	cfg.FootprintScale = opt.scale()
-	cfg.Seed = opt.seed()
-	cfg.Cancel = ctx
-	return sim.RunSingle(prof, cfg)
 }
 
 func runFig10a(opt Options) (any, error) {

@@ -62,20 +62,12 @@ func Fig4Data(opt Options) []Fig4Row {
 	profs := workload.All()
 	return grid(opt, "fig4", len(profs), func(ctx context.Context, i int) Fig4Row {
 		prof := profs[i]
-		cfg := sim.DefaultConfig(sim.Compresso)
-		cfg.Ops = opt.ops()
-		cfg.FootprintScale = opt.scale()
-		cfg.Seed = opt.seed()
-		cfg.CompressoMod = baselineMod
-		cfg.Cancel = ctx
-		fixed := sim.RunSingle(prof, cfg)
-
-		cfg.CompressoMod = func(c *core.Config) {
+		fixed := runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso, mod: baselineMod})
+		variable := runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso, mod: func(c *core.Config) {
 			baselineMod(c)
 			c.Allocation = core.VariableChunks
 			c.PageSizes = []int{1, 2, 4, 8}
-		}
-		variable := sim.RunSingle(prof, cfg)
+		}})
 
 		return Fig4Row{
 			Bench:    prof.Name,
@@ -154,14 +146,7 @@ func Fig6Data(opt Options) []Fig6Row {
 	profs := workload.All()
 	vals := grid(opt, "fig6", len(profs)*len(mods), func(ctx context.Context, k int) float64 {
 		prof, mod := profs[k/len(mods)], mods[k%len(mods)]
-		cfg := sim.DefaultConfig(sim.Compresso)
-		cfg.Ops = opt.ops()
-		cfg.FootprintScale = opt.scale()
-		cfg.Seed = opt.seed()
-		cfg.CompressoMod = mod
-		cfg.Cancel = ctx
-		res := sim.RunSingle(prof, cfg)
-		return breakdown(res).Total()
+		return breakdown(runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso, mod: mod})).Total()
 	})
 	rows := make([]Fig6Row, len(profs))
 	for i, prof := range profs {

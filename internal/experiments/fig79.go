@@ -27,15 +27,9 @@ func Fig7Data(opt Options) []Fig7Row {
 	profs := workload.All()
 	return grid(opt, "fig7", len(profs), func(ctx context.Context, i int) Fig7Row {
 		prof := profs[i]
-		cfg := sim.DefaultConfig(sim.Compresso)
-		cfg.Ops = opt.ops()
-		cfg.FootprintScale = opt.scale()
-		cfg.Seed = opt.seed()
-		cfg.Cancel = ctx
-		with := sim.RunSingle(prof, cfg)
-
-		cfg.CompressoMod = func(c *core.Config) { c.DynamicRepacking = false }
-		without := sim.RunSingle(prof, cfg)
+		with := runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso})
+		without := runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso,
+			mod: func(c *core.Config) { c.DynamicRepacking = false }})
 
 		return Fig7Row{
 			Bench:      prof.Name,

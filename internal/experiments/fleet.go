@@ -82,14 +82,13 @@ func runFleetCell(opt Options, backends []string, policyName string) (fleet.Resu
 	})
 }
 
-var fleetSweepCache memo[[]FleetRow]
+var fleetSweepCache memo[[2]uint64, []FleetRow]
 
 // FleetSweepData runs one homogeneous fleet per backend under the
 // default hysteresis policy: the per-backend fleet comparison
 // (aggregate ratio, tier churn, move traffic, TCO rollup).
 func FleetSweepData(opt Options) []FleetRow {
-	key := [2]uint64{boolKey(opt.Quick), opt.seed()}
-	rows, err := fleetSweepCache.get(key, func() ([]FleetRow, error) {
+	rows, err := fleetSweepCache.get(opt.Ctx, opt.sweepKey(), func() ([]FleetRow, error) {
 		return gridErr(opt, "fleet-sweep", len(fleetBackends), func(ctx context.Context, i int) (FleetRow, error) {
 			res, err := runFleetCell(opt, []string{fleetBackends[i]}, "hysteresis")
 			if err != nil {
@@ -104,14 +103,13 @@ func FleetSweepData(opt Options) []FleetRow {
 	return rows
 }
 
-var fleetPolicyCache memo[[]FleetRow]
+var fleetPolicyCache memo[[2]uint64, []FleetRow]
 
 // FleetPolicyData runs one heterogeneous fleet (nodes cycling through
 // every headline backend) per named tier policy: the policy ablation.
 func FleetPolicyData(opt Options) []FleetRow {
-	key := [2]uint64{boolKey(opt.Quick), opt.seed()}
 	policies := fleet.PolicyNames()
-	rows, err := fleetPolicyCache.get(key, func() ([]FleetRow, error) {
+	rows, err := fleetPolicyCache.get(opt.Ctx, opt.sweepKey(), func() ([]FleetRow, error) {
 		return gridErr(opt, "fleet-policy", len(policies), func(ctx context.Context, i int) (FleetRow, error) {
 			res, err := runFleetCell(opt, fleetBackends, policies[i])
 			if err != nil {

@@ -32,15 +32,8 @@ func OverlapData(opt Options) []OverlapRow {
 	profs := workload.All()
 	return grid(opt, "overlap", len(profs), func(ctx context.Context, i int) OverlapRow {
 		prof := profs[i]
-		cfg := sim.DefaultConfig(sim.Compresso)
-		cfg.Ops = opt.ops()
-		cfg.FootprintScale = opt.scale()
-		cfg.Seed = opt.seed()
-		cfg.Cancel = ctx
-		serial := sim.RunSingle(prof, cfg)
-
-		cfg.Overlap = true
-		over := sim.RunSingle(prof, cfg)
+		serial := runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso})
+		over := runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso, overlap: true})
 
 		row := OverlapRow{
 			Bench:         prof.Name,

@@ -43,12 +43,7 @@ func RelatedDMCData(opt Options) ([]DMCRow, error) {
 			return DMCRow{}, fmt.Errorf("related-dmc: %w", err)
 		}
 		run := func(sys sim.System) sim.Result {
-			cfg := sim.DefaultConfig(sys)
-			cfg.Ops = opt.ops()
-			cfg.FootprintScale = opt.scale()
-			cfg.Seed = opt.seed()
-			cfg.Cancel = ctx
-			return sim.RunSingle(prof, cfg)
+			return runSingle(ctx, opt, prof, runSpec{sys: sys})
 		}
 		base := run(sim.Uncompressed)
 		m := run(sim.MXT)

@@ -19,14 +19,16 @@ type Tab2Cell struct {
 	Unconstrained float64
 }
 
+// tab2Fracs are Tab. II's constrained-memory fractions, in row order.
+var tab2Fracs = [3]float64{0.8, 0.7, 0.6}
+
 // Tab2Data sweeps the constrained-memory fractions of Tab. II for 1-
 // and 4-core systems (capacity methodology; all numbers relative to
-// the constrained uncompressed baseline). The sweep is flattened to
-// (fraction, benchmark-or-mix) cells so it fans wide across
-// Options.Jobs workers; the per-cell results are averaged back into
-// table order afterwards.
+// the constrained uncompressed baseline). Each benchmark or mix is one
+// cell fanned out across Options.Jobs workers: it profiles the trace
+// once and replays that profile at every fraction. The per-cell
+// results are averaged back into table order afterwards.
 func Tab2Data(opt Options) ([]Tab2Cell, error) {
-	fracs := []float64{0.8, 0.7, 0.6}
 	profs := workload.PerformanceSet()
 	mixes := sim.Mixes()
 	mixProfs := make([][]workload.Profile, len(mixes))
@@ -38,47 +40,45 @@ func Tab2Data(opt Options) ([]Tab2Cell, error) {
 		mixProfs[i] = ps
 	}
 
-	// Cell layout per fraction: the single-core benchmarks first, then
-	// the 4-core mixes. The row type's fields are exported so the cell
-	// journals losslessly (journal.Record verifies the round-trip).
-	perFrac := len(profs) + len(mixes)
+	// Cell layout: the single-core benchmarks first, then the 4-core
+	// mixes. The row type's fields are exported so the cell journals
+	// losslessly (journal.Record verifies the round-trip).
 	type rel struct{ LCP, Comp, Unc float64 }
-	vals := grid(opt, "tab2", len(fracs)*perFrac, func(_ context.Context, k int) rel {
-		frac := fracs[k/perFrac]
-		j := k % perFrac
-		if j < len(profs) {
-			cfg := capacity.DefaultConfig(frac)
-			cfg.Ops = opt.ops() * 2
-			cfg.FootprintScale = opt.scale()
-			cfg.Seed = opt.seed()
-			out := capacity.Evaluate(profs[j], cfg)
-			return rel{
-				LCP:  out.RelPerf[capacity.LCP],
-				Comp: out.RelPerf[capacity.Compresso],
-				Unc:  out.Unconstrained,
-			}
-		}
-		m := j - len(profs)
-		cfg := capacity.DefaultConfig(frac)
-		cfg.Ops = opt.ops()
+	relOf := func(perf [capacity.NSizers]float64, unc float64) rel {
+		return rel{LCP: perf[capacity.LCP], Comp: perf[capacity.Compresso], Unc: unc}
+	}
+	vals := grid(opt, "tab2", len(profs)+len(mixes), func(_ context.Context, j int) [len(tab2Fracs)]rel {
+		cfg := capacity.DefaultConfig(0)
 		cfg.FootprintScale = opt.scale()
 		cfg.Seed = opt.seed()
-		out := capacity.EvaluateMix(mixes[m].Name, mixProfs[m], cfg)
-		return rel{
-			LCP:  out.RelPerf[capacity.LCP],
-			Comp: out.RelPerf[capacity.Compresso],
-			Unc:  out.Unconstrained,
+		var row [len(tab2Fracs)]rel
+		if j < len(profs) {
+			cfg.Ops = opt.ops() * 2
+			prof := capacity.Profile(profs[j], cfg)
+			for f, frac := range tab2Fracs {
+				out := prof.At(frac)
+				row[f] = relOf(out.RelPerf, out.Unconstrained)
+			}
+			return row
 		}
+		m := j - len(profs)
+		cfg.Ops = opt.ops()
+		prof := capacity.ProfileMix(mixes[m].Name, mixProfs[m], cfg)
+		for f, frac := range tab2Fracs {
+			out := prof.At(frac)
+			row[f] = relOf(out.RelPerf, out.Unconstrained)
+		}
+		return row
 	})
 
 	var cells []Tab2Cell
-	for f, frac := range fracs {
-		mean := func(lo, hi int, cores int) Tab2Cell {
+	for f, frac := range tab2Fracs {
+		mean := func(rows [][len(tab2Fracs)]rel, cores int) Tab2Cell {
 			var lcp, comp, unc []float64
-			for _, v := range vals[f*perFrac+lo : f*perFrac+hi] {
-				lcp = append(lcp, v.LCP)
-				comp = append(comp, v.Comp)
-				unc = append(unc, v.Unc)
+			for _, v := range rows {
+				lcp = append(lcp, v[f].LCP)
+				comp = append(comp, v[f].Comp)
+				unc = append(unc, v[f].Unc)
 			}
 			return Tab2Cell{
 				Frac: frac, Cores: cores,
@@ -87,8 +87,8 @@ func Tab2Data(opt Options) ([]Tab2Cell, error) {
 				Unconstrained: stats.Mean(unc),
 			}
 		}
-		cells = append(cells, mean(0, len(profs), 1))
-		cells = append(cells, mean(len(profs), perFrac, 4))
+		cells = append(cells, mean(vals[:len(profs)], 1))
+		cells = append(cells, mean(vals[len(profs):], 4))
 	}
 	return cells, nil
 }

@@ -324,6 +324,32 @@ func TestCompressoVsLCPFootprint(t *testing.T) {
 	}
 }
 
+// TestWriteLineWarmZeroAllocs pins the demand write path as
+// allocation-free once warm: every line of a compressible page is
+// written back with its own contents, so each write recompresses to
+// the size it already has and takes the same-size path.
+func TestWriteLineWarmZeroAllocs(t *testing.T) {
+	c, im := testController(nil)
+	lines := pageOfLines(rng.New(5), datagen.Seq)
+	installPage(c, im, 0, lines)
+	var now uint64
+	write := func() {
+		for i, l := range lines {
+			c.WriteLine(now, uint64(i), l)
+			now += 200
+		}
+	}
+	write() // warm the metadata cache
+	before := c.Stats()
+	if allocs := testing.AllocsPerRun(20, write); allocs != 0 {
+		t.Fatalf("WriteLine allocated %v times per %d writes, want 0", allocs, metadata.LinesPerPage)
+	}
+	after := c.Stats()
+	if after.LineOverflows != before.LineOverflows || after.LineUnderflows != before.LineUnderflows {
+		t.Fatal("a write changed its line's size: the loop no longer stays on the same-size path")
+	}
+}
+
 // TestReadLineWarmZeroAllocs pins the demand read path as
 // allocation-free once warm: reads cycle over the 64 distinct machine
 // lines of an incompressible page, so every read misses the 8-entry

@@ -111,6 +111,8 @@ type Cache struct {
 	sets  []cacheSet
 	tick  uint64
 	stats CacheStats
+	// evicted is makeRoom's reusable result buffer (see Insert).
+	evicted []Evicted
 }
 
 // NewCache builds a metadata cache from cfg.
@@ -174,6 +176,8 @@ func (c *Cache) Peek(page uint64) (*Line, bool) {
 
 // Insert adds a line for page (which must not be resident), evicting
 // LRU entries as needed, and returns the new line plus any evictions.
+// The eviction slice is the cache's scratch buffer: it stays valid
+// until the next Insert or Promote, so callers consume it at once.
 func (c *Cache) Insert(page uint64, half bool) (*Line, []Evicted) {
 	s := c.setOf(page)
 	for _, l := range s.lines {
@@ -188,10 +192,11 @@ func (c *Cache) Insert(page uint64, half bool) (*Line, []Evicted) {
 	return line, evicted
 }
 
-// makeRoom evicts LRU lines from s until need units fit.
+// makeRoom evicts LRU lines from s until need units fit, returning
+// them in the reused c.evicted buffer.
 func (c *Cache) makeRoom(s *cacheSet, need int) []Evicted {
 	capacity := 2 * c.cfg.Ways
-	var evicted []Evicted
+	evicted := c.evicted[:0]
 	for s.used(c)+need > capacity {
 		lru := 0
 		for i := 1; i < len(s.lines); i++ {
@@ -204,12 +209,14 @@ func (c *Cache) makeRoom(s *cacheSet, need int) []Evicted {
 		evicted = append(evicted, Evicted{Page: v.Page, Dirty: v.Dirty})
 		c.stats.Evictions++
 	}
+	c.evicted = evicted
 	return evicted
 }
 
 // Promote converts a resident half entry to a full entry (the page
 // became compressed), evicting as needed. The caller charges the
-// memory access that fetches the entry's second half.
+// memory access that fetches the entry's second half. The evictions
+// share Insert's scratch buffer and lifetime.
 func (c *Cache) Promote(line *Line) []Evicted {
 	if !line.Half {
 		return nil

@@ -367,3 +367,60 @@ func TestDefaultCacheGeometry(t *testing.T) {
 		t.Fatalf("sets = %d, want 192", len(c.sets))
 	}
 }
+
+// evictionCache builds a HalfEntry cache of n two-way sets, each filled
+// with pages k, k+n, ... through fill (one call per set).
+func evictionCache(n int, fill func(c *Cache, set uint64)) *Cache {
+	c := NewCache(CacheConfig{SizeBytes: n * 2 * EntrySize, Ways: 2, HalfEntry: true})
+	for k := uint64(0); k < uint64(n); k++ {
+		fill(c, k)
+	}
+	return c
+}
+
+// TestPromoteEvictionZeroAllocs pins Promote's eviction path at zero
+// allocations: the evictions come back in the cache's reused scratch
+// buffer. Each run promotes the half entry of a fresh full set, so
+// every call evicts.
+func TestPromoteEvictionZeroAllocs(t *testing.T) {
+	const sets = 64
+	var targets []*Line
+	c := evictionCache(sets, func(c *Cache, k uint64) {
+		for i := uint64(1); i < 4; i++ {
+			c.Insert(k+i*sets, true)
+		}
+		l, _ := c.Insert(k, true) // most recent: the LRU victim is another page
+		targets = append(targets, l)
+	})
+	next := 0
+	allocs := testing.AllocsPerRun(sets-1, func() {
+		if ev := c.Promote(targets[next]); len(ev) != 1 {
+			t.Fatalf("Promote evicted %d entries, want 1", len(ev))
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("Promote with eviction: %v allocs, want 0", allocs)
+	}
+}
+
+// TestInsertEvictionAllocsOnlyLine pins Insert's eviction path at one
+// allocation, the new *Line: the evictions reuse the scratch buffer and
+// the set's slice keeps its capacity.
+func TestInsertEvictionAllocsOnlyLine(t *testing.T) {
+	const sets = 64
+	c := evictionCache(sets, func(c *Cache, k uint64) {
+		c.Insert(k, false)
+		c.Insert(k+sets, false)
+	})
+	next := uint64(0)
+	allocs := testing.AllocsPerRun(sets-1, func() {
+		if _, ev := c.Insert(next+2*sets, false); len(ev) != 1 {
+			t.Fatalf("Insert evicted %d entries, want 1", len(ev))
+		}
+		next++
+	})
+	if allocs != 1 {
+		t.Fatalf("Insert with eviction: %v allocs, want 1 (the new line)", allocs)
+	}
+}
