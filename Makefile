@@ -31,8 +31,9 @@ seam:
 	cd benchmark && $(GO) test ./...
 
 # The concurrency-bearing packages: the parallel fan-out primitive,
-# the experiments that run cells through it, and the simulator whose
-# state those cells must not share. The heaviest sweeps skip under the
+# the experiments that run cells through it, the simulator whose
+# state those cells must not share, and the capacity tracker's
+# fanned-out construction scan. The heaviest sweeps skip under the
 # race detector (see raceEnabled in internal/experiments); the light
 # cells still cover every grid call shape on parallel.MapResilient.
 race:
@@ -40,7 +41,7 @@ race:
 		./internal/parallel/... ./internal/experiments/... \
 		./internal/progress/... ./internal/obshttp/... \
 		./internal/memctl/... ./internal/cram/... ./internal/cxl/... \
-		./internal/fleet/...
+		./internal/fleet/... ./internal/capacity/...
 
 # Time one full quick-mode RunAll sweep serial vs parallel. The output
 # is byte-identical by contract; only the wall time should differ.

@@ -134,7 +134,7 @@ func main() {
 	// An explicit -seed makes any value authoritative, including 0
 	// (which would otherwise alias the default 42); an explicit
 	// -trace-events must be a usable ring capacity.
-	seedSet, traceSet, jobsSet := false, false, false
+	seedSet, traceSet, jobsSet, capSet := false, false, false, false
 	fleetNodesSet, fleetPolicySet := false, false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -144,6 +144,8 @@ func main() {
 			traceSet = true
 		case "jobs":
 			jobsSet = true
+		case "capacity":
+			capSet = true
 		case "fleet-nodes":
 			fleetNodesSet = true
 		case "fleet-policy":
@@ -156,6 +158,9 @@ func main() {
 		os.Exit(exitUsage)
 	}
 	if err := validateTraceEvents(traceSet, *traceEv); err != nil {
+		usageErr(err)
+	}
+	if err := validateCapacity(capSet, *capFrac, *bench); err != nil {
 		usageErr(err)
 	}
 	rf := resilienceFlags{
@@ -374,6 +379,22 @@ func writeFailureManifest(failures *parallel.FailureLog, jsonDir string) {
 func validateTraceEvents(set bool, n int) error {
 	if set && n <= 0 {
 		return fmt.Errorf("-trace-events must be a positive ring capacity (got %d); omit the flag to disable tracing", n)
+	}
+	return nil
+}
+
+// validateCapacity rejects a -capacity that would be ignored or
+// meaningless: it must be a constrained fraction in (0, 1] of a -bench
+// run.
+func validateCapacity(set bool, frac float64, bench string) error {
+	if !set {
+		return nil
+	}
+	if !(frac > 0 && frac <= 1) {
+		return fmt.Errorf("-capacity must be a constrained memory fraction in (0, 1], got %v", frac)
+	}
+	if bench == "" {
+		return fmt.Errorf("-capacity only applies to -bench runs; add -bench NAME")
 	}
 	return nil
 }
@@ -647,12 +668,12 @@ func runCapacity(bench string, frac float64, ops uint64, scale int, seed uint64,
 	if err != nil {
 		fatal(err)
 	}
-	cfg := capacity.DefaultConfig(frac)
+	cfg := capacity.DefaultConfig()
 	cfg.Ops = ops
 	cfg.FootprintScale = scale
 	cfg.Seed = seed
 	cfg.Jobs = jobs
-	out := capacity.Evaluate(prof, cfg)
+	out := capacity.Profile(prof.Name, []workload.Profile{prof}, cfg).At(frac)
 	writeRunArtifact("capacity", fmt.Sprintf("%s_%.0f", prof.Name, frac*100), out)
 	fmt.Printf("%s at %.0f%% of footprint (%d MB scaled):\n",
 		prof.Name, frac*100, out.FootprintB>>20)

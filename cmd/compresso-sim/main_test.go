@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -62,6 +63,42 @@ func TestFleetFlagValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		err := c.f.validate()
+		if c.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", c.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: error %v, want substring %q", c.name, err, c.wantErr)
+		}
+	}
+}
+
+// TestCapacityFlagValidation pins the -capacity contract: a fraction in
+// (0, 1] of a -bench run, or a flag error (exit 2) instead of a silently
+// ignored flag or a nonsensical budget.
+func TestCapacityFlagValidation(t *testing.T) {
+	cases := []struct {
+		name    string
+		set     bool
+		frac    float64
+		bench   string
+		wantErr string // substring; empty = must pass
+	}{
+		{name: "unset", frac: 0},
+		{name: "unset with bench", frac: 0, bench: "gcc"},
+		{name: "bench at 70%", set: true, frac: 0.7, bench: "soplex"},
+		{name: "full footprint", set: true, frac: 1, bench: "soplex"},
+		{name: "mix instead of bench", set: true, frac: 0.7,
+			wantErr: "-capacity only applies to -bench"},
+		{name: "zero", set: true, frac: 0, bench: "soplex", wantErr: "in (0, 1]"},
+		{name: "negative", set: true, frac: -0.5, bench: "soplex", wantErr: "in (0, 1]"},
+		{name: "above footprint", set: true, frac: 1.5, bench: "soplex", wantErr: "in (0, 1]"},
+		{name: "NaN", set: true, frac: math.NaN(), bench: "soplex", wantErr: "in (0, 1]"},
+	}
+	for _, c := range cases {
+		err := validateCapacity(c.set, c.frac, c.bench)
 		if c.wantErr == "" {
 			if err != nil {
 				t.Errorf("%s: unexpected error %v", c.name, err)

@@ -44,12 +44,12 @@ func main() {
 	}
 	var points []point
 	// Profile the consolidated trace once; each budget only replays it.
-	cfg := capacity.DefaultConfig(0)
+	cfg := capacity.DefaultConfig()
 	cfg.Ops = 40_000
 	cfg.FootprintScale = 8
-	profile := capacity.ProfileMix("planner", profs, cfg)
+	rec := capacity.Profile("planner", profs, cfg)
 	for _, frac := range []float64{0.9, 0.8, 0.7, 0.6, 0.5} {
-		out := profile.At(frac)
+		out := rec.At(frac)
 		// Normalize to the unconstrained bound: progress fraction.
 		u := out.Unconstrained
 		p := point{

@@ -5,21 +5,23 @@
 //
 // Methodology, mirroring the paper's two stages:
 //
-//  1. Profiling: the benchmark trace runs once at full footprint;
-//     at every interval boundary the per-system storage ratio of the
-//     evolving image is measured (the paper pauses real runs every
-//     200M instructions and dumps memory). LCP-style systems never
-//     repack, so their per-page storage is tracked as a high
-//     watermark; Compresso's repacking keeps it at the fresh packing.
+//  1. Profiling: the trace runs once at full footprint; at every
+//     interval boundary the per-system storage ratio of the evolving
+//     image is measured (the paper pauses real runs every 200M
+//     instructions and dumps memory). LCP-style systems never repack,
+//     so their per-page storage is tracked as a high watermark;
+//     Compresso's repacking keeps it at the fresh packing.
 //  2. Constrained replay: the recorded page-touch stream replays
 //     through an LRU pager whose byte budget is the constrained
 //     fraction of the footprint, scaled each interval by the system's
 //     measured ratio (the paper's dynamic cgroups adjustment). Page
 //     faults cost SwapCostOps operation-equivalents.
 //
-// The stages are separate calls: Profile (ProfileMix for a mix) runs
-// stage 1 once, and the returned profile's At replays it at any number
-// of fractions. Evaluate and EvaluateMix do both for one fraction.
+// A benchmark is a one-core mix, so there is one path for both:
+// Profile runs stage 1 once over one or more cores and returns a
+// Recording, and the Recording's At replays it at any number of
+// fractions. A mix's cores share one budget, and its relative
+// performance is the average per-core relative progress (§VI-E).
 //
 // Relative performance is the baseline (constrained, uncompressed)
 // time over the system's time, exactly the quantity in Fig. 10a's
@@ -66,14 +68,11 @@ func (s Sizer) String() string {
 
 // Config parameterizes a capacity evaluation.
 type Config struct {
-	// Frac constrains memory to this fraction of the footprint
-	// (Tab. II evaluates 0.8, 0.7, 0.6).
-	Frac float64
-	// Ops is the trace length (the paper's full-run analogue).
+	// Ops is the trace length per core (the paper's full-run analogue).
 	Ops uint64
 	// Intervals is the number of profiling intervals.
 	Intervals int
-	// Seed drives the workload.
+	// Seed drives the workload; core i of a mix uses Seed+i*7919.
 	Seed uint64
 	// SwapCostOps is a page fault's cost in operation-equivalents.
 	// Our synthetic traces fault far more often per operation than
@@ -90,11 +89,9 @@ type Config struct {
 	Jobs int
 }
 
-// DefaultConfig returns the standard setup at the given constrained
-// fraction.
-func DefaultConfig(frac float64) Config {
+// DefaultConfig returns the standard setup.
+func DefaultConfig() Config {
 	return Config{
-		Frac:           frac,
 		Ops:            600_000,
 		Intervals:      12,
 		Seed:           42,
@@ -107,177 +104,56 @@ func DefaultConfig(frac float64) Config {
 	}
 }
 
-// Outcome is one benchmark's capacity evaluation.
+// Outcome is one capacity evaluation of a benchmark or a mix at one
+// constrained fraction.
 type Outcome struct {
-	Bench string
+	Bench string // the benchmark's or the mix's name
 	Frac  float64
 
-	// RelPerf is performance relative to the constrained uncompressed
-	// baseline, per sizer; Unconstrained is the upper bound.
+	// RelPerf is the average per-core progress relative to the
+	// constrained uncompressed baseline, per sizer (the paper's §VI-E
+	// metric; a benchmark's own relative performance on one core);
+	// Unconstrained is the upper bound.
 	RelPerf       [NSizers]float64
 	Unconstrained float64
 
-	Faults        [NSizers]uint64
-	BaselineRate  float64 // baseline fault rate per op
+	Faults        [NSizers]uint64 // summed over cores
+	BaselineRate  float64         // baseline faults per recorded touch
 	MeanRatio     [NSizers]float64
 	FootprintB    int64
 	RecordedTouch int
 }
 
-// Evaluate runs the full two-stage methodology for one benchmark at
-// cfg.Frac.
-func Evaluate(prof workload.Profile, cfg Config) Outcome {
-	return Profile(prof, cfg).At(cfg.Frac)
-}
-
-// BenchProfile is one benchmark's stage-1 result: the recorded page
-// touches and the per-interval storage ratios of every sizer. Neither
-// depends on the constrained fraction, so one profile serves every
-// fraction's replay (Tab. II's 80/70/60% share one).
-type BenchProfile struct {
-	bench     string
-	touches   []uint32
-	ratios    [][NSizers]float64
-	interval  uint64
-	footprint int64
-	swapCost  float64
-}
-
-// Profile runs stage 1 for one benchmark: the trace, the storage
-// tracker and the per-interval ratios. cfg.Frac is not used.
-func Profile(prof workload.Profile, cfg Config) *BenchProfile {
-	prof = workload.Scale(prof, cfg.FootprintScale)
-	tr := workload.NewTrace(prof, cfg.Seed, cfg.Ops)
-	trk := newTracker(tr.Image(), cfg.Jobs)
-
-	touches := make([]uint32, 0, cfg.Ops)
-	ratios := make([][NSizers]float64, 0, cfg.Intervals)
-	interval := cfg.Ops / uint64(cfg.Intervals)
-	if interval == 0 {
-		interval = 1
-	}
-	var op workload.Op
-	for i := uint64(0); i < cfg.Ops; i++ {
-		tr.Next(&op)
-		touches = append(touches, uint32(op.LineAddr/memctl.LinesPerPage))
-		if op.Write {
-			trk.noteStore(op.LineAddr)
-		}
-		if (i+1)%interval == 0 && len(ratios) < cfg.Intervals {
-			trk.refresh()
-			ratios = append(ratios, trk.ratios())
-		}
-	}
-	for len(ratios) < cfg.Intervals {
-		trk.refresh()
-		ratios = append(ratios, trk.ratios())
-	}
-	return &BenchProfile{
-		bench:     prof.Name,
-		touches:   touches,
-		ratios:    ratios,
-		interval:  interval,
-		footprint: int64(prof.FootprintPages) * memctl.PageSize,
-		swapCost:  cfg.SwapCostOps,
-	}
-}
-
-// At runs stage 2, the constrained replays, with memory constrained to
-// frac of the footprint.
-func (p *BenchProfile) At(frac float64) Outcome {
-	out := Outcome{
-		Bench:         p.bench,
-		Frac:          frac,
-		FootprintB:    p.footprint,
-		RecordedTouch: len(p.touches),
-	}
-	var times [NSizers]float64
-	for s := Sizer(0); s < NSizers; s++ {
-		faults := replay(p.touches, p.interval, func(iv int) int64 {
-			r := p.ratios[clampIdx(iv, len(p.ratios))][s]
-			return int64(frac * float64(p.footprint) * r)
-		})
-		out.Faults[s] = faults
-		times[s] = float64(len(p.touches)) + float64(faults)*p.swapCost
-		total := 0.0
-		for _, rv := range p.ratios {
-			total += rv[s]
-		}
-		out.MeanRatio[s] = total / float64(len(p.ratios))
-	}
-	base := times[Uncompressed]
-	for s := Sizer(0); s < NSizers; s++ {
-		out.RelPerf[s] = base / times[s]
-	}
-	out.Unconstrained = base / float64(len(p.touches))
-	out.BaselineRate = float64(out.Faults[Uncompressed]) / float64(len(p.touches))
-	return out
-}
-
-func clampIdx(i, n int) int {
-	if i >= n {
-		return n - 1
-	}
-	return i
-}
-
-// replay runs the touch stream through an LRU pager whose budget is
-// refreshed per interval, returning the fault count.
-func replay(touches []uint32, interval uint64, budget func(iv int) int64) uint64 {
-	pager := oskernel.NewPager(budget(0))
-	for i, page := range touches {
-		if i > 0 && uint64(i)%interval == 0 {
-			pager.SetBudget(budget(int(uint64(i) / interval)))
-		}
-		pager.Touch(uint64(page))
-	}
-	return pager.Faults()
-}
-
-// MixOutcome is a 4-core capacity evaluation (Fig. 11a's mem-cap
-// bars): cores share a constrained budget; the metric is the average
-// per-core relative progress, the paper's §VI-E workload metric.
-type MixOutcome struct {
-	MixName       string
-	RelPerf       [NSizers]float64
-	Unconstrained float64
-}
-
-// EvaluateMix runs the methodology for a multi-core mix with a shared
-// budget at cfg.Frac.
-func EvaluateMix(mixName string, profs []workload.Profile, cfg Config) MixOutcome {
-	return ProfileMix(mixName, profs, cfg).At(cfg.Frac)
-}
-
-// MixProfile is a mix's stage-1 result: the interleaved touch stream
-// and the combined per-interval ratios, shared by every fraction's
-// replay.
-type MixProfile struct {
+// Recording is stage 1's result: the interleaved page-touch stream,
+// the core behind each touch, and the combined per-interval storage
+// ratios of every sizer. None of it depends on the constrained
+// fraction, so one recording serves every fraction's replay (Tab. II's
+// 80/70/60% share one).
+type Recording struct {
 	name      string
-	cores     int
-	ops       uint64
-	steps     []mixStep
+	ops       uint64 // per core
+	nCores    int
+	pages     []uint32
+	cores     []uint8
 	ratios    [][NSizers]float64
 	interval  uint64
 	footprint int64
 	swapCost  float64
 }
 
-// mixStep is one touch of the interleaved stream: a global page id and
-// the core that made it.
-type mixStep struct {
-	page uint32
-	core uint8
-}
-
-// ProfileMix runs stage 1 for a multi-core mix. Streams interleave
-// round-robin (always under contention); cfg.Frac is not used.
-func ProfileMix(mixName string, profs []workload.Profile, cfg Config) *MixProfile {
+// Profile runs stage 1 for a benchmark (profs of length 1) or a
+// multi-core mix: the traces, the storage trackers and the combined
+// per-interval ratios. A mix's streams interleave round-robin (always
+// under contention) over disjoint page ranges.
+func Profile(name string, profs []workload.Profile, cfg Config) *Recording {
 	n := len(profs)
+	if n == 0 || n > 256 {
+		panic(fmt.Sprintf("capacity: %d cores, want 1..256", n))
+	}
 	traces := make([]*workload.Trace, n)
 	trackers := make([]*tracker, n)
-	var footprint int64
 	pageBase := make([]uint64, n)
+	var footprint int64
 	var nextPage uint64
 	for i := range profs {
 		p := workload.Scale(profs[i], cfg.FootprintScale)
@@ -288,13 +164,18 @@ func ProfileMix(mixName string, profs []workload.Profile, cfg Config) *MixProfil
 		footprint += int64(p.FootprintPages) * memctl.PageSize
 	}
 
-	stepsTotal := cfg.Ops * uint64(n)
-	steps := make([]mixStep, 0, stepsTotal)
-	interval := stepsTotal / uint64(cfg.Intervals)
-	if interval == 0 {
-		interval = 1
+	total := cfg.Ops * uint64(n)
+	r := &Recording{
+		name:      name,
+		ops:       cfg.Ops,
+		nCores:    n,
+		pages:     make([]uint32, 0, total),
+		cores:     make([]uint8, 0, total),
+		ratios:    make([][NSizers]float64, 0, cfg.Intervals),
+		interval:  max(total/uint64(cfg.Intervals), 1),
+		footprint: footprint,
+		swapCost:  cfg.SwapCostOps,
 	}
-	ratios := make([][NSizers]float64, 0, cfg.Intervals)
 	var op workload.Op
 	for i := uint64(0); i < cfg.Ops; i++ {
 		for c := 0; c < n; c++ {
@@ -302,73 +183,74 @@ func ProfileMix(mixName string, profs []workload.Profile, cfg Config) *MixProfil
 			if op.Write {
 				trackers[c].noteStore(op.LineAddr)
 			}
-			steps = append(steps, mixStep{
-				page: uint32(pageBase[c] + op.LineAddr/memctl.LinesPerPage),
-				core: uint8(c),
-			})
-			if uint64(len(steps))%interval == 0 && len(ratios) < cfg.Intervals {
-				ratios = append(ratios, combinedRatios(trackers))
+			r.pages = append(r.pages, uint32(pageBase[c]+op.LineAddr/memctl.LinesPerPage))
+			r.cores = append(r.cores, uint8(c))
+			if uint64(len(r.pages))%r.interval == 0 && len(r.ratios) < cfg.Intervals {
+				r.ratios = append(r.ratios, combinedRatios(trackers))
 			}
 		}
 	}
-	for len(ratios) < cfg.Intervals {
-		ratios = append(ratios, combinedRatios(trackers))
+	for len(r.ratios) < cfg.Intervals {
+		r.ratios = append(r.ratios, combinedRatios(trackers))
 	}
-	return &MixProfile{
-		name:      mixName,
-		cores:     n,
-		ops:       cfg.Ops,
-		steps:     steps,
-		ratios:    ratios,
-		interval:  interval,
-		footprint: footprint,
-		swapCost:  cfg.SwapCostOps,
-	}
+	return r
 }
 
-// At runs stage 2 for the mix: shared-budget replays at frac of the
-// combined footprint, faults attributed per core.
-func (p *MixProfile) At(frac float64) MixOutcome {
-	n := p.cores
-	out := MixOutcome{MixName: p.name}
-	var times [NSizers][]float64
-	var baseTimes []float64
-	for s := Sizer(0); s < NSizers; s++ {
-		pager := oskernel.NewPager(int64(frac * float64(p.footprint) * p.ratios[0][s]))
-		coreFaults := make([]uint64, n)
-		for i, st := range p.steps {
-			if i > 0 && uint64(i)%p.interval == 0 {
-				iv := clampIdx(int(uint64(i)/p.interval), len(p.ratios))
-				pager.SetBudget(int64(frac * float64(p.footprint) * p.ratios[iv][s]))
-			}
-			if pager.Touch(uint64(st.page)) {
-				coreFaults[st.core]++
-			}
-		}
-		perCore := make([]float64, n)
-		for c := 0; c < n; c++ {
-			perCore[c] = float64(p.ops) + float64(coreFaults[c])*p.swapCost
-		}
-		times[s] = perCore
-		if s == Uncompressed {
-			baseTimes = perCore
-		}
+// At runs stage 2: one LRU replay per sizer through a pager shared by
+// every core, whose budget is frac of the combined footprint scaled by
+// the sizer's ratio of the current interval. Faults are attributed to
+// the core that took them and cost SwapCostOps each.
+func (r *Recording) At(frac float64) Outcome {
+	out := Outcome{
+		Bench:         r.name,
+		Frac:          frac,
+		FootprintB:    r.footprint,
+		RecordedTouch: len(r.pages),
 	}
+	budget := func(iv int, s Sizer) int64 {
+		return int64(frac * float64(r.footprint) * r.ratios[min(iv, len(r.ratios)-1)][s])
+	}
+	var coreFaults [NSizers][]uint64
+	for s := Sizer(0); s < NSizers; s++ {
+		pager := oskernel.NewPager(budget(0, s))
+		faults := make([]uint64, r.nCores)
+		for i, page := range r.pages {
+			if i > 0 && uint64(i)%r.interval == 0 {
+				pager.SetBudget(budget(int(uint64(i)/r.interval), s))
+			}
+			if pager.Touch(uint64(page)) {
+				faults[r.cores[i]]++
+			}
+		}
+		coreFaults[s] = faults
+		out.Faults[s] = pager.Faults()
+		total := 0.0
+		for _, rv := range r.ratios {
+			total += rv[s]
+		}
+		out.MeanRatio[s] = total / float64(len(r.ratios))
+	}
+
+	opTime := func(faults uint64) float64 { return float64(r.ops) + float64(faults)*r.swapCost }
+	base := coreFaults[Uncompressed]
 	for s := Sizer(0); s < NSizers; s++ {
 		total := 0.0
-		for c := 0; c < n; c++ {
-			total += baseTimes[c] / times[s][c]
+		for c, f := range coreFaults[s] {
+			total += opTime(base[c]) / opTime(f)
 		}
-		out.RelPerf[s] = total / float64(n)
+		out.RelPerf[s] = total / float64(r.nCores)
 	}
 	total := 0.0
-	for c := 0; c < n; c++ {
-		total += baseTimes[c] / float64(p.ops)
+	for _, f := range base {
+		total += opTime(f) / float64(r.ops)
 	}
-	out.Unconstrained = total / float64(n)
+	out.Unconstrained = total / float64(r.nCores)
+	out.BaselineRate = float64(out.Faults[Uncompressed]) / float64(len(r.pages))
 	return out
 }
 
+// combinedRatios refreshes every core's tracker and returns the mix's
+// footprint over its storage, per sizer.
 func combinedRatios(trackers []*tracker) [NSizers]float64 {
 	var out [NSizers]float64
 	var fp int64

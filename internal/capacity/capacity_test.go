@@ -9,20 +9,43 @@ import (
 	"compresso/internal/workload"
 )
 
-func quickCfg(frac float64) Config {
-	cfg := DefaultConfig(frac)
+func quickCfg() Config {
+	cfg := DefaultConfig()
 	cfg.Ops = 60_000
 	cfg.Intervals = 6
 	cfg.FootprintScale = 16
 	return cfg
 }
 
+// record runs stage 1 for one named benchmark, a one-core mix.
+func record(t *testing.T, name string, cfg Config) *Recording {
+	t.Helper()
+	prof, err := workload.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Profile(prof.Name, []workload.Profile{prof}, cfg)
+}
+
+// mix2 returns Tab. IV's mix2 profiles.
+func mix2(t *testing.T) []workload.Profile {
+	t.Helper()
+	var profs []workload.Profile
+	for _, n := range []string{"milc", "astar", "gamess", "tonto"} {
+		p, err := workload.ByName(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		profs = append(profs, p)
+	}
+	return profs
+}
+
 func TestEvaluateOrdering(t *testing.T) {
 	// The fundamental Tab. II ordering: unconstrained >= compresso >=
 	// lcp >= uncompressed-constrained (within tolerance) for a
 	// compressible, memory-sensitive benchmark.
-	prof, _ := workload.ByName("soplex")
-	out := Evaluate(prof, quickCfg(0.7))
+	out := record(t, "soplex", quickCfg()).At(0.7)
 	if out.RelPerf[Uncompressed] != 1 {
 		t.Fatalf("baseline rel perf %v != 1", out.RelPerf[Uncompressed])
 	}
@@ -41,9 +64,8 @@ func TestEvaluateOrdering(t *testing.T) {
 
 func TestTighterMemoryBiggerBenefit(t *testing.T) {
 	// Tab. II: benefits grow as memory shrinks (80% -> 60%).
-	prof, _ := workload.ByName("xalancbmk")
-	loose := Evaluate(prof, quickCfg(0.85))
-	tight := Evaluate(prof, quickCfg(0.6))
+	rec := record(t, "xalancbmk", quickCfg())
+	loose, tight := rec.At(0.85), rec.At(0.6)
 	if tight.Unconstrained <= loose.Unconstrained {
 		t.Fatalf("unconstrained benefit did not grow: %.3f@85%% vs %.3f@60%%",
 			loose.Unconstrained, tight.Unconstrained)
@@ -56,8 +78,7 @@ func TestIncompressibleCapturesLessHeadroom(t *testing.T) {
 	// its unconstrained-memory headroom than it does for highly
 	// compressible gcc (ratio ~2.6).
 	captured := func(name string) float64 {
-		p, _ := workload.ByName(name)
-		out := Evaluate(p, quickCfg(0.7))
+		out := record(t, name, quickCfg()).At(0.7)
 		head := out.Unconstrained - 1
 		if head <= 0 {
 			return 1
@@ -73,8 +94,7 @@ func TestIncompressibleCapturesLessHeadroom(t *testing.T) {
 func TestNoRepackRatioLoss(t *testing.T) {
 	// Fig. 7: without repacking, mean ratio is lower (storage is a
 	// high watermark) for a churn-heavy benchmark.
-	prof, _ := workload.ByName("GemsFDTD")
-	out := Evaluate(prof, quickCfg(0.7))
+	out := record(t, "GemsFDTD", quickCfg()).At(0.7)
 	if out.MeanRatio[CompressoNoRepack] > out.MeanRatio[Compresso] {
 		t.Fatalf("no-repack ratio %.3f above repack ratio %.3f",
 			out.MeanRatio[CompressoNoRepack], out.MeanRatio[Compresso])
@@ -87,8 +107,7 @@ func TestNoRepackRatioLoss(t *testing.T) {
 
 func TestCompressoRatioBeatsLCP(t *testing.T) {
 	// The §II-C packing comparison on evolved images.
-	prof, _ := workload.ByName("cactusADM")
-	out := Evaluate(prof, quickCfg(0.7))
+	out := record(t, "cactusADM", quickCfg()).At(0.7)
 	if out.MeanRatio[Compresso] <= out.MeanRatio[LCP] {
 		t.Fatalf("compresso ratio %.3f <= lcp ratio %.3f",
 			out.MeanRatio[Compresso], out.MeanRatio[LCP])
@@ -96,23 +115,23 @@ func TestCompressoRatioBeatsLCP(t *testing.T) {
 }
 
 func TestEvaluateMix(t *testing.T) {
-	profs := []workload.Profile{}
-	for _, n := range []string{"milc", "astar", "gamess", "tonto"} {
-		p, err := workload.ByName(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		profs = append(profs, p)
-	}
-	cfg := quickCfg(0.7)
+	cfg := quickCfg()
 	cfg.Ops = 20_000
-	out := EvaluateMix("mix2", profs, cfg)
+	out := Profile("mix2", mix2(t), cfg).At(0.7)
 	if out.RelPerf[Uncompressed] != 1 {
 		t.Fatalf("baseline %v", out.RelPerf[Uncompressed])
 	}
 	if out.RelPerf[Compresso] < 1 || out.Unconstrained < out.RelPerf[Compresso]-1e-9 {
 		t.Fatalf("mix ordering broken: compresso %.3f unconstrained %.3f",
 			out.RelPerf[Compresso], out.Unconstrained)
+	}
+	// The bookkeeping fields cover every core's touches.
+	if out.Bench != "mix2" || out.Frac != 0.7 || out.RecordedTouch != 4*int(cfg.Ops) {
+		t.Fatalf("mix bookkeeping: bench %q frac %v touches %d", out.Bench, out.Frac, out.RecordedTouch)
+	}
+	if out.MeanRatio[Uncompressed] != 1 || out.FootprintB <= 0 ||
+		out.BaselineRate != float64(out.Faults[Uncompressed])/float64(out.RecordedTouch) {
+		t.Fatalf("mix outcome incomplete: %+v", out)
 	}
 }
 
@@ -185,18 +204,18 @@ func TestPageMath(t *testing.T) {
 }
 
 func TestDeterministic(t *testing.T) {
-	prof, _ := workload.ByName("astar")
-	a := Evaluate(prof, quickCfg(0.7))
-	b := Evaluate(prof, quickCfg(0.7))
+	a := record(t, "astar", quickCfg()).At(0.7)
+	b := record(t, "astar", quickCfg()).At(0.7)
 	if a != b {
 		t.Fatal("capacity evaluation not deterministic")
 	}
 }
 
-// oneShotEvaluate is the pre-split single-fraction methodology, kept as
-// the differential oracle for Profile/At: stage 1 and stage 2 in one
-// pass at cfg.Frac.
-func oneShotEvaluate(prof workload.Profile, cfg Config) Outcome {
+// oneShotEvaluate is the pre-split single-fraction benchmark
+// methodology, kept as the differential oracle for Profile/At: stage 1
+// and stage 2 in one pass at frac, with its own single-tracker ratios
+// and replay.
+func oneShotEvaluate(prof workload.Profile, cfg Config, frac float64) Outcome {
 	prof = workload.Scale(prof, cfg.FootprintScale)
 	tr := workload.NewTrace(prof, cfg.Seed, cfg.Ops)
 	trk := newTracker(tr.Image(), cfg.Jobs)
@@ -220,11 +239,11 @@ func oneShotEvaluate(prof workload.Profile, cfg Config) Outcome {
 		ratios = append(ratios, trk.ratios())
 	}
 	footprint := int64(prof.FootprintPages) * memctl.PageSize
-	out := Outcome{Bench: prof.Name, Frac: cfg.Frac, FootprintB: footprint, RecordedTouch: len(touches)}
+	out := Outcome{Bench: prof.Name, Frac: frac, FootprintB: footprint, RecordedTouch: len(touches)}
 	var times [NSizers]float64
 	for s := Sizer(0); s < NSizers; s++ {
 		out.Faults[s] = replay(touches, interval, func(iv int) int64 {
-			return int64(cfg.Frac * float64(footprint) * ratios[clampIdx(iv, len(ratios))][s])
+			return int64(frac * float64(footprint) * ratios[min(iv, len(ratios)-1)][s])
 		})
 		times[s] = float64(len(touches)) + float64(out.Faults[s])*cfg.SwapCostOps
 		total := 0.0
@@ -241,8 +260,48 @@ func oneShotEvaluate(prof workload.Profile, cfg Config) Outcome {
 	return out
 }
 
+// replay runs the touch stream through an LRU pager whose budget is
+// refreshed per interval, returning the fault count.
+func replay(touches []uint32, interval uint64, budget func(iv int) int64) uint64 {
+	pager := oskernel.NewPager(budget(0))
+	for i, page := range touches {
+		if i > 0 && uint64(i)%interval == 0 {
+			pager.SetBudget(budget(int(uint64(i) / interval)))
+		}
+		pager.Touch(uint64(page))
+	}
+	return pager.Faults()
+}
+
+// ratios returns one tracker's footprint/storage per sizer.
+func (t *tracker) ratios() [NSizers]float64 {
+	var out [NSizers]float64
+	fp := float64(t.footprintBytes())
+	for s := Sizer(0); s < NSizers; s++ {
+		if t.totals[s] <= 0 {
+			out[s] = fp // fully-zero image: effectively unbounded
+			continue
+		}
+		out[s] = fp / float64(t.totals[s])
+	}
+	return out
+}
+
+// mixOutcome is what the pre-split mix methodology reported.
+type mixOutcome struct {
+	RelPerf       [NSizers]float64
+	Unconstrained float64
+}
+
+// mixStep is one touch of the oracle's interleaved stream: a global
+// page id and the core that made it.
+type mixStep struct {
+	page uint32
+	core uint8
+}
+
 // oneShotEvaluateMix is the pre-split single-fraction mix methodology.
-func oneShotEvaluateMix(mixName string, profs []workload.Profile, cfg Config) MixOutcome {
+func oneShotEvaluateMix(profs []workload.Profile, cfg Config, frac float64) mixOutcome {
 	n := len(profs)
 	traces := make([]*workload.Trace, n)
 	trackers := make([]*tracker, n)
@@ -276,15 +335,15 @@ func oneShotEvaluateMix(mixName string, profs []workload.Profile, cfg Config) Mi
 	for len(ratios) < cfg.Intervals {
 		ratios = append(ratios, combinedRatios(trackers))
 	}
-	out := MixOutcome{MixName: mixName}
+	var out mixOutcome
 	var times [NSizers][]float64
 	for s := Sizer(0); s < NSizers; s++ {
-		pager := oskernel.NewPager(int64(cfg.Frac * float64(footprint) * ratios[0][s]))
+		pager := oskernel.NewPager(int64(frac * float64(footprint) * ratios[0][s]))
 		coreFaults := make([]uint64, n)
 		for i, st := range steps {
 			if i > 0 && uint64(i)%interval == 0 {
-				iv := clampIdx(int(uint64(i)/interval), len(ratios))
-				pager.SetBudget(int64(cfg.Frac * float64(footprint) * ratios[iv][s]))
+				iv := min(int(uint64(i)/interval), len(ratios)-1)
+				pager.SetBudget(int64(frac * float64(footprint) * ratios[iv][s]))
 			}
 			if pager.Touch(uint64(st.page)) {
 				coreFaults[st.core]++
@@ -310,40 +369,73 @@ func oneShotEvaluateMix(mixName string, profs []workload.Profile, cfg Config) Mi
 	return out
 }
 
-// TestProfileAtMatchesOneShot is the differential for the stage split:
-// one profile replayed at Tab. II's three fractions (in an order other
-// than the table's, so a replay that disturbed the profile would show)
-// equals the one-shot evaluation at each fraction, for a benchmark and
-// for a mix.
+// TestProfileAtMatchesOneShot is the differential for the one capacity
+// path: one recording replayed at Tab. II's three fractions (in an
+// order other than the table's, so a replay that disturbed the
+// recording would show) equals the one-shot evaluation at each
+// fraction. For a one-core recording every Outcome field must match
+// the benchmark oracle, across benchmarks, footprint scales and an
+// image scaled down to the minimum page count; for a mix, the fields
+// the mix oracle reported must match.
 func TestProfileAtMatchesOneShot(t *testing.T) {
 	fracs := []float64{0.6, 0.8, 0.7}
-	prof, err := workload.ByName("soplex")
-	if err != nil {
-		t.Fatal(err)
+	type benchCase struct {
+		name  string
+		scale int
+		ops   uint64
 	}
-	p := Profile(prof, quickCfg(0))
-	for _, f := range fracs {
-		if got, want := p.At(f), oneShotEvaluate(prof, quickCfg(f)); got != want {
-			t.Errorf("soplex at %.1f: At = %+v, one-shot = %+v", f, got, want)
-		}
+	var cases []benchCase
+	for _, name := range []string{"soplex", "gcc", "GemsFDTD", "mcf", "libquantum", "Graph500"} {
+		cases = append(cases, benchCase{name, 16, 60_000}, benchCase{name, 4, 20_000})
 	}
-
-	var profs []workload.Profile
-	for _, n := range []string{"milc", "astar", "gamess", "tonto"} {
-		p, err := workload.ByName(n)
+	// A scale this large clamps the image to the minimum page count.
+	cases = append(cases, benchCase{"soplex", 1 << 20, 20_000})
+	for _, c := range cases {
+		prof, err := workload.ByName(c.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		profs = append(profs, p)
+		cfg := quickCfg()
+		cfg.FootprintScale, cfg.Ops = c.scale, c.ops
+		rec := Profile(prof.Name, []workload.Profile{prof}, cfg)
+		for _, f := range fracs {
+			if got, want := rec.At(f), oneShotEvaluate(prof, cfg, f); got != want {
+				t.Errorf("%s/scale %d at %.1f: At = %+v, one-shot = %+v", c.name, c.scale, f, got, want)
+			}
+		}
 	}
-	cfg := quickCfg(0)
+
+	profs := mix2(t)
+	cfg := quickCfg()
 	cfg.Ops = 20_000
-	mp := ProfileMix("mix2", profs, cfg)
+	rec := Profile("mix2", profs, cfg)
 	for _, f := range fracs {
-		want := cfg
-		want.Frac = f
-		if got, want := mp.At(f), oneShotEvaluateMix("mix2", profs, want); got != want {
+		out := rec.At(f)
+		got := mixOutcome{RelPerf: out.RelPerf, Unconstrained: out.Unconstrained}
+		if want := oneShotEvaluateMix(profs, cfg, f); got != want {
 			t.Errorf("mix2 at %.1f: At = %+v, one-shot = %+v", f, got, want)
+		}
+	}
+}
+
+// TestJobsInvariant pins the tracker's byte-identical fan-out: the
+// Outcome of a benchmark and of a mix is the same at Jobs 1 and 4.
+func TestJobsInvariant(t *testing.T) {
+	prof, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		profs []workload.Profile
+	}{{"gcc", []workload.Profile{prof}}, {"mix2", mix2(t)}} {
+		cfg := quickCfg()
+		cfg.Ops = 20_000
+		cfg.Jobs = 1
+		serial := Profile(c.name, c.profs, cfg).At(0.7)
+		cfg.Jobs = 4
+		if fanned := Profile(c.name, c.profs, cfg).At(0.7); fanned != serial {
+			t.Errorf("%s: Jobs 4 = %+v, Jobs 1 = %+v", c.name, fanned, serial)
 		}
 	}
 }

@@ -151,20 +151,6 @@ func (t *tracker) footprintBytes() int64 {
 
 func (t *tracker) storageBytes(s Sizer) int64 { return t.totals[s] }
 
-// ratios returns footprint/storage per sizer.
-func (t *tracker) ratios() [NSizers]float64 {
-	var out [NSizers]float64
-	fp := float64(t.footprintBytes())
-	for s := Sizer(0); s < NSizers; s++ {
-		if t.totals[s] <= 0 {
-			out[s] = fp // fully-zero image: effectively unbounded
-			continue
-		}
-		out[s] = fp / float64(t.totals[s])
-	}
-	return out
-}
-
 // LinePackPageBytes prices a page (given its lines' raw compressed
 // sizes) under LinePack with the given bins: incremental 512 B chunks,
 // 8 page sizes, zero pages free. With CompressoBins this is Compresso's

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"compresso/internal/capacity"
 	"compresso/internal/figures"
@@ -15,33 +16,99 @@ import (
 // the uncompressed baseline throughout Figs. 10–12.
 var CompressedSystems = []sim.System{sim.LCP, sim.LCPAlign, sim.Compresso}
 
-// capSizer maps a sim system to its capacity-model sizer.
-func capSizer(s sim.System) capacity.Sizer {
-	switch s {
-	case sim.LCP:
-		return capacity.LCP
-	case sim.LCPAlign:
-		return capacity.LCPAlign
-	case sim.Compresso:
-		return capacity.Compresso
-	}
-	return capacity.Uncompressed
-}
+// capSizers are CompressedSystems' capacity-model sizers, index for
+// index.
+var capSizers = [3]capacity.Sizer{capacity.LCP, capacity.LCPAlign, capacity.Compresso}
 
-// Fig10Row is one benchmark's single-core evaluation: cycle-based
-// relative performance, memory-capacity relative performance (at 70%
-// constrained memory), and the multiplicative overall.
-type Fig10Row struct {
-	Bench         string
-	CycleRel      [3]float64 // LCP, LCP+Align, Compresso
+// dualFrac is the constrained memory fraction of the capacity half of
+// Figs. 10 and 11.
+const dualFrac = 0.7
+
+// DualRow is one dual-methodology evaluation (Figs. 10 and 11) of LCP,
+// LCP+Align and Compresso: cycle-based relative performance,
+// memory-capacity relative performance at 70% constrained memory, and
+// their multiplicative overall.
+type DualRow struct {
+	CycleRel      [3]float64
 	CapRel        [3]float64
 	Unconstrained float64
 	Overall       [3]float64
+}
+
+// setCapacity fills the capacity half from out and combines it with
+// the cycle half, which must already be filled.
+func (r *DualRow) setCapacity(out capacity.Outcome) {
+	for i, s := range capSizers {
+		r.CapRel[i] = out.RelPerf[s]
+		r.Overall[i] = capacity.OverallPerformance(r.CycleRel[i], r.CapRel[i])
+	}
+	r.Unconstrained = out.Unconstrained
+}
+
+// labeledDual is a figure row that carries a DualRow under a label.
+type labeledDual interface {
+	dual() (string, DualRow)
+}
+
+// renderDualTable renders the Figs. 10a/11a table: each row's cycle and
+// capacity relative performance, then their geomeans.
+func renderDualTable[R labeledDual](w io.Writer, labelCol string, rows []R) {
+	tbl := stats.NewTable(labelCol,
+		"lcp:cyc", "align:cyc", "compresso:cyc",
+		"lcp:cap", "align:cap", "compresso:cap", "unconstrained")
+	var cyc, cap [3][]float64
+	var unc []float64
+	for _, row := range rows {
+		label, r := row.dual()
+		tbl.AddRow(label, r.CycleRel[0], r.CycleRel[1], r.CycleRel[2],
+			r.CapRel[0], r.CapRel[1], r.CapRel[2], r.Unconstrained)
+		for i := 0; i < 3; i++ {
+			cyc[i] = append(cyc[i], r.CycleRel[i])
+			cap[i] = append(cap[i], r.CapRel[i])
+		}
+		unc = append(unc, r.Unconstrained)
+	}
+	tbl.AddRow("Geomean",
+		stats.Geomean(cyc[0]), stats.Geomean(cyc[1]), stats.Geomean(cyc[2]),
+		stats.Geomean(cap[0]), stats.Geomean(cap[1]), stats.Geomean(cap[2]),
+		stats.Geomean(unc))
+	tbl.Render(w)
+}
+
+// renderOverallTable renders the Figs. 10b/11b table: each row's
+// overall performance and the unconstrained bound, then their
+// geomeans, which it returns in column order.
+func renderOverallTable[R labeledDual](w io.Writer, labelCol string, rows []R) []float64 {
+	tbl := stats.NewTable(labelCol, "lcp", "lcp-align", "compresso", "unconstrained")
+	var cols [4][]float64
+	for _, row := range rows {
+		label, r := row.dual()
+		vals := [4]float64{r.Overall[0], r.Overall[1], r.Overall[2], r.Unconstrained}
+		tbl.AddRow(label, vals[0], vals[1], vals[2], vals[3])
+		for i, v := range vals {
+			cols[i] = append(cols[i], v)
+		}
+	}
+	geo := make([]float64, len(cols))
+	for i := range cols {
+		geo[i] = stats.Geomean(cols[i])
+	}
+	tbl.AddRow("Geomean", geo[0], geo[1], geo[2], geo[3])
+	tbl.Render(w)
+	return geo
+}
+
+// Fig10Row is one benchmark's single-core dual-methodology evaluation.
+type Fig10Row struct {
+	Bench string
+	DualRow
 
 	// Runs holds the raw cycle-sim results per system name (including
 	// "uncompressed"), reused by the energy experiment.
 	Runs map[string]sim.Result
 }
+
+func (r Fig10Row) dual() (string, DualRow) { return r.Bench, r.DualRow }
 
 // Fig10Excluded lists the benchmarks the paper drops from Fig. 10b:
 // they stall under constrained memory (incompressible and highly
@@ -73,17 +140,12 @@ func Fig10Data(opt Options) []Fig10Row {
 				row.CycleRel[i] = float64(base.Cycles) / float64(res.Cycles)
 			}
 
-			// Memory-capacity impact at 70% constrained memory.
-			ccfg := capacity.DefaultConfig(0.7)
+			// Memory-capacity impact at dualFrac of the footprint.
+			ccfg := capacity.DefaultConfig()
 			ccfg.Ops = opt.ops() * 3
 			ccfg.FootprintScale = opt.scale()
 			ccfg.Seed = opt.seed()
-			out := capacity.Evaluate(prof, ccfg)
-			for i, sys := range CompressedSystems {
-				row.CapRel[i] = out.RelPerf[capSizer(sys)]
-				row.Overall[i] = capacity.OverallPerformance(row.CycleRel[i], row.CapRel[i])
-			}
-			row.Unconstrained = out.Unconstrained
+			row.setCapacity(capacity.Profile(prof.Name, []workload.Profile{prof}, ccfg).At(dualFrac))
 			return row
 		}), nil
 	})
@@ -98,26 +160,7 @@ func Fig10Data(opt Options) []Fig10Row {
 func runFig10a(opt Options) (any, error) {
 	rows := Fig10Data(opt)
 	header(opt.Out, "Fig. 10a: single-core cycle-based and memory-capacity relative performance")
-	tbl := stats.NewTable("bench",
-		"lcp:cyc", "align:cyc", "compresso:cyc",
-		"lcp:cap", "align:cap", "compresso:cap", "unconstrained")
-	var cyc [3][]float64
-	var cap [3][]float64
-	var unc []float64
-	for _, r := range rows {
-		tbl.AddRow(r.Bench, r.CycleRel[0], r.CycleRel[1], r.CycleRel[2],
-			r.CapRel[0], r.CapRel[1], r.CapRel[2], r.Unconstrained)
-		for i := 0; i < 3; i++ {
-			cyc[i] = append(cyc[i], r.CycleRel[i])
-			cap[i] = append(cap[i], r.CapRel[i])
-		}
-		unc = append(unc, r.Unconstrained)
-	}
-	tbl.AddRow("Geomean",
-		stats.Geomean(cyc[0]), stats.Geomean(cyc[1]), stats.Geomean(cyc[2]),
-		stats.Geomean(cap[0]), stats.Geomean(cap[1]), stats.Geomean(cap[2]),
-		stats.Geomean(unc))
-	tbl.Render(opt.Out)
+	renderDualTable(opt.Out, "bench", rows)
 	fmt.Fprintf(opt.Out, "\npaper cycle geomeans: LCP 0.938, LCP+Align 0.961, Compresso 0.998\n")
 	fmt.Fprintf(opt.Out, "paper mem-cap averages @70%%: LCP 1.11, Compresso 1.29, unconstrained 1.39\n")
 	return rows, nil
@@ -126,26 +169,16 @@ func runFig10a(opt Options) (any, error) {
 func runFig10b(opt Options) (any, error) {
 	rows := Fig10Data(opt)
 	header(opt.Out, "Fig. 10b: single-core overall performance (cycle x capacity), excluding mcf/GemsFDTD/lbm")
-	tbl := stats.NewTable("bench", "lcp", "lcp-align", "compresso", "unconstrained")
-	var overall [3][]float64
-	var unc []float64
+	var kept []Fig10Row
 	for _, r := range rows {
-		if Fig10Excluded[r.Bench] {
-			continue
+		if !Fig10Excluded[r.Bench] {
+			kept = append(kept, r)
 		}
-		tbl.AddRow(r.Bench, r.Overall[0], r.Overall[1], r.Overall[2], r.Unconstrained)
-		for i := 0; i < 3; i++ {
-			overall[i] = append(overall[i], r.Overall[i])
-		}
-		unc = append(unc, r.Unconstrained)
 	}
-	tbl.AddRow("Geomean", stats.Geomean(overall[0]), stats.Geomean(overall[1]),
-		stats.Geomean(overall[2]), stats.Geomean(unc))
-	tbl.Render(opt.Out)
+	geo := renderOverallTable(opt.Out, "bench", kept)
 	fmt.Fprintln(opt.Out, "\noverall geomeans (| marks the constrained uncompressed baseline = 1.0):")
 	figures.Bar{Width: 44, Reference: 1, Format: "%.3f"}.Render(opt.Out,
-		[]string{"lcp", "lcp-align", "compresso", "unconstrained"},
-		[]float64{stats.Geomean(overall[0]), stats.Geomean(overall[1]), stats.Geomean(overall[2]), stats.Geomean(unc)})
+		[]string{"lcp", "lcp-align", "compresso", "unconstrained"}, geo)
 	fmt.Fprintf(opt.Out, "\npaper: LCP 1.03, LCP+Align 1.06, Compresso 1.28 (Compresso beats LCP by 24.2%%)\n")
 	return rows, nil
 }

@@ -6,19 +6,18 @@ import (
 
 	"compresso/internal/capacity"
 	"compresso/internal/sim"
-	"compresso/internal/stats"
 )
 
-// Fig11Row is one Tab. IV mix's 4-core evaluation.
+// Fig11Row is one Tab. IV mix's 4-core dual-methodology evaluation;
+// its cycle half is the weighted speedup vs uncompressed.
 type Fig11Row struct {
-	Mix           string
-	CycleRel      [3]float64 // weighted speedup vs uncompressed: LCP, +Align, Compresso
-	CapRel        [3]float64
-	Unconstrained float64
-	Overall       [3]float64
+	Mix string
+	DualRow
 
 	Runs map[string]sim.MultiResult
 }
+
+func (r Fig11Row) dual() (string, DualRow) { return r.Mix, r.DualRow }
 
 // fig11Cache memoizes the mix sweep shared by fig11a and fig11b.
 var fig11Cache memo[[2]uint64, []Fig11Row]
@@ -56,16 +55,11 @@ func Fig11Data(opt Options) ([]Fig11Row, error) {
 				}
 			}
 
-			ccfg := capacity.DefaultConfig(0.7)
+			ccfg := capacity.DefaultConfig()
 			ccfg.Ops = opt.ops()
 			ccfg.FootprintScale = opt.scale()
 			ccfg.Seed = opt.seed()
-			out := capacity.EvaluateMix(mix.Name, profs, ccfg)
-			for i, sys := range CompressedSystems {
-				row.CapRel[i] = out.RelPerf[capSizer(sys)]
-				row.Overall[i] = capacity.OverallPerformance(row.CycleRel[i], row.CapRel[i])
-			}
-			row.Unconstrained = out.Unconstrained
+			row.setCapacity(capacity.Profile(mix.Name, profs, ccfg).At(dualFrac))
 			return row, nil
 		})
 	})
@@ -77,25 +71,7 @@ func runFig11a(opt Options) (any, error) {
 		return nil, err
 	}
 	header(opt.Out, "Fig. 11a: 4-core cycle-based and memory-capacity relative performance")
-	tbl := stats.NewTable("mix",
-		"lcp:cyc", "align:cyc", "compresso:cyc",
-		"lcp:cap", "align:cap", "compresso:cap", "unconstrained")
-	var cyc, cap [3][]float64
-	var unc []float64
-	for _, r := range rows {
-		tbl.AddRow(r.Mix, r.CycleRel[0], r.CycleRel[1], r.CycleRel[2],
-			r.CapRel[0], r.CapRel[1], r.CapRel[2], r.Unconstrained)
-		for i := 0; i < 3; i++ {
-			cyc[i] = append(cyc[i], r.CycleRel[i])
-			cap[i] = append(cap[i], r.CapRel[i])
-		}
-		unc = append(unc, r.Unconstrained)
-	}
-	tbl.AddRow("Geomean",
-		stats.Geomean(cyc[0]), stats.Geomean(cyc[1]), stats.Geomean(cyc[2]),
-		stats.Geomean(cap[0]), stats.Geomean(cap[1]), stats.Geomean(cap[2]),
-		stats.Geomean(unc))
-	tbl.Render(opt.Out)
+	renderDualTable(opt.Out, "mix", rows)
 	fmt.Fprintf(opt.Out, "\npaper cycle averages: LCP 0.90, LCP+Align 0.95, Compresso 0.975\n")
 	fmt.Fprintf(opt.Out, "paper mem-cap averages: LCP 1.97, Compresso 2.33, unconstrained 2.51\n")
 	return rows, nil
@@ -107,19 +83,7 @@ func runFig11b(opt Options) (any, error) {
 		return nil, err
 	}
 	header(opt.Out, "Fig. 11b: 4-core overall performance (cycle x capacity)")
-	tbl := stats.NewTable("mix", "lcp", "lcp-align", "compresso", "unconstrained")
-	var overall [3][]float64
-	var unc []float64
-	for _, r := range rows {
-		tbl.AddRow(r.Mix, r.Overall[0], r.Overall[1], r.Overall[2], r.Unconstrained)
-		for i := 0; i < 3; i++ {
-			overall[i] = append(overall[i], r.Overall[i])
-		}
-		unc = append(unc, r.Unconstrained)
-	}
-	tbl.AddRow("Geomean", stats.Geomean(overall[0]), stats.Geomean(overall[1]),
-		stats.Geomean(overall[2]), stats.Geomean(unc))
-	tbl.Render(opt.Out)
+	renderOverallTable(opt.Out, "mix", rows)
 	fmt.Fprintf(opt.Out, "\npaper: LCP 1.78, LCP+Align 1.90, Compresso 2.27 (Compresso beats LCP by 27.5%%)\n")
 	return rows, nil
 }

@@ -40,33 +40,29 @@ func Tab2Data(opt Options) ([]Tab2Cell, error) {
 		mixProfs[i] = ps
 	}
 
-	// Cell layout: the single-core benchmarks first, then the 4-core
-	// mixes. The row type's fields are exported so the cell journals
-	// losslessly (journal.Record verifies the round-trip).
+	// Cell layout: the single-core benchmarks (one-core mixes) first,
+	// then the 4-core mixes. The row type's fields are exported so the
+	// cell journals losslessly (journal.Record verifies the round-trip).
 	type rel struct{ LCP, Comp, Unc float64 }
-	relOf := func(perf [capacity.NSizers]float64, unc float64) rel {
-		return rel{LCP: perf[capacity.LCP], Comp: perf[capacity.Compresso], Unc: unc}
-	}
 	vals := grid(opt, "tab2", len(profs)+len(mixes), func(_ context.Context, j int) [len(tab2Fracs)]rel {
-		cfg := capacity.DefaultConfig(0)
+		cfg := capacity.DefaultConfig()
 		cfg.FootprintScale = opt.scale()
 		cfg.Seed = opt.seed()
-		var row [len(tab2Fracs)]rel
+		var name string
+		var cores []workload.Profile
 		if j < len(profs) {
 			cfg.Ops = opt.ops() * 2
-			prof := capacity.Profile(profs[j], cfg)
-			for f, frac := range tab2Fracs {
-				out := prof.At(frac)
-				row[f] = relOf(out.RelPerf, out.Unconstrained)
-			}
-			return row
+			name, cores = profs[j].Name, profs[j:j+1]
+		} else {
+			m := j - len(profs)
+			cfg.Ops = opt.ops()
+			name, cores = mixes[m].Name, mixProfs[m]
 		}
-		m := j - len(profs)
-		cfg.Ops = opt.ops()
-		prof := capacity.ProfileMix(mixes[m].Name, mixProfs[m], cfg)
+		rec := capacity.Profile(name, cores, cfg)
+		var row [len(tab2Fracs)]rel
 		for f, frac := range tab2Fracs {
-			out := prof.At(frac)
-			row[f] = relOf(out.RelPerf, out.Unconstrained)
+			out := rec.At(frac)
+			row[f] = rel{LCP: out.RelPerf[capacity.LCP], Comp: out.RelPerf[capacity.Compresso], Unc: out.Unconstrained}
 		}
 		return row
 	})
