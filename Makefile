@@ -32,8 +32,9 @@ seam:
 
 # The concurrency-bearing packages: the parallel fan-out primitive,
 # the experiments that run cells through it, the simulator whose
-# state those cells must not share, and the capacity tracker's
-# fanned-out construction scan. The heaviest sweeps skip under the
+# state those cells must not share, the capacity tracker's
+# fanned-out construction scan, and the workload images' process-wide
+# pristine size tables. The heaviest sweeps skip under the
 # race detector (see raceEnabled in internal/experiments); the light
 # cells still cover every grid call shape on parallel.MapResilient.
 race:
@@ -41,7 +42,8 @@ race:
 		./internal/parallel/... ./internal/experiments/... \
 		./internal/progress/... ./internal/obshttp/... \
 		./internal/memctl/... ./internal/cram/... ./internal/cxl/... \
-		./internal/fleet/... ./internal/capacity/...
+		./internal/fleet/... ./internal/capacity/... \
+		./internal/workload/...
 
 # Time one full quick-mode RunAll sweep serial vs parallel. The output
 # is byte-identical by contract; only the wall time should differ.

@@ -445,10 +445,12 @@ func (a *MixAssets) stream(i int, prof workload.Profile, seed, ops uint64) workl
 	return workload.NewTraceOn(a.images[i].Clone(), prof, seed, ops)
 }
 
-// check validates that the assets were prepared for this run's shape.
+// check validates that the assets were prepared for this run's shape:
+// the whole post-scaling profile (rendered with %#v, the identity the
+// workload size table and the experiments' run memo use) and the seed.
 func (a *MixAssets) check(i int, prof workload.Profile, seed uint64) {
-	if i >= len(a.images) || a.profs[i].Name != prof.Name ||
-		a.profs[i].FootprintPages != prof.FootprintPages || a.seed+uint64(i)*7919 != seed {
+	if i >= len(a.images) || a.seed+uint64(i)*7919 != seed ||
+		fmt.Sprintf("%#v", a.profs[i]) != fmt.Sprintf("%#v", prof) {
 		panic(fmt.Sprintf("sim: Assets prepared for different run shape (core %d, profile %s)", i, prof.Name))
 	}
 }

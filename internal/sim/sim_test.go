@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"compresso/internal/compress"
 	"compresso/internal/core"
 	"compresso/internal/memctl"
 	"compresso/internal/workload"
@@ -230,6 +231,15 @@ func TestPanicMessages(t *testing.T) {
 		}},
 		{"empty mix", "sim: empty mix", func() {
 			RunMix("empty", nil, quickCfg(Compresso))
+		}},
+		// Assets replay a recorded op log, so a run whose profile
+		// differs in any field (here only the store fraction) must be
+		// refused rather than fed the other profile's stream.
+		{"assets for another profile", "sim: Assets prepared for different run shape (core 0, profile GemsFDTD)", func() {
+			prof, cfg := filterCfg(Compresso)
+			cfg.Assets = PrepareAssets([]workload.Profile{prof}, cfg, compress.BPC{}, 1)
+			prof.WriteFrac /= 2
+			RunSingle(prof, cfg)
 		}},
 		{"mismatched mix results", "sim: mismatched mix results", func() {
 			a := MultiResult{Cores: make([]Result, 2)}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"compresso/internal/compress"
 	"compresso/internal/datagen"
@@ -39,8 +40,14 @@ type Image struct {
 	// Per-line compressed-size memo for one codec (bound on first
 	// SizeLine/SizeAll call, identified by Codec.Name). -1 marks a line
 	// whose size is unknown or stale; stores invalidate via noteStore.
-	sizeCodec string
-	lineSize  []int16
+	// While sharedSize is set, lineSize is the process-wide pristine
+	// table for this image (sizetable.go): read-only, copied on the
+	// first store. stored records that a store has reached the image,
+	// so its content no longer matches any pristine table.
+	sizeCodec  string
+	lineSize   []int16
+	sharedSize bool
+	stored     bool
 
 	// Store-size sharing for recorded-trace replays (TraceLog.Replay):
 	// lastStore[line] is 1 + the index of the last recorded store the
@@ -256,18 +263,30 @@ func (im *Image) Lines() uint64 {
 
 // bindSizeCodec lazily attaches the size memo to a codec. Returns
 // false when the memo is already bound to a different codec (callers
-// then bypass the memo and size directly).
-func (im *Image) bindSizeCodec(codec compress.Codec) bool {
+// then bypass the memo and size directly). A pristine image binds to
+// the shared table for its key (sizetable.go), filling it over jobs
+// workers if no image has yet; an image already stored to gets a
+// private memo of unknowns.
+func (im *Image) bindSizeCodec(codec compress.Codec, jobs int) bool {
 	name := codec.Name()
-	if im.lineSize == nil {
-		im.sizeCodec = name
-		im.lineSize = make([]int16, im.Lines())
-		for i := range im.lineSize {
-			im.lineSize[i] = -1
-		}
+	if im.lineSize != nil {
+		return im.sizeCodec == name
+	}
+	if im.stored {
+		im.sizeCodec, im.lineSize = name, unknownSizes(im.Lines())
 		return true
 	}
-	return im.sizeCodec == name
+	im.sizeCodec, im.lineSize, im.sharedSize = name, pristineSizes(im, codec, jobs), true
+	return true
+}
+
+// unknownSizes returns an n-line memo with every entry unknown (-1).
+func unknownSizes(n uint64) []int16 {
+	sizes := make([]int16, n)
+	for i := range sizes {
+		sizes[i] = -1
+	}
+	return sizes
 }
 
 // SizeLine returns compress.SizeOnly(codec, line-content), memoized
@@ -293,7 +312,7 @@ func (im *Image) SizeLine(codec compress.Codec, lineAddr uint64) int {
 		}
 		return compress.SizeOnly(codec, im.Line(lineAddr))
 	}
-	if !im.bindSizeCodec(codec) {
+	if !im.bindSizeCodec(codec, 1) {
 		return compress.SizeOnly(codec, im.Line(lineAddr))
 	}
 	if n := im.lineSize[lineAddr]; n >= 0 {
@@ -312,20 +331,27 @@ func (im *Image) SizeLine(codec compress.Codec, lineAddr uint64) int {
 // byte-identical at any jobs.
 func (im *Image) SizeAll(codec compress.Codec, jobs int) {
 	im.Materialize(jobs)
-	if !im.bindSizeCodec(codec) {
+	if !im.bindSizeCodec(codec, jobs) || im.sharedSize {
 		return
 	}
+	im.sizeInto(codec, im.lineSize, jobs)
+}
+
+// sizeInto fills every unknown entry of sizes (a memo of im's lines)
+// from im's current bytes, one strided page subset per worker. im must
+// be materialized.
+func (im *Image) sizeInto(codec compress.Codec, sizes []int16, jobs int) {
 	n := im.prof.FootprintPages
 	sizePage := func(p int) {
 		base := uint64(p) * memctl.LinesPerPage
 		buf := im.flat[uint64(p)*memctl.PageSize : uint64(p+1)*memctl.PageSize]
 		for i := 0; i < datagen.LinesPerPage; i++ {
-			if im.lineSize[base+uint64(i)] >= 0 {
+			if sizes[base+uint64(i)] >= 0 {
 				continue
 			}
 			sz := compress.SizeOnly(codec, buf[i*compress.LineSize:(i+1)*compress.LineSize])
 			if sz >= 0 && sz <= 0x7fff {
-				im.lineSize[base+uint64(i)] = int16(sz)
+				sizes[base+uint64(i)] = int16(sz)
 			}
 		}
 	}
@@ -347,11 +373,17 @@ func (im *Image) SizeAll(codec compress.Codec, jobs int) {
 // noteStore invalidates the size memo for a mutated line. The trace
 // layer calls it on every store. (The trace layer's store path never
 // runs on replay overlays — their bytes are shared with the master —
-// so this only ever touches an image that owns its memo.)
+// so this only ever touches an image that owns its bytes.) A memo
+// still shared with the pristine table is copied first.
 func (im *Image) noteStore(lineAddr uint64) {
-	if im.lineSize != nil {
-		im.lineSize[lineAddr] = -1
+	im.stored = true
+	if im.lineSize == nil {
+		return
 	}
+	if im.sharedSize {
+		im.lineSize, im.sharedSize = slices.Clone(im.lineSize), false
+	}
+	im.lineSize[lineAddr] = -1
 }
 
 // overlay builds a replay view of a fully materialized image: the page
@@ -376,10 +408,11 @@ func (im *Image) noteSharedStore(lineAddr uint64, store int32) {
 }
 
 // Clone returns a deep copy of the image: independent page contents
-// and an independent (equally warm) size memo. Mutations to either
-// copy never affect the other. Pages not yet generated stay lazy in
-// the clone. The flat backing makes this one memmove per array rather
-// than per-page work.
+// and an independent (equally warm) size memo. A memo still shared
+// with the pristine table stays shared until either copy stores.
+// Mutations to either copy never affect the other. Pages not yet
+// generated stay lazy in the clone. The flat backing makes this one
+// memmove per array rather than per-page work.
 func (im *Image) Clone() *Image { return im.CloneInto(nil) }
 
 // CloneInto is Clone into dst's storage: dst (nil for a fresh image; it
@@ -391,11 +424,16 @@ func (im *Image) CloneInto(dst *Image) *Image {
 		dst = new(Image)
 	}
 	flat, gen, lineSize, lastStore := dst.flat, dst.gen, dst.lineSize, dst.lastStore
+	if dst.sharedSize {
+		lineSize = nil // the shared table is never written
+	}
 	*dst = *im
 	dst.pages = nil // view cache points into the source's backing
 	dst.flat = copyInto(flat, im.flat)
 	dst.gen = copyInto(gen, im.gen)
-	dst.lineSize = copyInto(lineSize, im.lineSize)
+	if !im.sharedSize {
+		dst.lineSize = copyInto(lineSize, im.lineSize)
+	}
 	dst.lastStore = copyInto(lastStore, im.lastStore)
 	return dst
 }

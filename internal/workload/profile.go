@@ -14,6 +14,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"compresso/internal/compress"
 	"compresso/internal/datagen"
@@ -174,8 +175,8 @@ func Scale(p Profile, scale int) Profile {
 // better than the target (its mean binned size is below 64/ratio),
 // incompressible pages are blended in instead of zeros.
 func (p *Profile) PageMix() datagen.Mix {
-	nz := p.Flavor.mix()
-	b := measureBinnedSize(nz)
+	nz := p.Flavor.mix() // panics on an unknown flavor
+	b := flavorBinnedSizes()[p.Flavor]
 	want := 64.0 / p.TargetRatio
 	out := nz.Normalized()
 	switch {
@@ -196,6 +197,15 @@ func (p *Profile) PageMix() datagen.Mix {
 	}
 	return out
 }
+
+// flavorBinnedSizes holds every flavor's measured mean binned size,
+// computed once per process: it depends on the flavor alone.
+var flavorBinnedSizes = sync.OnceValue(func() (sizes [MediaFlavor + 1]float64) {
+	for f := range sizes {
+		sizes[f] = measureBinnedSize(Flavor(f).mix())
+	}
+	return sizes
+})
 
 // measureBinnedSize samples the mean binned BPC size of a mix.
 // Deterministic: a fixed internal seed.

@@ -146,6 +146,34 @@ func TestFig2Calibration(t *testing.T) {
 	}
 }
 
+// TestPageMixCalibratedOncePerFlavor pins PageMix for every profile
+// against the solve with the flavor's binned size measured afresh for
+// that profile: the once-per-process measurements must reproduce it.
+func TestPageMixCalibratedOncePerFlavor(t *testing.T) {
+	for _, p := range All() {
+		nz := p.Flavor.mix()
+		b, want := measureBinnedSize(nz), 64.0/p.TargetRatio
+		ref := nz.Normalized()
+		switch {
+		case b > want:
+			zeroFrac := 1 - want/b
+			for k := range ref {
+				ref[k] *= 1 - zeroFrac
+			}
+			ref[datagen.Zero] += zeroFrac
+		case b < want:
+			x := (want - b) / (64 - b)
+			for k := range ref {
+				ref[k] *= 1 - x
+			}
+			ref[datagen.Random] += x
+		}
+		if got := p.PageMix(); got != ref {
+			t.Errorf("%s: PageMix %v, want %v", p.Name, got, ref)
+		}
+	}
+}
+
 func TestTraceDeterministic(t *testing.T) {
 	p, _ := ByName("astar")
 	p.FootprintPages = 64
