@@ -226,11 +226,13 @@ soak:
 
 # Longer fuzz of the controller invariants, of the LZ hash-chain
 # matcher against its brute-force reference, of the fused BPC size
-# kernel against the pre-fusion size path, and of the shared LCP page
-# layout behind the capacity model's LCP price (the default corpora
-# run as part of `test`).
+# kernel against the pre-fusion size path, of the shared LCP page
+# layout behind the capacity model's LCP price, and of the capacity
+# model's one-pass stack-depth replay against the LRU pager (the
+# default corpora run as part of `test`).
 fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzControllerReadWrite -fuzztime 60s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzLZMatchEquivalence$$' -fuzztime 20s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzBPCSizeEquivalence$$' -fuzztime 20s
 	$(GO) test ./internal/capacity/ -run '^$$' -fuzz '^FuzzLCPPageBytesBounded$$' -fuzztime 20s
+	$(GO) test ./internal/capacity/ -run '^$$' -fuzz '^FuzzStackReplayMatchesPager$$' -fuzztime 20s

@@ -11,11 +11,14 @@
 //     instructions and dumps memory). LCP-style systems never repack,
 //     so their per-page storage is tracked as a high watermark;
 //     Compresso's repacking keeps it at the fresh packing.
-//  2. Constrained replay: the recorded page-touch stream replays
-//     through an LRU pager whose byte budget is the constrained
-//     fraction of the footprint, scaled each interval by the system's
-//     measured ratio (the paper's dynamic cgroups adjustment). Page
-//     faults cost SwapCostOps operation-equivalents.
+//  2. Constrained replay: the recorded touches replay through an LRU
+//     pager whose byte budget is the constrained fraction of the
+//     footprint, scaled each interval by the system's measured ratio
+//     (the paper's dynamic cgroups adjustment). Page faults cost
+//     SwapCostOps operation-equivalents. Stage 1 stores each touch's
+//     LRU stack depth (Mattson et al., 1970), so the replay of every
+//     sizer at any fraction is one integer pass: a touch hits exactly
+//     when its depth is at most the sizer's resident page count.
 //
 // A benchmark is a one-core mix, so there is one path for both:
 // Profile runs stage 1 once over one or more cores and returns a
@@ -30,9 +33,9 @@ package capacity
 
 import (
 	"fmt"
+	"math"
 
 	"compresso/internal/memctl"
-	"compresso/internal/oskernel"
 	"compresso/internal/workload"
 )
 
@@ -124,16 +127,16 @@ type Outcome struct {
 	RecordedTouch int
 }
 
-// Recording is stage 1's result: the interleaved page-touch stream,
-// the core behind each touch, and the combined per-interval storage
-// ratios of every sizer. None of it depends on the constrained
-// fraction, so one recording serves every fraction's replay (Tab. II's
-// 80/70/60% share one).
+// Recording is stage 1's result: each touch's LRU stack depth and the
+// core that made it, and the combined per-interval storage ratios of
+// every sizer. None of it depends on the constrained fraction, so one
+// recording serves every fraction's replay (Tab. II's 80/70/60% share
+// one).
 type Recording struct {
 	name      string
 	ops       uint64 // per core
 	nCores    int
-	pages     []uint32
+	depths    []uint32 // per touch: LRU stack depth, 0 on a page's first touch
 	cores     []uint8
 	ratios    [][NSizers]float64
 	interval  uint64
@@ -141,41 +144,58 @@ type Recording struct {
 	swapCost  float64
 }
 
+// maxTouches bounds a recording's length: touch times index the depth
+// pass's Fenwick tree as int32.
+const maxTouches = math.MaxInt32
+
+// touchCount returns the length of the interleaved stream of ops
+// touches per core on cores cores, panicking when the depth pass could
+// not index it.
+func touchCount(ops uint64, cores int) int {
+	if ops > maxTouches/uint64(cores) {
+		panic(fmt.Sprintf("capacity: %d ops x %d cores exceeds the %d touches the stack-depth pass can index",
+			ops, cores, maxTouches))
+	}
+	return int(ops) * cores
+}
+
 // Profile runs stage 1 for a benchmark (profs of length 1) or a
-// multi-core mix: the traces, the storage trackers and the combined
-// per-interval ratios. A mix's streams interleave round-robin (always
-// under contention) over disjoint page ranges.
+// multi-core mix: the traces, the storage trackers, the touches' stack
+// depths and the combined per-interval ratios. A mix's streams
+// interleave round-robin (always under contention) over disjoint page
+// ranges.
 func Profile(name string, profs []workload.Profile, cfg Config) *Recording {
 	n := len(profs)
 	if n == 0 || n > 256 {
 		panic(fmt.Sprintf("capacity: %d cores, want 1..256", n))
 	}
+	total := touchCount(cfg.Ops, n)
 	traces := make([]*workload.Trace, n)
 	trackers := make([]*tracker, n)
-	pageBase := make([]uint64, n)
+	pageBase := make([]uint32, n)
 	var footprint int64
-	var nextPage uint64
+	var nextPage uint32
 	for i := range profs {
 		p := workload.Scale(profs[i], cfg.FootprintScale)
 		traces[i] = workload.NewTrace(p, cfg.Seed+uint64(i)*7919, cfg.Ops)
 		trackers[i] = newTracker(traces[i].Image(), cfg.Jobs)
 		pageBase[i] = nextPage
-		nextPage += uint64(p.FootprintPages)
+		nextPage += uint32(p.FootprintPages)
 		footprint += int64(p.FootprintPages) * memctl.PageSize
 	}
 
-	total := cfg.Ops * uint64(n)
 	r := &Recording{
 		name:      name,
 		ops:       cfg.Ops,
 		nCores:    n,
-		pages:     make([]uint32, 0, total),
+		depths:    make([]uint32, 0, total),
 		cores:     make([]uint8, 0, total),
 		ratios:    make([][NSizers]float64, 0, cfg.Intervals),
-		interval:  max(total/uint64(cfg.Intervals), 1),
+		interval:  max(uint64(total)/uint64(cfg.Intervals), 1),
 		footprint: footprint,
 		swapCost:  cfg.SwapCostOps,
 	}
+	stack := newStackDepths(total, int(nextPage))
 	var op workload.Op
 	for i := uint64(0); i < cfg.Ops; i++ {
 		for c := 0; c < n; c++ {
@@ -183,9 +203,9 @@ func Profile(name string, profs []workload.Profile, cfg Config) *Recording {
 			if op.Write {
 				trackers[c].noteStore(op.LineAddr)
 			}
-			r.pages = append(r.pages, uint32(pageBase[c]+op.LineAddr/memctl.LinesPerPage))
+			r.depths = append(r.depths, stack.touch(pageBase[c]+uint32(op.LineAddr/memctl.LinesPerPage)))
 			r.cores = append(r.cores, uint8(c))
-			if uint64(len(r.pages))%r.interval == 0 && len(r.ratios) < cfg.Intervals {
+			if uint64(len(r.depths))%r.interval == 0 && len(r.ratios) < cfg.Intervals {
 				r.ratios = append(r.ratios, combinedRatios(trackers))
 			}
 		}
@@ -194,6 +214,60 @@ func Profile(name string, profs []workload.Profile, cfg Config) *Recording {
 		r.ratios = append(r.ratios, combinedRatios(trackers))
 	}
 	return r
+}
+
+// stackDepths computes LRU stack depths in one pass (Mattson et al.,
+// "Evaluation techniques for storage hierarchies", IBM Systems Journal
+// 1970). A touch's depth is the number of distinct pages touched since
+// the page's previous touch, the page itself included: its position in
+// the recency stack, 1 on top. A page's first touch has depth 0.
+//
+// Every touched page keeps one mark, at the time of its latest touch,
+// in a Fenwick tree over touch times; the depth is the number of marks
+// at or after the page's previous touch.
+type stackDepths struct {
+	tree  []int32 // Fenwick tree over touch times 1..len(tree)-1
+	last  []int32 // per page: time of its latest touch, 0 when untouched
+	now   int32   // time of the latest touch
+	marks int32   // distinct pages touched so far
+}
+
+// newStackDepths sizes the pass for touches touches of page ids below
+// pages.
+func newStackDepths(touches, pages int) *stackDepths {
+	return &stackDepths{tree: make([]int32, touches+1), last: make([]int32, pages)}
+}
+
+// touch records the next touch of page and returns its stack depth.
+func (d *stackDepths) touch(page uint32) uint32 {
+	d.now++
+	prev := d.last[page]
+	d.last[page] = d.now
+	var depth uint32
+	if prev == 0 {
+		d.marks++
+	} else {
+		depth = uint32(d.marks - d.prefix(prev-1))
+		d.add(prev, -1)
+	}
+	d.add(d.now, 1)
+	return depth
+}
+
+// prefix returns the number of marks at times 1..t.
+func (d *stackDepths) prefix(t int32) int32 {
+	var sum int32
+	for ; t > 0; t &= t - 1 {
+		sum += d.tree[t]
+	}
+	return sum
+}
+
+// add adds v to the mark count at time t.
+func (d *stackDepths) add(t, v int32) {
+	for n := int32(len(d.tree)); t < n; t += t & -t {
+		d.tree[t] += v
+	}
 }
 
 // At runs stage 2: one LRU replay per sizer through a pager shared by
@@ -205,25 +279,12 @@ func (r *Recording) At(frac float64) Outcome {
 		Bench:         r.name,
 		Frac:          frac,
 		FootprintB:    r.footprint,
-		RecordedTouch: len(r.pages),
+		RecordedTouch: len(r.depths),
 	}
-	budget := func(iv int, s Sizer) int64 {
+	coreFaults := replayDepths(r.depths, r.cores, r.nCores, r.interval, func(iv int, s Sizer) int64 {
 		return int64(frac * float64(r.footprint) * r.ratios[min(iv, len(r.ratios)-1)][s])
-	}
-	var coreFaults [NSizers][]uint64
+	})
 	for s := Sizer(0); s < NSizers; s++ {
-		pager := oskernel.NewPager(budget(0, s))
-		faults := make([]uint64, r.nCores)
-		for i, page := range r.pages {
-			if i > 0 && uint64(i)%r.interval == 0 {
-				pager.SetBudget(budget(int(uint64(i)/r.interval), s))
-			}
-			if pager.Touch(uint64(page)) {
-				faults[r.cores[i]]++
-			}
-		}
-		coreFaults[s] = faults
-		out.Faults[s] = pager.Faults()
 		total := 0.0
 		for _, rv := range r.ratios {
 			total += rv[s]
@@ -232,21 +293,60 @@ func (r *Recording) At(frac float64) Outcome {
 	}
 
 	opTime := func(faults uint64) float64 { return float64(r.ops) + float64(faults)*r.swapCost }
-	base := coreFaults[Uncompressed]
 	for s := Sizer(0); s < NSizers; s++ {
 		total := 0.0
-		for c, f := range coreFaults[s] {
-			total += opTime(base[c]) / opTime(f)
+		for _, f := range coreFaults {
+			out.Faults[s] += f[s]
+			total += opTime(f[Uncompressed]) / opTime(f[s])
 		}
 		out.RelPerf[s] = total / float64(r.nCores)
 	}
 	total := 0.0
-	for _, f := range base {
-		total += opTime(f) / float64(r.ops)
+	for _, f := range coreFaults {
+		total += opTime(f[Uncompressed]) / float64(r.ops)
 	}
 	out.Unconstrained = total / float64(r.nCores)
-	out.BaselineRate = float64(out.Faults[Uncompressed]) / float64(len(r.pages))
+	out.BaselineRate = float64(out.Faults[Uncompressed]) / float64(len(r.depths))
 	return out
+}
+
+// replayDepths replays a touch stream, given as stack depths and the
+// core behind each touch, through one LRU pager per sizer in a single
+// pass, and returns each core's faults per sizer. budget(iv, s) is
+// sizer s's byte budget in interval iv, each interval being interval
+// touches long; a negative budget is unconstrained.
+//
+// An LRU pager whose capacity changes only between touches always
+// holds the top r pages of the recency stack, r being its resident
+// count. So a touch hits exactly when its depth is nonzero and at most
+// r; a fault sets r to min(r+1, cap), cap being the budget in whole
+// pages; a budget change sets r to min(r, cap). The result equals
+// driving an oskernel.Pager per sizer (FuzzStackReplayMatchesPager).
+func replayDepths(depths []uint32, cores []uint8, nCores int, interval uint64, budget func(iv int, s Sizer) int64) [][NSizers]uint64 {
+	faults := make([][NSizers]uint64, nCores)
+	var resident, capacity [NSizers]uint64
+	for start, iv := 0, 0; start < len(depths); start, iv = start+int(interval), iv+1 {
+		for s := range capacity {
+			capacity[s] = math.MaxUint64
+			if b := budget(iv, Sizer(s)); b >= 0 {
+				capacity[s] = uint64(b / memctl.PageSize)
+			}
+			resident[s] = min(resident[s], capacity[s])
+		}
+		end := min(start+int(interval), len(depths))
+		for i, d := range depths[start:end] {
+			f := &faults[cores[start+i]]
+			for s := range resident {
+				if d == 0 || uint64(d) > resident[s] {
+					f[s]++
+					if resident[s] < capacity[s] {
+						resident[s]++
+					}
+				}
+			}
+		}
+	}
+	return faults
 }
 
 // combinedRatios refreshes every core's tracker and returns the mix's

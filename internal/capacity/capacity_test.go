@@ -1,6 +1,11 @@
 package capacity
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"compresso/internal/compress"
@@ -438,4 +443,123 @@ func TestJobsInvariant(t *testing.T) {
 			t.Errorf("%s: Jobs 4 = %+v, Jobs 1 = %+v", c.name, fanned, serial)
 		}
 	}
+}
+
+// fuzzPages is the page-id range of FuzzStackReplayMatchesPager's
+// touch streams.
+const fuzzPages = 64
+
+// fuzzBudget encodes a budget in bytes for FuzzStackReplayMatchesPager:
+// an int16 in 16-byte units, so a schedule reaches zero, negative
+// (unconstrained), non-page-multiple and above-footprint budgets.
+func fuzzBudget(bytes int64) []byte {
+	return binary.LittleEndian.AppendUint16(nil, uint16(int16(bytes/16)))
+}
+
+// FuzzStackReplayMatchesPager is the differential for stage 2's
+// one-pass replay: stack depths from stackDepths, replayed by
+// replayDepths for every sizer at once, fault on the same touches of
+// the same cores as one oskernel.Pager per sizer whose budget is set at
+// each interval boundary. Each stream byte is one touch: the low six
+// bits pick the page, the top two the core. The budget schedule cycles
+// through the decoded budgets, one per (interval, sizer).
+func FuzzStackReplayMatchesPager(f *testing.F) {
+	loop := make([]byte, 200)
+	for i := range loop {
+		loop[i] = byte(i%23) | byte(i%4)<<6
+	}
+	f.Add(loop, uint8(0), uint8(7), fuzzBudget(0))
+	f.Add(loop, uint8(3), uint8(5), fuzzBudget(3*memctl.PageSize+112))
+	f.Add(loop, uint8(1), uint8(1), fuzzBudget(2*fuzzPages*memctl.PageSize))
+	f.Add(loop, uint8(2), uint8(9), fuzzBudget(-16))
+	f.Add(loop, uint8(3), uint8(3), slices.Concat(fuzzBudget(5*memctl.PageSize), fuzzBudget(0),
+		fuzzBudget(-1600), fuzzBudget(memctl.PageSize-16), fuzzBudget(40*memctl.PageSize+48),
+		fuzzBudget(2*memctl.PageSize)))
+	f.Add([]byte{}, uint8(0), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, stream []byte, cores, interval uint8, schedule []byte) {
+		nCores := 1 + int(cores)%4
+		every := 1 + uint64(interval)%32
+		budget := func(iv int, s Sizer) int64 {
+			n := len(schedule) / 2
+			if n == 0 {
+				return -1
+			}
+			k := 2 * ((iv*int(NSizers) + int(s)) % n)
+			return int64(int16(binary.LittleEndian.Uint16(schedule[k:]))) * 16
+		}
+		pages := make([]uint32, len(stream))
+		coreOf := make([]uint8, len(stream))
+		depths := make([]uint32, len(stream))
+		stack := newStackDepths(len(stream), fuzzPages)
+		for i, b := range stream {
+			pages[i] = uint32(b % fuzzPages)
+			coreOf[i] = (b >> 6) % uint8(nCores)
+			depths[i] = stack.touch(pages[i])
+		}
+		got := replayDepths(depths, coreOf, nCores, every, budget)
+		for s := Sizer(0); s < NSizers; s++ {
+			pager := oskernel.NewPager(budget(0, s))
+			want := make([]uint64, nCores)
+			for i, page := range pages {
+				if i > 0 && uint64(i)%every == 0 {
+					pager.SetBudget(budget(int(uint64(i)/every), s))
+				}
+				if pager.Touch(uint64(page)) {
+					want[coreOf[i]]++
+				}
+			}
+			for c := range want {
+				if got[c][s] != want[c] {
+					t.Fatalf("sizer %v core %d: replay %d faults, pager %d", s, c, got[c][s], want[c])
+				}
+			}
+		}
+	})
+}
+
+// TestProfileGuardsTouchIndex pins the depth pass's bound: a recording
+// of ops touches per core on cores cores must fit the Fenwick tree's
+// int32 time index. The bound is computed without allocating a stream
+// of that size, and Profile checks it before building anything.
+func TestProfileGuardsTouchIndex(t *testing.T) {
+	for _, c := range []struct {
+		ops   uint64
+		cores int
+		ok    bool
+	}{
+		{600_000, 4, true},
+		{math.MaxInt32, 1, true},
+		{math.MaxInt32 / 4, 4, true},
+		{math.MaxInt32/4 + 1, 4, false},
+		{math.MaxInt32 + 1, 1, false},
+		{1 << 40, 256, false},
+		{math.MaxUint64, 2, false},
+	} {
+		name := fmt.Sprintf("%dx%d", c.ops, c.cores)
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				if c.ok && r != nil {
+					t.Fatalf("touchCount panicked: %v", r)
+				}
+				if !c.ok {
+					if msg, isStr := r.(string); !isStr || !strings.Contains(msg, "stack-depth") {
+						t.Fatalf("touchCount gave no clear panic for an unindexable stream: %v", r)
+					}
+				}
+			}()
+			if n := touchCount(c.ops, c.cores); uint64(n) != c.ops*uint64(c.cores) {
+				t.Fatalf("touchCount = %d, want %d", n, c.ops*uint64(c.cores))
+			}
+		})
+	}
+	defer func() {
+		r := recover()
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "stack-depth") {
+			t.Fatalf("Profile did not reject an unindexable stream before building it: %v", r)
+		}
+	}()
+	cfg := quickCfg()
+	cfg.Ops = math.MaxInt32
+	Profile("mix2", mix2(t), cfg)
 }

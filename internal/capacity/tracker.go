@@ -27,7 +27,10 @@ type tracker struct {
 	bytes  [NSizers][]int32
 	totals [NSizers]int64
 
-	dirty map[uint32]struct{}
+	// dirty lists the pages stored to since the last refresh, in
+	// first-store order; isDirty flags the listed pages.
+	dirty   []uint32
+	isDirty []bool
 }
 
 func newTracker(img *workload.Image, jobs int) *tracker {
@@ -36,7 +39,7 @@ func newTracker(img *workload.Image, jobs int) *tracker {
 		pages:   img.FootprintPages(),
 		codec:   compress.BPC{},
 		lineRaw: make([]uint8, img.Lines()),
-		dirty:   make(map[uint32]struct{}),
+		isDirty: make([]bool, img.FootprintPages()),
 	}
 	for s := Sizer(0); s < NSizers; s++ {
 		t.bytes[s] = make([]int32, t.pages)
@@ -90,15 +93,21 @@ func (t *tracker) rawSize(lineAddr uint64) uint8 {
 // mutate content), and back-to-back stores to one line collapse into a
 // single sizing pass.
 func (t *tracker) noteStore(lineAddr uint64) {
-	t.dirty[uint32(lineAddr/memctl.LinesPerPage)] = struct{}{}
+	p := uint32(lineAddr / memctl.LinesPerPage)
+	if !t.isDirty[p] {
+		t.isDirty[p] = true
+		t.dirty = append(t.dirty, p)
+	}
 }
 
 // refresh re-sizes and re-prices dirty pages, applying no-repack
 // watermarks. Unmutated lines of a dirty page hit the image's size
 // memo, so a page refresh costs one batched scan plus SizeOnly for
-// just the stored-to lines.
+// just the stored-to lines. Pages are priced in first-store order
+// into a reused list, so a refresh allocates nothing.
 func (t *tracker) refresh() {
-	for p := range t.dirty {
+	for _, p := range t.dirty {
+		t.isDirty[p] = false
 		base := uint64(p) * memctl.LinesPerPage
 		for l := uint64(0); l < memctl.LinesPerPage; l++ {
 			t.lineRaw[base+l] = t.rawSize(base + l)
@@ -112,7 +121,7 @@ func (t *tracker) refresh() {
 			t.totals[s] += int64(t.bytes[s][p] - old[s])
 		}
 	}
-	t.dirty = make(map[uint32]struct{})
+	t.dirty = t.dirty[:0]
 }
 
 // priceFresh prices page p from scratch (construction).

@@ -1,6 +1,7 @@
 package capacity
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -172,5 +173,39 @@ func TestLCPPriceOmitsExceptionReserve(t *testing.T) {
 	c.InstallPage(0, lines)
 	if got := c.CompressedBytes(); got != 2*metadata.ChunkSize {
 		t.Fatalf("lcp allocates %d B for the page, want 2 chunks (%d B)", got, 2*metadata.ChunkSize)
+	}
+}
+
+// TestRefreshReusesDirtyList pins stage 1's per-interval bookkeeping:
+// refresh walks the stored-to pages in first-store order, clears them
+// and allocates nothing, and re-pricing an unchanged page moves no
+// total.
+func TestRefreshReusesDirtyList(t *testing.T) {
+	prof, err := workload.ByName("soplex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newTracker(workload.NewImage(workload.Scale(prof, 1<<20), 1), 1)
+	totals := tr.totals
+	for _, page := range []uint64{3, 1, 3, 0, 1} {
+		tr.noteStore(page*memctl.LinesPerPage + 5)
+	}
+	if want := []uint32{3, 1, 0}; !slices.Equal(tr.dirty, want) {
+		t.Fatalf("dirty pages %v, want %v in first-store order", tr.dirty, want)
+	}
+	tr.refresh()
+	if len(tr.dirty) != 0 || slices.Contains(tr.isDirty, true) {
+		t.Fatalf("refresh left pages dirty: list %v, flags %v", tr.dirty, tr.isDirty)
+	}
+	if tr.totals != totals {
+		t.Fatalf("re-pricing unchanged pages moved totals %v to %v", totals, tr.totals)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		tr.noteStore(2*memctl.LinesPerPage + 1)
+		tr.noteStore(7)
+		tr.refresh()
+	})
+	if allocs != 0 {
+		t.Fatalf("an interval's noteStore+refresh allocated %v times, want 0", allocs)
 	}
 }

@@ -21,7 +21,8 @@ var CompressedSystems = []sim.System{sim.LCP, sim.LCPAlign, sim.Compresso}
 var capSizers = [3]capacity.Sizer{capacity.LCP, capacity.LCPAlign, capacity.Compresso}
 
 // dualFrac is the constrained memory fraction of the capacity half of
-// Figs. 10 and 11.
+// Figs. 10 and 11; it is one of tab2Fracs, so the capacity cells give
+// it without a further replay.
 const dualFrac = 0.7
 
 // DualRow is one dual-methodology evaluation (Figs. 10 and 11) of LCP,
@@ -141,11 +142,7 @@ func Fig10Data(opt Options) []Fig10Row {
 			}
 
 			// Memory-capacity impact at dualFrac of the footprint.
-			ccfg := capacity.DefaultConfig()
-			ccfg.Ops = opt.ops() * 3
-			ccfg.FootprintScale = opt.scale()
-			ccfg.Seed = opt.seed()
-			row.setCapacity(capacity.Profile(prof.Name, []workload.Profile{prof}, ccfg).At(dualFrac))
+			row.setCapacity(capacityCell(ctx, opt, prof.Name, []workload.Profile{prof}, opt.ops()*3).at(dualFrac))
 			return row
 		}), nil
 	})

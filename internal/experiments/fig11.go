@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"compresso/internal/capacity"
 	"compresso/internal/sim"
 )
 
@@ -55,11 +54,7 @@ func Fig11Data(opt Options) ([]Fig11Row, error) {
 				}
 			}
 
-			ccfg := capacity.DefaultConfig()
-			ccfg.Ops = opt.ops()
-			ccfg.FootprintScale = opt.scale()
-			ccfg.Seed = opt.seed()
-			row.setCapacity(capacity.Profile(mix.Name, profs, ccfg).At(dualFrac))
+			row.setCapacity(capacityCell(ctx, opt, mix.Name, profs, opt.ops()).at(dualFrac))
 			return row, nil
 		})
 	})

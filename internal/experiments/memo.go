@@ -8,10 +8,12 @@ import (
 // memo is the deterministic singleflight cache behind everything the
 // sweep shares: the expensive shared grids (fig10's rows feed fig10a,
 // fig10b and fig12; fig11's feed fig11a and fig11b), keyed by the
-// (quick, seed) configuration, and the single-core run memo (run.go),
-// keyed by the resolved simulation config. Under a parallel RunAll
-// several callers can want the same key at once: the first computes
-// it, concurrent callers wait for the same entry and share the result.
+// (quick, seed) configuration, the single-core run memo (run.go),
+// keyed by the resolved simulation config, and the capacity cell memo
+// (tab2.go), keyed by the resolved profiles and capacity config. Under
+// a parallel RunAll several callers can want the same key at once: the
+// first computes it, concurrent callers wait for the same entry and
+// share the result.
 // The computations are deterministic, so a cached value is
 // byte-for-byte what the caller would have computed itself.
 //
@@ -105,4 +107,5 @@ func resetMemos() {
 	fleetSweepCache.reset()
 	fleetPolicyCache.reset()
 	runCache.reset()
+	capCache.reset()
 }

@@ -20,7 +20,7 @@ type memoProbe struct {
 }
 
 // probeMemo takes a key no sweep uses: sweep keys are (0 or 1, seed)
-// and every run key names a benchmark.
+// and every run or capacity cell key names a benchmark or a mix.
 func probeMemo[K comparable, T any](c *memo[K, T], key K) memoProbe {
 	return memoProbe{
 		fill: func() {
@@ -94,6 +94,7 @@ func TestResetMemosClearsEveryMemo(t *testing.T) {
 		"fleetSweepCache":  probeMemo(&fleetSweepCache, unusedSweep),
 		"fleetPolicyCache": probeMemo(&fleetPolicyCache, unusedSweep),
 		"runCache":         probeMemo(&runCache, runKey{}),
+		"capCache":         probeMemo(&capCache, capKey{}),
 	}
 	declared := declaredMemos(t)
 	if len(declared) == 0 {

@@ -5,7 +5,9 @@
 //   - Pager: page-granular LRU paging under a byte budget — the
 //     mechanism behind the memory-capacity impact evaluation (§VI-A's
 //     cgroups-constrained runs). Every page touch either hits the
-//     resident set or faults and evicts the LRU page.
+//     resident set or faults and evicts the LRU page. The capacity
+//     package replays it in one pass from stack depths and is checked
+//     against this model.
 //   - Balloon: the §V-B ballooning driver. When the hardware runs out
 //     of machine memory, the Compresso driver inflates, the guest OS
 //     surrenders its coldest pages, and the hardware marks them
@@ -19,6 +21,12 @@ import (
 )
 
 // Pager is an LRU paging model over 4 KB pages with a byte budget.
+//
+// It is the reference model for the capacity evaluation's stage 2:
+// capacity.Recording.At replays a touch stream for every storage model
+// in one pass over precomputed LRU stack depths, and the capacity
+// tests (FuzzStackReplayMatchesPager, TestProfileAtMatchesOneShot)
+// require that replay to fault exactly where a Pager does.
 type Pager struct {
 	budget int64 // bytes; <0 means unconstrained
 	lru    *list.List
