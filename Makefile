@@ -32,18 +32,21 @@ seam:
 
 # The concurrency-bearing packages: the parallel fan-out primitive,
 # the experiments that run cells through it, the simulator whose
-# state those cells must not share, the capacity tracker's
-# fanned-out construction scan, and the workload images' process-wide
-# pristine size tables. The heaviest sweeps skip under the
-# race detector (see raceEnabled in internal/experiments); the light
-# cells still cover every grid call shape on parallel.MapResilient.
+# state those cells must not share (and whose concurrent runs on one
+# MixAssets claim, record and replay its cache-filter logs), the cache
+# hierarchies those logs drive and the metadata codec every run packs
+# entries with, the capacity tracker's fanned-out construction scan,
+# and the workload images' process-wide pristine size tables. The
+# heaviest sweeps skip under the race detector (see raceEnabled in
+# internal/experiments); the light cells still cover every grid call
+# shape on parallel.MapResilient.
 race:
 	$(GO) test -race -timeout 20m ./internal/core/... ./internal/sim/... \
 		./internal/parallel/... ./internal/experiments/... \
 		./internal/progress/... ./internal/obshttp/... \
 		./internal/memctl/... ./internal/cram/... ./internal/cxl/... \
 		./internal/fleet/... ./internal/capacity/... \
-		./internal/workload/...
+		./internal/workload/... ./internal/cache/... ./internal/metadata/...
 
 # Time one full quick-mode RunAll sweep serial vs parallel. The output
 # is byte-identical by contract; only the wall time should differ.
@@ -63,9 +66,10 @@ bench-kernels:
 
 # Single-run hot-loop benchmarks: the biggest committed -mix run (mix1,
 # ops 50000, scale 8 — the BENCH_mix_mix1_*.json configuration) serial
-# vs fanned out, and a serial single-core GemsFDTD comparison whose
-# first system records the cache-filter log and the rest replay it
-# (DESIGN.md §13). One iteration each is the `check` smoke run; for real
+# vs fanned out (serially, the first system records each core's
+# private-level log and the rest replay it), and a serial single-core
+# GemsFDTD comparison whose first system records the cache-filter log
+# and the rest replay it (DESIGN.md §13). One iteration each is the `check` smoke run; for real
 # before/after numbers use -count and benchstat (recipe in
 # EXPERIMENTS.md, "Tracking hot-loop performance").
 bench-hotloop:
@@ -227,12 +231,16 @@ soak:
 # Longer fuzz of the controller invariants, of the LZ hash-chain
 # matcher against its brute-force reference, of the fused BPC size
 # kernel against the pre-fusion size path, of the shared LCP page
-# layout behind the capacity model's LCP price, and of the capacity
-# model's one-pass stack-depth replay against the LRU pager (the
-# default corpora run as part of `test`).
+# layout behind the capacity model's LCP price, of the capacity
+# model's one-pass stack-depth replay against the LRU pager, of the
+# multi-core private-level cache replay against live hierarchies under
+# another interleave, and of the word-level metadata entry codec against
+# its bitstream reference (the default corpora run as part of `test`).
 fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzControllerReadWrite -fuzztime 60s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzLZMatchEquivalence$$' -fuzztime 20s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzBPCSizeEquivalence$$' -fuzztime 20s
 	$(GO) test ./internal/capacity/ -run '^$$' -fuzz '^FuzzLCPPageBytesBounded$$' -fuzztime 20s
 	$(GO) test ./internal/capacity/ -run '^$$' -fuzz '^FuzzStackReplayMatchesPager$$' -fuzztime 20s
+	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzPrivateReplayMatchesLive$$' -fuzztime 20s
+	$(GO) test ./internal/metadata/ -run '^$$' -fuzz '^FuzzEntryCodecMatchesReference$$' -fuzztime 20s

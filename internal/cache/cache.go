@@ -227,10 +227,12 @@ type Hierarchy struct {
 
 	// rec, when non-nil, receives the outcome of every live Access;
 	// play, when non-nil, supplies every Access instead of the caches,
-	// from op playOp and writeback playWB on (filter.go).
-	rec            *FilterLog
-	play           *FilterLog
-	playOp, playWB int
+	// from op playOp and writeback playWB on (filter.go). privRec and
+	// privPlay do the same for the private levels alone, with playWB
+	// counting L3 installs.
+	rec, play         *FilterLog
+	privRec, privPlay *PrivateLog
+	playOp, playWB    int
 }
 
 // NewHierarchy builds the paper's single-core hierarchy with the given
@@ -258,10 +260,17 @@ func (h *Hierarchy) Access(lineAddr uint64, write bool) int {
 	switch {
 	case h.play != nil:
 		return h.replay(lineAddr)
+	case h.privPlay != nil:
+		return h.replayPrivate(lineAddr)
 	case h.rec != nil:
 		before := h.L3.stats
 		level := h.access(lineAddr, write)
 		h.rec.add(level, before, h.L3.stats, h.Events)
+		return level
+	case h.privRec != nil:
+		installs := len(h.privRec.installs)
+		level := h.access(lineAddr, write)
+		h.privRec.add(level, len(h.privRec.installs)-installs)
 		return level
 	}
 	return h.access(lineAddr, write)
@@ -278,6 +287,12 @@ func (h *Hierarchy) access(lineAddr uint64, write bool) int {
 	if hit, _, _ := h.accessLevel(h.L2, h.L3, lineAddr, false); hit {
 		return 2
 	}
+	return h.accessL3(lineAddr)
+}
+
+// accessL3 is the demand access to L3 of a line both private levels
+// missed: it returns 3 on a hit, else emits the fill and returns 4.
+func (h *Hierarchy) accessL3(lineAddr uint64) int {
 	hit, victim, evicted := h.L3.Access(lineAddr, false)
 	if evicted && victim.Dirty {
 		h.Events = append(h.Events, MemoryEvent{LineAddr: victim.LineAddr, Write: true})
@@ -302,6 +317,9 @@ func (h *Hierarchy) accessLevel(upper, lower *Cache, lineAddr uint64, write bool
 // installDirty writes a dirty line into level c (write-allocate). Any
 // dirty line this displaces cascades further down; below L3 is memory.
 func (h *Hierarchy) installDirty(c *Cache, lineAddr uint64) {
+	if c == h.L3 && h.privRec != nil {
+		h.privRec.install(lineAddr)
+	}
 	_, victim, evicted := c.Access(lineAddr, true)
 	if !evicted || !victim.Dirty {
 		return

@@ -58,7 +58,7 @@ func (l *FilterLog) add(level int, before, after Stats, events []MemoryEvent) {
 // Record makes every later Access run on the live caches and append
 // its outcome to log.
 func (h *Hierarchy) Record(log *FilterLog) {
-	h.rec, h.play = log, nil
+	h.rec, h.play, h.privRec, h.privPlay = log, nil, nil, nil
 }
 
 // Replay makes every later Access replay log from its start instead of
@@ -69,7 +69,8 @@ func (h *Hierarchy) Record(log *FilterLog) {
 // from, into a hierarchy of the same geometry; replaying past the
 // log's end panics.
 func (h *Hierarchy) Replay(log *FilterLog) {
-	h.rec, h.play, h.playOp, h.playWB = nil, log, 0, 0
+	h.rec, h.play, h.privRec, h.privPlay = nil, log, nil, nil
+	h.playOp, h.playWB = 0, 0
 }
 
 // replay is Access on a replaying hierarchy.
@@ -92,4 +93,80 @@ func (h *Hierarchy) replay(lineAddr uint64) int {
 		h.Events = append(h.Events, MemoryEvent{LineAddr: lineAddr})
 	}
 	return level
+}
+
+// A PrivateLog is the recorded outcome of one op sequence through a
+// Hierarchy's private levels. The hierarchy is non-inclusive and L3
+// never invalidates above itself, so what L1 and L2 do with an Access,
+// and the L3 operations they issue, depend only on the hierarchy's own
+// (line, write) sequence, never on a shared L3 or on the other cores
+// reaching it. The systems of a multi-core comparison share one pass
+// through each core's L1/L2 this way, while their shared L3 runs live
+// in whatever order their own core clocks dictate.
+//
+// An Access installs at most two dirty L2 victims into L3 (one pushed
+// down by L1's victim, one displaced by the L2 fill), so an op packs
+// into one byte:
+//
+//	bits 0-1  level code: 0 L1 hit, 1 L2 hit, 2 sent to L3
+//	bits 2-3  dirty lines installed into L3 before the demand access
+//
+// The installed line addresses go to a separate uint32 slice in issue
+// order.
+type PrivateLog struct {
+	ops      []uint8
+	installs []uint32
+}
+
+// NewPrivateLog returns an empty log with room for ops Accesses.
+func NewPrivateLog(ops int) *PrivateLog { return &PrivateLog{ops: make([]uint8, 0, ops)} }
+
+// add appends one live Access: its level and how many L3 installs it
+// made (already appended by install).
+func (l *PrivateLog) add(level, installs int) {
+	l.ops = append(l.ops, uint8(min(level, 3)-1)|uint8(installs)<<2)
+}
+
+// install appends one dirty line written from L2 into L3.
+func (l *PrivateLog) install(lineAddr uint64) {
+	if lineAddr >= FilterLines {
+		panic(fmt.Sprintf("cache: private log cannot hold line address %#x", lineAddr))
+	}
+	l.installs = append(l.installs, uint32(lineAddr))
+}
+
+// RecordPrivate makes every later Access run on the live caches and
+// append its private-level outcome to log.
+func (h *Hierarchy) RecordPrivate(log *PrivateLog) {
+	h.rec, h.play, h.privRec, h.privPlay = nil, nil, log, nil
+}
+
+// ReplayPrivate makes every later Access replay log from its start in
+// place of L1 and L2: each applies the recorded installs to L3, then,
+// when the op was sent to L3, runs the demand access there live. The
+// level, Events, L3 contents and L3 counters come out exactly as a live
+// Access's under any interleave with other hierarchies sharing L3; L1,
+// L2 and their counters stay untouched. The caller must feed the op
+// sequence the log was recorded from; replaying past the log's end
+// panics.
+func (h *Hierarchy) ReplayPrivate(log *PrivateLog) {
+	h.rec, h.play, h.privRec, h.privPlay = nil, nil, nil, log
+	h.playOp, h.playWB = 0, 0
+}
+
+// replayPrivate is Access on a hierarchy replaying a PrivateLog.
+func (h *Hierarchy) replayPrivate(lineAddr uint64) int {
+	op := h.privPlay.ops[h.playOp]
+	h.playOp++
+	h.Events = h.Events[:0]
+	if n := int(op >> 2); n > 0 {
+		for _, a := range h.privPlay.installs[h.playWB : h.playWB+n] {
+			h.installDirty(h.L3, uint64(a))
+		}
+		h.playWB += n
+	}
+	if code := int(op & 3); code < 2 {
+		return code + 1
+	}
+	return h.accessL3(lineAddr)
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"slices"
 	"strings"
 	"testing"
@@ -115,6 +116,169 @@ func TestFilterLogRejectsWideLines(t *testing.T) {
 	// Each dirty line pushes the previous one a level down; the fourth
 	// writes the wide line back to memory.
 	for i := uint64(0); i < 4; i++ {
+		h.Access(wide+512*i, true)
+	}
+}
+
+// sharedHierarchies builds n tiny hierarchies over one shared L3.
+func sharedHierarchies(n int) []*Hierarchy {
+	l3 := New("l3", 16*LineSize, 2)
+	hs := make([]*Hierarchy, n)
+	for i := range hs {
+		hs[i] = tinyHierarchy()
+		hs[i].L3 = l3
+	}
+	return hs
+}
+
+// interleave returns a schedule that steps through streams of the given
+// lengths in an order drawn from r: entry k names the core whose next
+// op is the schedule's k-th.
+func interleave(r *rng.Rand, lens []int) []int {
+	var sched []int
+	for i, n := range lens {
+		for range n {
+			sched = append(sched, i)
+		}
+	}
+	for k := len(sched) - 1; k > 0; k-- {
+		j := r.Intn(k + 1)
+		sched[k], sched[j] = sched[j], sched[k]
+	}
+	return sched
+}
+
+// recordPrivate runs streams under schedule sched on live hierarchies
+// sharing one L3, recording each core's private log.
+func recordPrivate(streams [][]filterOp, sched []int) []*PrivateLog {
+	hs := sharedHierarchies(len(streams))
+	logs := make([]*PrivateLog, len(streams))
+	for i, h := range hs {
+		logs[i] = NewPrivateLog(len(streams[i]))
+		h.RecordPrivate(logs[i])
+	}
+	next := make([]int, len(streams))
+	for _, c := range sched {
+		op := streams[c][next[c]]
+		next[c]++
+		hs[c].Access(op.line, op.write)
+	}
+	return logs
+}
+
+// checkPrivateReplay runs streams under schedule sched twice, on live
+// hierarchies and on hierarchies replaying logs, and requires the same
+// level, events and L3 counters after every op and the same L3 contents
+// at the end. Both reset their counters a third of the way in, like the
+// simulator's warmup reset. The replaying L1s must stay untouched.
+func checkPrivateReplay(t *testing.T, streams [][]filterOp, sched []int, logs []*PrivateLog) {
+	t.Helper()
+	live, play := sharedHierarchies(len(streams)), sharedHierarchies(len(streams))
+	for i, h := range play {
+		h.ReplayPrivate(logs[i])
+	}
+	next := make([]int, len(streams))
+	for k, c := range sched {
+		if k == len(sched)/3 {
+			for i := range live {
+				live[i].ResetStats()
+				play[i].ResetStats()
+			}
+		}
+		op := streams[c][next[c]]
+		next[c]++
+		want := live[c].Access(op.line, op.write)
+		got := play[c].Access(op.line, op.write)
+		if got != want || !slices.Equal(play[c].Events, live[c].Events) || play[c].L3.Stats() != live[c].L3.Stats() {
+			t.Fatalf("op %d (core %d, %+v): replay level %d events %v L3 %+v; live level %d events %v L3 %+v",
+				k, c, op, got, play[c].Events, play[c].L3.Stats(), want, live[c].Events, live[c].L3.Stats())
+		}
+	}
+	if !slices.Equal(play[0].L3.data, live[0].L3.data) {
+		t.Fatal("replayed L3 contents differ from the live L3's")
+	}
+	for c, h := range play {
+		if h.L1.Stats().Accesses() != 0 || h.L2.Stats().Accesses() != 0 {
+			t.Fatalf("core %d: replay touched the private levels", c)
+		}
+	}
+}
+
+// TestPrivateReplayMatchesLive records four cores' private logs under
+// one interleave and replays them under another: the shared L3 must
+// come out as a live run under the second interleave, op by op. The
+// streams must exercise the widest op, two L3 installs.
+func TestPrivateReplayMatchesLive(t *testing.T) {
+	r := rng.New(11)
+	streams := make([][]filterOp, 4)
+	lens := make([]int, len(streams))
+	for i := range streams {
+		streams[i] = randomOps(uint64(20+i), 8000, 96)
+		lens[i] = len(streams[i])
+	}
+	logs := recordPrivate(streams, interleave(r, lens))
+	widest := 0
+	for _, l := range logs {
+		for _, op := range l.ops {
+			widest = max(widest, int(op>>2))
+		}
+	}
+	if widest != 2 {
+		t.Fatalf("widest op installed %d lines into L3; want 2 to cover the field", widest)
+	}
+	checkPrivateReplay(t, streams, interleave(r, lens), logs)
+}
+
+// FuzzPrivateReplayMatchesLive: 2-4 cores' arbitrary op streams,
+// recorded under the order the input lists them and replayed under an
+// interleave drawn from seed, must match a live run under that
+// interleave. This is the interleave independence the multi-core
+// cache filter rests on.
+func FuzzPrivateReplayMatchesLive(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint64(1))
+	f.Add(bytes.Repeat([]byte{0x81, 0x13, 0x42, 0xc7, 0x05, 0xfe}, 200), uint64(2))
+	f.Add(bytes.Repeat([]byte{0xff, 0x00, 0x7f, 0x80}, 300), uint64(3))
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64) {
+		if len(data) == 0 {
+			return
+		}
+		n := 2 + int(data[0])%3
+		streams := make([][]filterOp, n)
+		var rec []int
+		// Each op is two bytes: core, write bit and the line's high
+		// bits, then its low byte (lines 0-511, so cores overlap).
+		for k := 1; k+1 < len(data); k += 2 {
+			c := int(data[k]) % n
+			op := filterOp{uint64(data[k]>>3&1)<<8 | uint64(data[k+1]), data[k]&0x80 != 0}
+			streams[c] = append(streams[c], op)
+			rec = append(rec, c)
+		}
+		lens := make([]int, n)
+		for i, s := range streams {
+			lens[i] = len(s)
+		}
+		checkPrivateReplay(t, streams, interleave(rng.New(seed), lens), recordPrivate(streams, rec))
+	})
+}
+
+// TestPrivateLogRejectsWideLines pins the private log's 32-bit guard: a
+// dirty line installed into L3 whose address does not fit panics
+// instead of being truncated.
+func TestPrivateLogRejectsWideLines(t *testing.T) {
+	h := &Hierarchy{
+		L1: New("l1", 512*LineSize, 1),
+		L2: New("l2", 512*LineSize, 1),
+		L3: New("l3", 512*LineSize, 1),
+	}
+	h.RecordPrivate(NewPrivateLog(0))
+	wide := uint64(FilterLines) + 1
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "private log") {
+			t.Fatalf("recovered %q, want the private log's guard", msg)
+		}
+	}()
+	// The third dirty line pushes the first out of L2 into L3.
+	for i := uint64(0); i < 3; i++ {
 		h.Access(wide+512*i, true)
 	}
 }

@@ -10,9 +10,8 @@
 package metadata
 
 import (
+	"encoding/binary"
 	"fmt"
-
-	"compresso/internal/bitstream"
 )
 
 // Geometry constants from the paper.
@@ -98,43 +97,62 @@ func (e *Entry) Chunks() int {
 func (e *Entry) AllocatedBytes() int { return e.Chunks() * ChunkSize }
 
 // Pack encodes the entry into dst, which must hold EntrySize bytes.
+//
+// The codec works on the entry as eight big-endian 64-bit words: half 1
+// is words 0-3 (control word in the top 32 bits of word 0, then the
+// eight 28-bit MPFNs, two of which straddle word boundaries) and half
+// 2 is words 4-7 (32 line size codes per word in 4 and 5, then the 17
+// inflation pointers across 6 and 7). Every field sits at a fixed bit
+// offset, so each is one constant shift and mask.
 func (e *Entry) Pack(dst []byte) {
 	if len(dst) < EntrySize {
 		panic(fmt.Sprintf("metadata: Pack into %d bytes", len(dst)))
 	}
-	e.validate()
-	w := bitstream.NewWriter(EntrySize)
-	packBool := func(b bool) {
-		if b {
-			w.WriteBit(1)
-		} else {
-			w.WriteBit(0)
-		}
+	var w [EntrySize / 8]uint64
+	w[0] = bit(e.Valid)<<63 | bit(e.Zero)<<62 | bit(e.Compressed)<<61 |
+		uint64(e.PageSizeCode)<<58 | uint64(e.InflatedCount)<<52 | uint64(e.FreeSpace)<<40 |
+		uint64(e.MPFN[0])<<4 | uint64(e.MPFN[1])>>24
+	w[1] = uint64(e.MPFN[1])<<40 | uint64(e.MPFN[2])<<12 | uint64(e.MPFN[3])>>16
+	w[2] = uint64(e.MPFN[3])<<48 | uint64(e.MPFN[4])<<20 | uint64(e.MPFN[5])>>8
+	w[3] = uint64(e.MPFN[5])<<56 | uint64(e.MPFN[6])<<28 | uint64(e.MPFN[7])
+	// The loops OR each array's fields together on the way: a field is
+	// out of range exactly when the OR reaches past the field's width,
+	// and validate only runs to name it.
+	var lo, hi uint64
+	var codes, lines uint8
+	for i := range LinesPerPage / 2 {
+		c, d := e.LineSizeCode[i], e.LineSizeCode[LinesPerPage/2+i]
+		lo, hi = lo<<2|uint64(c), hi<<2|uint64(d)
+		codes |= c | d
 	}
-	packBool(e.Valid)
-	packBool(e.Zero)
-	packBool(e.Compressed)
-	w.WriteBits(uint64(e.PageSizeCode), 3)
-	w.WriteBits(uint64(e.InflatedCount), 6)
-	w.WriteBits(uint64(e.FreeSpace), 12)
-	w.WriteBits(0, 8) // spare
-	for _, m := range e.MPFN {
-		w.WriteBits(uint64(m), MPFNBits)
+	w[4], w[5] = lo, hi
+	lo, hi = 0, uint64(e.Inflated[10])
+	for _, l := range e.Inflated[:10] {
+		lo = lo<<6 | uint64(l)
+		lines |= l
 	}
-	if w.Len() != HalfEntrySize {
-		panic(fmt.Sprintf("metadata: half 1 packed to %d bytes", w.Len()))
+	for _, l := range e.Inflated[11:] {
+		hi = hi<<6 | uint64(l)
+		lines |= l
 	}
-	for _, c := range e.LineSizeCode {
-		w.WriteBits(uint64(c), 2)
+	lines |= e.Inflated[10]
+	w[6], w[7] = lo<<4|uint64(e.Inflated[10])>>2, hi<<26 // spare
+	mpfns := e.MPFN[0] | e.MPFN[1] | e.MPFN[2] | e.MPFN[3] | e.MPFN[4] | e.MPFN[5] | e.MPFN[6] | e.MPFN[7]
+	if e.PageSizeCode >= MaxChunks || e.InflatedCount > MaxInflated || e.FreeSpace >= 1<<freeSpaceBits ||
+		mpfns >= 1<<MPFNBits || codes >= 4 || lines >= LinesPerPage {
+		e.validate()
 	}
-	for _, l := range e.Inflated {
-		w.WriteBits(uint64(l), 6)
+	for i, v := range w {
+		binary.BigEndian.PutUint64(dst[8*i:], v)
 	}
-	w.WriteBits(0, 26) // spare
-	if w.Len() != EntrySize {
-		panic(fmt.Sprintf("metadata: packed to %d bytes", w.Len()))
+}
+
+// bit is b as 0 or 1.
+func bit(b bool) uint64 {
+	if b {
+		return 1
 	}
-	copy(dst[:EntrySize], w.Bytes())
+	return 0
 }
 
 func (e *Entry) validate() {
@@ -144,8 +162,8 @@ func (e *Entry) validate() {
 	if e.InflatedCount > MaxInflated {
 		panic(fmt.Sprintf("metadata: inflated count %d", e.InflatedCount))
 	}
-	if int(e.FreeSpace) > PageSize {
-		panic(fmt.Sprintf("metadata: free space %d", e.FreeSpace))
+	if e.FreeSpace >= 1<<freeSpaceBits {
+		panic(fmt.Sprintf("metadata: free space %d exceeds %d bits", e.FreeSpace, freeSpaceBits))
 	}
 	for _, m := range e.MPFN {
 		if m >= 1<<MPFNBits {
@@ -164,35 +182,52 @@ func (e *Entry) validate() {
 	}
 }
 
-// Unpack decodes an entry from src (at least EntrySize bytes).
+// freeSpaceBits is the width of the FreeSpace field. It holds at most
+// PageSize-1, where the controller caps a page's free bytes.
+const freeSpaceBits = 12
+
+// Unpack decodes an entry from src (at least EntrySize bytes), in the
+// word layout Pack describes.
 func Unpack(src []byte) (Entry, error) {
 	var e Entry
 	if len(src) < EntrySize {
 		return e, fmt.Errorf("metadata: unpack from %d bytes", len(src))
 	}
-	r := bitstream.NewReader(src[:EntrySize])
-	readBits := func(n int) uint64 {
-		v, err := r.ReadBits(n)
-		if err != nil {
-			panic("metadata: unreachable short read") // length checked above
-		}
-		return v
+	var w [EntrySize / 8]uint64
+	for i := range w {
+		w[i] = binary.BigEndian.Uint64(src[8*i:])
 	}
-	e.Valid = readBits(1) == 1
-	e.Zero = readBits(1) == 1
-	e.Compressed = readBits(1) == 1
-	e.PageSizeCode = uint8(readBits(3))
-	e.InflatedCount = uint8(readBits(6))
-	e.FreeSpace = uint16(readBits(12))
-	readBits(8) // spare
-	for i := range e.MPFN {
-		e.MPFN[i] = uint32(readBits(MPFNBits))
+	const mpfn = 1<<MPFNBits - 1
+	e.Valid = w[0]>>63 != 0
+	e.Zero = w[0]>>62&1 != 0
+	e.Compressed = w[0]>>61&1 != 0
+	e.PageSizeCode = uint8(w[0] >> 58 & 7)
+	e.InflatedCount = uint8(w[0] >> 52 & 63)
+	e.FreeSpace = uint16(w[0] >> 40 & (1<<freeSpaceBits - 1))
+	e.MPFN[0] = uint32(w[0] >> 4 & mpfn)
+	e.MPFN[1] = uint32((w[0]<<24 | w[1]>>40) & mpfn)
+	e.MPFN[2] = uint32(w[1] >> 12 & mpfn)
+	e.MPFN[3] = uint32((w[1]<<16 | w[2]>>48) & mpfn)
+	e.MPFN[4] = uint32(w[2] >> 20 & mpfn)
+	e.MPFN[5] = uint32((w[2]<<8 | w[3]>>56) & mpfn)
+	e.MPFN[6] = uint32(w[3] >> 28 & mpfn)
+	e.MPFN[7] = uint32(w[3] & mpfn)
+	lo, hi := w[4], w[5]
+	for i := range LinesPerPage / 2 {
+		e.LineSizeCode[i] = uint8(lo >> 62)
+		e.LineSizeCode[LinesPerPage/2+i] = uint8(hi >> 62)
+		lo, hi = lo<<2, hi<<2
 	}
-	for i := range e.LineSizeCode {
-		e.LineSizeCode[i] = uint8(readBits(2))
+	lo, hi = w[6], w[7]
+	for i := range 10 {
+		e.Inflated[i] = uint8(lo >> 58)
+		lo <<= 6
 	}
-	for i := range e.Inflated {
-		e.Inflated[i] = uint8(readBits(6))
+	e.Inflated[10] = uint8(lo>>58 | hi>>62)
+	hi <<= 2
+	for i := 11; i < MaxInflated; i++ {
+		e.Inflated[i] = uint8(hi >> 58)
+		hi <<= 6
 	}
 	if e.InflatedCount > MaxInflated {
 		return e, fmt.Errorf("metadata: inflated count %d out of range", e.InflatedCount)

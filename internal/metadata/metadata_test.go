@@ -16,7 +16,7 @@ func sampleEntry(r *rng.Rand) Entry {
 	e.Compressed = r.Bool(0.7)
 	e.PageSizeCode = uint8(r.Intn(MaxChunks))
 	e.InflatedCount = uint8(r.Intn(MaxInflated + 1))
-	e.FreeSpace = uint16(r.Intn(PageSize + 1))
+	e.FreeSpace = uint16(r.Intn(PageSize))
 	for i := range e.MPFN {
 		e.MPFN[i] = uint32(r.Intn(1 << MPFNBits))
 	}
@@ -91,6 +91,7 @@ func TestEntryValidation(t *testing.T) {
 	bad := []func(*Entry){
 		func(e *Entry) { e.PageSizeCode = 8 },
 		func(e *Entry) { e.InflatedCount = MaxInflated + 1 },
+		func(e *Entry) { e.FreeSpace = PageSize },
 		func(e *Entry) { e.FreeSpace = PageSize + 1 },
 		func(e *Entry) { e.MPFN[0] = 1 << MPFNBits },
 		func(e *Entry) { e.LineSizeCode[5] = 4 },

@@ -4,29 +4,39 @@ import (
 	"sync"
 
 	"compresso/internal/cache"
+	"compresso/internal/memctl"
 )
 
-// The single-core cache filter (DESIGN.md §13). A one-core machine's
-// L1/L2/L3 outcome depends only on its op stream and its L3 geometry,
-// and shared assets fix both for every system of a comparison. So the
+// The cache filter (DESIGN.md §13). A one-core machine's L1/L2/L3
+// outcome depends only on its op stream and its L3 geometry, and
+// shared assets fix both for every system of a comparison. So the
 // first such run on a MixAssets records the hierarchy's outcome into a
 // cache.FilterLog, and every later run replays it instead of simulating
-// the caches. Each core still charges its own system's latencies.
+// the caches.
+//
+// A multi-core machine's shared L3 sees the cores in an order that
+// follows each core's clock, which differs per system, so L3 must run
+// live. Each core's private L1/L2 outcome, and the L3 installs it
+// issues, depend on that core's op stream alone (the hierarchy is
+// non-inclusive and never back-invalidates). So the first multi-core
+// run on a MixAssets records one cache.PrivateLog per core, and later
+// runs replay those logs in place of L1/L2 while driving the shared L3
+// live. Each core still charges its own system's latencies.
 
-// filterSlot is a MixAssets' cache-filter log and the claim on
-// recording it.
-type filterSlot struct {
+// filterSlot is a MixAssets' cache-filter log of type L and the claim
+// on recording it.
+type filterSlot[L any] struct {
 	mu        sync.Mutex
-	recording bool             // a run holds the claim
-	log       *cache.FilterLog // published by a completed recording
+	recording bool // a run holds the claim
+	log       *L   // published by a completed recording
 }
 
-// claim returns the published log to replay (record false), or a fresh
-// log for the caller to record (record true; the caller then holds the
-// claim and must release it), or nil when another run is recording:
+// claim returns the published log to replay, or nil with record true
+// when the caller takes the claim to record a fresh log (it must then
+// release it), or nil with record false when another run is recording:
 // the caller runs live rather than waiting, so the outcome cannot
 // depend on scheduling.
-func (f *filterSlot) claim(ops uint64) (log *cache.FilterLog, record bool) {
+func (f *filterSlot[L]) claim() (log *L, record bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	switch {
@@ -36,13 +46,13 @@ func (f *filterSlot) claim(ops uint64) (log *cache.FilterLog, record bool) {
 		return nil, false
 	}
 	f.recording = true
-	return cache.NewFilterLog(int(ops)), true
+	return nil, true
 }
 
 // release ends a recording claim. Only a run that completed every op
 // publishes its log; after a panic or cancellation the next run
 // records afresh.
-func (f *filterSlot) release(log *cache.FilterLog, completed bool) {
+func (f *filterSlot[L]) release(log *L, completed bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.recording = false
@@ -51,27 +61,58 @@ func (f *filterSlot) release(log *cache.FilterLog, completed bool) {
 	}
 }
 
-// filterCaches connects a one-core machine running on shared assets
-// to their cache-filter log: it replays a published log, or records
-// one and returns the release to call, with whether the run completed,
-// once the run ends. Multi-core machines keep the live hierarchy (their
-// interleave follows each core's clock, which differs per system), as
-// do runs whose op count or footprint scale differs from the assets'
-// and images too large for the log's 32-bit line addresses.
+// filterCaches connects a machine running on shared assets to their
+// cache-filter logs: one core's whole hierarchy to the one-core log,
+// several cores' private levels each to its core's private log. Each
+// log is replayed when published, else recorded when unclaimed, else
+// left live. It returns the release to call, with whether the run
+// completed, once the run ends (nil when nothing records). Runs whose
+// op count differs from the assets' keep the live caches, as do images
+// too large for the logs' 32-bit line addresses and one-core runs at
+// another footprint scale (which sets the one-core log's L3 geometry;
+// L1/L2 geometry is fixed, so the private logs do not depend on it).
 func (m *machine) filterCaches() (release func(completed bool)) {
 	a := m.cfg.Assets
-	if a == nil || len(m.cores) != 1 || a.ops != m.cfg.Ops || a.scale != m.cfg.FootprintScale ||
-		m.streams[0].Image().Lines() >= cache.FilterLines {
+	n := len(m.cores)
+	if a == nil || a.ops != m.cfg.Ops ||
+		m.base[n-1]*memctl.LinesPerPage+m.streams[n-1].Image().Lines() >= cache.FilterLines {
 		return nil
 	}
-	log, record := a.filter.claim(m.cfg.Ops)
+	if n == 1 {
+		if a.scale != m.cfg.FootprintScale {
+			return nil
+		}
+		return filterInto(&a.filter, m.cfg.Ops, cache.NewFilterLog, m.hiers[0].Replay, m.hiers[0].Record)
+	}
+	var releases []func(bool)
+	for i, h := range m.hiers {
+		if r := filterInto(&a.private[i], m.cfg.Ops, cache.NewPrivateLog, h.ReplayPrivate, h.RecordPrivate); r != nil {
+			releases = append(releases, r)
+		}
+	}
+	if releases == nil {
+		return nil
+	}
+	return func(completed bool) {
+		for _, r := range releases {
+			r(completed)
+		}
+	}
+}
+
+// filterInto claims slot for one hierarchy: it starts replay of a
+// published log, or recording of a fresh one of ops Accesses, returning
+// that recording's release.
+func filterInto[L any](slot *filterSlot[L], ops uint64, fresh func(int) *L, replay, record func(*L)) func(bool) {
+	log, rec := slot.claim()
 	switch {
-	case log == nil:
+	case log != nil:
+		replay(log)
 		return nil
-	case !record:
-		m.hiers[0].Replay(log)
+	case !rec:
 		return nil
 	}
-	m.hiers[0].Record(log)
-	return func(completed bool) { a.filter.release(log, completed) }
+	log = fresh(int(ops))
+	record(log)
+	return func(completed bool) { slot.release(log, completed) }
 }

@@ -387,8 +387,11 @@ type MixAssets struct {
 	logs   []*workload.TraceLog
 
 	// filter is the one-core cache-filter log, recorded by the first
-	// single-core run on these assets (filter.go).
-	filter filterSlot
+	// single-core run on these assets, and private[i] core i's
+	// private-level log, recorded by the first multi-core run
+	// (filter.go).
+	filter  filterSlot[cache.FilterLog]
+	private []filterSlot[cache.PrivateLog]
 }
 
 // PrepareAssets materializes and sizes master images for the given
@@ -407,10 +410,11 @@ type MixAssets struct {
 // log's shared store-size slots let the several systems of a
 // comparison run share the recompression of stored lines — the sizes
 // are content-determined, so replays are byte-identical to generation.
-// The single-core cache-filter log is not built here: the first
-// one-core run on the assets records it.
+// The cache-filter logs are not built here: the first run on the
+// assets records them.
 func PrepareAssets(profs []workload.Profile, cfg Config, codec compress.Codec, jobs int) *MixAssets {
-	a := &MixAssets{scale: cfg.FootprintScale, seed: cfg.Seed, ops: cfg.Ops}
+	a := &MixAssets{scale: cfg.FootprintScale, seed: cfg.Seed, ops: cfg.Ops,
+		private: make([]filterSlot[cache.PrivateLog], len(profs))}
 	for i, p := range profs {
 		p = workload.Scale(p, cfg.FootprintScale)
 		img := workload.NewImage(p, cfg.Seed+uint64(i)*7919)
@@ -935,7 +939,11 @@ func RunMix(mixName string, profs []workload.Profile, cfg Config) MultiResult {
 	if len(profs) == 0 {
 		panic("sim: empty mix")
 	}
-	m := newMachine(profs, cfg)
+	return newMachine(profs, cfg).runMix(mixName)
+}
+
+// runMix runs a machine and reports it as a MultiResult.
+func (m *machine) runMix(mixName string) MultiResult {
 	m.run(func() obs.Snapshot { return m.state().Registry().Snapshot() })
 	out := m.finish()
 	out.MixName = mixName
