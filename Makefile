@@ -5,9 +5,9 @@ GO ?= go
 # Worker count for the chaos/soak harnesses (0 = all cores).
 JOBS ?= 0
 
-.PHONY: check vet fmt-check build test seam race fuzz bench-quick bench-json bench-kernels bench-hotloop backends fleet obs-smoke chaos soak
+.PHONY: check vet fmt-check build test seam race fuzz bench-quick bench-json bench-json-check bench-kernels bench-hotloop backends fleet obs-smoke chaos soak
 
-check: vet fmt-check build test seam race bench-kernels bench-hotloop backends fleet obs-smoke chaos
+check: vet fmt-check build test seam race bench-kernels bench-hotloop bench-json-check backends fleet obs-smoke chaos
 
 vet:
 	$(GO) vet ./...
@@ -77,29 +77,50 @@ bench-hotloop:
 	$(GO) test -run '^$$' -bench BenchmarkHotLoopMix -benchtime 1x .
 	$(GO) test -run '^$$' -bench BenchmarkCompareSingle -benchtime 1x -jobs 1 .
 
-# Snapshot the perf-tracking baseline as BENCH_*.json artifacts
-# (DESIGN.md §8): a single-benchmark four-system comparison and one
-# Tab. IV mix, each carrying the full metrics-registry snapshot.
+# The runs behind the committed BENCH_*.json artifacts, as one shell
+# command over $$bin (a compresso-sim binary) writing into $$out: a
+# single-benchmark four-system comparison, one Tab. IV mix, the CRAM
+# and CXL backends, and the attribution and fleet experiments.
 # -json-summary drops the raw trace events from the committed files
 # (trace totals/drop counts survive); drop the flag for the full-trace
 # escape hatch when debugging a perf regression.
+BENCH_JSON_RUNS = \
+	$$bin -bench gcc -compare -ops 100000 -scale 8 \
+		-trace-events 1024 -json-summary -json $$out > /dev/null && \
+	$$bin -mix mix1 -ops 50000 -scale 8 \
+		-trace-events 1024 -json-summary -json $$out > /dev/null && \
+	$$bin -bench gcc -system cram -ops 100000 -scale 8 \
+		-trace-events 1024 -json-summary -json $$out > /dev/null && \
+	$$bin -bench gcc -system cxl -ops 100000 -scale 8 \
+		-trace-events 1024 -json-summary -json $$out > /dev/null && \
+	$$bin -exp attribution -quick -json $$out > /dev/null && \
+	$$bin -exp fleet-sweep -quick -json $$out > /dev/null
+
+# Snapshot the perf-tracking baseline as BENCH_*.json artifacts
+# (DESIGN.md §8), each carrying the full metrics-registry snapshot.
 bench-json:
-	@rm -rf .bench-json-tmp
-	$(GO) run ./cmd/compresso-sim -bench gcc -compare -ops 100000 -scale 8 \
-		-trace-events 1024 -json-summary -json .bench-json-tmp > /dev/null
-	$(GO) run ./cmd/compresso-sim -mix mix1 -ops 50000 -scale 8 \
-		-trace-events 1024 -json-summary -json .bench-json-tmp > /dev/null
-	$(GO) run ./cmd/compresso-sim -bench gcc -system cram -ops 100000 -scale 8 \
-		-trace-events 1024 -json-summary -json .bench-json-tmp > /dev/null
-	$(GO) run ./cmd/compresso-sim -bench gcc -system cxl -ops 100000 -scale 8 \
-		-trace-events 1024 -json-summary -json .bench-json-tmp > /dev/null
-	$(GO) run ./cmd/compresso-sim -exp attribution -quick \
-		-json .bench-json-tmp > /dev/null
-	$(GO) run ./cmd/compresso-sim -exp fleet-sweep -quick \
-		-json .bench-json-tmp > /dev/null
-	@for f in .bench-json-tmp/*.json; do \
-		mv "$$f" "BENCH_$$(basename $$f)"; done; rm -rf .bench-json-tmp
+	@set -e; out=.bench-json-tmp; bin=$$out/compresso-sim; \
+	rm -rf $$out; mkdir -p $$out; trap 'rm -rf .bench-json-tmp' EXIT; \
+	$(GO) build -o $$bin ./cmd/compresso-sim; \
+	$(BENCH_JSON_RUNS); \
+	for f in $$out/*.json; do mv "$$f" "BENCH_$${f##*/}"; done
 	@ls BENCH_*.json
+
+# Artifact gate: regenerate every BENCH_*.json into a temporary
+# directory and require each to be byte-identical to the committed
+# file, naming every one that drifted (or that the runs no longer
+# write, or write without a committed counterpart). The runs are
+# deterministic, so any difference is a behaviour change; a legitimate
+# one is committed by rerunning `make bench-json`.
+bench-json-check:
+	@set -e; out=$$(mktemp -d); bin=$$out/compresso-sim; trap 'rm -rf "$$out"' EXIT; \
+	$(GO) build -o $$bin ./cmd/compresso-sim; \
+	$(BENCH_JSON_RUNS); \
+	drift=""; \
+	for f in BENCH_*.json; do cmp -s "$$f" "$$out/$${f#BENCH_}" || drift="$$drift $$f"; done; \
+	for f in $$out/*.json; do [ -e "BENCH_$${f##*/}" ] || drift="$$drift BENCH_$${f##*/}"; done; \
+	[ -z "$$drift" ] || { echo "bench-json-check: drifted from the committed artifacts:$$drift"; exit 1; }; \
+	echo "bench-json-check: ok ($$(ls $$out/*.json | wc -l) artifacts byte-identical)"
 
 # Backend gate (DESIGN.md §12): run the registry-wide conformance
 # suite, then a quick per-backend sweep for every registered backend,

@@ -268,6 +268,8 @@ func main() {
 		}
 	}
 
+	runOpts := runOptions{ops: *ops, scale: *scale, seed: *seed, inject: *inject,
+		auditEvery: *auditEv, jobs: *jobs, overlap: *overlap}
 	var runErr error
 	switch {
 	case *list:
@@ -293,13 +295,13 @@ func main() {
 	case *bench != "" && *capFrac > 0:
 		runCapacity(*bench, *capFrac, *ops, *scale, *seed, *jobs)
 	case *bench != "":
-		runBench(*bench, *system, *ops, *scale, *seed, *compare, *inject, *auditEv, *jobs, *overlap)
+		runBench(*bench, *system, *compare, runOpts)
 	case *mix != "":
-		runMixCLI(*mix, *ops, *scale, *seed, *inject, *auditEv, *jobs, *overlap)
+		runMixCLI(*mix, runOpts)
 	case *inject != "" || *auditEv > 0:
 		// Robustness demo: injection/auditing flags alone run the
 		// default benchmark on the Compresso system.
-		runBench("gcc", "compresso", *ops, *scale, *seed, false, *inject, *auditEv, *jobs, *overlap)
+		runBench("gcc", "compresso", false, runOpts)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -685,18 +687,6 @@ func runCapacity(bench string, frac float64, ops uint64, scale int, seed uint64,
 	tbl.Render(os.Stdout)
 }
 
-// robustify applies the -inject / -audit-every / -trace-events flags
-// to a sim config.
-func robustify(cfg *sim.Config, spec string, auditEvery uint64) {
-	fc, err := faults.ParseSpec(spec, cfg.Seed)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Inject = fc
-	cfg.AuditEvery = auditEvery
-	cfg.TraceEvents = traceEvents
-}
-
 // attachLive wires the observation flags into a run config: the
 // -sample-every time-series sampler (feeding the live server when
 // -serve is active) and the -attribution cycle-accounting ledger.
@@ -784,7 +774,86 @@ func printRobustness(mem memctl.Stats, totals faults.Totals, outcome audit.Outco
 	}
 }
 
-func runMixCLI(name string, ops uint64, scale int, seed uint64, inject string, auditEvery uint64, jobs int, overlap bool) {
+// runOptions carries the flags every ad-hoc -bench / -mix run shares.
+type runOptions struct {
+	ops        uint64
+	scale      int
+	seed       uint64
+	inject     string
+	auditEvery uint64
+	jobs       int
+	overlap    bool
+}
+
+// config returns system s's run config under o, with the -inject /
+// -audit-every / -trace-events robustness settings applied.
+func (o runOptions) config(s sim.System) sim.Config {
+	cfg := sim.DefaultConfig(s)
+	cfg.Ops = o.ops
+	cfg.FootprintScale = o.scale
+	cfg.Seed = o.seed
+	cfg.Overlap = o.overlap
+	fc, err := faults.ParseSpec(o.inject, cfg.Seed)
+	if err != nil {
+		fatal(err)
+	}
+	cfg.Inject = fc
+	cfg.AuditEvery = o.auditEvery
+	cfg.TraceEvents = traceEvents
+	return cfg
+}
+
+// runView is what the shared end-of-run reporting reads from a
+// sim.Result or sim.MultiResult.
+type runView struct {
+	snap   obs.Snapshot
+	trace  obs.Trace
+	attr   obs.AttributionSnapshot
+	mem    memctl.Stats
+	faults faults.Totals
+	audit  audit.Outcome
+}
+
+// compareSystems runs one workload (profs, named label) on each of
+// systems through run. With more than one system the runs share one
+// generated and sized image (sim.MixAssets); they are independent, so
+// they fan out across -jobs workers. In system order it then publishes
+// each run and writes its kind artifact, hands the results to render
+// and prints the last run's robustness, observability and attribution
+// summaries, so output is byte-identical at any -jobs.
+func compareSystems[R any](kind, label string, profs []workload.Profile, systems []sim.System, o runOptions,
+	run func(sim.Config) (R, runView), render func([]R)) {
+	var assets *sim.MixAssets
+	if len(systems) > 1 {
+		assets = sim.PrepareAssets(profs, o.config(systems[0]), compress.BPC{}, o.jobs)
+	}
+	type systemRun struct {
+		name string
+		res  R
+		view runView
+	}
+	runs := parallel.Map(parallel.Workers(o.jobs, len(systems)), len(systems), func(i int) systemRun {
+		cfg := o.config(systems[i])
+		cfg.Assets = assets
+		name := label + "_" + systems[i].String()
+		attachLive(&cfg, name)
+		res, view := run(cfg)
+		return systemRun{name: name, res: res, view: view}
+	})
+	results := make([]R, len(runs))
+	for i, r := range runs {
+		publishRun(r.name, r.view.snap, r.view.trace, r.view.attr)
+		writeRunArtifact(kind, r.name, runArtifact(r.res, r.view.snap))
+		results[i] = r.res
+	}
+	render(results)
+	last := runs[len(runs)-1].view
+	printRobustness(last.mem, last.faults, last.audit)
+	printObsSummary(last.snap, last.trace)
+	printAttribution(last.attr)
+}
+
+func runMixCLI(name string, o runOptions) {
 	var mix *sim.Mix
 	for _, m := range sim.Mixes() {
 		if m.Name == name {
@@ -802,59 +871,29 @@ func runMixCLI(name string, ops uint64, scale int, seed uint64, inject string, a
 	}
 	fmt.Printf("mix %s: %v\n", mix.Name, mix.Benches)
 	systems := sim.Systems()
-	// Generate and size the workload images once; each system's run
-	// clones the shared masters (sim.MixAssets). The per-system runs
-	// are independent, so they fan out across -jobs workers; results
-	// render in system order afterwards, keeping output byte-identical
-	// at any -jobs.
-	baseCfg := sim.DefaultConfig(systems[0])
-	baseCfg.Ops = ops
-	baseCfg.FootprintScale = scale
-	baseCfg.Seed = seed
-	assets := sim.PrepareAssets(profs, baseCfg, compress.BPC{}, jobs)
-	type mixRun struct {
-		name string
-		res  sim.MultiResult
-		snap obs.Snapshot
-	}
-	runs := parallel.Map(parallel.Workers(jobs, len(systems)), len(systems), func(i int) mixRun {
-		s := systems[i]
-		cfg := sim.DefaultConfig(s)
-		cfg.Ops = ops
-		cfg.FootprintScale = scale
-		cfg.Seed = seed
-		cfg.Overlap = overlap
-		cfg.Assets = assets
-		robustify(&cfg, inject, auditEvery)
-		name := mix.Name + "_" + s.String()
-		attachLive(&cfg, name)
+	compareSystems("mix", mix.Name, profs, systems, o, func(cfg sim.Config) (sim.MultiResult, runView) {
 		res := sim.RunMix(mix.Name, profs, cfg)
-		return mixRun{name: name, res: res, snap: res.Registry().Snapshot()}
+		return res, runView{res.Registry().Snapshot(), res.Trace, res.Attribution, res.Mem, res.Faults, res.Audit}
+	}, func(results []sim.MultiResult) {
+		tbl := stats.NewTable("system", "weighted-speedup", "ratio", "extra-accesses")
+		var base sim.MultiResult
+		for i, res := range results {
+			if systems[i] == sim.Uncompressed {
+				base = res
+				tbl.AddRow(res.System, 1.0, res.Ratio, res.Mem.RelativeExtra())
+				continue
+			}
+			ws, err := res.WeightedSpeedup(base)
+			if err != nil {
+				fatal(err)
+			}
+			tbl.AddRow(res.System, ws, res.Ratio, res.Mem.RelativeExtra())
+		}
+		tbl.Render(os.Stdout)
 	})
-	tbl := stats.NewTable("system", "weighted-speedup", "ratio", "extra-accesses")
-	var base sim.MultiResult
-	for i, r := range runs {
-		publishRun(r.name, r.snap, r.res.Trace, r.res.Attribution)
-		writeRunArtifact("mix", r.name, runArtifact(r.res, r.snap))
-		if systems[i] == sim.Uncompressed {
-			base = r.res
-			tbl.AddRow(r.res.System, 1.0, r.res.Ratio, r.res.Mem.RelativeExtra())
-			continue
-		}
-		ws, err := r.res.WeightedSpeedup(base)
-		if err != nil {
-			fatal(err)
-		}
-		tbl.AddRow(r.res.System, ws, r.res.Ratio, r.res.Mem.RelativeExtra())
-	}
-	tbl.Render(os.Stdout)
-	last := runs[len(runs)-1]
-	printRobustness(last.res.Mem, last.res.Faults, last.res.Audit)
-	printObsSummary(last.snap, last.res.Trace)
-	printAttribution(last.res.Attribution)
 }
 
-func runBench(bench, system string, ops uint64, scale int, seed uint64, compare bool, inject string, auditEvery uint64, jobs int, overlap bool) {
+func runBench(bench, system string, compare bool, o runOptions) {
 	prof, err := workload.ByName(bench)
 	if err != nil {
 		fatal(err)
@@ -867,50 +906,19 @@ func runBench(bench, system string, ops uint64, scale int, seed uint64, compare 
 		}
 		systems = []sim.System{s}
 	}
-	// Comparison runs share one prepared image across the systems and
-	// fan out across -jobs workers (see runMixCLI); a single-system run
-	// skips the assets (nothing to share).
-	var assets *sim.MixAssets
-	if len(systems) > 1 {
-		baseCfg := sim.DefaultConfig(systems[0])
-		baseCfg.Ops = ops
-		baseCfg.FootprintScale = scale
-		baseCfg.Seed = seed
-		assets = sim.PrepareAssets([]workload.Profile{prof}, baseCfg, compress.BPC{}, jobs)
-	}
-	type benchRun struct {
-		name string
-		res  sim.Result
-		snap obs.Snapshot
-	}
-	runs := parallel.Map(parallel.Workers(jobs, len(systems)), len(systems), func(i int) benchRun {
-		s := systems[i]
-		cfg := sim.DefaultConfig(s)
-		cfg.Ops = ops
-		cfg.FootprintScale = scale
-		cfg.Seed = seed
-		cfg.Overlap = overlap
-		cfg.Assets = assets
-		robustify(&cfg, inject, auditEvery)
-		name := prof.Name + "_" + s.String()
-		attachLive(&cfg, name)
+	compareSystems("bench", prof.Name, []workload.Profile{prof}, systems, o, func(cfg sim.Config) (sim.Result, runView) {
 		res := sim.RunSingle(prof, cfg)
-		return benchRun{name: name, res: res, snap: res.Registry().Snapshot()}
+		return res, runView{res.Registry().Snapshot(), res.Trace, res.Attribution, res.Mem, res.Faults, res.Audit}
+	}, func(results []sim.Result) {
+		fmt.Printf("benchmark %s (%d pages footprint / scale %d, %d ops)\n",
+			prof.Name, prof.FootprintPages, o.scale, o.ops)
+		tbl := stats.NewTable("system", "cycles", "ipc", "ratio", "extra-accesses", "l3-miss", "md-hit")
+		for _, res := range results {
+			tbl.AddRow(res.System, res.Cycles, res.IPC, res.Ratio,
+				res.Mem.RelativeExtra(), res.L3MissRate, res.MDCache.HitRate())
+		}
+		tbl.Render(os.Stdout)
 	})
-	tbl := stats.NewTable("system", "cycles", "ipc", "ratio", "extra-accesses", "l3-miss", "md-hit")
-	for _, r := range runs {
-		publishRun(r.name, r.snap, r.res.Trace, r.res.Attribution)
-		writeRunArtifact("bench", r.name, runArtifact(r.res, r.snap))
-		tbl.AddRow(r.res.System, r.res.Cycles, r.res.IPC, r.res.Ratio,
-			r.res.Mem.RelativeExtra(), r.res.L3MissRate, r.res.MDCache.HitRate())
-	}
-	fmt.Printf("benchmark %s (%d pages footprint / scale %d, %d ops)\n",
-		prof.Name, prof.FootprintPages, scale, ops)
-	tbl.Render(os.Stdout)
-	last := runs[len(runs)-1]
-	printRobustness(last.res.Mem, last.res.Faults, last.res.Audit)
-	printObsSummary(last.snap, last.res.Trace)
-	printAttribution(last.res.Attribution)
 }
 
 // printAttribution renders the -attribution end-of-run breakdown:

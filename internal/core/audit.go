@@ -261,7 +261,7 @@ func (c *Controller) repairPage(now uint64, page uint64, forceUncompressed bool)
 		c.mdc.Drop(page)
 		c.storeBacking(page)
 		c.stats.RepairAccesses++
-		c.mem.Access(now, c.mdMachineLine(page), true)
+		c.port.Access(now, page, true) // the entry's metadata line
 	}()
 
 	if !ps.meta.Valid {
@@ -314,7 +314,7 @@ func (c *Controller) repairPage(now uint64, page uint64, forceUncompressed bool)
 			off = c.packedOffset(ps, line)
 		}
 		c.stats.RepairAccesses++
-		c.mem.Access(now, c.dataMachineLine(ps, off), true)
+		c.port.Access(now, c.dataMachineLine(ps, off), true)
 	}
 }
 

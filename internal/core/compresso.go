@@ -32,7 +32,7 @@ type pageState struct {
 // Controller is the Compresso memory controller.
 type Controller struct {
 	cfg    Config
-	mem    *dram.Memory
+	port   memctl.Port // DRAM, free-prefetch buffer and attribution ledger
 	source memctl.LineSource
 	sizer  memctl.LineSizer // source's memoized size path (nil when unsupported)
 
@@ -48,8 +48,7 @@ type Controller struct {
 	stats      memctl.Stats
 	validPages int64
 
-	prefetch memctl.LineFIFO // recently fetched machine data lines
-	irDecay  uint64          // inflation-room placements since start (predictor decay)
+	irDecay uint64 // inflation-room placements since start (predictor decay)
 
 	// pinned is the page of the in-flight demand access: the
 	// ballooning path must not reclaim it mid-operation (a real
@@ -64,8 +63,6 @@ type Controller struct {
 	// every event of that access carries.
 	tr   *obs.Tracer
 	tnow uint64
-	// attr is the cycle-accounting attribution ledger (nil disables).
-	attr *obs.Attribution
 	// corrupt marks OSPA lines whose stored compressed bits were hit
 	// by an injected flip: the stored copy no longer matches the
 	// authoritative LineSource until a writeback or repair replaces it.
@@ -73,6 +70,7 @@ type Controller struct {
 
 	chunkBaseLine uint64
 	lineBuf       [memctl.LineBytes]byte
+	spanBuf       [2]uint64
 }
 
 var _ memctl.Controller = (*Controller)(nil)
@@ -89,15 +87,14 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 	sizer, _ := source.(memctl.LineSizer)
 	c := &Controller{
 		cfg:           cfg,
-		mem:           mem,
 		source:        source,
 		sizer:         sizer,
 		pages:         make([]pageState, cfg.OSPAPages),
 		mdc:           metadata.NewCache(cfg.MetadataCache),
 		chunkBaseLine: uint64(cfg.OSPAPages), // metadata occupies one line per page
 		inj:           cfg.Faults,
-		prefetch:      memctl.NewLineFIFO(cfg.PrefetchBuffer),
 	}
+	c.port = memctl.NewPort(mem, &c.stats, cfg.PrefetchBuffer)
 	if c.inj.Enabled() {
 		c.corrupt = make(map[uint64]struct{})
 	}
@@ -132,7 +129,7 @@ func (c *Controller) ResetStats() {
 func (c *Controller) SetTracer(t *obs.Tracer) { c.tr = t }
 
 // SetAttribution installs the cycle-accounting ledger (nil disables).
-func (c *Controller) SetAttribution(a *obs.Attribution) { c.attr = a }
+func (c *Controller) SetAttribution(a *obs.Attribution) { c.port.SetAttribution(a) }
 
 // GlobalPredictorValue exposes the 3-bit global predictor for tests.
 func (c *Controller) GlobalPredictorValue() uint8 { return c.global.Value() }
@@ -170,8 +167,6 @@ func (c *Controller) PageSizeHistogramAdd(add func(chunks int)) {
 }
 
 // --- address layout -------------------------------------------------
-
-func (c *Controller) mdMachineLine(page uint64) uint64 { return page }
 
 func (c *Controller) chunkOf(ps *pageState, idx int) uint32 {
 	if c.cfg.Allocation == VariableChunks {
@@ -392,12 +387,11 @@ func (c *Controller) lookupMetadata(now uint64, page uint64) (*metadata.Line, ui
 		}
 	}
 	if l, ok := c.mdc.Lookup(page); ok {
-		c.attr.Exposed(obs.CompMDCacheHit, c.cfg.MetadataHitLatency)
+		c.port.Attr().Exposed(obs.CompMDCacheHit, c.cfg.MetadataHitLatency)
 		return l, now + c.cfg.MetadataHitLatency
 	}
-	c.stats.MetadataReads++
-	done := c.mem.Access(now, c.mdMachineLine(page), false)
-	c.attr.Exposed(obs.CompMDFetch, done-now)
+	done := c.port.MetadataRead(now, page)
+	c.port.Attr().Exposed(obs.CompMDFetch, done-now)
 	c.loadBacking(now, page)
 	ps := &c.pages[page]
 	half := ps.meta.Valid && !ps.meta.Compressed
@@ -417,20 +411,15 @@ func (c *Controller) ensureFull(now uint64, page uint64, l *metadata.Line) {
 	if !l.Half {
 		return
 	}
-	c.stats.MetadataReads++
-	c.mem.Access(now, c.mdMachineLine(page), false)
-	queue, service := c.mem.LastBreakdown()
-	c.attr.Hidden(obs.CompMDFetch, queue+service)
+	done := c.port.MetadataRead(now, page)
+	c.port.Attr().Hidden(obs.CompMDFetch, done-now)
 	c.handleEvictions(now, c.mdc.Promote(l))
 }
 
 func (c *Controller) handleEvictions(now uint64, evicted []metadata.Evicted) {
 	for _, ev := range evicted {
 		if ev.Dirty {
-			c.stats.MetadataWrites++
-			c.mem.Access(now, c.mdMachineLine(ev.Page), true)
-			queue, service := c.mem.LastBreakdown()
-			c.attr.Hidden(obs.CompMDFetch, queue+service)
+			c.port.MetadataWriteback(now, ev.Page)
 			c.storeBacking(ev.Page)
 		}
 		if c.cfg.DynamicRepacking {
@@ -480,73 +469,26 @@ func (c *Controller) storeBacking(page uint64) {
 
 // --- data access helpers ----------------------------------------------
 
-// fetchData reads one machine line on the demand path, honouring the
-// free-prefetch buffer; extra marks it a split-access second half.
-func (c *Controller) fetchData(start uint64, machineLine uint64, extra bool) uint64 {
-	if c.prefetch.Contains(machineLine) {
-		c.stats.PrefetchHits++
-		return start
-	}
-	done := c.mem.Access(start, machineLine, false)
-	if extra {
-		c.stats.SplitAccesses++
-	} else {
-		c.stats.DataReads++
-	}
-	c.prefetch.Push(machineLine)
-	return done
-}
-
-// writeData writes one machine line; extra marks a split second half.
-func (c *Controller) writeData(now uint64, machineLine uint64, extra bool) {
-	c.mem.Access(now, machineLine, true)
-	if extra {
-		c.stats.SplitAccesses++
-	} else {
-		c.stats.DataWrites++
-	}
-}
-
-// accessSpan performs the 1 or 2 machine-line accesses covering
-// [off, off+size) of the page's allocation. Returns completion cycle.
-func (c *Controller) accessSpan(start uint64, ps *pageState, off, size int, write bool) uint64 {
+// span returns the machine lines covering [off, off+size) of the page's
+// allocation (none for an empty span, two for a split access), in a
+// buffer reused by the next call.
+func (c *Controller) span(ps *pageState, off, size int) []uint64 {
 	if size <= 0 {
-		return start
+		return nil
 	}
-	first := c.dataMachineLine(ps, off)
-	split := compress.SplitAccess(off, size)
-	if write {
-		c.writeData(start, first, false)
-		c.attr.HiddenDRAM(c.mem.LastBreakdown())
-		if split {
-			c.writeData(start, c.dataMachineLine(ps, off+size-1), true)
-			queue, service := c.mem.LastBreakdown()
-			c.attr.Hidden(obs.CompSplit, queue+service)
-		}
-		return start
+	c.spanBuf[0] = c.dataMachineLine(ps, off)
+	if !compress.SplitAccess(off, size) {
+		return c.spanBuf[:1]
 	}
-	done := c.fetchData(start, first, false)
-	q, s := c.mem.LastBreakdown()
-	if split {
-		d2 := c.fetchData(start, c.dataMachineLine(ps, off+size-1), true)
-		q2, s2 := c.mem.LastBreakdown()
-		// The dominant access of the pair is the critical path (both
-		// issue at start, so its queue+service spans start..done
-		// exactly); the other access hides under the split component.
-		// A prefetch hit performs no access (done == start) and its
-		// stale breakdown must not be charged.
-		if d2 > done {
-			if done > start {
-				c.attr.Hidden(obs.CompSplit, q+s)
-			}
-			done, q, s = d2, q2, s2
-		} else if d2 > start {
-			c.attr.Hidden(obs.CompSplit, q2+s2)
-		}
-	}
-	if done > start {
-		c.attr.ExposedDRAM(q, s)
-	}
+	c.spanBuf[1] = c.dataMachineLine(ps, off+size-1)
+	return c.spanBuf[:2]
+}
+
+// demandRead is the read of [off, off+size) issued at start, its
+// dominant access charged exposed. Returns the completion cycle.
+func (c *Controller) demandRead(start uint64, ps *pageState, off, size int) uint64 {
+	done, queue, service := c.port.Read(start, c.span(ps, off, size)...)
+	c.port.Attr().ExposedDRAM(queue, service)
 	return done
 }
 
@@ -571,7 +513,8 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 	defer c.unpin()
 	c.tnow = now
 	c.stats.DemandReads++
-	c.attr.Begin(now, page, false)
+	attr := c.port.Attr()
+	attr.Begin(now, page, false)
 
 	l, mdDone := c.lookupMetadata(now, page)
 	ps := &c.pages[page]
@@ -586,18 +529,18 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 		// metadata alone"); a stale slot is reclaimed at the next
 		// repack.
 		c.stats.ZeroLineOps++
-		c.attr.End(mdDone)
+		attr.End(mdDone)
 		return memctl.Result{Done: mdDone}
 	}
 	if !ps.meta.Compressed {
-		done := c.accessSpan(mdDone, ps, line*memctl.LineBytes, memctl.LineBytes, false)
-		c.attr.End(done)
+		done := c.demandRead(mdDone, ps, line*memctl.LineBytes, memctl.LineBytes)
+		attr.End(done)
 		return memctl.Result{Done: done}
 	}
 	// Compressed page.
 	if pos, ok := ps.meta.IsInflated(line); ok {
-		done := c.accessSpan(mdDone, ps, c.irOffset(ps, pos), memctl.LineBytes, false)
-		c.attr.End(done)
+		done := c.demandRead(mdDone, ps, c.irOffset(ps, pos), memctl.LineBytes)
+		attr.End(done)
 		return memctl.Result{Done: done}
 	}
 	slot := int(ps.meta.LineSizeCode[line])
@@ -609,7 +552,7 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 		// controller fetches the slot's bytes.
 		fetch = size
 	}
-	done := c.accessSpan(mdDone, ps, c.packedOffset(ps, line), fetch, false)
+	done := c.demandRead(mdDone, ps, c.packedOffset(ps, line), fetch)
 	if c.cfg.Overlap {
 		// Overlapped-controller model: decompression starts streaming as
 		// the line's beats arrive, so only the part of DecompressLatency
@@ -623,13 +566,13 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 		c.stats.OverlapReads++
 		c.stats.OverlapHiddenCycles += hidden
 		c.stats.OverlapExposedCycles += exposed
-		c.attr.Exposed(obs.CompDecompress, exposed)
-		c.attr.Hidden(obs.CompDecompress, hidden)
-		c.attr.End(done + exposed)
+		attr.Exposed(obs.CompDecompress, exposed)
+		attr.Hidden(obs.CompDecompress, hidden)
+		attr.End(done + exposed)
 		return memctl.Result{Done: done + exposed}
 	}
-	c.attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
-	c.attr.End(done + c.cfg.DecompressLatency)
+	attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
+	attr.End(done + c.cfg.DecompressLatency)
 	return memctl.Result{Done: done + c.cfg.DecompressLatency}
 }
 
@@ -647,8 +590,9 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	// Writebacks are posted (the demand path never waits on them):
 	// every charge below demotes to hidden and the access balances at
 	// its zero charged latency.
-	c.attr.Begin(now, page, true)
-	c.attr.Posted()
+	attr := c.port.Attr()
+	attr.Begin(now, page, true)
+	attr.Posted()
 
 	l, mdDone := c.lookupMetadata(now, page)
 	ps := &c.pages[page]
@@ -669,12 +613,12 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	case ps.meta.Zero:
 		if newCode == 0 {
 			c.stats.ZeroLineOps++
-			c.attr.End(now)
+			attr.End(now)
 			return memctl.Result{Done: now}
 		}
 		c.zeroToCompressed(mdDone, ps, l, page, line, newCode)
 	case !ps.meta.Compressed:
-		c.accessSpan(mdDone, ps, line*memctl.LineBytes, memctl.LineBytes, true)
+		c.port.Write(mdDone, c.span(ps, line*memctl.LineBytes, memctl.LineBytes)...)
 		c.noteUnderOverflow(page, l, oldActual, newCode)
 		ps.actual[line] = newCode
 		c.updateFreeSpace(ps)
@@ -690,7 +634,7 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 		c.tr.Emit(now, obs.EvInjectedFault, page, uint64(faults.DataBitFlip))
 		c.corrupt[lineAddr] = struct{}{}
 	}
-	c.attr.End(now)
+	attr.End(now)
 	return memctl.Result{Done: now}
 }
 
@@ -733,7 +677,7 @@ func (c *Controller) zeroToCompressed(mdDone uint64, ps *pageState, l *metadata.
 	ps.meta.LineSizeCode[line] = newCode
 	ps.actual[line] = newCode
 	c.updateFreeSpace(ps)
-	c.accessSpan(mdDone, ps, c.packedOffset(ps, line), c.cfg.Bins.SizeOf(int(newCode)), true)
+	c.port.Write(mdDone, c.span(ps, c.packedOffset(ps, line), c.cfg.Bins.SizeOf(int(newCode)))...)
 	l.Dirty = true
 }
 
@@ -750,7 +694,7 @@ func (c *Controller) writeCompressed(now, mdDone uint64, ps *pageState, l *metad
 		// Inflation-room slots are a full line: no overflow possible.
 		c.noteUnderOverflow(page, l, oldActual, newCode)
 		ps.actual[line] = newCode
-		c.accessSpan(mdDone, ps, c.irOffset(ps, pos), memctl.LineBytes, true)
+		c.port.Write(mdDone, c.span(ps, c.irOffset(ps, pos), memctl.LineBytes)...)
 		return
 	}
 	slot := ps.meta.LineSizeCode[line]
@@ -764,7 +708,7 @@ func (c *Controller) writeCompressed(now, mdDone uint64, ps *pageState, l *metad
 			c.stats.ZeroLineOps++
 			return
 		}
-		c.accessSpan(mdDone, ps, c.packedOffset(ps, line), size, true)
+		c.port.Write(mdDone, c.span(ps, c.packedOffset(ps, line), size)...)
 		return
 	}
 
@@ -781,7 +725,7 @@ func (c *Controller) writeCompressed(now, mdDone uint64, ps *pageState, l *metad
 		c.stats.Predictions++
 		c.tr.Emit(c.tnow, obs.EvPrediction, page, uint64(line))
 		c.uncompressPage(now, ps, l)
-		c.accessSpan(mdDone, ps, line*memctl.LineBytes, memctl.LineBytes, true)
+		c.port.Write(mdDone, c.span(ps, line*memctl.LineBytes, memctl.LineBytes)...)
 		return
 	}
 
@@ -799,7 +743,7 @@ func (c *Controller) writeCompressed(now, mdDone uint64, ps *pageState, l *metad
 			c.global.Record(false)
 		}
 		pos, _ := ps.meta.IsInflated(line)
-		c.accessSpan(mdDone, ps, c.irOffset(ps, pos), memctl.LineBytes, true)
+		c.port.Write(mdDone, c.span(ps, c.irOffset(ps, pos), memctl.LineBytes)...)
 		return
 	}
 
@@ -818,7 +762,7 @@ func (c *Controller) writeCompressed(now, mdDone uint64, ps *pageState, l *metad
 			panic("core: IR expansion failed to make room")
 		}
 		pos, _ := ps.meta.IsInflated(line)
-		c.accessSpan(mdDone, ps, c.irOffset(ps, pos), memctl.LineBytes, true)
+		c.port.Write(mdDone, c.span(ps, c.irOffset(ps, pos), memctl.LineBytes)...)
 		return
 	}
 

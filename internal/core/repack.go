@@ -34,8 +34,7 @@ func (c *Controller) relocatePage(now uint64, ps *pageState, newChunks int, unco
 		if size == 0 {
 			continue
 		}
-		c.mem.Access(now, c.dataMachineLine(ps, off), false)
-		c.chargeHiddenAccess(comp)
+		c.port.Hidden(now, c.dataMachineLine(ps, off), false, comp)
 		moves++
 	}
 
@@ -58,18 +57,10 @@ func (c *Controller) relocatePage(now uint64, ps *pageState, newChunks int, unco
 		} else {
 			off = c.packedOffset(ps, line)
 		}
-		c.mem.Access(now, c.dataMachineLine(ps, off), true)
-		c.chargeHiddenAccess(comp)
+		c.port.Hidden(now, c.dataMachineLine(ps, off), true, comp)
 		moves++
 	}
 	*counter += moves
-}
-
-// chargeHiddenAccess records the previous DRAM access's cycles as
-// hidden work under comp.
-func (c *Controller) chargeHiddenAccess(comp obs.Component) {
-	queue, service := c.mem.LastBreakdown()
-	c.attr.Hidden(comp, queue+service)
 }
 
 // pageOverflow (§IV) regrows and repacks a compressed page whose
@@ -154,7 +145,6 @@ func (c *Controller) maybeRepack(now uint64, page uint64) {
 // charged to the repacking budget).
 func (c *Controller) finishRepack(now uint64, page uint64) {
 	c.stats.RepackAccesses++
-	c.mem.Access(now, c.mdMachineLine(page), true)
-	c.chargeHiddenAccess(obs.CompRepack)
+	c.port.Hidden(now, page, true, obs.CompRepack) // the entry's metadata line
 	c.storeBacking(page)
 }

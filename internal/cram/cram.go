@@ -81,7 +81,7 @@ type cramStats struct {
 // Controller is the CRAM bandwidth-enhancement memory controller.
 type Controller struct {
 	cfg    Config
-	mem    *dram.Memory
+	port   memctl.Port // DRAM and attribution ledger
 	source memctl.LineSource
 
 	// sizes shadows every line's current compressed size; packed holds
@@ -94,12 +94,13 @@ type Controller struct {
 	pred []uint8
 
 	// prefetch is the burst-buffer FIFO of pair-base line addresses
-	// whose partner halves are on chip.
+	// whose partner halves are on chip. It is keyed by pair and checked
+	// before the location prediction, so CRAM keeps it rather than the
+	// port (whose prefetch buffer is empty).
 	prefetch memctl.LineFIFO
 
 	stats      memctl.Stats
 	cram       cramStats
-	attr       *obs.Attribution
 	validPages int64
 
 	lineBuf [memctl.LineBytes]byte
@@ -117,9 +118,8 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 		panic(fmt.Sprintf("cram: PackThreshold %d outside (0, %d]", cfg.PackThreshold, memctl.LineBytes/2))
 	}
 	lines := cfg.OSPAPages * memctl.LinesPerPage
-	return &Controller{
+	c := &Controller{
 		cfg:      cfg,
-		mem:      mem,
 		source:   source,
 		sizes:    make([]uint8, lines),
 		packed:   make([]bool, lines/2),
@@ -127,13 +127,15 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 		pred:     make([]uint8, cfg.OSPAPages),
 		prefetch: memctl.NewLineFIFO(cfg.PrefetchBuffer),
 	}
+	c.port = memctl.NewPort(mem, &c.stats, 0)
+	return c
 }
 
 // Name implements memctl.Controller.
 func (c *Controller) Name() string { return "cram" }
 
 // SetAttribution installs the cycle-accounting ledger (nil disables).
-func (c *Controller) SetAttribution(a *obs.Attribution) { c.attr = a }
+func (c *Controller) SetAttribution(a *obs.Attribution) { c.port.SetAttribution(a) }
 
 func (c *Controller) checkAddr(lineAddr uint64) {
 	if lineAddr >= uint64(len(c.sizes)) {
@@ -174,7 +176,8 @@ func (c *Controller) trainPredictor(page uint64, packed bool) {
 func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 	c.checkAddr(lineAddr)
 	c.stats.DemandReads++
-	c.attr.Begin(now, lineAddr/memctl.LinesPerPage, false)
+	attr := c.port.Attr()
+	attr.Begin(now, lineAddr/memctl.LinesPerPage, false)
 
 	pair := lineAddr / 2
 	pairBase := pair * 2
@@ -182,7 +185,7 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 		// Partner half of a previously fetched packed burst: no DRAM
 		// access, decompression already done at fill time.
 		c.stats.PrefetchHits++
-		c.attr.End(now)
+		attr.End(now)
 		return memctl.Result{Done: now}
 	}
 
@@ -206,29 +209,28 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 	}
 	start := now
 	if predictedLoc != actualLoc {
-		start = c.mem.Access(now, predictedLoc, false)
+		start, _, _ = c.port.Access(now, predictedLoc, false)
 		// The wasted access serializes the retry behind it: its whole
 		// window is exposed mispredict waste, not DRAM queue/service.
-		c.attr.Exposed(obs.CompSpecMiss, start-now)
+		attr.Exposed(obs.CompSpecMiss, start-now)
 		c.stats.SpeculationMiss++
 		c.cram.PredictorMisses++
 	} else {
 		c.cram.PredictorHits++
 	}
-	done := c.mem.Access(start, actualLoc, false)
-	c.attr.ExposedDRAM(c.mem.LastBreakdown())
-	c.stats.DataReads++
+	done, queue, service := c.port.Read(start, actualLoc)
+	attr.ExposedDRAM(queue, service)
 	c.trainPredictor(page, isPacked)
 
 	if isPacked {
 		c.cram.PackedReads++
 		c.prefetch.Push(pairBase) // not buffered: ReadLine returned early otherwise
 		done += c.cfg.DecompressLatency
-		c.attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
+		attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
 	} else {
 		c.cram.UnpackedReads++
 	}
-	c.attr.End(done)
+	attr.End(done)
 	return memctl.Result{Done: done}
 }
 
@@ -238,8 +240,9 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	c.checkAddr(lineAddr)
 	c.stats.DemandWrites++
 	// Writes are posted: everything below is off the critical path.
-	c.attr.Begin(now, lineAddr/memctl.LinesPerPage, true)
-	c.attr.Posted()
+	attr := c.port.Attr()
+	attr.Begin(now, lineAddr/memctl.LinesPerPage, true)
+	attr.Posted()
 
 	pair := lineAddr / 2
 	pairBase := pair * 2
@@ -255,19 +258,13 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	switch {
 	case was && can:
 		// In-place packed write: one burst rewrites the shared slot.
-		c.mem.Access(issue, pairBase, true)
-		c.attr.HiddenDRAM(c.mem.LastBreakdown())
-		c.stats.DataWrites++
+		c.port.Write(issue, pairBase)
 	case was && !can:
 		// Overflow: the pair no longer fits one slot. Write the line to
 		// its own slot and move the partner back out — the CRAM unpack
 		// movement, charged as an overflow extra access.
-		c.mem.Access(issue, lineAddr, true)
-		c.attr.HiddenDRAM(c.mem.LastBreakdown())
-		c.stats.DataWrites++
-		c.mem.Access(issue, partner, true)
-		queue, service := c.mem.LastBreakdown()
-		c.attr.Hidden(obs.CompOverflow, queue+service)
+		c.port.Write(issue, lineAddr)
+		c.port.Hidden(issue, partner, true, obs.CompOverflow)
 		c.stats.OverflowAccesses++
 		c.stats.LineOverflows++
 		c.cram.Unpacks++
@@ -275,23 +272,17 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	case !was && can:
 		// Both halves now fit: repack on writeback. The partner must be
 		// fetched to build the packed burst — repack movement.
-		c.mem.Access(issue, partner, false)
-		queue, service := c.mem.LastBreakdown()
-		c.attr.Hidden(obs.CompRepack, queue+service)
+		c.port.Hidden(issue, partner, false, obs.CompRepack)
 		c.stats.RepackAccesses++
-		c.mem.Access(issue, pairBase, true)
-		c.attr.HiddenDRAM(c.mem.LastBreakdown())
-		c.stats.DataWrites++
+		c.port.Write(issue, pairBase)
 		c.stats.Repacks++
 		c.cram.Packs++
 		c.packed[pair] = true
 	default:
-		c.mem.Access(issue, lineAddr, true)
-		c.attr.HiddenDRAM(c.mem.LastBreakdown())
-		c.stats.DataWrites++
+		c.port.Write(issue, lineAddr)
 	}
 	c.trainPredictor(page, c.packed[pair])
-	c.attr.End(now)
+	attr.End(now)
 	return memctl.Result{Done: now}
 }
 

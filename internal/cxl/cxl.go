@@ -89,10 +89,12 @@ type linkStats struct {
 
 // Controller is the CXL two-tier memory controller.
 type Controller struct {
-	cfg    Config
-	near   *dram.Memory
-	far    *dram.Memory
-	source memctl.LineSource
+	cfg Config
+	// near issues to local DDR, far to the expander's DRAM (farMem);
+	// both count into stats and charge the same ledger.
+	near, far memctl.Port
+	farMem    *dram.Memory
+	source    memctl.LineSource
 
 	nearPages uint64
 	// sizes shadows far lines' compressed sizes (the flit-count
@@ -106,7 +108,6 @@ type Controller struct {
 
 	stats      memctl.Stats
 	link       linkStats
-	attr       *obs.Attribution
 	validPages int64
 
 	lineBuf [memctl.LineBytes]byte
@@ -127,15 +128,17 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 	if cfg.FlitBytes <= 0 {
 		panic("cxl: FlitBytes must be positive")
 	}
-	return &Controller{
+	c := &Controller{
 		cfg:       cfg,
-		near:      mem,
-		far:       dram.New(cfg.Far),
+		farMem:    dram.New(cfg.Far),
 		source:    source,
 		nearPages: uint64(float64(cfg.OSPAPages) * cfg.NearFraction),
 		sizes:     make([]uint8, cfg.OSPAPages*memctl.LinesPerPage),
 		valid:     make([]bool, cfg.OSPAPages),
 	}
+	c.near = memctl.NewPort(mem, &c.stats, 0)
+	c.far = memctl.NewPort(c.farMem, &c.stats, 0)
+	return c
 }
 
 // Name implements memctl.Controller.
@@ -145,10 +148,13 @@ func (c *Controller) Name() string { return "cxl" }
 // Link-latency propagation is attributed to the header component on
 // the request direction and to the payload component on the response
 // direction, so the two per-direction traversals stay distinguishable.
-func (c *Controller) SetAttribution(a *obs.Attribution) { c.attr = a }
+func (c *Controller) SetAttribution(a *obs.Attribution) {
+	c.near.SetAttribution(a)
+	c.far.SetAttribution(a)
+}
 
 // FarStats returns the expander DRAM's accumulated counters.
-func (c *Controller) FarStats() dram.Stats { return c.far.Stats() }
+func (c *Controller) FarStats() dram.Stats { return c.farMem.Stats() }
 
 // LinkStats returns the serialized link's accumulated counters.
 func (c *Controller) LinkStats() (reads, writes, flits, busy, queue uint64) {
@@ -214,12 +220,12 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 	c.checkAddr(lineAddr)
 	c.stats.DemandReads++
 	page := lineAddr / memctl.LinesPerPage
-	c.attr.Begin(now, page, false)
+	attr := c.near.Attr()
+	attr.Begin(now, page, false)
 	if !c.isFar(page) {
-		c.stats.DataReads++
-		done := c.near.Access(now, lineAddr, false)
-		c.attr.ExposedDRAM(c.near.LastBreakdown())
-		c.attr.End(done)
+		done, queue, service := c.near.Read(now, lineAddr)
+		attr.ExposedDRAM(queue, service)
+		attr.End(done)
 		return memctl.Result{Done: done}
 	}
 
@@ -227,22 +233,21 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 	// line, and the (compressed) payload serializes back.
 	c.link.Reads++
 	reqDone, reqQueued, reqOcc := c.sendFlits(now, &c.reqFree, 1)
-	c.attr.Exposed(obs.CompLinkQueue, reqQueued)
-	c.attr.Exposed(obs.CompLinkHeader, reqOcc+c.cfg.LinkLatency)
-	farDone := c.far.Access(reqDone+c.cfg.LinkLatency, lineAddr, false)
-	c.attr.ExposedDRAM(c.far.LastBreakdown())
-	c.stats.DataReads++
+	attr.Exposed(obs.CompLinkQueue, reqQueued)
+	attr.Exposed(obs.CompLinkHeader, reqOcc+c.cfg.LinkLatency)
+	farDone, queue, service := c.far.Read(reqDone+c.cfg.LinkLatency, lineAddr)
+	attr.ExposedDRAM(queue, service)
 	size := c.sizes[lineAddr]
 	respDone, respQueued, respOcc := c.sendFlits(farDone+c.cfg.LinkLatency, &c.respFree, 1+c.payloadFlits(size))
-	c.attr.Exposed(obs.CompLinkQueue, respQueued)
-	c.attr.Exposed(obs.CompLinkHeader, c.cfg.LinkCyclesPerFlit)
-	c.attr.Exposed(obs.CompLinkPayload, c.cfg.LinkLatency+respOcc-c.cfg.LinkCyclesPerFlit)
+	attr.Exposed(obs.CompLinkQueue, respQueued)
+	attr.Exposed(obs.CompLinkHeader, c.cfg.LinkCyclesPerFlit)
+	attr.Exposed(obs.CompLinkPayload, c.cfg.LinkLatency+respOcc-c.cfg.LinkCyclesPerFlit)
 	done := respDone
 	if c.cfg.Codec != nil && size < memctl.LineBytes {
 		done += c.cfg.DecompressLatency
-		c.attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
+		attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
 	}
-	c.attr.End(done)
+	attr.End(done)
 	return memctl.Result{Done: done}
 }
 
@@ -253,13 +258,12 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	c.stats.DemandWrites++
 	page := lineAddr / memctl.LinesPerPage
 	// Writes are posted: everything below is off the critical path.
-	c.attr.Begin(now, page, true)
-	c.attr.Posted()
+	attr := c.near.Attr()
+	attr.Begin(now, page, true)
+	attr.Posted()
 	if !c.isFar(page) {
-		c.stats.DataWrites++
-		c.near.Access(now, lineAddr, true)
-		c.attr.HiddenDRAM(c.near.LastBreakdown())
-		c.attr.End(now)
+		c.near.Write(now, lineAddr)
+		attr.End(now)
 		return memctl.Result{Done: now}
 	}
 
@@ -267,13 +271,11 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	size := c.sizeOf(data)
 	c.sizes[lineAddr] = size
 	reqDone, queued, occupied := c.sendFlits(now+c.cfg.CompressLatency, &c.reqFree, 1+c.payloadFlits(size))
-	c.attr.Hidden(obs.CompLinkQueue, queued)
-	c.attr.Hidden(obs.CompLinkHeader, c.cfg.LinkCyclesPerFlit+c.cfg.LinkLatency)
-	c.attr.Hidden(obs.CompLinkPayload, occupied-c.cfg.LinkCyclesPerFlit)
-	c.far.Access(reqDone+c.cfg.LinkLatency, lineAddr, true)
-	c.attr.HiddenDRAM(c.far.LastBreakdown())
-	c.stats.DataWrites++
-	c.attr.End(now)
+	attr.Hidden(obs.CompLinkQueue, queued)
+	attr.Hidden(obs.CompLinkHeader, c.cfg.LinkCyclesPerFlit+c.cfg.LinkLatency)
+	attr.Hidden(obs.CompLinkPayload, occupied-c.cfg.LinkCyclesPerFlit)
+	c.far.Write(reqDone+c.cfg.LinkLatency, lineAddr)
+	attr.End(now)
 	return memctl.Result{Done: now}
 }
 
@@ -304,7 +306,7 @@ func (c *Controller) Stats() memctl.Stats { return c.stats }
 func (c *Controller) ResetStats() {
 	c.stats = memctl.Stats{}
 	c.link = linkStats{}
-	c.far.ResetStats()
+	c.farMem.ResetStats()
 }
 
 // CompressedBytes implements memctl.Controller: both tiers store
@@ -318,7 +320,7 @@ func (c *Controller) InstalledBytes() int64 { return c.validPages * memctl.PageS
 // "cxl" prefix (DESIGN.md §12 stat obligations).
 func (c *Controller) RegisterMetrics(r *obs.Registry) {
 	r.AddStruct("cxl.link", c.link)
-	c.far.Stats().Register(r, "cxl.far")
+	c.farMem.Stats().Register(r, "cxl.far")
 	var nearValid, farValid uint64
 	for page, ok := range c.valid {
 		if !ok {

@@ -18,28 +18,18 @@ const lzLatency = 64
 
 func (c *Controller) lookupMetadata(now uint64, page uint64) (*metadata.Line, uint64) {
 	if l, ok := c.mdc.Lookup(page); ok {
-		c.attr.Exposed(obs.CompMDCacheHit, c.cfg.MetadataHitLatency)
+		c.port.Attr().Exposed(obs.CompMDCacheHit, c.cfg.MetadataHitLatency)
 		return l, now + c.cfg.MetadataHitLatency
 	}
-	c.stats.MetadataReads++
-	done := c.mem.Access(now, c.mdMachineLine(page), false)
-	c.attr.Exposed(obs.CompMDFetch, done-now)
+	done := c.port.MetadataRead(now, page)
+	c.port.Attr().Exposed(obs.CompMDFetch, done-now)
 	l, evicted := c.mdc.Insert(page, false)
 	for _, ev := range evicted {
 		if ev.Dirty {
-			c.stats.MetadataWrites++
-			c.mem.Access(now, c.mdMachineLine(ev.Page), true)
-			c.chargeHiddenAccess(obs.CompMDFetch)
+			c.port.MetadataWriteback(now, ev.Page)
 		}
 	}
 	return l, done
-}
-
-// chargeHiddenAccess records the previous DRAM access's cycles as
-// hidden work under comp.
-func (c *Controller) chargeHiddenAccess(comp obs.Component) {
-	queue, service := c.mem.LastBreakdown()
-	c.attr.Hidden(comp, queue+service)
 }
 
 // --- temperature tracking -----------------------------------------------
@@ -104,8 +94,7 @@ func (c *Controller) resize(p *dmcPage) {
 func (c *Controller) copyPage(now uint64, p *dmcPage, write bool) uint64 {
 	var moves uint64
 	for off, n := 0, storedBytes(p); off < n; off += memctl.LineBytes {
-		c.mem.Access(now, c.store.Line(&p.Page, off), write)
-		c.chargeHiddenAccess(obs.CompOverflow)
+		c.port.Hidden(now, c.store.Line(&p.Page, off), write, obs.CompOverflow)
 		moves++
 	}
 	return moves
@@ -145,7 +134,8 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 	c.pinned, c.hasPinned = page, true
 	defer func() { c.hasPinned = false }()
 	c.stats.DemandReads++
-	c.attr.Begin(now, page, false)
+	attr := c.port.Attr()
+	attr.Begin(now, page, false)
 	c.touchRegion(now, page)
 
 	l, mdDone := c.lookupMetadata(now, page)
@@ -158,69 +148,37 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 	}
 	if p.Zero || p.Sizes[line] == 0 {
 		c.stats.ZeroLineOps++
-		c.attr.End(mdDone)
+		attr.End(mdDone)
 		return memctl.Result{Done: mdDone}
 	}
 	if p.cold {
 		// Fetch and decompress the whole 1 KB block.
 		b := line / (LZBlockBytes / memctl.LineBytes)
-		off := c.blockOffset(p, b)
-		var done uint64 = mdDone
-		n := p.blockBytes[b] / memctl.LineBytes
-		if n == 0 {
+		if p.blockBytes[b] == 0 {
 			c.stats.ZeroLineOps++
-			c.attr.End(mdDone)
+			attr.End(mdDone)
 			return memctl.Result{Done: mdDone}
 		}
 		// All block accesses issue at mdDone; the slowest one is the
-		// exposed DRAM segment, the rest are hidden coarse-block cost.
-		var domQ, domS uint64
-		for i := 0; i < n; i++ {
-			d := c.mem.Access(mdDone, c.store.Line(&p.Page, off+i*memctl.LineBytes), false)
-			queue, service := c.mem.LastBreakdown()
-			if i == 0 {
-				c.stats.DataReads++
-			} else {
-				c.stats.SplitAccesses++ // extra accesses of the coarse block
-			}
-			if d > done {
-				c.attr.Hidden(obs.CompSplit, domQ+domS)
-				done, domQ, domS = d, queue, service
-			} else {
-				c.attr.Hidden(obs.CompSplit, queue+service)
-			}
-		}
-		c.attr.ExposedDRAM(domQ, domS)
-		c.attr.Exposed(obs.CompDecompress, lzLatency)
-		c.attr.End(done + lzLatency)
+		// exposed DRAM segment, the rest (split accesses of the coarse
+		// block) are hidden.
+		done, queue, service := c.port.Read(mdDone, c.store.Span(&p.Page, c.blockOffset(p, b), p.blockBytes[b])...)
+		attr.ExposedDRAM(queue, service)
+		attr.Exposed(obs.CompDecompress, lzLatency)
+		attr.End(done + lzLatency)
 		return memctl.Result{Done: done + lzLatency}
 	}
 	// Hot page: LCP-style.
 	if slot, ok := p.ExcSlot(line); ok {
-		done := c.mem.Access(mdDone, c.store.Line(&p.Page, p.ExcOffset(slot)), false)
-		c.stats.DataReads++
-		c.attr.ExposedDRAM(c.mem.LastBreakdown())
-		c.attr.End(done)
+		done, queue, service := c.port.Read(mdDone, c.store.Span(&p.Page, p.ExcOffset(slot), memctl.LineBytes)...)
+		attr.ExposedDRAM(queue, service)
+		attr.End(done)
 		return memctl.Result{Done: done}
 	}
-	tb, off := int(p.Target), p.LineOffset(line)
-	done := c.mem.Access(mdDone, c.store.Line(&p.Page, off), false)
-	queue, service := c.mem.LastBreakdown()
-	c.stats.DataReads++
-	if compress.SplitAccess(off, tb) {
-		d2 := c.mem.Access(mdDone, c.store.Line(&p.Page, off+tb-1), false)
-		q2, s2 := c.mem.LastBreakdown()
-		c.stats.SplitAccesses++
-		if d2 > done {
-			c.attr.Hidden(obs.CompSplit, queue+service)
-			done, queue, service = d2, q2, s2
-		} else {
-			c.attr.Hidden(obs.CompSplit, q2+s2)
-		}
-	}
-	c.attr.ExposedDRAM(queue, service)
-	c.attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
-	c.attr.End(done + c.cfg.DecompressLatency)
+	done, queue, service := c.port.Read(mdDone, c.store.Span(&p.Page, p.LineOffset(line), int(p.Target))...)
+	attr.ExposedDRAM(queue, service)
+	attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
+	attr.End(done + c.cfg.DecompressLatency)
 	return memctl.Result{Done: done + c.cfg.DecompressLatency}
 }
 
@@ -235,8 +193,9 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	defer func() { c.hasPinned = false }()
 	c.stats.DemandWrites++
 	// Writes are posted: Exposed charges below demote to hidden.
-	c.attr.Begin(now, page, true)
-	c.attr.Posted()
+	attr := c.port.Attr()
+	attr.Begin(now, page, true)
+	attr.Posted()
 	c.touchRegion(now, page)
 
 	l, mdDone := c.lookupMetadata(now, page)
@@ -252,7 +211,7 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	if p.Zero {
 		if size == 0 {
 			c.stats.ZeroLineOps++
-			c.attr.End(now)
+			attr.End(now)
 			return memctl.Result{Done: now}
 		}
 		// Materialize hot with the written line's size as target.
@@ -262,11 +221,9 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 		p.Sizes = [metadata.LinesPerPage]uint8{}
 		p.Sizes[line] = size
 		c.store.Place(&p.Page, lcp.SizeFor(p.Bytes()))
-		c.mem.Access(mdDone, c.store.Line(&p.Page, p.LineOffset(line)), true)
-		c.attr.HiddenDRAM(c.mem.LastBreakdown())
-		c.stats.DataWrites++
+		c.port.Write(mdDone, c.store.Line(&p.Page, p.LineOffset(line)))
 		l.Dirty = true
-		c.attr.End(now)
+		attr.End(now)
 		return memctl.Result{Done: now}
 	}
 	old := p.Sizes[line]
@@ -282,10 +239,8 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 		oldBytes := p.blockBytes[b]
 		c.repriceBlock(page, p, b)
 		var moves uint64
-		reads := oldBytes / memctl.LineBytes
-		for i := 0; i < reads; i++ {
-			c.mem.Access(now, c.store.Line(&p.Page, c.blockOffset(p, b)+i*memctl.LineBytes), false)
-			c.chargeHiddenAccess(obs.CompOverflow)
+		for _, ml := range c.store.Span(&p.Page, c.blockOffset(p, b), oldBytes) {
+			c.port.Hidden(now, ml, false, obs.CompOverflow)
 			moves++
 		}
 		if p.blockBytes[b] > oldBytes {
@@ -294,54 +249,37 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 			c.resize(p)
 			moves += c.copyPage(now, p, true)
 		} else {
-			writes := p.blockBytes[b] / memctl.LineBytes
-			if writes == 0 {
+			if lines := c.store.Span(&p.Page, c.blockOffset(p, b), p.blockBytes[b]); len(lines) == 0 {
 				c.stats.ZeroLineOps++
-			}
-			for i := 0; i < writes; i++ {
-				c.mem.Access(now, c.store.Line(&p.Page, c.blockOffset(p, b)+i*memctl.LineBytes), true)
-				if i == 0 {
-					c.attr.HiddenDRAM(c.mem.LastBreakdown()) // the demand data write
-				} else {
-					c.chargeHiddenAccess(obs.CompOverflow)
+			} else {
+				c.port.Write(now, lines[0]) // the demand data write
+				for _, ml := range lines[1:] {
+					c.port.Hidden(now, ml, true, obs.CompOverflow)
+					moves++
 				}
-			}
-			if writes > 0 {
-				c.stats.DataWrites++
-				moves += uint64(writes - 1)
 			}
 		}
 		c.stats.OverflowAccesses += moves
 		l.Dirty = true
-		c.attr.End(now)
+		attr.End(now)
 		return memctl.Result{Done: now}
 	}
 
 	// Hot page.
 	if slot, ok := p.ExcSlot(line); ok {
-		c.mem.Access(mdDone, c.store.Line(&p.Page, p.ExcOffset(slot)), true)
-		c.attr.HiddenDRAM(c.mem.LastBreakdown())
-		c.stats.DataWrites++
+		c.port.Write(mdDone, c.store.Span(&p.Page, p.ExcOffset(slot), memctl.LineBytes)...)
 		l.Dirty = true
-		c.attr.End(now)
+		attr.End(now)
 		return memctl.Result{Done: now}
 	}
 	if size <= p.Target {
 		if size == 0 {
 			c.stats.ZeroLineOps++
 		} else {
-			off := p.LineOffset(line)
-			c.mem.Access(mdDone, c.store.Line(&p.Page, off), true)
-			c.attr.HiddenDRAM(c.mem.LastBreakdown())
-			c.stats.DataWrites++
-			if compress.SplitAccess(off, int(size)) {
-				c.mem.Access(mdDone, c.store.Line(&p.Page, off+int(p.Target)-1), true)
-				c.chargeHiddenAccess(obs.CompSplit)
-				c.stats.SplitAccesses++
-			}
+			c.port.Write(mdDone, c.store.Span(&p.Page, p.LineOffset(line), int(size))...)
 		}
 		l.Dirty = true
-		c.attr.End(now)
+		attr.End(now)
 		return memctl.Result{Done: now}
 	}
 	// Overflow into the exception region or page rewrite.
@@ -350,18 +288,16 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	if slot, ok := p.AddException(line); ok {
 		c.stats.IRPlacements++
 		c.tr.Emit(now, obs.EvIRPlacement, page, uint64(line))
-		c.mem.Access(mdDone, c.store.Line(&p.Page, p.ExcOffset(slot)), true)
-		c.attr.HiddenDRAM(c.mem.LastBreakdown())
-		c.stats.DataWrites++
+		c.port.Write(mdDone, c.store.Span(&p.Page, p.ExcOffset(slot), memctl.LineBytes)...)
 		l.Dirty = true
-		c.attr.End(now)
+		attr.End(now)
 		return memctl.Result{Done: now}
 	}
 	c.stats.PageOverflows++
 	c.tr.Emit(now, obs.EvPageOverflow, page, uint64(line))
 	c.rewriteHotPage(now, page, p)
 	l.Dirty = true
-	c.attr.End(now)
+	attr.End(now)
 	return memctl.Result{Done: now}
 }
 

@@ -99,7 +99,7 @@ type dmcPage struct {
 // Controller is the DMC baseline memory controller.
 type Controller struct {
 	cfg    Config
-	mem    *dram.Memory
+	port   memctl.Port // DRAM and attribution ledger (no prefetch buffer)
 	source memctl.LineSource
 
 	pages []dmcPage
@@ -124,8 +124,6 @@ type Controller struct {
 	// sites all run inside the demand access, so events carry the
 	// access cycle directly.
 	tr *obs.Tracer
-	// attr is the cycle-accounting attribution ledger (nil disables).
-	attr *obs.Attribution
 }
 
 var _ memctl.Controller = (*Controller)(nil)
@@ -136,15 +134,16 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 		panic("dmc: invalid config")
 	}
 	nRegions := (cfg.OSPAPages + cfg.RegionPages - 1) / cfg.RegionPages
-	return &Controller{
+	c := &Controller{
 		cfg:        cfg,
-		mem:        mem,
 		source:     source,
 		pages:      make([]dmcPage, cfg.OSPAPages),
 		store:      lcp.NewStore("dmc", cfg.OSPAPages, cfg.MachineBytes, cfg.OnMemoryPressure),
 		mdc:        metadata.NewCache(cfg.MetadataCache),
 		regionHits: make([]uint64, nRegions),
 	}
+	c.port = memctl.NewPort(mem, &c.stats, 0)
+	return c
 }
 
 // MXTConfig returns an IBM-MXT-style configuration: every page stored
@@ -175,7 +174,7 @@ func (c *Controller) ResetStats() {
 func (c *Controller) SetTracer(t *obs.Tracer) { c.tr = t }
 
 // SetAttribution installs the cycle-accounting ledger (nil disables).
-func (c *Controller) SetAttribution(a *obs.Attribution) { c.attr = a }
+func (c *Controller) SetAttribution(a *obs.Attribution) { c.port.SetAttribution(a) }
 
 // MetadataCacheStats returns the metadata cache counters.
 func (c *Controller) MetadataCacheStats() metadata.CacheStats { return c.mdc.Stats() }
@@ -193,8 +192,6 @@ func (c *Controller) checkPage(page uint64) {
 }
 
 // --- layout helpers ---------------------------------------------------
-
-func (c *Controller) mdMachineLine(page uint64) uint64 { return page }
 
 // storedBytes returns the bytes the page's current format occupies.
 func storedBytes(p *dmcPage) int {

@@ -90,7 +90,7 @@ func AlignConfig(ospaPages int, machineBytes int64) Config {
 // Controller is the LCP baseline memory controller.
 type Controller struct {
 	cfg    Config
-	mem    *dram.Memory
+	port   memctl.Port // DRAM, free-prefetch buffer and attribution ledger
 	source memctl.LineSource
 	sizer  memctl.LineSizer // source's memoized size path (nil when unsupported)
 
@@ -101,7 +101,6 @@ type Controller struct {
 	stats      memctl.Stats
 	validPages int64
 
-	prefetch  memctl.LineFIFO
 	pinned    uint64
 	hasPinned bool
 	name      string
@@ -110,8 +109,6 @@ type Controller struct {
 	// event site runs inside the demand access, so events carry the
 	// access cycle directly.
 	tr *obs.Tracer
-	// attr is the cycle-accounting attribution ledger (nil disables).
-	attr *obs.Attribution
 }
 
 var _ memctl.Controller = (*Controller)(nil)
@@ -126,17 +123,17 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 		name = "lcp-align"
 	}
 	sizer, _ := source.(memctl.LineSizer)
-	return &Controller{
-		cfg:      cfg,
-		mem:      mem,
-		source:   source,
-		sizer:    sizer,
-		pages:    make([]Page, cfg.OSPAPages),
-		store:    NewStore("lcp", cfg.OSPAPages, cfg.MachineBytes, cfg.OnMemoryPressure),
-		mdc:      metadata.NewCache(cfg.MetadataCache),
-		name:     name,
-		prefetch: memctl.NewLineFIFO(cfg.PrefetchBuffer),
+	c := &Controller{
+		cfg:    cfg,
+		source: source,
+		sizer:  sizer,
+		pages:  make([]Page, cfg.OSPAPages),
+		store:  NewStore("lcp", cfg.OSPAPages, cfg.MachineBytes, cfg.OnMemoryPressure),
+		mdc:    metadata.NewCache(cfg.MetadataCache),
+		name:   name,
 	}
+	c.port = memctl.NewPort(mem, &c.stats, cfg.PrefetchBuffer)
+	return c
 }
 
 // Name implements memctl.Controller.
@@ -158,7 +155,7 @@ func (c *Controller) SetTracer(t *obs.Tracer) { c.tr = t }
 // LCP charges the metadata segment at the demand call sites rather
 // than inside lookupMetadata: under speculation the metadata fetch
 // may end up off the critical path, and only the caller knows.
-func (c *Controller) SetAttribution(a *obs.Attribution) { c.attr = a }
+func (c *Controller) SetAttribution(a *obs.Attribution) { c.port.SetAttribution(a) }
 
 // MetadataCacheStats returns the metadata cache's counters.
 func (c *Controller) MetadataCacheStats() metadata.CacheStats { return c.mdc.Stats() }
@@ -185,8 +182,6 @@ func (c *Controller) compressCode(lineAddr uint64, data []byte) uint8 {
 	return uint8(c.cfg.Bins.Code(compress.SizeOnly(c.cfg.Codec, data)))
 }
 
-func (c *Controller) mdMachineLine(page uint64) uint64 { return page }
-
 // --- metadata path ---------------------------------------------------------
 
 // lookupMetadata returns (cache line, metadata-ready cycle, wasMiss).
@@ -194,78 +189,15 @@ func (c *Controller) lookupMetadata(now uint64, page uint64) (*metadata.Line, ui
 	if l, ok := c.mdc.Lookup(page); ok {
 		return l, now + c.cfg.MetadataHitLatency, false
 	}
-	c.stats.MetadataReads++
-	done := c.mem.Access(now, c.mdMachineLine(page), false)
+	done := c.port.MetadataRead(now, page)
 	l, evicted := c.mdc.Insert(page, false)
 	for _, ev := range evicted {
 		if ev.Dirty {
-			c.stats.MetadataWrites++
-			c.mem.Access(now, c.mdMachineLine(ev.Page), true)
-			queue, service := c.mem.LastBreakdown()
-			c.attr.Hidden(obs.CompMDFetch, queue+service)
+			c.port.MetadataWriteback(now, ev.Page)
 		}
 		// No repacking in LCP (§IV-B4 is novel to Compresso).
 	}
 	return l, done, true
-}
-
-// --- data helpers ----------------------------------------------------------
-
-func (c *Controller) fetchData(start uint64, machineLine uint64, extra bool) uint64 {
-	if c.prefetch.Contains(machineLine) {
-		c.stats.PrefetchHits++
-		return start
-	}
-	done := c.mem.Access(start, machineLine, false)
-	if extra {
-		c.stats.SplitAccesses++
-	} else {
-		c.stats.DataReads++
-	}
-	c.prefetch.Push(machineLine)
-	return done
-}
-
-func (c *Controller) writeSpan(now uint64, p *Page, off, size int) {
-	if size <= 0 {
-		return
-	}
-	c.mem.Access(now, c.store.Line(p, off), true)
-	c.attr.HiddenDRAM(c.mem.LastBreakdown())
-	c.stats.DataWrites++
-	if compress.SplitAccess(off, size) {
-		c.mem.Access(now, c.store.Line(p, off+size-1), true)
-		c.stats.SplitAccesses++
-		queue, service := c.mem.LastBreakdown()
-		c.attr.Hidden(obs.CompSplit, queue+service)
-	}
-}
-
-// readSpan reads [off, off+size) and additionally returns the
-// dominant access's DRAM breakdown (zero on a prefetch hit, whose
-// stale breakdown must not be charged); the non-dominant half of a
-// split pair is charged hidden here. The caller decides whether the
-// dominant breakdown is exposed (demand segment) or hidden (the
-// speculative read that lost to the metadata fetch).
-func (c *Controller) readSpan(start uint64, p *Page, off, size int) (done, queue, service uint64) {
-	done = c.fetchData(start, c.store.Line(p, off), false)
-	if done > start {
-		queue, service = c.mem.LastBreakdown()
-	}
-	if compress.SplitAccess(off, size) {
-		d2 := c.fetchData(start, c.store.Line(p, off+size-1), true)
-		var q2, s2 uint64
-		if d2 > start {
-			q2, s2 = c.mem.LastBreakdown()
-		}
-		if d2 > done {
-			c.attr.Hidden(obs.CompSplit, queue+service)
-			done, queue, service = d2, q2, s2
-		} else {
-			c.attr.Hidden(obs.CompSplit, q2+s2)
-		}
-	}
-	return done, queue, service
 }
 
 // --- demand path -------------------------------------------------------------
@@ -277,7 +209,8 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 	c.pinned, c.hasPinned = page, true
 	defer func() { c.hasPinned = false }()
 	c.stats.DemandReads++
-	c.attr.Begin(now, page, false)
+	attr := c.port.Attr()
+	attr.Begin(now, page, false)
 
 	l, mdDone, miss := c.lookupMetadata(now, page)
 	mdComp := obs.CompMDCacheHit
@@ -293,8 +226,8 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 	}
 	if p.Zero || p.Sizes[line] == 0 {
 		c.stats.ZeroLineOps++
-		c.attr.Exposed(mdComp, mdDone-now)
-		c.attr.End(mdDone)
+		attr.Exposed(mdComp, mdDone-now)
+		attr.End(mdDone)
 		return memctl.Result{Done: mdDone}
 	}
 
@@ -306,34 +239,39 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 	slot, isExc := p.ExcSlot(line)
 	tb := int(p.Target)
 	if miss && c.cfg.Speculate && tb > 0 {
-		specDone, q, srv := c.readSpan(now, p, p.LineOffset(line), tb)
+		reads := c.stats.DataReads
+		specDone, q, srv := c.port.Read(now, c.store.Span(p, p.LineOffset(line), tb)...)
 		if !isExc {
 			done := specDone
 			if mdDone > done {
 				// The metadata fetch dominates: the correct speculative
 				// read completed entirely under it.
 				done = mdDone
-				c.attr.Exposed(obs.CompMDFetch, mdDone-now)
-				c.attr.HiddenDRAM(q, srv)
+				attr.Exposed(obs.CompMDFetch, mdDone-now)
+				attr.HiddenDRAM(q, srv)
 			} else {
 				// The data read dominates: the metadata fetch is hidden.
-				c.attr.Hidden(obs.CompMDFetch, mdDone-now)
-				c.attr.ExposedDRAM(q, srv)
+				attr.Hidden(obs.CompMDFetch, mdDone-now)
+				attr.ExposedDRAM(q, srv)
 			}
-			c.attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
-			c.attr.End(done + c.cfg.DecompressLatency)
+			attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
+			attr.End(done + c.cfg.DecompressLatency)
 			return memctl.Result{Done: done + c.cfg.DecompressLatency}
 		}
-		// Wasted speculation; re-account the access as pure overhead.
-		c.stats.SpeculationMiss++
-		c.stats.DataReads--
-		c.attr.Hidden(obs.CompSpecMiss, q+srv)
+		// Wasted speculation: re-account the DRAM read it issued as pure
+		// overhead. When the free-prefetch buffer served its first line
+		// it counted no DataReads, so there is none to take back.
+		if c.stats.DataReads > reads {
+			c.stats.SpeculationMiss++
+			c.stats.DataReads--
+		}
+		attr.Hidden(obs.CompSpecMiss, q+srv)
 	}
 	if isExc {
-		c.attr.Exposed(mdComp, mdDone-now)
-		done, q, srv := c.readSpan(mdDone, p, p.ExcOffset(slot), memctl.LineBytes)
-		c.attr.ExposedDRAM(q, srv)
-		c.attr.End(done)
+		attr.Exposed(mdComp, mdDone-now)
+		done, q, srv := c.port.Read(mdDone, c.store.Span(p, p.ExcOffset(slot), memctl.LineBytes)...)
+		attr.ExposedDRAM(q, srv)
+		attr.End(done)
 		return memctl.Result{Done: done}
 	}
 	if tb == 0 {
@@ -341,11 +279,11 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 		// hold only zero lines or exceptions.
 		panic("lcp: non-exception line in a zero-target page")
 	}
-	c.attr.Exposed(mdComp, mdDone-now)
-	done, q, srv := c.readSpan(mdDone, p, p.LineOffset(line), tb)
-	c.attr.ExposedDRAM(q, srv)
-	c.attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
-	c.attr.End(done + c.cfg.DecompressLatency)
+	attr.Exposed(mdComp, mdDone-now)
+	done, q, srv := c.port.Read(mdDone, c.store.Span(p, p.LineOffset(line), tb)...)
+	attr.ExposedDRAM(q, srv)
+	attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
+	attr.End(done + c.cfg.DecompressLatency)
 	return memctl.Result{Done: done + c.cfg.DecompressLatency}
 }
 
@@ -361,15 +299,16 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	c.stats.DemandWrites++
 	// Writes are posted: every Exposed charge below demotes to hidden;
 	// only the page-fault penalty stays critical (ExposedCritical).
-	c.attr.Begin(now, page, true)
-	c.attr.Posted()
+	attr := c.port.Attr()
+	attr.Begin(now, page, true)
+	attr.Posted()
 
 	l, mdDone, miss := c.lookupMetadata(now, page)
 	mdComp := obs.CompMDCacheHit
 	if miss {
 		mdComp = obs.CompMDFetch
 	}
-	c.attr.Exposed(mdComp, mdDone-now)
+	attr.Exposed(mdComp, mdDone-now)
 	p := &c.pages[page]
 	if !p.Valid {
 		p.Valid = true
@@ -383,7 +322,7 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	if p.Zero {
 		if size == 0 {
 			c.stats.ZeroLineOps++
-			c.attr.End(now)
+			attr.End(now)
 			return memctl.Result{Done: now}
 		}
 		// Zero page materializes with the written line's size as its
@@ -393,9 +332,9 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 		p.Sizes = [metadata.LinesPerPage]uint8{}
 		p.Sizes[line] = size
 		c.store.Place(p, SizeFor(p.Bytes()))
-		c.writeSpan(mdDone, p, p.LineOffset(line), int(size))
+		c.port.Write(mdDone, c.store.Span(p, p.LineOffset(line), int(size))...)
 		l.Dirty = true
-		c.attr.End(now)
+		attr.End(now)
 		return memctl.Result{Done: now}
 	}
 
@@ -409,21 +348,21 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	if slot, ok := p.ExcSlot(line); ok {
 		// Exception slots hold a full line; they never overflow. LCP
 		// does not repatriate lines that shrink (no repacking).
-		c.writeSpan(mdDone, p, p.ExcOffset(slot), memctl.LineBytes)
+		c.port.Write(mdDone, c.store.Span(p, p.ExcOffset(slot), memctl.LineBytes)...)
 		l.Dirty = true
-		c.attr.End(now)
+		attr.End(now)
 		return memctl.Result{Done: now}
 	}
 	if size <= p.Target {
 		if size == 0 {
 			c.stats.ZeroLineOps++
 			l.Dirty = true
-			c.attr.End(now)
+			attr.End(now)
 			return memctl.Result{Done: now}
 		}
-		c.writeSpan(mdDone, p, p.LineOffset(line), int(size))
+		c.port.Write(mdDone, c.store.Span(p, p.LineOffset(line), int(size))...)
 		l.Dirty = true
-		c.attr.End(now)
+		attr.End(now)
 		return memctl.Result{Done: now}
 	}
 
@@ -433,9 +372,9 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	if slot, ok := p.AddException(line); ok {
 		c.stats.IRPlacements++
 		c.tr.Emit(now, obs.EvIRPlacement, page, uint64(line))
-		c.writeSpan(mdDone, p, p.ExcOffset(slot), memctl.LineBytes)
+		c.port.Write(mdDone, c.store.Span(p, p.ExcOffset(slot), memctl.LineBytes)...)
 		l.Dirty = true
-		c.attr.End(now)
+		attr.End(now)
 		return memctl.Result{Done: now}
 	}
 
@@ -443,7 +382,7 @@ func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.
 	// a bigger (possibly retargeted) page and copies the data.
 	done := c.pageFaultOverflow(now, p, page, line)
 	l.Dirty = true
-	c.attr.End(done)
+	attr.End(done)
 	return memctl.Result{Done: done}
 }
 
@@ -462,9 +401,7 @@ func (c *Controller) pageFaultOverflow(now uint64, p *Page, page uint64, line in
 		if size == 0 || ln == line {
 			continue
 		}
-		c.mem.Access(now, c.store.Line(p, p.Offset(ln)), false)
-		queue, service := c.mem.LastBreakdown()
-		c.attr.Hidden(obs.CompOverflow, queue+service)
+		c.port.Hidden(now, c.store.Line(p, p.Offset(ln)), false, obs.CompOverflow)
 		moves++
 	}
 	p.Pack(c.cfg.Bins)
@@ -473,15 +410,13 @@ func (c *Controller) pageFaultOverflow(now uint64, p *Page, page uint64, line in
 		if size == 0 {
 			continue
 		}
-		c.mem.Access(now, c.store.Line(p, p.Offset(ln)), true)
-		queue, service := c.mem.LastBreakdown()
-		c.attr.Hidden(obs.CompOverflow, queue+service)
+		c.port.Hidden(now, c.store.Line(p, p.Offset(ln)), true, obs.CompOverflow)
 		moves++
 	}
 	c.stats.OverflowAccesses += moves
 	// The OS fault penalty is the one write-path latency LCP exposes;
 	// it must survive the posted-write demotion.
-	c.attr.ExposedCritical(obs.CompOverflow, c.cfg.PageFaultPenalty)
+	c.port.Attr().ExposedCritical(obs.CompOverflow, c.cfg.PageFaultPenalty)
 	return now + c.cfg.PageFaultPenalty
 }
 

@@ -214,6 +214,38 @@ func TestSpeculationWastedOnExceptions(t *testing.T) {
 	}
 }
 
+// TestWastedSpeculationServedByPrefetch pins the wasted-speculation
+// re-accounting to speculative reads that reached DRAM: when the
+// free-prefetch buffer serves the speculative read of an exception
+// line, the read counted no DataReads, so none may be taken back (the
+// count used to wrap below zero right after the warmup reset).
+func TestWastedSpeculationServedByPrefetch(t *testing.T) {
+	c, im := testController(func(cfg *Config) {
+		cfg.MetadataCache = metadata.CacheConfig{SizeBytes: 2 * metadata.EntrySize, Ways: 2}
+	})
+	r := rng.New(7)
+	lines := pageOfLines(r, datagen.Seq)
+	lines[1] = datagen.Line(r, datagen.Random)
+	installPage(c, im, 0, lines)
+	p := &c.pages[0]
+	if _, exc := p.ExcSlot(1); !exc || p.Target == 0 || p.LineOffset(1)+int(p.Target) > memctl.LineBytes {
+		t.Fatalf("setup: line 1 must be an exception whose target slot shares line 0's machine line (target %d, exceptions %v)",
+			p.Target, p.exc)
+	}
+	c.ReadLine(0, 0) // line 0's machine line enters the prefetch buffer
+	// Evict page 0's metadata with zero pages, which issue no data
+	// reads and so leave the prefetch buffer as it is.
+	c.ReadLine(1000, 1*metadata.LinesPerPage)
+	c.ReadLine(2000, 2*metadata.LinesPerPage)
+	c.ResetStats()
+	c.ReadLine(3000, 1) // metadata miss; the speculative read hits the buffer
+	st := c.Stats()
+	if st.PrefetchHits != 1 || st.DataReads != 1 || st.SpeculationMiss != 0 || st.MetadataReads != 1 {
+		t.Fatalf("prefetch-served wasted speculation: PrefetchHits %d DataReads %d SpeculationMiss %d MetadataReads %d; want 1, 1, 0, 1",
+			st.PrefetchHits, st.DataReads, st.SpeculationMiss, st.MetadataReads)
+	}
+}
+
 func TestAlignVariantSplitsLess(t *testing.T) {
 	splits := func(bins compress.Bins) uint64 {
 		c, im := testController(func(cfg *Config) { cfg.Bins = bins; cfg.PrefetchBuffer = 0 })
@@ -254,7 +286,7 @@ func TestNoRepatriationAfterUnderflow(t *testing.T) {
 		t.Fatal("LCP unexpectedly reclaimed space")
 	}
 	p := &c.pages[0]
-	if len(p.Exc) != 1 {
+	if len(p.exc) != 1 {
 		t.Fatal("exception list changed")
 	}
 }

@@ -20,8 +20,11 @@ type Page struct {
 	Target uint8
 	Base   uint32 // buddy block base chunk
 	Chunks int    // 1, 2, 4 or 8
-	// Exc maps exception-region slots to line indices (in slot order).
-	Exc []int
+	// exc maps exception-region slots to line indices (in slot order);
+	// excMask has bit line set for every line in exc. Pack and
+	// AddException are their only writers, which keeps them in sync.
+	exc     []int
+	excMask uint64
 	// Sizes shadows each line's current binned size in bytes.
 	Sizes [metadata.LinesPerPage]uint8
 }
@@ -54,17 +57,23 @@ func ChooseTarget(bins compress.Bins, sizes []uint8) (target, bytes int) {
 func (p *Page) Pack(bins compress.Bins) {
 	target, _ := ChooseTarget(bins, p.Sizes[:])
 	p.Target = uint8(target)
-	p.Exc = p.Exc[:0]
+	p.exc = p.exc[:0]
+	p.excMask = 0
 	for line, s := range p.Sizes {
 		if s > p.Target {
-			p.Exc = append(p.Exc, line)
+			p.exc = append(p.exc, line)
+			p.excMask |= 1 << line
 		}
 	}
 }
 
-// ExcSlot returns line's exception slot, if it has one.
+// ExcSlot returns line's exception slot, if it has one. A line without
+// one costs a single bit test.
 func (p *Page) ExcSlot(line int) (int, bool) {
-	for i, l := range p.Exc {
+	if p.excMask&(1<<line) == 0 {
+		return 0, false
+	}
+	for i, l := range p.exc {
 		if l == line {
 			return i, true
 		}
@@ -91,7 +100,7 @@ func (p *Page) Offset(line int) int {
 
 // Bytes returns the bytes the current layout occupies.
 func (p *Page) Bytes() int {
-	return metadata.LinesPerPage*int(p.Target) + len(p.Exc)*memctl.LineBytes
+	return metadata.LinesPerPage*int(p.Target) + len(p.exc)*memctl.LineBytes
 }
 
 // AddException appends line to the exception region when the page's
@@ -100,8 +109,9 @@ func (p *Page) AddException(line int) (int, bool) {
 	if p.Bytes()+memctl.LineBytes > p.Chunks*metadata.ChunkSize {
 		return 0, false
 	}
-	p.Exc = append(p.Exc, line)
-	return len(p.Exc) - 1, true
+	p.exc = append(p.exc, line)
+	p.excMask |= 1 << line
+	return len(p.exc) - 1, true
 }
 
 // excReserve is the exception-region headroom (in bytes) included when

@@ -7,6 +7,7 @@ import (
 	"compresso/internal/compress"
 	"compresso/internal/memctl"
 	"compresso/internal/metadata"
+	"compresso/internal/rng"
 )
 
 // sizesOf builds a page's line sizes: fill everywhere, then the
@@ -113,8 +114,8 @@ func TestPageLayout(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			p := Page{Sizes: tc.sizes}
 			p.Pack(tc.bins)
-			if int(p.Target) != tc.target || !slices.Equal(p.Exc, tc.exc) {
-				t.Fatalf("target %d exceptions %v; want %d and %v", p.Target, p.Exc, tc.target, tc.exc)
+			if int(p.Target) != tc.target || !slices.Equal(p.exc, tc.exc) {
+				t.Fatalf("target %d exceptions %v; want %d and %v", p.Target, p.exc, tc.target, tc.exc)
 			}
 			target, bytes := ChooseTarget(tc.bins, tc.sizes[:])
 			if target != tc.target || bytes != p.Bytes() {
@@ -123,12 +124,86 @@ func TestPageLayout(t *testing.T) {
 			if got := SizeFor(p.Bytes()); got != tc.chunks {
 				t.Fatalf("SizeFor(%d) = %d chunks, want %d", p.Bytes(), got, tc.chunks)
 			}
-			for slot, line := range p.Exc {
+			for slot, line := range p.exc {
 				if got := p.Offset(line); got != p.ExcOffset(slot) {
 					t.Fatalf("exception line %d at offset %d, want slot %d's %d", line, got, slot, p.ExcOffset(slot))
 				}
 			}
 		})
+	}
+}
+
+// linearExcSlot is the reference ExcSlot: a scan of the exception list.
+func linearExcSlot(p *Page, line int) (int, bool) {
+	for i, l := range p.exc {
+		if l == line {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// TestExcSlotMatchesLinearScan drives pages through random Pack and
+// AddException sequences (duplicates included) and requires ExcSlot's
+// bitmap answer to equal the linear scan for every line after every
+// step.
+func TestExcSlotMatchesLinearScan(t *testing.T) {
+	r := rng.New(11)
+	binSets := []compress.Bins{compress.LegacyBins, compress.CompressoBins, compress.EightBins}
+	for trial := 0; trial < 200; trial++ {
+		bins := binSets[trial%len(binSets)]
+		var p Page
+		p.Chunks = 1 << r.Intn(4)
+		for step := 0; step < 40; step++ {
+			if r.Intn(4) == 0 {
+				for i := range p.Sizes {
+					p.Sizes[i] = uint8(bins.SizeOf(r.Intn(bins.Count())))
+				}
+				p.Pack(bins)
+			} else {
+				p.AddException(r.Intn(metadata.LinesPerPage))
+			}
+			for line := 0; line < metadata.LinesPerPage; line++ {
+				gotSlot, gotOK := p.ExcSlot(line)
+				wantSlot, wantOK := linearExcSlot(&p, line)
+				if gotSlot != wantSlot || gotOK != wantOK {
+					t.Fatalf("trial %d step %d line %d: ExcSlot = %d, %v; linear scan %d, %v (exceptions %v)",
+						trial, step, line, gotSlot, gotOK, wantSlot, wantOK, p.exc)
+				}
+			}
+		}
+	}
+}
+
+// TestStoreSpan pins the machine lines a span covers: none when empty,
+// one per 64-byte line touched, consecutive across chunk boundaries.
+func TestStoreSpan(t *testing.T) {
+	s := NewStore("test", 4, 64*metadata.ChunkSize, nil)
+	var p Page
+	s.Place(&p, 2)
+	first := s.Line(&p, 0)
+	cases := []struct {
+		off, size int
+		want      []uint64
+	}{
+		{0, 0, nil},
+		{0, 22, []uint64{first}},
+		{44, 22, []uint64{first, first + 1}},
+		{64, 64, []uint64{first + 1}},
+		{metadata.ChunkSize - 8, 16, []uint64{first + 7, first + 8}},
+		{0, 1024, []uint64{first, first + 1, first + 2, first + 3, first + 4, first + 5, first + 6, first + 7,
+			first + 8, first + 9, first + 10, first + 11, first + 12, first + 13, first + 14, first + 15}},
+	}
+	for _, tc := range cases {
+		got := s.Span(&p, tc.off, tc.size)
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("Span(%d, %d) = %v, want %v", tc.off, tc.size, got, tc.want)
+		}
+		for i, line := range got {
+			if off := tc.off - tc.off%memctl.LineBytes + i*memctl.LineBytes; line != s.Line(&p, off) {
+				t.Fatalf("Span(%d, %d)[%d] = %d, Line(%d) = %d", tc.off, tc.size, i, line, off, s.Line(&p, off))
+			}
+		}
 	}
 }
 

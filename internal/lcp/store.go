@@ -14,6 +14,7 @@ type Store struct {
 	buddy      *mpa.BuddyAllocator
 	baseLine   uint64 // machine line of data chunk 0
 	onPressure func(needChunks int) bool
+	span       [memctl.LinesPerPage]uint64
 }
 
 // NewStore lays out machineBytes for ospaPages pages. onPressure (may
@@ -63,6 +64,21 @@ func (s *Store) Line(p *Page, off int) uint64 {
 	chunk := p.Base + uint32(off/metadata.ChunkSize)
 	return s.baseLine + uint64(chunk)*(metadata.ChunkSize/memctl.LineBytes) +
 		uint64(off%metadata.ChunkSize)/memctl.LineBytes
+}
+
+// Span returns the machine lines covering [off, off+size) of p's block
+// (none for an empty span), in a buffer reused by the next call. A
+// block's chunks are contiguous, so its lines are consecutive.
+func (s *Store) Span(p *Page, off, size int) []uint64 {
+	if size <= 0 {
+		return nil
+	}
+	first := s.Line(p, off)
+	n := (off+size-1)/memctl.LineBytes - off/memctl.LineBytes + 1
+	for i := range n {
+		s.span[i] = first + uint64(i)
+	}
+	return s.span[:n]
 }
 
 // UsedBytes reports the bytes of allocated blocks.

@@ -218,42 +218,42 @@ func CompressionRatio(c Controller) float64 {
 // Uncompressed is the baseline controller: OSPA == MPA, every demand
 // access is exactly one DRAM access, no metadata.
 type Uncompressed struct {
-	mem       *dram.Memory
+	port      Port
 	stats     Stats
-	attr      *obs.Attribution
 	installed int64
 }
 
 // NewUncompressed builds the baseline over mem.
 func NewUncompressed(mem *dram.Memory) *Uncompressed {
-	return &Uncompressed{mem: mem}
+	u := &Uncompressed{}
+	u.port = NewPort(mem, &u.stats, 0)
+	return u
 }
 
 // Name implements Controller.
 func (u *Uncompressed) Name() string { return "uncompressed" }
 
 // SetAttribution installs the cycle-accounting ledger (nil disables).
-func (u *Uncompressed) SetAttribution(a *obs.Attribution) { u.attr = a }
+func (u *Uncompressed) SetAttribution(a *obs.Attribution) { u.port.SetAttribution(a) }
 
 // ReadLine implements Controller.
 func (u *Uncompressed) ReadLine(now uint64, lineAddr uint64) Result {
 	u.stats.DemandReads++
-	u.stats.DataReads++
-	u.attr.Begin(now, lineAddr/(PageSize/LineBytes), false)
-	done := u.mem.Access(now, lineAddr, false)
-	u.attr.ExposedDRAM(u.mem.LastBreakdown())
-	u.attr.End(done)
+	attr := u.port.Attr()
+	attr.Begin(now, lineAddr/LinesPerPage, false)
+	done, queue, service := u.port.Read(now, lineAddr)
+	attr.ExposedDRAM(queue, service)
+	attr.End(done)
 	return Result{Done: done}
 }
 
 // WriteLine implements Controller.
 func (u *Uncompressed) WriteLine(now uint64, lineAddr uint64, data []byte) Result {
 	u.stats.DemandWrites++
-	u.stats.DataWrites++
-	u.attr.Begin(now, lineAddr/(PageSize/LineBytes), true)
-	u.mem.Access(now, lineAddr, true)
-	u.attr.HiddenDRAM(u.mem.LastBreakdown())
-	u.attr.End(now)
+	attr := u.port.Attr()
+	attr.Begin(now, lineAddr/LinesPerPage, true)
+	u.port.Write(now, lineAddr)
+	attr.End(now)
 	return Result{Done: now}
 }
 
