@@ -5,9 +5,9 @@ GO ?= go
 # Worker count for the chaos/soak harnesses (0 = all cores).
 JOBS ?= 0
 
-.PHONY: check vet fmt-check build test seam race fuzz bench-quick bench-json bench-json-check bench-kernels bench-hotloop backends fleet obs-smoke chaos soak
+.PHONY: check vet fmt-check build test seam race fuzz bench-quick bench-json bench-json-check full-sweep-check bench-kernels bench-hotloop backends fleet obs-smoke chaos soak
 
-check: vet fmt-check build test seam race bench-kernels bench-hotloop bench-json-check backends fleet obs-smoke chaos
+check: vet fmt-check build test seam race bench-kernels bench-hotloop bench-json-check full-sweep-check backends fleet obs-smoke chaos
 
 vet:
 	$(GO) vet ./...
@@ -121,6 +121,21 @@ bench-json-check:
 	for f in $$out/*.json; do [ -e "BENCH_$${f##*/}" ] || drift="$$drift BENCH_$${f##*/}"; done; \
 	[ -z "$$drift" ] || { echo "bench-json-check: drifted from the committed artifacts:$$drift"; exit 1; }; \
 	echo "bench-json-check: ok ($$(ls $$out/*.json | wc -l) artifacts byte-identical)"
+
+# Full-sweep gate: rerun every experiment at full fidelity on two
+# workers (about 40 s on 2 vCPUs) and require the text output to be
+# byte-identical to the committed experiments_full.txt, printing the
+# first differing hunk. A legitimate change regenerates the file
+# with `compresso-sim -exp all -jobs 2 > experiments_full.txt`.
+full-sweep-check:
+	@set -e; out=$$(mktemp -d); trap 'rm -rf "$$out"' EXIT; \
+	$(GO) build -o $$out/compresso-sim ./cmd/compresso-sim; \
+	$$out/compresso-sim -exp all -jobs 2 > $$out/full.txt; \
+	cmp -s $$out/full.txt experiments_full.txt || { \
+		echo "full-sweep-check: output drifted from experiments_full.txt (< committed, > this build); first difference:"; \
+		diff experiments_full.txt $$out/full.txt | awk 'NR > 1 && /^[0-9]/ { exit } { print }' | head -n 8; \
+		exit 1; }; \
+	echo "full-sweep-check: ok (-exp all -jobs 2 byte-identical to experiments_full.txt)"
 
 # Backend gate (DESIGN.md §12): run the registry-wide conformance
 # suite, then a quick per-backend sweep for every registered backend,

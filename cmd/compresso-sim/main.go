@@ -502,10 +502,6 @@ func (f fleetFlags) validate() error {
 	return nil
 }
 
-// fleetCLIBackends is the backend set -fleet nodes cycle through: the
-// four headline architectures plus the uncompressed baseline.
-var fleetCLIBackends = []string{"compresso", "lcp", "cram", "cxl", "uncompressed"}
-
 // runFleet executes the -fleet mode: a mixed-backend fleet under the
 // chosen tier policy, with the rollup table on stdout and a
 // kind-"fleet" artifact under -json.
@@ -514,7 +510,7 @@ func runFleet(nodes int, policyName string, quick bool, seed uint64, scale, jobs
 	if err != nil {
 		fatal(err)
 	}
-	specs, err := fleet.Mix(nodes, fleetCLIBackends, seed)
+	specs, err := fleet.Mix(nodes, fleet.Backends, seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -539,7 +535,7 @@ func runFleet(nodes int, policyName string, quick bool, seed uint64, scale, jobs
 	writeRunArtifact("fleet", name, runArtifact(res, snap))
 
 	fmt.Printf("fleet: %d nodes over %s, policy %s, %d epochs x %d ops (scale %d)\n",
-		nodes, strings.Join(fleetCLIBackends, "/"), pol.Name, epochs, opsPerEpoch, scale)
+		nodes, strings.Join(fleet.Backends, "/"), pol.Name, epochs, opsPerEpoch, scale)
 	tbl := stats.NewTable("node", "bench", "backend", "ratio", "hot-pgs", "promo", "demo", "balloon-pgs")
 	for _, n := range res.Nodes {
 		tbl.AddRow(n.ID, n.Bench, n.Backend, n.Ratio, n.HotPages,

@@ -48,26 +48,13 @@ func newTracker(img *workload.Image, jobs int) *tracker {
 	// price pages on the pool: each worker owns a strided page subset,
 	// touching disjoint lineRaw/bytes entries (pricing is pure).
 	t.img.SizeAll(t.codec, jobs)
-	pricePage := func(p int) {
+	parallel.Strided(jobs, t.pages, func(p int) {
 		base := uint64(p) * memctl.LinesPerPage
 		for l := uint64(0); l < memctl.LinesPerPage; l++ {
 			t.lineRaw[base+l] = t.rawSize(base + l)
 		}
 		t.priceFresh(uint32(p))
-	}
-	workers := parallel.Workers(jobs, t.pages)
-	if workers <= 1 {
-		for p := 0; p < t.pages; p++ {
-			pricePage(p)
-		}
-	} else {
-		parallel.Map(workers, workers, func(w int) struct{} {
-			for p := w; p < t.pages; p += workers {
-				pricePage(p)
-			}
-			return struct{}{}
-		})
-	}
+	})
 	for s := Sizer(0); s < NSizers; s++ {
 		for p := 0; p < t.pages; p++ {
 			t.totals[s] += int64(t.bytes[s][p])

@@ -13,14 +13,11 @@
 package dmc
 
 import (
-	"fmt"
-
 	"compresso/internal/compress"
 	"compresso/internal/dram"
 	"compresso/internal/lcp"
 	"compresso/internal/memctl"
 	"compresso/internal/metadata"
-	"compresso/internal/obs"
 )
 
 // Config parameterizes the DMC baseline.
@@ -85,45 +82,38 @@ func DefaultConfig(ospaPages int, machineBytes int64) Config {
 // LZBlockBytes is the cold-page compression granularity (1 KB).
 const LZBlockBytes = 1024
 
-const blocksPerPage = memctl.PageSize / LZBlockBytes
+const (
+	blocksPerPage = memctl.PageSize / LZBlockBytes
+	blockLines    = LZBlockBytes / memctl.LineBytes
+)
 
-// dmcPage is the per-page controller state: the hot format's LCP
-// layout and block, plus the cold format's fields.
-type dmcPage struct {
-	lcp.Page
-	cold bool
-	// blockBytes are the cold format's per-1KB-block compressed sizes.
+// tier is a page's dmc-only state: which format it is in and the cold
+// format's per-1KB-block compressed sizes. It describes a valid,
+// non-zero page: InstallPage sets it and a zero page's first write
+// resets it, so what a discarded page leaves behind is never read.
+type tier struct {
+	cold       bool
 	blockBytes [blocksPerPage]int
 }
 
-// Controller is the DMC baseline memory controller.
+// Controller is the DMC baseline memory controller: an LCP page
+// controller (BDI, legacy bins, no speculation, no prefetch buffer)
+// for the hot tier, plus the cold LZ tier, region temperature and the
+// conversions between the two.
 type Controller struct {
+	*lcp.Controller
 	cfg    Config
-	port   memctl.Port // DRAM and attribution ledger (no prefetch buffer)
 	source memctl.LineSource
 
-	pages []dmcPage
-	store *lcp.Store
-	mdc   *metadata.Cache
-
+	tiers      []tier
 	regionHits []uint64
 	sinceScan  uint64
-
-	stats      memctl.Stats
-	validPages int64
 	// MechanismSwitches counts hot<->cold conversions (DMC's data
 	// movement source).
 	MechanismSwitches uint64
 
-	lineBuf   [memctl.LineBytes]byte
-	blockBuf  [LZBlockBytes]byte
-	pinned    uint64
-	hasPinned bool
-
-	// tr records controller events (nil disables tracing). DMC event
-	// sites all run inside the demand access, so events carry the
-	// access cycle directly.
-	tr *obs.Tracer
+	lineBuf  [memctl.LineBytes]byte
+	blockBuf [LZBlockBytes]byte
 }
 
 var _ memctl.Controller = (*Controller)(nil)
@@ -133,17 +123,28 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 	if cfg.OSPAPages <= 0 || cfg.RegionPages <= 0 {
 		panic("dmc: invalid config")
 	}
+	hot := lcp.Config{
+		OSPAPages:          cfg.OSPAPages,
+		MachineBytes:       cfg.MachineBytes,
+		Codec:              cfg.HotCodec,
+		Bins:               cfg.Bins,
+		MetadataCache:      cfg.MetadataCache,
+		CompressLatency:    cfg.CompressLatency,
+		DecompressLatency:  cfg.DecompressLatency,
+		MetadataHitLatency: cfg.MetadataHitLatency,
+		OnMemoryPressure:   cfg.OnMemoryPressure,
+	}
 	nRegions := (cfg.OSPAPages + cfg.RegionPages - 1) / cfg.RegionPages
-	c := &Controller{
+	return &Controller{
+		// The hot tier sizes lines from their bytes: the wrapper hides
+		// the source's size memo, which binds to the first codec an
+		// image sees and would add BDI tables to every sweep image.
+		Controller: lcp.NewNamed(cfg.Label, hot, mem, struct{ memctl.LineSource }{source}),
 		cfg:        cfg,
 		source:     source,
-		pages:      make([]dmcPage, cfg.OSPAPages),
-		store:      lcp.NewStore("dmc", cfg.OSPAPages, cfg.MachineBytes, cfg.OnMemoryPressure),
-		mdc:        metadata.NewCache(cfg.MetadataCache),
+		tiers:      make([]tier, cfg.OSPAPages),
 		regionHits: make([]uint64, nRegions),
 	}
-	c.port = memctl.NewPort(mem, &c.stats, 0)
-	return c
 }
 
 // MXTConfig returns an IBM-MXT-style configuration: every page stored
@@ -158,57 +159,15 @@ func MXTConfig(ospaPages int, machineBytes int64) Config {
 	return cfg
 }
 
-// Name implements memctl.Controller.
-func (c *Controller) Name() string { return c.cfg.Label }
-
-// Stats implements memctl.Controller.
-func (c *Controller) Stats() memctl.Stats { return c.stats }
-
-// ResetStats implements memctl.Controller.
-func (c *Controller) ResetStats() {
-	c.stats = memctl.Stats{}
-	c.mdc.ResetStats()
-}
-
-// SetTracer installs the controller-event tracer (nil disables).
-func (c *Controller) SetTracer(t *obs.Tracer) { c.tr = t }
-
-// SetAttribution installs the cycle-accounting ledger (nil disables).
-func (c *Controller) SetAttribution(a *obs.Attribution) { c.port.SetAttribution(a) }
-
-// MetadataCacheStats returns the metadata cache counters.
-func (c *Controller) MetadataCacheStats() metadata.CacheStats { return c.mdc.Stats() }
-
-// CompressedBytes implements memctl.Controller.
-func (c *Controller) CompressedBytes() int64 { return c.store.UsedBytes() }
-
-// InstalledBytes implements memctl.Controller.
-func (c *Controller) InstalledBytes() int64 { return c.validPages * memctl.PageSize }
-
-func (c *Controller) checkPage(page uint64) {
-	if page >= uint64(len(c.pages)) {
-		panic(fmt.Sprintf("dmc: OSPA page %d beyond advertised %d", page, len(c.pages)))
-	}
-}
-
-// --- layout helpers ---------------------------------------------------
-
 // storedBytes returns the bytes the page's current format occupies.
-func storedBytes(p *dmcPage) int {
-	if !p.cold {
+func (c *Controller) storedBytes(page uint64, p *lcp.Page) int {
+	t := &c.tiers[page]
+	if !t.cold {
 		return p.Bytes()
 	}
 	total := 0
-	for _, b := range p.blockBytes {
+	for _, b := range t.blockBytes {
 		total += b
 	}
 	return total
 }
-
-func (c *Controller) compressCode(data []byte) uint8 {
-	n := compress.SizeOnly(c.cfg.HotCodec, data)
-	return uint8(c.cfg.Bins.Code(n))
-}
-
-// binBytes returns the hot-format size in bytes of bin code.
-func (c *Controller) binBytes(code uint8) uint8 { return uint8(c.cfg.Bins.SizeOf(int(code))) }

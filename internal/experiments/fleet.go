@@ -8,10 +8,6 @@ import (
 	"compresso/internal/stats"
 )
 
-// fleetBackends is the backend set the fleet experiments span: the
-// four headline architectures plus the uncompressed baseline.
-var fleetBackends = []string{"compresso", "lcp", "cram", "cxl", "uncompressed"}
-
 // fleetShape returns the fleet dimensions for the fidelity level. The
 // quick shape stays at the acceptance floor (16 nodes); the full shape
 // grows the fleet and the per-node epochs.
@@ -89,12 +85,12 @@ var fleetSweepCache memo[[2]uint64, []FleetRow]
 // (aggregate ratio, tier churn, move traffic, TCO rollup).
 func FleetSweepData(opt Options) []FleetRow {
 	rows, err := fleetSweepCache.get(opt.Ctx, opt.sweepKey(), func() ([]FleetRow, error) {
-		return gridErr(opt, "fleet-sweep", len(fleetBackends), func(ctx context.Context, i int) (FleetRow, error) {
-			res, err := runFleetCell(opt, []string{fleetBackends[i]}, "hysteresis")
+		return gridErr(opt, "fleet-sweep", len(fleet.Backends), func(ctx context.Context, i int) (FleetRow, error) {
+			res, err := runFleetCell(opt, []string{fleet.Backends[i]}, "hysteresis")
 			if err != nil {
 				return FleetRow{}, err
 			}
-			return rowFromResult(fleetBackends[i], "hysteresis", res), nil
+			return rowFromResult(fleet.Backends[i], "hysteresis", res), nil
 		})
 	})
 	if err != nil {
@@ -111,7 +107,7 @@ func FleetPolicyData(opt Options) []FleetRow {
 	policies := fleet.PolicyNames()
 	rows, err := fleetPolicyCache.get(opt.Ctx, opt.sweepKey(), func() ([]FleetRow, error) {
 		return gridErr(opt, "fleet-policy", len(policies), func(ctx context.Context, i int) (FleetRow, error) {
-			res, err := runFleetCell(opt, fleetBackends, policies[i])
+			res, err := runFleetCell(opt, fleet.Backends, policies[i])
 			if err != nil {
 				return FleetRow{}, err
 			}

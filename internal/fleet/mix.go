@@ -29,6 +29,11 @@ type NodeSpec struct {
 	Seed uint64
 }
 
+// Backends is the backend set the fleet runs span (the -fleet mode and
+// the fleet experiments): the four headline architectures plus the
+// uncompressed baseline.
+var Backends = []string{"compresso", "lcp", "cram", "cxl", "uncompressed"}
+
 // nodeSeedStride decorrelates per-node seeds (a prime, like the
 // per-core 7919 stride in internal/sim).
 const nodeSeedStride = 9973

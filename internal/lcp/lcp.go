@@ -87,12 +87,15 @@ func AlignConfig(ospaPages int, machineBytes int64) Config {
 	return cfg
 }
 
-// Controller is the LCP baseline memory controller.
+// Controller is the LCP baseline memory controller. It is also the LCP
+// page controller dmc's hot tier builds on: the demand steps below
+// (BeginRead/BeginWrite, Lookup, ReadSlot, WriteSlot, Install) are
+// exported so a tiered controller runs exactly LCP's hot-page path and
+// adds only what LCP lacks.
 type Controller struct {
-	cfg    Config
-	port   memctl.Port // DRAM, free-prefetch buffer and attribution ledger
-	source memctl.LineSource
-	sizer  memctl.LineSizer // source's memoized size path (nil when unsupported)
+	cfg   Config
+	port  memctl.Port      // DRAM, free-prefetch buffer and attribution ledger
+	sizer memctl.LineSizer // the source's memoized size path (nil when unsupported)
 
 	pages []Page
 	store *Store
@@ -101,9 +104,13 @@ type Controller struct {
 	stats      memctl.Stats
 	validPages int64
 
+	// acc is the demand access in flight; pinned is its page (or the
+	// page being installed) while hasPinned holds.
+	acc       Access
 	pinned    uint64
 	hasPinned bool
-	name      string
+	// name is the backend's name, which also prefixes its panics.
+	name string
 
 	// tr records controller events (nil disables tracing). Every LCP
 	// event site runs inside the demand access, so events carry the
@@ -113,24 +120,31 @@ type Controller struct {
 
 var _ memctl.Controller = (*Controller)(nil)
 
-// New builds an LCP controller over mem.
+// New builds an LCP controller over mem, named lcp or lcp-align by its
+// bins.
 func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
-	if cfg.OSPAPages <= 0 {
-		panic("lcp: OSPAPages must be positive")
-	}
 	name := "lcp"
 	if cfg.Bins.Name() == compress.CompressoBins.Name() {
 		name = "lcp-align"
 	}
+	return NewNamed(name, cfg, mem, source)
+}
+
+// NewNamed builds an LCP page controller over mem that reports, and
+// panics, under name. Lines are sized through source's memoized size
+// path when it has one (memctl.LineSizer), else from their bytes.
+func NewNamed(name string, cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
+	if cfg.OSPAPages <= 0 {
+		panic(name + ": OSPAPages must be positive")
+	}
 	sizer, _ := source.(memctl.LineSizer)
 	c := &Controller{
-		cfg:    cfg,
-		source: source,
-		sizer:  sizer,
-		pages:  make([]Page, cfg.OSPAPages),
-		store:  NewStore("lcp", cfg.OSPAPages, cfg.MachineBytes, cfg.OnMemoryPressure),
-		mdc:    metadata.NewCache(cfg.MetadataCache),
-		name:   name,
+		cfg:   cfg,
+		sizer: sizer,
+		pages: make([]Page, cfg.OSPAPages),
+		store: NewStore(name, cfg.OSPAPages, cfg.MachineBytes, cfg.OnMemoryPressure),
+		mdc:   metadata.NewCache(cfg.MetadataCache),
+		name:  name,
 	}
 	c.port = memctl.NewPort(mem, &c.stats, cfg.PrefetchBuffer)
 	return c
@@ -153,8 +167,8 @@ func (c *Controller) SetTracer(t *obs.Tracer) { c.tr = t }
 
 // SetAttribution installs the cycle-accounting ledger (nil disables).
 // LCP charges the metadata segment at the demand call sites rather
-// than inside lookupMetadata: under speculation the metadata fetch
-// may end up off the critical path, and only the caller knows.
+// than inside lookup: under speculation the metadata fetch may end up
+// off the critical path, and only the caller knows.
 func (c *Controller) SetAttribution(a *obs.Attribution) { c.port.SetAttribution(a) }
 
 // MetadataCacheStats returns the metadata cache's counters.
@@ -166,9 +180,31 @@ func (c *Controller) CompressedBytes() int64 { return c.store.UsedBytes() }
 // InstalledBytes implements memctl.Controller.
 func (c *Controller) InstalledBytes() int64 { return c.validPages * memctl.PageSize }
 
+// FreeMachineChunks reports free allocator capacity in chunks.
+func (c *Controller) FreeMachineChunks() int { return c.store.FreeMachineChunks() }
+
+// The plumbing a tiered controller shares: its DRAM port, counters,
+// tracer, block store and page states.
+
+// Port returns the controller's DRAM port.
+func (c *Controller) Port() *memctl.Port { return &c.port }
+
+// Counters returns the controller's live Stats.
+func (c *Controller) Counters() *memctl.Stats { return &c.stats }
+
+// Tracer returns the installed event tracer (nil when tracing is off;
+// Emit on nil records nothing).
+func (c *Controller) Tracer() *obs.Tracer { return c.tr }
+
+// Store returns the controller's buddy-block page store.
+func (c *Controller) Store() *Store { return c.store }
+
+// Page returns OSPA page's state.
+func (c *Controller) Page(page uint64) *Page { return &c.pages[page] }
+
 func (c *Controller) checkPage(page uint64) {
 	if page >= uint64(len(c.pages)) {
-		panic(fmt.Sprintf("lcp: OSPA page %d beyond advertised %d", page, len(c.pages)))
+		panic(fmt.Sprintf("%s: OSPA page %d beyond advertised %d", c.name, page, len(c.pages)))
 	}
 }
 
@@ -182,81 +218,137 @@ func (c *Controller) compressCode(lineAddr uint64, data []byte) uint8 {
 	return uint8(c.cfg.Bins.Code(compress.SizeOnly(c.cfg.Codec, data)))
 }
 
-// --- metadata path ---------------------------------------------------------
+// --- demand steps ------------------------------------------------------------
 
-// lookupMetadata returns (cache line, metadata-ready cycle, wasMiss).
-func (c *Controller) lookupMetadata(now uint64, page uint64) (*metadata.Line, uint64, bool) {
-	if l, ok := c.mdc.Lookup(page); ok {
-		return l, now + c.cfg.MetadataHitLatency, false
-	}
-	done := c.port.MetadataRead(now, page)
-	l, evicted := c.mdc.Insert(page, false)
-	for _, ev := range evicted {
-		if ev.Dirty {
-			c.port.MetadataWriteback(now, ev.Page)
-		}
-		// No repacking in LCP (§IV-B4 is novel to Compresso).
-	}
-	return l, done, true
+// Access is the demand access in flight (a controller serves one at a
+// time). BeginRead or BeginWrite opens it and pins its page until
+// Unpin; Lookup resolves the page's metadata; ReadSlot or WriteSlot
+// (or the embedding controller's own tier) closes the ledger.
+type Access struct {
+	Now  uint64
+	Page uint64
+	Line int
+
+	// Set by Lookup: the page's state, its metadata-cache line, the
+	// cycle the metadata is ready and the component its latency is
+	// charged to (CompMDCacheHit or CompMDFetch).
+	P      *Page
+	MD     *metadata.Line
+	MDDone uint64
+	MDComp obs.Component
+
+	code uint8 // a write's bin code
 }
 
-// --- demand path -------------------------------------------------------------
+// BeginRead opens a demand read of lineAddr at now.
+func (c *Controller) BeginRead(now, lineAddr uint64) *Access {
+	a := c.begin(now, lineAddr)
+	c.stats.DemandReads++
+	c.port.Attr().Begin(now, a.Page, false)
+	return a
+}
+
+// BeginWrite opens a demand write of data to lineAddr at now and sizes
+// the line. Writes are posted: every Exposed charge of the access
+// demotes to hidden; only LCP's page-fault penalty stays critical
+// (ExposedCritical).
+func (c *Controller) BeginWrite(now, lineAddr uint64, data []byte) *Access {
+	a := c.begin(now, lineAddr)
+	if len(data) != memctl.LineBytes {
+		panic(fmt.Sprintf("%s: WriteLine with %d bytes", c.name, len(data)))
+	}
+	c.stats.DemandWrites++
+	attr := c.port.Attr()
+	attr.Begin(now, a.Page, true)
+	attr.Posted()
+	a.code = c.compressCode(lineAddr, data)
+	return a
+}
+
+func (c *Controller) begin(now, lineAddr uint64) *Access {
+	page := lineAddr / metadata.LinesPerPage
+	c.checkPage(page)
+	c.pinned, c.hasPinned = page, true
+	c.acc = Access{Now: now, Page: page, Line: int(lineAddr % metadata.LinesPerPage)}
+	return &c.acc
+}
+
+// Unpin releases the page of the access in flight: Discard skips a
+// pinned page.
+func (c *Controller) Unpin() { c.hasPinned = false }
+
+// Lookup resolves the access's metadata and charges its latency on the
+// critical path.
+func (c *Controller) Lookup(a *Access) {
+	c.lookup(a)
+	c.port.Attr().Exposed(a.MDComp, a.MDDone-a.Now)
+}
+
+// lookup resolves the access's metadata through the metadata cache, or
+// fetches it on a miss (writing back dirty victims), charging nothing:
+// LCP's speculation decides whether the fetch is exposed. A page's
+// first touch makes it a valid zero page.
+func (c *Controller) lookup(a *Access) {
+	if l, ok := c.mdc.Lookup(a.Page); ok {
+		a.MD, a.MDDone, a.MDComp = l, a.Now+c.cfg.MetadataHitLatency, obs.CompMDCacheHit
+	} else {
+		a.MDDone, a.MDComp = c.port.MetadataRead(a.Now, a.Page), obs.CompMDFetch
+		l, evicted := c.mdc.Insert(a.Page, false)
+		for _, ev := range evicted {
+			if ev.Dirty {
+				c.port.MetadataWriteback(a.Now, ev.Page)
+			}
+			// No repacking in LCP (§IV-B4 is novel to Compresso).
+		}
+		a.MD = l
+	}
+	a.P = &c.pages[a.Page]
+	if !a.P.Valid {
+		a.P.Valid = true
+		a.P.Zero = true
+		c.validPages++
+		a.MD.Dirty = true
+	}
+}
+
+// End closes the access's ledger at done.
+func (c *Controller) End(done uint64) memctl.Result {
+	c.port.Attr().End(done)
+	return memctl.Result{Done: done}
+}
 
 // ReadLine implements memctl.Controller.
 func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
-	page, line := lineAddr/metadata.LinesPerPage, int(lineAddr%metadata.LinesPerPage)
-	c.checkPage(page)
-	c.pinned, c.hasPinned = page, true
-	defer func() { c.hasPinned = false }()
-	c.stats.DemandReads++
+	a := c.BeginRead(now, lineAddr)
+	defer c.Unpin()
+	c.lookup(a)
+	p := a.P
 	attr := c.port.Attr()
-	attr.Begin(now, page, false)
-
-	l, mdDone, miss := c.lookupMetadata(now, page)
-	mdComp := obs.CompMDCacheHit
-	if miss {
-		mdComp = obs.CompMDFetch
-	}
-	p := &c.pages[page]
-	if !p.Valid {
-		p.Valid = true
-		p.Zero = true
-		c.validPages++
-		l.Dirty = true
-	}
-	if p.Zero || p.Sizes[line] == 0 {
-		c.stats.ZeroLineOps++
-		attr.Exposed(mdComp, mdDone-now)
-		attr.End(mdDone)
-		return memctl.Result{Done: mdDone}
-	}
 
 	// LCP's speculative access: on a metadata miss the controller
 	// (whose TLB knows the page's target, being OS-aware) issues the
 	// non-exception-location access in parallel with the metadata
 	// fetch. Correct speculation hides the metadata latency; an
 	// exception line wastes the access.
-	slot, isExc := p.ExcSlot(line)
 	tb := int(p.Target)
-	if miss && c.cfg.Speculate && tb > 0 {
+	if a.MDComp == obs.CompMDFetch && c.cfg.Speculate && tb > 0 && !p.Zero && p.Sizes[a.Line] != 0 {
 		reads := c.stats.DataReads
-		specDone, q, srv := c.port.Read(now, c.store.Span(p, p.LineOffset(line), tb)...)
-		if !isExc {
+		specDone, q, srv := c.port.Read(now, c.store.Span(p, p.LineOffset(a.Line), tb)...)
+		if _, isExc := p.ExcSlot(a.Line); !isExc {
 			done := specDone
-			if mdDone > done {
+			if a.MDDone > done {
 				// The metadata fetch dominates: the correct speculative
 				// read completed entirely under it.
-				done = mdDone
-				attr.Exposed(obs.CompMDFetch, mdDone-now)
+				done = a.MDDone
+				attr.Exposed(obs.CompMDFetch, a.MDDone-now)
 				attr.HiddenDRAM(q, srv)
 			} else {
 				// The data read dominates: the metadata fetch is hidden.
-				attr.Hidden(obs.CompMDFetch, mdDone-now)
+				attr.Hidden(obs.CompMDFetch, a.MDDone-now)
 				attr.ExposedDRAM(q, srv)
 			}
 			attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
-			attr.End(done + c.cfg.DecompressLatency)
-			return memctl.Result{Done: done + c.cfg.DecompressLatency}
+			return c.End(done + c.cfg.DecompressLatency)
 		}
 		// Wasted speculation: re-account the DRAM read it issued as pure
 		// overhead. When the free-prefetch buffer served its first line
@@ -267,141 +359,129 @@ func (c *Controller) ReadLine(now uint64, lineAddr uint64) memctl.Result {
 		}
 		attr.Hidden(obs.CompSpecMiss, q+srv)
 	}
-	if isExc {
-		attr.Exposed(mdComp, mdDone-now)
-		done, q, srv := c.port.Read(mdDone, c.store.Span(p, p.ExcOffset(slot), memctl.LineBytes)...)
-		attr.ExposedDRAM(q, srv)
-		attr.End(done)
-		return memctl.Result{Done: done}
+	attr.Exposed(a.MDComp, a.MDDone-now)
+	return c.ReadSlot(a)
+}
+
+// ReadSlot finishes a read of a hot (LCP-packed) page once its
+// metadata is ready: a zero line costs nothing more, an exception is
+// its uncompressed slot, and any other line is its target-sized slot
+// plus decompression.
+func (c *Controller) ReadSlot(a *Access) memctl.Result {
+	p := a.P
+	if p.Zero || p.Sizes[a.Line] == 0 {
+		c.stats.ZeroLineOps++
+		return c.End(a.MDDone)
 	}
-	if tb == 0 {
+	off, size, decompress := p.LineOffset(a.Line), int(p.Target), c.cfg.DecompressLatency
+	if slot, ok := p.ExcSlot(a.Line); ok {
+		off, size, decompress = p.ExcOffset(slot), memctl.LineBytes, 0
+	} else if size == 0 {
 		// Target 0 with a non-zero actual cannot happen: target-0 pages
 		// hold only zero lines or exceptions.
-		panic("lcp: non-exception line in a zero-target page")
+		panic(c.name + ": non-exception line in a zero-target page")
 	}
-	attr.Exposed(mdComp, mdDone-now)
-	done, q, srv := c.port.Read(mdDone, c.store.Span(p, p.LineOffset(line), tb)...)
+	done, q, srv := c.port.Read(a.MDDone, c.store.Span(p, off, size)...)
+	attr := c.port.Attr()
 	attr.ExposedDRAM(q, srv)
-	attr.Exposed(obs.CompDecompress, c.cfg.DecompressLatency)
-	attr.End(done + c.cfg.DecompressLatency)
-	return memctl.Result{Done: done + c.cfg.DecompressLatency}
+	attr.Exposed(obs.CompDecompress, decompress)
+	return c.End(done + decompress)
 }
 
 // WriteLine implements memctl.Controller.
 func (c *Controller) WriteLine(now uint64, lineAddr uint64, data []byte) memctl.Result {
-	page, line := lineAddr/metadata.LinesPerPage, int(lineAddr%metadata.LinesPerPage)
-	c.checkPage(page)
-	if len(data) != memctl.LineBytes {
-		panic(fmt.Sprintf("lcp: WriteLine with %d bytes", len(data)))
-	}
-	c.pinned, c.hasPinned = page, true
-	defer func() { c.hasPinned = false }()
-	c.stats.DemandWrites++
-	// Writes are posted: every Exposed charge below demotes to hidden;
-	// only the page-fault penalty stays critical (ExposedCritical).
-	attr := c.port.Attr()
-	attr.Begin(now, page, true)
-	attr.Posted()
+	a := c.BeginWrite(now, lineAddr, data)
+	defer c.Unpin()
+	c.Lookup(a)
+	return c.WriteSlot(a, c.pageFault)
+}
 
-	l, mdDone, miss := c.lookupMetadata(now, page)
-	mdComp := obs.CompMDCacheHit
-	if miss {
-		mdComp = obs.CompMDFetch
-	}
-	attr.Exposed(mdComp, mdDone-now)
-	p := &c.pages[page]
-	if !p.Valid {
-		p.Valid = true
-		p.Zero = true
-		c.validPages++
-		l.Dirty = true
-	}
-	newCode := c.compressCode(lineAddr, data)
-	size := uint8(c.cfg.Bins.SizeOf(int(newCode)))
-
+// WriteSlot finishes a write to a hot page: a zero page materializes
+// with the written line's size as its target, and a line that outgrows
+// the target moves to the exception region while the page's block has
+// room. When it has none, overflow handles the page overflow and
+// returns the write's completion cycle: LCP's OS page fault, or dmc's
+// in-place rewrite.
+func (c *Controller) WriteSlot(a *Access, overflow func(*Access) uint64) memctl.Result {
+	p := a.P
+	size := uint8(c.cfg.Bins.SizeOf(int(a.code)))
 	if p.Zero {
 		if size == 0 {
 			c.stats.ZeroLineOps++
-			attr.End(now)
-			return memctl.Result{Done: now}
+			return c.End(a.Now)
 		}
-		// Zero page materializes with the written line's size as its
-		// target (no exceptions yet).
+		// The zero page materializes with the written line's size as
+		// its target (no exceptions yet).
 		p.Zero = false
 		p.Target = size
 		p.Sizes = [metadata.LinesPerPage]uint8{}
-		p.Sizes[line] = size
+		p.Sizes[a.Line] = size
 		c.store.Place(p, SizeFor(p.Bytes()))
-		c.port.Write(mdDone, c.store.Span(p, p.LineOffset(line), int(size))...)
-		l.Dirty = true
-		attr.End(now)
-		return memctl.Result{Done: now}
+		return c.write(a, p.LineOffset(a.Line), int(size))
 	}
-
-	old := p.Sizes[line]
-	p.Sizes[line] = size
-	if size < old {
-		c.stats.LineUnderflows++
-		c.tr.Emit(now, obs.EvLineUnderflow, page, uint64(newCode))
-	}
-
-	if slot, ok := p.ExcSlot(line); ok {
+	c.Resize(a)
+	if slot, ok := p.ExcSlot(a.Line); ok {
 		// Exception slots hold a full line; they never overflow. LCP
 		// does not repatriate lines that shrink (no repacking).
-		c.port.Write(mdDone, c.store.Span(p, p.ExcOffset(slot), memctl.LineBytes)...)
-		l.Dirty = true
-		attr.End(now)
-		return memctl.Result{Done: now}
+		return c.write(a, p.ExcOffset(slot), memctl.LineBytes)
 	}
 	if size <= p.Target {
 		if size == 0 {
 			c.stats.ZeroLineOps++
-			l.Dirty = true
-			attr.End(now)
-			return memctl.Result{Done: now}
 		}
-		c.port.Write(mdDone, c.store.Span(p, p.LineOffset(line), int(size))...)
-		l.Dirty = true
-		attr.End(now)
-		return memctl.Result{Done: now}
+		return c.write(a, p.LineOffset(a.Line), int(size))
 	}
 
 	// Overflow: the line no longer fits the target.
 	c.stats.LineOverflows++
-	c.tr.Emit(now, obs.EvLineOverflow, page, uint64(line))
-	if slot, ok := p.AddException(line); ok {
+	c.tr.Emit(a.Now, obs.EvLineOverflow, a.Page, uint64(a.Line))
+	if slot, ok := p.AddException(a.Line); ok {
 		c.stats.IRPlacements++
-		c.tr.Emit(now, obs.EvIRPlacement, page, uint64(line))
-		c.port.Write(mdDone, c.store.Span(p, p.ExcOffset(slot), memctl.LineBytes)...)
-		l.Dirty = true
-		attr.End(now)
-		return memctl.Result{Done: now}
+		c.tr.Emit(a.Now, obs.EvIRPlacement, a.Page, uint64(a.Line))
+		return c.write(a, p.ExcOffset(slot), memctl.LineBytes)
 	}
-
-	// Page overflow: OS-aware LCP takes a page fault; the OS allocates
-	// a bigger (possibly retargeted) page and copies the data.
-	done := c.pageFaultOverflow(now, p, page, line)
-	l.Dirty = true
-	attr.End(done)
-	return memctl.Result{Done: done}
+	c.stats.PageOverflows++
+	c.tr.Emit(a.Now, obs.EvPageOverflow, a.Page, uint64(a.Line))
+	done := overflow(a)
+	a.MD.Dirty = true
+	return c.End(done)
 }
 
-// pageFaultOverflow relocates the page with a freshly chosen target,
-// charging the OS fault penalty plus the copy traffic.
-func (c *Controller) pageFaultOverflow(now uint64, p *Page, page uint64, line int) uint64 {
-	c.stats.PageOverflows++
+// write issues the posted write of bytes [off, off+size) of the
+// access's page (nothing for an empty span) and closes the access.
+func (c *Controller) write(a *Access, off, size int) memctl.Result {
+	c.port.Write(a.MDDone, c.store.Span(a.P, off, size)...)
+	a.MD.Dirty = true
+	return c.End(a.Now)
+}
+
+// Resize records the written line's new size in its page, counting an
+// underflow when the line shrank.
+func (c *Controller) Resize(a *Access) {
+	size := uint8(c.cfg.Bins.SizeOf(int(a.code)))
+	if size < a.P.Sizes[a.Line] {
+		c.stats.LineUnderflows++
+		c.tr.Emit(a.Now, obs.EvLineUnderflow, a.Page, uint64(a.code))
+	}
+	a.P.Sizes[a.Line] = size
+}
+
+// pageFault is LCP's page overflow: OS-aware LCP takes a page fault,
+// and the OS relocates the page with a freshly chosen target, charging
+// the fault penalty plus the copy traffic.
+func (c *Controller) pageFault(a *Access) uint64 {
+	p := a.P
 	c.stats.PageFaults++
-	c.tr.Emit(now, obs.EvPageOverflow, page, uint64(line))
-	c.tr.Emit(now, obs.EvPageFault, page, uint64(line))
+	c.tr.Emit(a.Now, obs.EvPageFault, a.Page, uint64(a.Line))
 
 	// Read every non-zero line from the old layout, then write them
 	// all to a freshly packed one.
 	var moves uint64
 	for ln, size := range p.Sizes {
-		if size == 0 || ln == line {
+		if size == 0 || ln == a.Line {
 			continue
 		}
-		c.port.Hidden(now, c.store.Line(p, p.Offset(ln)), false, obs.CompOverflow)
+		c.port.Hidden(a.Now, c.store.Line(p, p.Offset(ln)), false, obs.CompOverflow)
 		moves++
 	}
 	p.Pack(c.cfg.Bins)
@@ -410,28 +490,39 @@ func (c *Controller) pageFaultOverflow(now uint64, p *Page, page uint64, line in
 		if size == 0 {
 			continue
 		}
-		c.port.Hidden(now, c.store.Line(p, p.Offset(ln)), true, obs.CompOverflow)
+		c.port.Hidden(a.Now, c.store.Line(p, p.Offset(ln)), true, obs.CompOverflow)
 		moves++
 	}
 	c.stats.OverflowAccesses += moves
 	// The OS fault penalty is the one write-path latency LCP exposes;
 	// it must survive the posted-write demotion.
 	c.port.Attr().ExposedCritical(obs.CompOverflow, c.cfg.PageFaultPenalty)
-	return now + c.cfg.PageFaultPenalty
+	return a.Now + c.cfg.PageFaultPenalty
 }
 
 // InstallPage implements memctl.Controller.
 func (c *Controller) InstallPage(page uint64, lines [][]byte) {
+	p := c.Install(page, lines)
+	defer c.Unpin()
+	if !p.Zero {
+		p.Pack(c.cfg.Bins)
+		c.store.Place(p, SizeFor(p.Bytes()))
+	}
+}
+
+// Install sizes an installed page's lines and makes it valid, a zero
+// page when every line is zero, pinning it until Unpin. The caller
+// lays out and places a non-zero page.
+func (c *Controller) Install(page uint64, lines [][]byte) *Page {
 	c.checkPage(page)
 	if len(lines) != metadata.LinesPerPage {
-		panic(fmt.Sprintf("lcp: InstallPage with %d lines", len(lines)))
+		panic(fmt.Sprintf("%s: InstallPage with %d lines", c.name, len(lines)))
 	}
 	p := &c.pages[page]
 	if p.Valid {
-		panic(fmt.Sprintf("lcp: InstallPage of already-valid page %d", page))
+		panic(fmt.Sprintf("%s: InstallPage of already-valid page %d", c.name, page))
 	}
 	c.pinned, c.hasPinned = page, true
-	defer func() { c.hasPinned = false }()
 	allZero := true
 	for i, ln := range lines {
 		code := c.compressCode(page*metadata.LinesPerPage+uint64(i), ln)
@@ -439,13 +530,9 @@ func (c *Controller) InstallPage(page uint64, lines [][]byte) {
 		allZero = allZero && code == 0
 	}
 	p.Valid = true
+	p.Zero = allZero
 	c.validPages++
-	if allZero {
-		p.Zero = true
-		return
-	}
-	p.Pack(c.cfg.Bins)
-	c.store.Place(p, SizeFor(p.Bytes()))
+	return p
 }
 
 // Discard drops a page (OS reclaimed it). The page of an in-flight
@@ -466,6 +553,3 @@ func (c *Controller) Discard(page uint64) {
 	c.mdc.Drop(page)
 	c.validPages--
 }
-
-// FreeMachineChunks reports free allocator capacity in chunks.
-func (c *Controller) FreeMachineChunks() int { return c.store.FreeMachineChunks() }

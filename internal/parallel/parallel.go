@@ -75,6 +75,21 @@ func Map[T any](jobs, n int, fn func(int) T) []T {
 	return out
 }
 
+// Strided runs fn(0) .. fn(n-1) on Workers(jobs, n) goroutines, worker
+// w taking indices w, w+workers, w+2*workers, ...: a fixed partition,
+// so workers that write per-index state touch disjoint entries. With
+// one worker it is the serial loop on the calling goroutine. Panics
+// surface as in Map.
+func Strided(jobs, n int, fn func(i int)) {
+	workers := Workers(jobs, n)
+	Map(workers, workers, func(w int) struct{} {
+		for i := w; i < n; i += workers {
+			fn(i)
+		}
+		return struct{}{}
+	})
+}
+
 // fanOut executes cell(0..n-1) across Workers(jobs, n) goroutines and
 // returns any recovered panics indexed by cell. Workers pull the next
 // index from a shared counter, so result placement (by index) is

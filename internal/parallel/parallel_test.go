@@ -77,3 +77,17 @@ func TestMapPanicPropagatesLowestIndex(t *testing.T) {
 		}()
 	}
 }
+
+func TestStridedRunsEveryIndexOnce(t *testing.T) {
+	for _, jobs := range []int{1, 2, 7, 0} {
+		for _, n := range []int{0, 1, 5, 100} {
+			counts := make([]atomic.Int32, n)
+			Strided(jobs, n, func(i int) { counts[i].Add(1) })
+			for i := range counts {
+				if c := counts[i].Load(); c != 1 {
+					t.Fatalf("jobs=%d n=%d: index %d ran %d times", jobs, n, i, c)
+				}
+			}
+		}
+	}
+}

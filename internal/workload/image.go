@@ -209,26 +209,12 @@ func (im *Image) generateInto(page uint64) {
 // write disjoint flat/gen ranges and the result is byte-identical to
 // serial generation at any jobs.
 func (im *Image) Materialize(jobs int) {
-	n := im.prof.FootprintPages
 	im.ensureFlat()
-	gen := func(p int) {
+	parallel.Strided(jobs, im.prof.FootprintPages, func(p int) {
 		if !im.gen[p] {
 			im.generateInto(uint64(p))
 			im.gen[p] = true
 		}
-	}
-	workers := parallel.Workers(jobs, n)
-	if workers <= 1 {
-		for p := 0; p < n; p++ {
-			gen(p)
-		}
-		return
-	}
-	parallel.Map(workers, workers, func(w int) struct{} {
-		for p := w; p < n; p += workers {
-			gen(p)
-		}
-		return struct{}{}
 	})
 }
 
@@ -341,8 +327,7 @@ func (im *Image) SizeAll(codec compress.Codec, jobs int) {
 // from im's current bytes, one strided page subset per worker. im must
 // be materialized.
 func (im *Image) sizeInto(codec compress.Codec, sizes []int16, jobs int) {
-	n := im.prof.FootprintPages
-	sizePage := func(p int) {
+	parallel.Strided(jobs, im.prof.FootprintPages, func(p int) {
 		base := uint64(p) * memctl.LinesPerPage
 		buf := im.flat[uint64(p)*memctl.PageSize : uint64(p+1)*memctl.PageSize]
 		for i := 0; i < datagen.LinesPerPage; i++ {
@@ -354,19 +339,6 @@ func (im *Image) sizeInto(codec compress.Codec, sizes []int16, jobs int) {
 				sizes[base+uint64(i)] = int16(sz)
 			}
 		}
-	}
-	workers := parallel.Workers(jobs, n)
-	if workers <= 1 {
-		for p := 0; p < n; p++ {
-			sizePage(p)
-		}
-		return
-	}
-	parallel.Map(workers, workers, func(w int) struct{} {
-		for p := w; p < n; p += workers {
-			sizePage(p)
-		}
-		return struct{}{}
 	})
 }
 
