@@ -138,8 +138,9 @@ full-sweep-check:
 	echo "full-sweep-check: ok (-exp all -jobs 2 byte-identical to experiments_full.txt)"
 
 # Backend gate (DESIGN.md §12): run the registry-wide conformance
-# suite, then a quick per-backend sweep for every registered backend,
-# sha-verified against the committed BACKENDS.sha256 manifest. The
+# suite and the config liveness gate (every field of every backend
+# config is read), then a quick per-backend sweep for every registered
+# backend, sha-verified against the committed BACKENDS.sha256 manifest. The
 # six pre-refactor backends' hashes were captured from the pre-registry
 # binary, so this doubles as the behavior-preservation proof; a
 # legitimate output change must regenerate the manifest:
@@ -149,7 +150,7 @@ backends:
 	@rm -rf .backends; mkdir -p .backends
 	@$(GO) build -o .backends/compresso-sim ./cmd/compresso-sim
 	@set -e; trap 'rm -rf .backends' EXIT; \
-	$(GO) test -count 1 -run 'TestBackendConformance|TestAllSystemsCoversRegistry|TestAttribution' ./internal/sim/ > /dev/null; \
+	$(GO) test -count 1 -run 'TestBackendConformance|TestEveryConfigFieldIsRead|TestAllSystemsCoversRegistry|TestAttribution' ./internal/sim/ > /dev/null; \
 	names=$$(.backends/compresso-sim -systems | tail -n +3 | cut -d' ' -f1); \
 	for b in $$names; do \
 		.backends/compresso-sim -bench gcc -system $$b -ops 20000 -scale 16 \

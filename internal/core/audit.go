@@ -443,7 +443,3 @@ func (c *Controller) clearCorrupt(page uint64) {
 		delete(c.corrupt, base+i)
 	}
 }
-
-// CorruptLines returns the number of lines currently marked corrupt
-// (stored copy diverged from the source), for tests and reporting.
-func (c *Controller) CorruptLines() int { return len(c.corrupt) }

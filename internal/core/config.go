@@ -64,8 +64,9 @@ type Config struct {
 	// field is optimization §IV-B5.
 	MetadataCache metadata.CacheConfig
 
-	// Latencies in core cycles (Tab. III).
-	CompressLatency    uint64 // 12
+	// Latencies in core cycles (Tab. III). Writebacks are posted at
+	// the access cycle, so the compressor's latency is off every
+	// critical path and has no knob here (DESIGN.md §3.4).
 	DecompressLatency  uint64 // 12
 	MetadataHitLatency uint64 // 2
 
@@ -109,24 +110,10 @@ func DefaultConfig(ospaPages int, machineBytes int64) Config {
 		DynamicIRExpansion: true,
 		DynamicRepacking:   true,
 		MetadataCache:      metadata.DefaultCacheConfig(),
-		CompressLatency:    12,
 		DecompressLatency:  12,
 		MetadataHitLatency: 2,
 		PrefetchBuffer:     8,
 	}
-}
-
-// BaselineConfig returns the unoptimized compressed system of Fig. 4:
-// legacy line bins, no prediction, no IR expansion, no repacking, no
-// half-entry metadata caching.
-func BaselineConfig(ospaPages int, machineBytes int64) Config {
-	cfg := DefaultConfig(ospaPages, machineBytes)
-	cfg.Bins = compress.LegacyBins
-	cfg.PredictOverflows = false
-	cfg.DynamicIRExpansion = false
-	cfg.DynamicRepacking = false
-	cfg.MetadataCache.HalfEntry = false
-	return cfg
 }
 
 func (c *Config) validate() {

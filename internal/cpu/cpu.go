@@ -21,10 +21,11 @@ type Config struct {
 	ROB        int // instruction window for miss overlap
 	MLP        int // maximum outstanding memory loads (MSHRs)
 
-	// Hit latencies in core cycles, and the fraction of them the
-	// out-of-order engine cannot hide.
-	L1Lat, L2Lat, L3Lat uint64
-	HideFraction        float64
+	// L2 and L3 hit latencies in core cycles (L1 hits are fully
+	// pipelined), and the fraction of them the out-of-order engine
+	// cannot hide.
+	L2Lat, L3Lat uint64
+	HideFraction float64
 }
 
 // DefaultConfig returns the paper's core configuration.
@@ -33,7 +34,6 @@ func DefaultConfig() Config {
 		IssueWidth:   4,
 		ROB:          192,
 		MLP:          10,
-		L1Lat:        4,
 		L2Lat:        12,
 		L3Lat:        38,
 		HideFraction: 0.75,

@@ -28,10 +28,9 @@ import (
 
 // Config parameterizes the CRAM controller.
 type Config struct {
+	// OSPAPages is the footprint; CRAM keeps the uncompressed layout,
+	// so it needs no machine-memory budget.
 	OSPAPages int
-	// MachineBytes is accepted for backend symmetry; CRAM keeps the
-	// uncompressed layout, so only the OSPA footprint is ever used.
-	MachineBytes int64
 
 	// Codec compresses lines (BDI in the CRAM paper: single-cycle-class
 	// latency is what makes in-burst packing viable).
@@ -55,13 +54,12 @@ type Config struct {
 }
 
 // DefaultConfig returns the CRAM setup used by the sweeps.
-func DefaultConfig(ospaPages int, machineBytes int64) Config {
+func DefaultConfig(ospaPages int) Config {
 	return Config{
 		OSPAPages:         ospaPages,
-		MachineBytes:      machineBytes,
 		Codec:             compress.BDI{},
 		PackThreshold:     memctl.LineBytes / 2,
-		CompressLatency:   9, // BDI-class pipeline, matching the DMC baseline
+		CompressLatency:   9, // BDI-class pipeline
 		DecompressLatency: 9,
 		PrefetchBuffer:    8,
 	}
@@ -407,7 +405,7 @@ func init() {
 		Desc:         "CRAM-style bandwidth enhancement: burst-packed line pairs, location predictor, no capacity benefit (Young et al.)",
 		MachineBytes: memctl.BaselineMachineBytes,
 		New: func(p memctl.BuildParams) memctl.Controller {
-			return New(DefaultConfig(p.OSPAPages, p.MachineBytes), p.Mem, p.Source)
+			return New(DefaultConfig(p.OSPAPages), p.Mem, p.Source)
 		},
 	})
 }

@@ -32,7 +32,7 @@ func (im *image) set(addr uint64, data []byte) {
 
 func testController(pages int) (*Controller, *image) {
 	im := newImage()
-	cfg := DefaultConfig(pages, int64(pages)*memctl.PageSize)
+	cfg := DefaultConfig(pages)
 	return New(cfg, dram.New(dram.DDR4_2666()), im), im
 }
 

@@ -38,7 +38,7 @@ func (c *Controller) rescan(now uint64, pinned uint64) {
 			if !p.Valid || p.Zero || page == pinned || c.tiers[pg].cold == !hot {
 				continue
 			}
-			c.MechanismSwitches++
+			c.mechanismSwitches++
 			c.relayout(now, page, p, !hot)
 		}
 	}

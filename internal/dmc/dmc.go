@@ -18,6 +18,7 @@ import (
 	"compresso/internal/lcp"
 	"compresso/internal/memctl"
 	"compresso/internal/metadata"
+	"compresso/internal/obs"
 )
 
 // Config parameterizes the DMC baseline.
@@ -51,7 +52,6 @@ type Config struct {
 	// interval) at or above which a region is hot.
 	HotThreshold uint64
 
-	CompressLatency    uint64
 	DecompressLatency  uint64
 	MetadataHitLatency uint64
 
@@ -73,8 +73,7 @@ func DefaultConfig(ospaPages int, machineBytes int64) Config {
 		RegionPages:        8,
 		ReclassifyEvery:    4096,
 		HotThreshold:       4,
-		CompressLatency:    9, // BDI is cheaper than BPC
-		DecompressLatency:  9,
+		DecompressLatency:  9, // BDI is cheaper than BPC
 		MetadataHitLatency: 2,
 	}
 }
@@ -108,9 +107,9 @@ type Controller struct {
 	tiers      []tier
 	regionHits []uint64
 	sinceScan  uint64
-	// MechanismSwitches counts hot<->cold conversions (DMC's data
-	// movement source).
-	MechanismSwitches uint64
+	// mechanismSwitches counts hot<->cold conversions (DMC's data
+	// movement source), exported as "<label>.mechanism_switches".
+	mechanismSwitches uint64
 
 	lineBuf  [memctl.LineBytes]byte
 	blockBuf [LZBlockBytes]byte
@@ -129,7 +128,6 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 		Codec:              cfg.HotCodec,
 		Bins:               cfg.Bins,
 		MetadataCache:      cfg.MetadataCache,
-		CompressLatency:    cfg.CompressLatency,
 		DecompressLatency:  cfg.DecompressLatency,
 		MetadataHitLatency: cfg.MetadataHitLatency,
 		OnMemoryPressure:   cfg.OnMemoryPressure,
@@ -160,6 +158,20 @@ func MXTConfig(ospaPages int, machineBytes int64) Config {
 }
 
 // storedBytes returns the bytes the page's current format occupies.
+// ResetStats implements memctl.Controller: clears the hot tier's
+// accounting and the mechanism-switch count.
+func (c *Controller) ResetStats() {
+	c.Controller.ResetStats()
+	c.mechanismSwitches = 0
+}
+
+// RegisterMetrics exports the mechanism-switch count under the
+// controller's label ("dmc.mechanism_switches", "mxt.…"; DESIGN.md §12
+// stat obligations).
+func (c *Controller) RegisterMetrics(r *obs.Registry) {
+	r.Counter(c.cfg.Label + ".mechanism_switches").Set(c.mechanismSwitches)
+}
+
 func (c *Controller) storedBytes(page uint64, p *lcp.Page) int {
 	t := &c.tiers[page]
 	if !t.cold {

@@ -10,6 +10,7 @@ import (
 	"compresso/internal/lcp"
 	"compresso/internal/memctl"
 	"compresso/internal/metadata"
+	"compresso/internal/obs"
 	"compresso/internal/rng"
 )
 
@@ -113,13 +114,16 @@ func TestZeroPageWriteIssuesWholeSlot(t *testing.T) {
 	}
 }
 
-func TestColdConversionOnIdleRegions(t *testing.T) {
+// idleRegionController installs an idle region (pages 0..7) and a hot
+// one (16..23) under frequent temperature scans, then reads the hot
+// region until the idle one goes cold. It returns the controller and
+// the cycle after the reads.
+func idleRegionController() (*Controller, uint64) {
 	c, im := testController(func(cfg *Config) {
 		cfg.ReclassifyEvery = 512
 		cfg.HotThreshold = 8
 	})
 	r := rng.New(3)
-	// Region 0 (pages 0..7): idle after install. Region 2 (16..23): hot.
 	for p := uint64(0); p < 8; p++ {
 		install(c, im, p, pageOf(r, datagen.Text))
 	}
@@ -131,7 +135,12 @@ func TestColdConversionOnIdleRegions(t *testing.T) {
 		c.ReadLine(now, 16*64+uint64(i%512))
 		now += 100
 	}
-	if c.MechanismSwitches == 0 {
+	return c, now
+}
+
+func TestColdConversionOnIdleRegions(t *testing.T) {
+	c, now := idleRegionController()
+	if c.mechanismSwitches == 0 {
 		t.Fatal("idle region never converted to cold")
 	}
 	if !c.tiers[0].cold {
@@ -148,7 +157,30 @@ func TestColdConversionOnIdleRegions(t *testing.T) {
 	if coldAccesses < 1 {
 		t.Fatalf("cold read accesses %d", coldAccesses)
 	}
-	t.Logf("cold read cost %d accesses; %d mechanism switches", coldAccesses, c.MechanismSwitches)
+	t.Logf("cold read cost %d accesses; %d mechanism switches", coldAccesses, c.mechanismSwitches)
+}
+
+// TestMechanismSwitchesMetric pins that the mechanism-switch count is
+// a backend metric under the controller's label and that the warmup
+// boundary's ResetStats clears it with the rest of the accounting.
+func TestMechanismSwitchesMetric(t *testing.T) {
+	c, _ := idleRegionController()
+	switches := func() (uint64, bool) {
+		r := obs.NewRegistry()
+		c.RegisterMetrics(r)
+		n, ok := r.Snapshot().Counters["dmc.mechanism_switches"]
+		return n, ok
+	}
+	if n, ok := switches(); !ok || n == 0 {
+		t.Fatalf("dmc.mechanism_switches = %d (registered %v) after the idle region went cold", n, ok)
+	}
+	c.ResetStats()
+	if n, ok := switches(); !ok || n != 0 {
+		t.Fatalf("dmc.mechanism_switches = %d (registered %v) after ResetStats, want 0", n, ok)
+	}
+	if st := c.Stats(); st != (memctl.Stats{}) {
+		t.Fatalf("hot-tier stats not zero after ResetStats: %+v", st)
+	}
 }
 
 func TestColdPagesCompressBetter(t *testing.T) {
@@ -322,7 +354,7 @@ func TestHotTierMatchesLCP(t *testing.T) {
 	}
 	// The sequence must reach every hot-page step and no page overflow.
 	if ds.PageOverflows != 0 || ds.IRPlacements == 0 || ds.LineUnderflows == 0 ||
-		ds.SplitAccesses == 0 || ds.ZeroLineOps == 0 || d.MechanismSwitches != 0 {
-		t.Fatalf("sequence coverage: %+v, %d switches", ds, d.MechanismSwitches)
+		ds.SplitAccesses == 0 || ds.ZeroLineOps == 0 || d.mechanismSwitches != 0 {
+		t.Fatalf("sequence coverage: %+v, %d switches", ds, d.mechanismSwitches)
 	}
 }

@@ -48,7 +48,6 @@ type Config struct {
 	// cycles charged on every page overflow.
 	PageFaultPenalty uint64
 
-	CompressLatency    uint64
 	DecompressLatency  uint64
 	MetadataHitLatency uint64
 	PrefetchBuffer     int
@@ -71,7 +70,6 @@ func DefaultConfig(ospaPages int, machineBytes int64) Config {
 		Bins:               compress.LegacyBins,
 		MetadataCache:      mdc,
 		PageFaultPenalty:   5000,
-		CompressLatency:    12,
 		DecompressLatency:  12,
 		MetadataHitLatency: 2,
 		PrefetchBuffer:     8,

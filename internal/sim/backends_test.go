@@ -7,6 +7,7 @@ package sim
 // restores consistency after the oracle is mutated behind their back.
 
 import (
+	"reflect"
 	"testing"
 
 	"compresso/internal/audit"
@@ -45,14 +46,15 @@ func (im *oracleImage) set(addr uint64, data []byte) {
 	im.lines[addr] = cp
 }
 
-// buildBackend constructs a small world for one registered backend.
-func buildBackend(t *testing.T, b memctl.Backend, pages int) (memctl.Controller, *oracleImage) {
+// buildBackend constructs the conformance program's world for one
+// registered backend.
+func buildBackend(t *testing.T, b memctl.Backend) (memctl.Controller, *oracleImage, *dram.Memory) {
 	t.Helper()
 	im := newOracle()
 	mem := dram.New(dram.DDR4_2666())
 	ctl := b.New(memctl.BuildParams{
-		OSPAPages:      pages,
-		MachineBytes:   b.MachineBytes(pages),
+		OSPAPages:      conformancePages,
+		MachineBytes:   b.MachineBytes(conformancePages),
 		FootprintScale: 1,
 		Mem:            mem,
 		Source:         im,
@@ -61,7 +63,7 @@ func buildBackend(t *testing.T, b memctl.Backend, pages int) (memctl.Controller,
 	if ctl == nil {
 		t.Fatalf("backend %q: New returned nil", b.Name)
 	}
-	return ctl, im
+	return ctl, im, mem
 }
 
 func installOracle(ctl memctl.Controller, im *oracleImage, page uint64, lines [][]byte) {
@@ -71,11 +73,88 @@ func installOracle(ctl memctl.Controller, im *oracleImage, page uint64, lines []
 	ctl.InstallPage(page, lines)
 }
 
+// conformancePages is the footprint of the conformance program and
+// conformanceSeed the seed of its data and op stream.
+const (
+	conformancePages = 8
+	conformanceSeed  = 7
+)
+
+// conformanceInstall installs every page of the conformance program's
+// footprint with a deterministic mix of patterns drawn from r.
+func conformanceInstall(ctl memctl.Controller, im *oracleImage, r *rng.Rand) {
+	for p := uint64(0); p < conformancePages; p++ {
+		lines := make([][]byte, metadata.LinesPerPage)
+		for i := range lines {
+			lines[i] = datagen.Line(r, datagen.Kind(int(p)%int(datagen.NKinds)))
+		}
+		installOracle(ctl, im, p, lines)
+	}
+}
+
+// conformanceDemand is the conformance program's demand phase: 2,000
+// interleaved reads and writes over the whole footprint drawn from r,
+// the oracle kept in sync the way the workload layer does. It fails t
+// if an access completes before it was issued and returns the reads
+// and writes it drove and the sum of their latencies.
+func conformanceDemand(t *testing.T, ctl memctl.Controller, im *oracleImage, r *rng.Rand) (reads, writes, latency uint64) {
+	t.Helper()
+	const ops = 2000
+	now := uint64(0)
+	totalLines := uint64(conformancePages) * metadata.LinesPerPage
+	for i := 0; i < ops; i++ {
+		addr := r.Uint64() % totalLines
+		var res memctl.Result
+		if r.Uint64()%3 == 0 {
+			data := datagen.Line(r, datagen.Kind(int(addr)%int(datagen.NKinds)))
+			im.set(addr, data)
+			res = ctl.WriteLine(now, addr, data)
+			writes++
+		} else {
+			res = ctl.ReadLine(now, addr)
+			reads++
+		}
+		if res.Done < now {
+			t.Fatalf("op %d: Done %d precedes issue cycle %d", i, res.Done, now)
+		}
+		latency += res.Done - now
+		now += 4
+	}
+	return reads, writes, latency
+}
+
+// conformanceOutcome is everything the conformance program's run
+// leaves observable: the controller's accounting, its DRAM's, the
+// bytes it stores, its backend metrics and the latency it charged.
+type conformanceOutcome struct {
+	Stats           memctl.Stats
+	DRAM            dram.Stats
+	CompressedBytes int64
+	Metrics         obs.Snapshot
+	Latency         uint64
+}
+
+// runConformance runs the whole conformance program on a fresh
+// controller and returns its outcome.
+func runConformance(t *testing.T, ctl memctl.Controller, im *oracleImage, mem *dram.Memory) conformanceOutcome {
+	t.Helper()
+	r := rng.New(conformanceSeed)
+	conformanceInstall(ctl, im, r)
+	_, _, latency := conformanceDemand(t, ctl, im, r)
+	return conformanceOutcome{
+		Stats:           ctl.Stats(),
+		DRAM:            mem.Stats(),
+		CompressedBytes: ctl.CompressedBytes(),
+		Metrics:         backendMetrics(ctl),
+		Latency:         latency,
+	}
+}
+
 // TestBackendConformance is the registry-wide contract check: any
 // backend registered via memctl.RegisterBackend is picked up here with
 // no test changes.
 func TestBackendConformance(t *testing.T) {
-	const pages = 8
+	const pages = conformancePages
 	for _, b := range memctl.Backends() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
@@ -85,7 +164,7 @@ func TestBackendConformance(t *testing.T) {
 			if mb := b.MachineBytes(pages); mb < int64(pages)*metadata.PageSize {
 				t.Fatalf("MachineBytes(%d) = %d, smaller than the raw footprint", pages, mb)
 			}
-			ctl, im := buildBackend(t, b, pages)
+			ctl, im, _ := buildBackend(t, b)
 			if ctl.Name() != b.Name {
 				t.Fatalf("controller Name() = %q, registered as %q", ctl.Name(), b.Name)
 			}
@@ -100,15 +179,8 @@ func TestBackendConformance(t *testing.T) {
 			attr := obs.NewAttribution(8)
 			as.SetAttribution(attr)
 
-			// Install every page with a deterministic mix of patterns.
-			r := rng.New(7)
-			for p := uint64(0); p < pages; p++ {
-				lines := make([][]byte, metadata.LinesPerPage)
-				for i := range lines {
-					lines[i] = datagen.Line(r, datagen.Kind(int(p)%int(datagen.NKinds)))
-				}
-				installOracle(ctl, im, p, lines)
-			}
+			r := rng.New(conformanceSeed)
+			conformanceInstall(ctl, im, r)
 			if got, want := ctl.InstalledBytes(), int64(pages)*metadata.PageSize; got != want {
 				t.Fatalf("InstalledBytes = %d after installing %d pages, want %d", got, pages, want)
 			}
@@ -116,32 +188,7 @@ func TestBackendConformance(t *testing.T) {
 				t.Fatalf("CompressionRatio = %v, outside [1, 64]", ratio)
 			}
 
-			// Deterministic demand program: interleaved reads and
-			// writes over the whole footprint, oracle kept in sync the
-			// way the workload layer does.
-			const ops = 2000
-			now := uint64(0)
-			var reads, writes uint64
-			totalLines := uint64(pages) * metadata.LinesPerPage
-			for i := 0; i < ops; i++ {
-				addr := r.Uint64() % totalLines
-				if r.Uint64()%3 == 0 {
-					data := datagen.Line(r, datagen.Kind(int(addr)%int(datagen.NKinds)))
-					im.set(addr, data)
-					res := ctl.WriteLine(now, addr, data)
-					if res.Done < now {
-						t.Fatalf("op %d: write Done %d precedes issue cycle %d", i, res.Done, now)
-					}
-					writes++
-				} else {
-					res := ctl.ReadLine(now, addr)
-					if res.Done < now {
-						t.Fatalf("op %d: read Done %d precedes issue cycle %d", i, res.Done, now)
-					}
-					reads++
-				}
-				now += 4
-			}
+			reads, writes, _ := conformanceDemand(t, ctl, im, r)
 			st := ctl.Stats()
 			if st.DemandReads != reads || st.DemandWrites != writes {
 				t.Fatalf("demand accounting: got %d/%d reads/writes, drove %d/%d",
@@ -212,37 +259,17 @@ func auditRepairPath(t *testing.T, a audit.Auditable, im *oracleImage, r *rng.Ra
 }
 
 // TestBackendConformanceDeterminism re-runs the conformance program and
-// requires identical final accounting — backends must not consult any
+// requires an identical outcome — backends must not consult any
 // ambient nondeterminism.
 func TestBackendConformanceDeterminism(t *testing.T) {
-	const pages = 4
 	for _, b := range memctl.Backends() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			run := func() memctl.Stats {
-				ctl, im := buildBackend(t, b, pages)
-				r := rng.New(11)
-				for p := uint64(0); p < pages; p++ {
-					lines := make([][]byte, metadata.LinesPerPage)
-					for i := range lines {
-						lines[i] = datagen.Line(r, datagen.Repeated)
-					}
-					installOracle(ctl, im, p, lines)
-				}
-				totalLines := uint64(pages) * metadata.LinesPerPage
-				for i := 0; i < 800; i++ {
-					addr := r.Uint64() % totalLines
-					if i%3 == 0 {
-						data := datagen.Line(r, datagen.Kind(i%int(datagen.NKinds)))
-						im.set(addr, data)
-						ctl.WriteLine(uint64(i)*3, addr, data)
-					} else {
-						ctl.ReadLine(uint64(i)*3, addr)
-					}
-				}
-				return ctl.Stats()
+			run := func() conformanceOutcome {
+				ctl, im, mem := buildBackend(t, b)
+				return runConformance(t, ctl, im, mem)
 			}
-			if a, b := run(), run(); a != b {
+			if a, b := run(), run(); !reflect.DeepEqual(a, b) {
 				t.Fatalf("two identical runs diverged:\n%+v\n%+v", a, b)
 			}
 		})

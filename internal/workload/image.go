@@ -125,11 +125,6 @@ func nameHash(s string) uint64 {
 // FootprintPages returns the image's page count.
 func (im *Image) FootprintPages() int { return im.prof.FootprintPages }
 
-// FootprintBytes returns the footprint in bytes.
-func (im *Image) FootprintBytes() int64 {
-	return int64(im.prof.FootprintPages) * memctl.PageSize
-}
-
 // ensureFlat allocates the flat backing on first touch. Must be called
 // (or have happened) before any concurrent page generation.
 func (im *Image) ensureFlat() {
