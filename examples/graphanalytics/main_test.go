@@ -25,8 +25,8 @@ func Example() {
 	// Half-entry metadata-cache optimization on Graph500 (incompressible-heavy pages):
 	// half-entry opt  md hit rate  extra accesses  rel cycles
 	// --------------  -----------  --------------  ----------
-	// false           0.732        0.482           1.000
-	// true            0.775        0.432           1.096
+	// false           0.732        0.472           1.000
+	// true            0.775        0.432           1.094
 	//
 	// The paper's mix10 (Forestfire+Pagerank+Graph500+cactusADM) gains >100%
 	// with Compresso over LCP in constrained memory; run:

@@ -187,7 +187,9 @@ func (c *Cache) Insert(page uint64, half bool) (*Line, []Evicted) {
 	}
 	evicted := c.makeRoom(s, c.cost(half))
 	c.tick++
-	line := &Line{Page: page, Half: half, used: c.tick}
+	// Without the optimization a half entry is a full one: it costs a
+	// full slot, so promoting it later has no second half to fetch.
+	line := &Line{Page: page, Half: half && c.cfg.HalfEntry, used: c.tick}
 	s.lines = append(s.lines, line)
 	return line, evicted
 }
