@@ -5,9 +5,9 @@ GO ?= go
 # Worker count for the chaos/soak harnesses (0 = all cores).
 JOBS ?= 0
 
-.PHONY: check vet fmt-check build test seam race fuzz bench-quick bench-json bench-json-check full-sweep-check bench-kernels bench-hotloop backends fleet obs-smoke chaos soak
+.PHONY: check vet fmt-check build test seam race fuzz bench-quick bench-json bench-json-check full-sweep-check bench-kernels backends fleet obs-smoke chaos soak
 
-check: vet fmt-check build test seam race bench-kernels bench-hotloop bench-json-check full-sweep-check backends fleet obs-smoke chaos
+check: vet fmt-check build test seam race bench-kernels bench-json-check full-sweep-check backends fleet obs-smoke chaos
 
 vet:
 	$(GO) vet ./...
@@ -56,26 +56,13 @@ bench-quick:
 
 # Compression-kernel microbenchmarks (DESIGN.md §10): one iteration
 # each with -benchmem, enough for `check` to catch an allocation
-# regression on the hot paths (the 0-allocs property is also pinned
-# hard by TestSizeOnlyZeroAllocs/TestCompressWithZeroAllocs, and at
-# the 1 KiB LZ block size by TestLZBlockZeroAllocs). Run with a real
+# regression on the size path the simulators run (the 0-allocs
+# property is also pinned hard by TestSizeOnlyZeroAllocs, and at the
+# 1 KiB LZ block size by TestLZBlockZeroAllocs). Run with a real
 # -benchtime for ns/op numbers.
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'Compress|SizeOnly|Writer|Reader' \
 		-benchmem -benchtime 1x ./internal/compress/ ./internal/bitstream/
-
-# Single-run hot-loop benchmarks: the biggest committed -mix run (mix1,
-# ops 50000, scale 8 — the BENCH_mix_mix1_*.json configuration) serial
-# vs fanned out (serially, the first system records each core's
-# private-level log and the rest replay it), and a serial single-core
-# GemsFDTD comparison whose first system records the cache-filter log
-# and the rest replay it (DESIGN.md §13). One iteration each is the `check` smoke run; for real
-# before/after numbers use -count and benchstat (recipe in
-# EXPERIMENTS.md, "Tracking hot-loop performance").
-bench-hotloop:
-	$(GO) test -run '^$$' -bench BenchmarkHotLoopMix -benchtime 1x -jobs 1 .
-	$(GO) test -run '^$$' -bench BenchmarkHotLoopMix -benchtime 1x .
-	$(GO) test -run '^$$' -bench BenchmarkCompareSingle -benchtime 1x -jobs 1 .
 
 # The runs behind the committed BENCH_*.json artifacts, as one shell
 # command over $$bin (a compresso-sim binary) writing into $$out: a
@@ -265,7 +252,9 @@ soak:
 	[ "$$ref_sha" = "$$out_sha" ] || { echo "soak: artifacts diverged from clean run"; exit 1; }; \
 	echo "soak: ok (survived SIGKILL loop; output and artifacts byte-identical)"
 
-# Longer fuzz of the controller invariants, of the LZ hash-chain
+# Longer fuzz of the controller invariants, of every codec's SizeOnly
+# and the LZ block sizer against Compress (the size contract every
+# controller and experiment rests on), of the LZ hash-chain
 # matcher against its brute-force reference, of the fused BPC size
 # kernel against the pre-fusion size path, of the shared LCP page
 # layout behind the capacity model's LCP price, of the capacity
@@ -275,6 +264,8 @@ soak:
 # its bitstream reference (the default corpora run as part of `test`).
 fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzControllerReadWrite -fuzztime 60s
+	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzCodecSizeOnly$$' -fuzztime 20s
+	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzLZSizeBlock$$' -fuzztime 20s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzLZMatchEquivalence$$' -fuzztime 20s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzBPCSizeEquivalence$$' -fuzztime 20s
 	$(GO) test ./internal/capacity/ -run '^$$' -fuzz '^FuzzLCPPageBytesBounded$$' -fuzztime 20s

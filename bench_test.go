@@ -21,11 +21,7 @@ import (
 	"sync"
 	"testing"
 
-	"compresso/internal/compress"
 	"compresso/internal/experiments"
-	"compresso/internal/parallel"
-	"compresso/internal/sim"
-	"compresso/internal/workload"
 )
 
 var (
@@ -134,92 +130,3 @@ func BenchmarkTab1(b *testing.B) { runExperiment(b, "tab1") }
 
 // BenchmarkTab5 prints Tab. V (related-work summary matrix).
 func BenchmarkTab5(b *testing.B) { runExperiment(b, "tab5") }
-
-// BenchmarkHotLoopMix times the single-run hot loop end to end on the
-// biggest committed -mix configuration (mix1 at -ops 50000 -scale 8,
-// the BENCH_mix_mix1_*.json snapshot): shared asset preparation plus
-// the four-system comparison fanned across -jobs workers, i.e. exactly
-// what `compresso-sim -mix mix1` executes minus rendering. The results
-// are byte-identical at every -jobs value (DESIGN.md §7), so comparing
-// -jobs 1 against -jobs N measures pure hot-loop wall time; `make
-// bench-hotloop` runs both and EXPERIMENTS.md has the benchstat
-// before/after recipe.
-func BenchmarkHotLoopMix(b *testing.B) {
-	mix := sim.Mixes()[0]
-	profs, err := mix.Profiles()
-	if err != nil {
-		b.Fatal(err)
-	}
-	systems := sim.Systems()
-	const ops, scale, seed = 50_000, 8, 42
-	var cycles uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		baseCfg := sim.DefaultConfig(systems[0])
-		baseCfg.Ops = ops
-		baseCfg.FootprintScale = scale
-		baseCfg.Seed = seed
-		assets := sim.PrepareAssets(profs, baseCfg, compress.BPC{}, *jobs)
-		runs := parallel.Map(parallel.Workers(*jobs, len(systems)), len(systems), func(i int) sim.MultiResult {
-			cfg := sim.DefaultConfig(systems[i])
-			cfg.Ops = ops
-			cfg.FootprintScale = scale
-			cfg.Seed = seed
-			cfg.Assets = assets
-			return sim.RunMix(mix.Name, profs, cfg)
-		})
-		for _, r := range runs {
-			for _, c := range r.Cores {
-				cycles += c.Cycles
-			}
-		}
-	}
-	b.StopTimer()
-	if cycles == 0 {
-		b.Fatal("hot loop simulated zero cycles")
-	}
-	// Demand ops simulated per wall-clock second: the tracked hot-loop
-	// throughput number (4 cores x 4 systems per iteration).
-	total := float64(uint64(b.N) * ops * uint64(len(systems)) * 4)
-	b.ReportMetric(total/b.Elapsed().Seconds(), "simops/s")
-}
-
-// BenchmarkCompareSingle times a single-core four-system comparison on
-// shared assets, as `compresso-sim -bench GemsFDTD -compare` runs it
-// minus rendering: one asset preparation, then the systems in turn.
-// The first run records its cache-hierarchy outcome into the assets and
-// the others replay it (DESIGN.md §13), so at -jobs 1 every iteration
-// exercises record and replay; `make bench-hotloop` runs it once. Every
-// system must report the same L3 counters, replayed or not.
-func BenchmarkCompareSingle(b *testing.B) {
-	prof, err := workload.ByName("GemsFDTD")
-	if err != nil {
-		b.Fatal(err)
-	}
-	systems := sim.Systems()
-	const ops, scale, seed = 100_000, 8, 42
-	config := func(sys sim.System) sim.Config {
-		cfg := sim.DefaultConfig(sys)
-		cfg.Ops = ops
-		cfg.FootprintScale = scale
-		cfg.Seed = seed
-		return cfg
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		assets := sim.PrepareAssets([]workload.Profile{prof}, config(systems[0]), compress.BPC{}, *jobs)
-		runs := parallel.Map(parallel.Workers(*jobs, len(systems)), len(systems), func(i int) sim.Result {
-			cfg := config(systems[i])
-			cfg.Assets = assets
-			return sim.RunSingle(prof, cfg)
-		})
-		for _, r := range runs[1:] {
-			if r.L3 != runs[0].L3 {
-				b.Fatalf("%s L3 %+v differs from %s L3 %+v", r.System, r.L3, runs[0].System, runs[0].L3)
-			}
-		}
-	}
-	b.StopTimer()
-	total := float64(uint64(b.N) * ops * uint64(len(systems)))
-	b.ReportMetric(total/b.Elapsed().Seconds(), "simops/s")
-}

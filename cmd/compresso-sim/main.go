@@ -71,7 +71,7 @@ func main() {
 		overlap  = flag.Bool("overlap", false, "opt-in overlapped-controller timing: pipeline decompression latency against DRAM service (memctl.overlap_* stats); off preserves the serial model")
 		attrF    = flag.Bool("attribution", false, "attach the cycle-accounting ledger to -bench/-mix runs: per-component latency breakdown, hot-page profile, attr.* metrics (observation-only; results are byte-identical either way)")
 		topPages = flag.Int("top-pages", 0, fmt.Sprintf("with -attribution: bound the hot-page overhead profile to the top N pages (0 uses the default %d)", sim.DefaultTopPages))
-		inject   = flag.String("inject", "", "fault-injection spec, e.g. bitflip:1e-6,mdmiss:1e-4 (sites: bitflip, metaflip, chunkdrop, chunkdup, mdmiss, tracetrunc)")
+		inject   = flag.String("inject", "", "fault-injection spec, e.g. bitflip:1e-6,mdmiss:1e-4 (sites: bitflip, metaflip, chunkdrop, chunkdup, mdmiss)")
 		auditEv  = flag.Uint64("audit-every", 0, "run a repairing state audit every N demand ops (0 disables)")
 		jsonDir  = flag.String("json", "", "write JSON artifacts for every run/experiment into this directory")
 
@@ -383,6 +383,18 @@ func validateTraceEvents(set bool, n int) error {
 		return fmt.Errorf("-trace-events must be a positive ring capacity (got %d); omit the flag to disable tracing", n)
 	}
 	return nil
+}
+
+// parseInject parses an -inject spec, rejecting the sites no
+// compresso-sim run exposes: tracetrunc tears trace files, and
+// compresso-sim writes none, so a rate there would be accepted and do
+// nothing.
+func parseInject(spec string, seed uint64) (faults.Config, error) {
+	fc, err := faults.ParseSpec(spec, seed)
+	if err == nil && fc.Rate[faults.TraceTruncate] > 0 {
+		err = fmt.Errorf("faults: site %s tears trace files, which compresso-sim never writes", faults.TraceTruncate)
+	}
+	return fc, err
 }
 
 // validateCapacity rejects a -capacity that would be ignored or
@@ -789,7 +801,7 @@ func (o runOptions) config(s sim.System) sim.Config {
 	cfg.FootprintScale = o.scale
 	cfg.Seed = o.seed
 	cfg.Overlap = o.overlap
-	fc, err := faults.ParseSpec(o.inject, cfg.Seed)
+	fc, err := parseInject(o.inject, cfg.Seed)
 	if err != nil {
 		fatal(err)
 	}

@@ -111,6 +111,36 @@ func TestCapacityFlagValidation(t *testing.T) {
 	}
 }
 
+// TestInjectSpecValidation pins which -inject specs a run accepts: the
+// sites a simulation rolls, and not tracetrunc, whose trace files no
+// compresso-sim run writes.
+func TestInjectSpecValidation(t *testing.T) {
+	cases := []struct {
+		spec    string
+		wantErr string // substring; empty = must pass
+	}{
+		{spec: ""},
+		{spec: "bitflip:1e-6,mdmiss:1e-4"},
+		{spec: "tracetrunc:0"},
+		{spec: "tracetrunc:0.5", wantErr: "site tracetrunc"},
+		{spec: "mdmiss:0.1,tracetrunc:1e-3", wantErr: "site tracetrunc"},
+		{spec: "bogus:0.1", wantErr: "unknown site"},
+		{spec: "bitflip", wantErr: "bad spec entry"},
+	}
+	for _, c := range cases {
+		_, err := parseInject(c.spec, 1)
+		if c.wantErr == "" {
+			if err != nil {
+				t.Errorf("%q: unexpected error %v", c.spec, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%q: error %v, want substring %q", c.spec, err, c.wantErr)
+		}
+	}
+}
+
 // TestResilienceFlagValidation pins the resilience flag contract: every
 // nonsensical combination is a flag error (exit 2) carrying an
 // actionable message, and every documented-good shape passes.

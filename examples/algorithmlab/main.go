@@ -84,8 +84,8 @@ func main() {
 	var saved int64
 	for t := 0; t < trials; t++ {
 		line := datagen.Line(r, datagen.SmallInt)
-		b := compress.Size(compress.BPC{}, line)
-		bb := compress.Size(compress.BPC{DisableBestOf: true}, line)
+		b := compress.SizeOnly(compress.BPC{}, line)
+		bb := compress.SizeOnly(compress.BPC{DisableBestOf: true}, line)
 		if b < bb {
 			wins++
 		}

@@ -28,9 +28,7 @@ func lowMask(width int) uint64 {
 }
 
 // Writer accumulates bits MSB-first into an internal buffer.
-// The zero value is an empty writer ready for use. Writers are
-// reusable via Reset, which is how codec scratch (compress.Scratch)
-// amortizes the buffer across calls.
+// The zero value is an empty writer ready for use.
 type Writer struct {
 	buf  []byte // fully flushed bytes
 	acc  uint64 // pending bits in the low-order nacc bits (zero when nacc is 0)
@@ -78,9 +76,7 @@ func (w *Writer) Len() int { return (w.Bits() + 7) / 8 }
 
 // Bytes returns the written stream. The final byte is zero-padded in
 // its low-order bits. The slice aliases the writer's storage: it is
-// invalidated by Reset — writers are pooled in codec scratch, so
-// callers must copy the bytes out before the writer is reused — and
-// by any further WriteBits call.
+// invalidated by any further WriteBits call.
 func (w *Writer) Bytes() []byte {
 	n := w.Len()
 	if cap(w.buf) < n {
@@ -95,15 +91,6 @@ func (w *Writer) Bytes() []byte {
 		acc <<= 8
 	}
 	return out
-}
-
-// Reset clears the writer for reuse without reallocating. Slices
-// previously obtained from Bytes must not be used afterwards: the
-// next writes overwrite the same storage.
-func (w *Writer) Reset() {
-	w.buf = w.buf[:0]
-	w.acc = 0
-	w.nacc = 0
 }
 
 // Reader consumes bits MSB-first from a byte slice.

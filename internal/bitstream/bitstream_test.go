@@ -57,19 +57,6 @@ func TestLenAndBits(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	w := NewWriter(4)
-	w.WriteBits(0xabcd, 16)
-	w.Reset()
-	if w.Bits() != 0 || w.Len() != 0 {
-		t.Fatal("Reset did not clear writer")
-	}
-	w.WriteBits(0x3, 2)
-	if w.Bytes()[0] != 0b1100_0000 {
-		t.Fatalf("write after reset produced %08b", w.Bytes()[0])
-	}
-}
-
 func TestReaderOverrun(t *testing.T) {
 	r := NewReader([]byte{0xff})
 	if _, err := r.ReadBits(8); err != nil {
@@ -163,9 +150,8 @@ func TestFinalBytePadding(t *testing.T) {
 }
 
 func BenchmarkWriter(b *testing.B) {
-	w := NewWriter(64)
 	for i := 0; i < b.N; i++ {
-		w.Reset()
+		w := NewWriter(64)
 		for j := 0; j < 33; j++ {
 			w.WriteBits(uint64(j), 15)
 		}

@@ -197,19 +197,6 @@ func (c *Cache) Contains(lineAddr uint64) bool {
 	return false
 }
 
-// Invalidate drops lineAddr if present, returning whether it was dirty.
-func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
-	base := c.setBase(lineAddr)
-	want := lineAddr>>c.setShift<<tagShift | metaValid
-	for i := 0; i < c.ways; i++ {
-		if w := c.data[base+i]; w&(tagMask<<tagShift|metaValid) == want {
-			c.data[base+i] = 0
-			return true, w&metaDirty != 0
-		}
-	}
-	return false, false
-}
-
 // MemoryEvent is what the hierarchy emits toward the memory controller.
 type MemoryEvent struct {
 	LineAddr uint64

@@ -77,22 +77,6 @@ func TestSetIndexing(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New("t", 2*LineSize, 2)
-	c.Access(5, true)
-	present, dirty := c.Invalidate(5)
-	if !present || !dirty {
-		t.Fatalf("Invalidate = %v, %v", present, dirty)
-	}
-	if c.Contains(5) {
-		t.Fatal("line present after Invalidate")
-	}
-	present, _ = c.Invalidate(5)
-	if present {
-		t.Fatal("second Invalidate found the line")
-	}
-}
-
 func TestGeometryValidation(t *testing.T) {
 	for _, bad := range []struct{ size, ways int }{
 		{0, 1}, {64, 0}, {100, 1}, {3 * LineSize, 1},

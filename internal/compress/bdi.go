@@ -47,9 +47,8 @@ func bdiSize(e bdiEncoding) int {
 	return 1 + e.base + n*e.delta + (n+7)/8
 }
 
-// Compress implements Codec. BDI needs no bitstream scratch (it writes
-// whole bytes) and is already allocation-free, so there is no separate
-// CompressScratch.
+// Compress implements Codec. BDI writes whole bytes, so it needs no
+// bitstream writer.
 func (BDI) Compress(dst, src []byte) int {
 	checkCompressArgs(dst, src)
 	if IsZeroLine(src) {
@@ -67,7 +66,7 @@ func (BDI) Compress(dst, src []byte) int {
 	return LineSize
 }
 
-// SizeOnly implements Sizer: it runs only the fit checks (the first
+// SizeOnly implements Codec: it runs only the fit checks (the first
 // pass of bdiTry) without encoding.
 func (BDI) SizeOnly(src []byte) int {
 	checkLine(src)

@@ -60,17 +60,9 @@ const (
 
 const bpcPosBits = 4
 
-// Compress implements Codec.
+// Compress implements Codec: the fused kernel prices both best-of
+// variants, and only the winner is encoded.
 func (b BPC) Compress(dst, src []byte) int {
-	var s Scratch
-	return b.CompressScratch(dst, src, &s)
-}
-
-// CompressScratch implements ScratchCompressor: the fused kernel
-// prices both best-of variants, and only the winner is encoded, into
-// the scratch writer, so steady-state compression performs no heap
-// allocation.
-func (b BPC) CompressScratch(dst, src []byte, s *Scratch) int {
 	checkCompressArgs(dst, src)
 	if IsZeroLine(src) {
 		return 0
@@ -83,8 +75,7 @@ func (b BPC) CompressScratch(dst, src []byte, s *Scratch) int {
 		copy(dst[:LineSize], src)
 		return LineSize
 	}
-	w := &s.w
-	w.Reset()
+	w := bitstream.NewWriter(LineSize)
 	if raw {
 		m.encodeRaw(w)
 	} else {
@@ -94,7 +85,7 @@ func (b BPC) CompressScratch(dst, src []byte, s *Scratch) int {
 	return w.Len()
 }
 
-// SizeOnly implements Sizer: the fused kernel counts the bits both
+// SizeOnly implements Codec: the fused kernel counts the bits both
 // best-of variants would emit without materializing either stream.
 // Equality with Compress is pinned by FuzzCodecSizeOnly, and with the
 // pre-fusion counting walk by FuzzBPCSizeEquivalence.

@@ -48,7 +48,19 @@ type Codec interface {
 	// returned by Compress into the 64-byte dst. It returns an error
 	// if the stream is corrupt.
 	Decompress(dst, src []byte) error
+
+	// SizeOnly returns exactly what Compress would return for src,
+	// without writing output and without heap allocation. This is the
+	// path the simulators live on: the memory controllers, the
+	// capacity tracker, CompressPoints profiling and the experiments
+	// need only a line's size or bin, never its compressed bytes.
+	// Compress is the reference it must equal, which
+	// FuzzCodecSizeOnly pins for every codec.
+	SizeOnly(src []byte) int
 }
+
+// SizeOnly returns the compressed size in bytes of src under codec c.
+func SizeOnly(c Codec, src []byte) int { return c.SizeOnly(src) }
 
 // IsZeroLine reports whether all bytes of src are zero. A 64 B line
 // is eight little-endian 64-bit loads OR-ed together; longer inputs
@@ -71,13 +83,6 @@ func IsZeroLine(src []byte) bool {
 	return true
 }
 
-// Size returns the compressed size in bytes of src under codec c,
-// using a stack scratch buffer.
-func Size(c Codec, src []byte) int {
-	var scratch [LineSize]byte
-	return c.Compress(scratch[:], src)
-}
-
 // Ratio returns the compression ratio (original/compressed) achieved by
 // codec c over the given lines after quantizing each line to bins.
 // Zero lines count as bins' smallest size (normally 0); a wholly
@@ -88,7 +93,7 @@ func Ratio(c Codec, bins Bins, lines [][]byte) float64 {
 	}
 	total := 0
 	for _, ln := range lines {
-		total += bins.Fit(Size(c, ln))
+		total += bins.Fit(c.SizeOnly(ln))
 	}
 	if total == 0 {
 		// All-zero data compresses "infinitely"; charge a single

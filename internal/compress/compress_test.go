@@ -90,10 +90,10 @@ func TestRepeatedValueLine(t *testing.T) {
 	for _, c := range allCodecs {
 		mustRoundTrip(t, c, line)
 	}
-	if n := Size(BDI{}, line); n != 9 {
+	if n := SizeOnly(BDI{}, line); n != 9 {
 		t.Errorf("bdi: repeated word line -> %d bytes, want 9", n)
 	}
-	if n := Size(FPC{}, line); n != LineSize {
+	if n := SizeOnly(FPC{}, line); n != LineSize {
 		t.Errorf("fpc: repeated 0xdeadbeef -> %d bytes, want raw 64", n)
 	}
 }
@@ -210,8 +210,8 @@ func TestBPCBestOfNeverWorse(t *testing.T) {
 				return 0x40490fdb ^ uint32(r.Intn(1<<12))
 			}
 		})
-		best := Size(BPC{}, line)
-		baseline := Size(BPC{DisableBestOf: true}, line)
+		best := SizeOnly(BPC{}, line)
+		baseline := SizeOnly(BPC{DisableBestOf: true}, line)
 		if best > baseline {
 			t.Fatalf("best-of BPC (%d) worse than baseline (%d) on %x", best, baseline, line)
 		}
@@ -228,7 +228,7 @@ func TestBPCBestOfWinsSomewhere(t *testing.T) {
 		line := lineOfWords(func(i int) uint32 {
 			return 0xabcd0000 | uint32(r.Intn(4))<<8 | uint32(r.Intn(2))
 		})
-		if Size(BPC{}, line) < Size(BPC{DisableBestOf: true}, line) {
+		if SizeOnly(BPC{}, line) < SizeOnly(BPC{DisableBestOf: true}, line) {
 			wins++
 		}
 	}

@@ -64,20 +64,13 @@ func (d *cpackDict) match(w uint32) (idx int, bytes int) {
 }
 
 // Compress implements Codec.
-func (c CPack) Compress(dst, src []byte) int {
-	var s Scratch
-	return c.CompressScratch(dst, src, &s)
-}
-
-// CompressScratch implements ScratchCompressor.
-func (CPack) CompressScratch(dst, src []byte, s *Scratch) int {
+func (CPack) Compress(dst, src []byte) int {
 	checkCompressArgs(dst, src)
 	if IsZeroLine(src) {
 		return 0
 	}
 	words := loadWords(src)
-	w := &s.w
-	w.Reset()
+	w := bitstream.NewWriter(LineSize)
 	var dict cpackDict
 	for _, v := range words {
 		switch {
@@ -122,7 +115,7 @@ func (CPack) CompressScratch(dst, src []byte, s *Scratch) int {
 	return w.Len()
 }
 
-// SizeOnly implements Sizer: the same dictionary walk as Compress —
+// SizeOnly implements Codec: the same dictionary walk as Compress —
 // pushes included, since they change later match lengths — counting
 // code widths instead of emitting them.
 func (CPack) SizeOnly(src []byte) int {

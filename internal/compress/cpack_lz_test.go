@@ -41,13 +41,13 @@ func TestCPackDictionaryMatters(t *testing.T) {
 	// A line full of one repeated (large) word must compress via full
 	// dictionary matches: 1 raw + 15 matches = 34 + 90 bits = 16 B.
 	line := lineOfWords(func(i int) uint32 { return 0x12345678 })
-	n := Size(CPack{}, line)
+	n := SizeOnly(CPack{}, line)
 	if n != 16 {
 		t.Fatalf("repeated-word line = %d bytes, want 16", n)
 	}
 	// High-3-byte partial matches.
 	line = lineOfWords(func(i int) uint32 { return 0x12345600 | uint32(i)<<1 })
-	n = Size(CPack{}, line)
+	n = SizeOnly(CPack{}, line)
 	// 1 raw (34) + 15 partial (16 each) = 274 bits = 35 B.
 	if n > 36 {
 		t.Fatalf("partial-match line = %d bytes, want <= 36", n)
@@ -105,8 +105,8 @@ func TestLZBeatsWordCodecsOnText(t *testing.T) {
 	for i := range line {
 		line[i] = pat[i%len(pat)]
 	}
-	lz := Size(LZ{}, line)
-	bpc := Size(BPC{}, line)
+	lz := SizeOnly(LZ{}, line)
+	bpc := SizeOnly(BPC{}, line)
 	if lz >= bpc {
 		t.Fatalf("LZ (%d) not better than BPC (%d) on repetitive text", lz, bpc)
 	}

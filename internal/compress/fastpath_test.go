@@ -133,37 +133,16 @@ func TestRatioZeroStreamBounded(t *testing.T) {
 	}
 }
 
-// TestSizeOnlyMatchesCompress checks the Sizer contract on the
+// TestSizeOnlyMatchesCompress checks the SizeOnly contract on the
 // deterministic line set (FuzzCodecSizeOnly extends this to random
 // lines).
 func TestSizeOnlyMatchesCompress(t *testing.T) {
 	for _, c := range fastpathCodecs {
-		if _, ok := c.(Sizer); !ok {
-			t.Errorf("%s: does not implement Sizer", c.Name())
-			continue
-		}
 		for name, line := range testLines() {
 			var dst [LineSize]byte
 			want := c.Compress(dst[:], line)
 			if got := SizeOnly(c, line); got != want {
 				t.Errorf("%s/%s: SizeOnly = %d, Compress = %d", c.Name(), name, got, want)
-			}
-		}
-	}
-}
-
-// TestCompressWithMatchesCompress checks the ScratchCompressor path
-// byte-for-byte against plain Compress, including scratch reuse across
-// lines and codecs.
-func TestCompressWithMatchesCompress(t *testing.T) {
-	var s Scratch
-	for _, c := range fastpathCodecs {
-		for name, line := range testLines() {
-			var want, got [LineSize]byte
-			wn := c.Compress(want[:], line)
-			gn := CompressWith(c, got[:], line, &s)
-			if gn != wn || !bytes.Equal(got[:gn], want[:wn]) {
-				t.Errorf("%s/%s: CompressWith diverges from Compress (%d vs %d bytes)", c.Name(), name, gn, wn)
 			}
 		}
 	}
@@ -179,24 +158,6 @@ func TestSizeOnlyZeroAllocs(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("%s/%s: SizeOnly allocates %v per run, want 0", c.Name(), name, allocs)
-			}
-		}
-	}
-}
-
-// TestCompressWithZeroAllocs pins steady-state allocation freedom of
-// the scratch-reuse compress path (first call may grow the scratch;
-// AllocsPerRun's warmup run absorbs that).
-func TestCompressWithZeroAllocs(t *testing.T) {
-	var s Scratch
-	var dst [LineSize]byte
-	for _, c := range fastpathCodecs {
-		for name, line := range testLines() {
-			allocs := testing.AllocsPerRun(100, func() {
-				CompressWith(c, dst[:], line, &s)
-			})
-			if allocs != 0 {
-				t.Errorf("%s/%s: CompressWith allocates %v per run, want 0", c.Name(), name, allocs)
 			}
 		}
 	}
@@ -241,17 +202,6 @@ func benchCompress(b *testing.B, c Codec) {
 	}
 }
 
-func benchCompressScratch(b *testing.B, c Codec) {
-	lines := benchLines()
-	var dst [LineSize]byte
-	var s Scratch
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		CompressWith(c, dst[:], lines[i%len(lines)], &s)
-	}
-}
-
 func benchSizeOnly(b *testing.B, c Codec) {
 	lines := benchLines()
 	b.ReportAllocs()
@@ -261,21 +211,17 @@ func benchSizeOnly(b *testing.B, c Codec) {
 	}
 }
 
-func BenchmarkBPCCompress(b *testing.B)        { benchCompress(b, BPC{}) }
-func BenchmarkBPCCompressScratch(b *testing.B) { benchCompressScratch(b, BPC{}) }
-func BenchmarkBPCSizeOnly(b *testing.B)        { benchSizeOnly(b, BPC{}) }
+func BenchmarkBPCCompress(b *testing.B) { benchCompress(b, BPC{}) }
+func BenchmarkBPCSizeOnly(b *testing.B) { benchSizeOnly(b, BPC{}) }
 
 func BenchmarkBDICompress(b *testing.B) { benchCompress(b, BDI{}) }
 func BenchmarkBDISizeOnly(b *testing.B) { benchSizeOnly(b, BDI{}) }
 
-func BenchmarkFPCCompress(b *testing.B)        { benchCompress(b, FPC{}) }
-func BenchmarkFPCCompressScratch(b *testing.B) { benchCompressScratch(b, FPC{}) }
-func BenchmarkFPCSizeOnly(b *testing.B)        { benchSizeOnly(b, FPC{}) }
+func BenchmarkFPCCompress(b *testing.B) { benchCompress(b, FPC{}) }
+func BenchmarkFPCSizeOnly(b *testing.B) { benchSizeOnly(b, FPC{}) }
 
-func BenchmarkCPackCompress(b *testing.B)        { benchCompress(b, CPack{}) }
-func BenchmarkCPackCompressScratch(b *testing.B) { benchCompressScratch(b, CPack{}) }
-func BenchmarkCPackSizeOnly(b *testing.B)        { benchSizeOnly(b, CPack{}) }
+func BenchmarkCPackCompress(b *testing.B) { benchCompress(b, CPack{}) }
+func BenchmarkCPackSizeOnly(b *testing.B) { benchSizeOnly(b, CPack{}) }
 
-func BenchmarkLZCompress(b *testing.B)        { benchCompress(b, LZ{}) }
-func BenchmarkLZCompressScratch(b *testing.B) { benchCompressScratch(b, LZ{}) }
-func BenchmarkLZSizeOnly(b *testing.B)        { benchSizeOnly(b, LZ{}) }
+func BenchmarkLZCompress(b *testing.B) { benchCompress(b, LZ{}) }
+func BenchmarkLZSizeOnly(b *testing.B) { benchSizeOnly(b, LZ{}) }

@@ -38,20 +38,13 @@ func seFits(v uint32, bits int) bool {
 }
 
 // Compress implements Codec.
-func (c FPC) Compress(dst, src []byte) int {
-	var s Scratch
-	return c.CompressScratch(dst, src, &s)
-}
-
-// CompressScratch implements ScratchCompressor.
-func (FPC) CompressScratch(dst, src []byte, s *Scratch) int {
+func (FPC) Compress(dst, src []byte) int {
 	checkCompressArgs(dst, src)
 	if IsZeroLine(src) {
 		return 0
 	}
 	words := loadWords(src)
-	w := &s.w
-	w.Reset()
+	w := bitstream.NewWriter(LineSize)
 	for i := 0; i < WordsPerLine; {
 		v := words[i]
 		if v == 0 {
@@ -98,7 +91,7 @@ func (FPC) CompressScratch(dst, src []byte, s *Scratch) int {
 	return w.Len()
 }
 
-// SizeOnly implements Sizer: same word walk as Compress, counting
+// SizeOnly implements Codec: same word walk as Compress, counting
 // prefix+payload widths instead of emitting them.
 func (FPC) SizeOnly(src []byte) int {
 	checkLine(src)

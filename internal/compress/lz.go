@@ -194,18 +194,10 @@ func lzParse(src []byte, w *bitstream.Writer) int {
 // conventions generalized to the block size: 0 means all-zero,
 // len(src) means stored raw. dst must hold len(src) bytes.
 func LZCompressBlock(dst, src []byte) int {
-	var s Scratch
-	return LZCompressBlockScratch(dst, src, &s)
-}
-
-// LZCompressBlockScratch is LZCompressBlock drawing its writer from
-// caller-owned scratch.
-func LZCompressBlockScratch(dst, src []byte, s *Scratch) int {
 	if len(src) == 0 || IsZeroLine(src) {
 		return 0
 	}
-	w := &s.w
-	w.Reset()
+	w := bitstream.NewWriter(len(src))
 	n := lzParse(src, w)
 	if n == len(src) {
 		copy(dst[:n], src)
@@ -292,13 +284,7 @@ func (LZ) Compress(dst, src []byte) int {
 	return LZCompressBlock(dst, src)
 }
 
-// CompressScratch implements ScratchCompressor.
-func (LZ) CompressScratch(dst, src []byte, s *Scratch) int {
-	checkCompressArgs(dst, src)
-	return LZCompressBlockScratch(dst, src, s)
-}
-
-// SizeOnly implements Sizer.
+// SizeOnly implements Codec.
 func (LZ) SizeOnly(src []byte) int {
 	checkLine(src)
 	return LZSizeBlock(src)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"compresso/internal/bitstream"
 	"compresso/internal/rng"
 )
 
@@ -34,8 +35,7 @@ func lzCompressBlockRef(dst, src []byte) int {
 		return 0
 	}
 	offBits := lzOffBits(len(src))
-	var s Scratch
-	w := &s.w
+	w := bitstream.NewWriter(len(src))
 	for i := 0; i < len(src); {
 		bestLen, bestOff := lzBestMatchRef(src, i, offBits)
 		if bestLen >= lzMinMatch {
@@ -133,19 +133,13 @@ func lzTestBlock() []byte {
 	return block
 }
 
-// TestLZBlockZeroAllocs pins the block paths at the MXT/DMC block size
+// TestLZBlockZeroAllocs pins the size path at the MXT/DMC block size
 // and at the largest stack-backed block: the matcher's chains live on
-// the stack, so sizing allocates nothing and compressing into a warm
-// Scratch allocates nothing either.
+// the stack, so sizing allocates nothing.
 func TestLZBlockZeroAllocs(t *testing.T) {
-	var s Scratch
 	for _, src := range [][]byte{lzTestBlock(), bytes.Repeat(lzTestBlock(), lzStackBlock/1024)} {
-		dst := make([]byte, len(src))
 		if allocs := testing.AllocsPerRun(20, func() { LZSizeBlock(src) }); allocs != 0 {
 			t.Errorf("LZSizeBlock(%d B) allocates %v per run, want 0", len(src), allocs)
-		}
-		if allocs := testing.AllocsPerRun(20, func() { LZCompressBlockScratch(dst, src, &s) }); allocs != 0 {
-			t.Errorf("LZCompressBlockScratch(%d B) allocates %v per run, want 0", len(src), allocs)
 		}
 	}
 }

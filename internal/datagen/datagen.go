@@ -186,25 +186,11 @@ type Page [][]byte
 // LinesPerPage is the number of cache lines in a 4 KB page.
 const LinesPerPage = 4096 / compress.LineSize
 
-// GeneratePage produces a page dominated by the given kind. Real pages
-// are mostly homogeneous (one array, one node pool); heterogeneity is
-// injected per line with probability noise using the noiseMix.
-func GeneratePage(r *rng.Rand, k Kind, noise float64, noiseMix Mix) Page {
-	// One backing array for the whole page: a page costs one allocation
-	// instead of 65, and the bytes are identical to per-line Line calls
-	// (Line is exactly make + FillLine).
-	buf := make([]byte, LinesPerPage*compress.LineSize)
-	GeneratePageInto(r, k, noise, noiseMix, buf)
-	p := make(Page, LinesPerPage)
-	for i := range p {
-		p[i] = buf[i*compress.LineSize : (i+1)*compress.LineSize : (i+1)*compress.LineSize]
-	}
-	return p
-}
-
-// GeneratePageInto fills buf (one 4 KB page) with the same content —
-// and from the same RNG stream — as GeneratePage, without allocating.
-// This is the kernel behind workload.Image's single flat backing array.
+// GeneratePageInto fills buf (one 4 KB page) with a page dominated by
+// the given kind, without allocating. Real pages are mostly homogeneous
+// (one array, one node pool); heterogeneity is injected per line with
+// probability noise using the noiseMix. This is the kernel behind
+// workload.Image's single flat backing array.
 func GeneratePageInto(r *rng.Rand, k Kind, noise float64, noiseMix Mix, buf []byte) {
 	if len(buf) != LinesPerPage*compress.LineSize {
 		panic(fmt.Sprintf("datagen: page buffer length %d", len(buf)))
@@ -216,19 +202,6 @@ func GeneratePageInto(r *rng.Rand, k Kind, noise float64, noiseMix Mix, buf []by
 		}
 		FillLine(r, kind, buf[i*compress.LineSize:(i+1)*compress.LineSize])
 	}
-}
-
-// Mutate rewrites one line in place to simulate a store burst.
-// With probability pKindChange the line's content switches to newKind
-// (a compressibility change — the source of cache-line overflows and
-// underflows in §IV); otherwise the existing values receive a small
-// in-place update that preserves their pattern.
-func Mutate(r *rng.Rand, line []byte, pKindChange float64, newKind Kind) {
-	if r.Bool(pKindChange) {
-		FillLine(r, newKind, line)
-		return
-	}
-	Perturb(r, line)
 }
 
 // Perturb applies a small same-pattern update: every 32-bit word is

@@ -143,18 +143,14 @@ type BPCVariantRow struct {
 }
 
 // BPCVariantsData measures raw compressed bytes over each image.
-// Benchmarks are independent cells; each owns its compressors and
-// scratch buffer so cells share nothing.
+// Benchmarks are independent cells; each owns its compressors so
+// cells share nothing.
 func BPCVariantsData(opt Options) []BPCVariantRow {
 	profs := workload.All()
 	return grid(opt, "bpc-variants", len(profs), func(_ context.Context, i int) BPCVariantRow {
-		prof := profs[i]
+		prof := workload.Scale(profs[i], opt.scale())
 		best := compress.BPC{}
 		baseline := compress.BPC{DisableBestOf: true}
-		prof.FootprintPages /= opt.scale()
-		if prof.FootprintPages < 16 {
-			prof.FootprintPages = 16
-		}
 		img := workload.NewImage(prof, opt.seed())
 		var bb, bl int64
 		for p := uint64(0); p < uint64(prof.FootprintPages); p++ {

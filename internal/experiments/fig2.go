@@ -40,11 +40,7 @@ type Fig2Row struct {
 func Fig2Data(opt Options) []Fig2Row {
 	profs := workload.All()
 	return grid(opt, "fig2", len(profs), func(_ context.Context, n int) Fig2Row {
-		prof := profs[n]
-		prof.FootprintPages /= opt.scale()
-		if prof.FootprintPages < 16 {
-			prof.FootprintPages = 16
-		}
+		prof := workload.Scale(profs[n], opt.scale())
 		img := workload.NewImage(prof, opt.seed())
 		row := Fig2Row{Bench: prof.Name}
 		bpc, bdi := compress.BPC{}, compress.BDI{}

@@ -83,10 +83,7 @@ func Fig9Data(opt Options) ([]Fig9Series, error) {
 		if err != nil {
 			return Fig9Series{}, fmt.Errorf("fig9: %w", err)
 		}
-		prof.FootprintPages /= opt.scale()
-		if prof.FootprintPages < 16 {
-			prof.FootprintPages = 16
-		}
+		prof = workload.Scale(prof, opt.scale())
 		// Concentrate writes so the phases move the whole image, like
 		// the paper's full-footprint dumps.
 		prof.HotFraction = 0.9

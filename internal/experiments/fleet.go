@@ -78,46 +78,30 @@ func runFleetCell(opt Options, backends []string, policyName string) (fleet.Resu
 	})
 }
 
-var fleetSweepCache memo[[2]uint64, []FleetRow]
-
 // FleetSweepData runs one homogeneous fleet per backend under the
 // default hysteresis policy: the per-backend fleet comparison
 // (aggregate ratio, tier churn, move traffic, TCO rollup).
-func FleetSweepData(opt Options) []FleetRow {
-	rows, err := fleetSweepCache.get(opt.Ctx, opt.sweepKey(), func() ([]FleetRow, error) {
-		return gridErr(opt, "fleet-sweep", len(fleet.Backends), func(ctx context.Context, i int) (FleetRow, error) {
-			res, err := runFleetCell(opt, []string{fleet.Backends[i]}, "hysteresis")
-			if err != nil {
-				return FleetRow{}, err
-			}
-			return rowFromResult(fleet.Backends[i], "hysteresis", res), nil
-		})
+func FleetSweepData(opt Options) ([]FleetRow, error) {
+	return gridErr(opt, "fleet-sweep", len(fleet.Backends), func(ctx context.Context, i int) (FleetRow, error) {
+		res, err := runFleetCell(opt, []string{fleet.Backends[i]}, "hysteresis")
+		if err != nil {
+			return FleetRow{}, err
+		}
+		return rowFromResult(fleet.Backends[i], "hysteresis", res), nil
 	})
-	if err != nil {
-		panic(err)
-	}
-	return rows
 }
-
-var fleetPolicyCache memo[[2]uint64, []FleetRow]
 
 // FleetPolicyData runs one heterogeneous fleet (nodes cycling through
 // every headline backend) per named tier policy: the policy ablation.
-func FleetPolicyData(opt Options) []FleetRow {
+func FleetPolicyData(opt Options) ([]FleetRow, error) {
 	policies := fleet.PolicyNames()
-	rows, err := fleetPolicyCache.get(opt.Ctx, opt.sweepKey(), func() ([]FleetRow, error) {
-		return gridErr(opt, "fleet-policy", len(policies), func(ctx context.Context, i int) (FleetRow, error) {
-			res, err := runFleetCell(opt, fleet.Backends, policies[i])
-			if err != nil {
-				return FleetRow{}, err
-			}
-			return rowFromResult("mixed", policies[i], res), nil
-		})
+	return gridErr(opt, "fleet-policy", len(policies), func(ctx context.Context, i int) (FleetRow, error) {
+		res, err := runFleetCell(opt, fleet.Backends, policies[i])
+		if err != nil {
+			return FleetRow{}, err
+		}
+		return rowFromResult("mixed", policies[i], res), nil
 	})
-	if err != nil {
-		panic(err)
-	}
-	return rows
 }
 
 func renderFleetTable(opt Options, label string, rows []FleetRow) {
@@ -136,7 +120,10 @@ func renderFleetTable(opt Options, label string, rows []FleetRow) {
 }
 
 func runFleetSweep(opt Options) (any, error) {
-	rows := FleetSweepData(opt)
+	rows, err := FleetSweepData(opt)
+	if err != nil {
+		return nil, err
+	}
 	header(opt.Out, "Fleet sweep: one homogeneous multi-node fleet per backend (hysteresis policy)")
 	renderFleetTable(opt, "backend", rows)
 	fmt.Fprintf(opt.Out, "\nballoon $/mo is the DRAM spend the backend's compression releases back to the fleet\n")
@@ -144,7 +131,10 @@ func runFleetSweep(opt Options) (any, error) {
 }
 
 func runFleetPolicy(opt Options) (any, error) {
-	rows := FleetPolicyData(opt)
+	rows, err := FleetPolicyData(opt)
+	if err != nil {
+		return nil, err
+	}
 	header(opt.Out, "Fleet policy ablation: mixed-backend fleet per tier policy")
 	renderFleetTable(opt, "policy", rows)
 	fmt.Fprintf(opt.Out, "\nstatic never moves pages after seeding; aggressive trades churn (and move traffic) for hot-tier coverage\n")

@@ -104,8 +104,6 @@ func resetMemos() {
 	fig10Cache.reset()
 	fig11Cache.reset()
 	backendsCache.reset()
-	fleetSweepCache.reset()
-	fleetPolicyCache.reset()
 	runCache.reset()
 	capCache.reset()
 }

@@ -88,13 +88,11 @@ func declaredMemos(t *testing.T) []string {
 func TestResetMemosClearsEveryMemo(t *testing.T) {
 	unusedSweep := [2]uint64{^uint64(0), ^uint64(0)}
 	probes := map[string]memoProbe{
-		"fig10Cache":       probeMemo(&fig10Cache, unusedSweep),
-		"fig11Cache":       probeMemo(&fig11Cache, unusedSweep),
-		"backendsCache":    probeMemo(&backendsCache, unusedSweep),
-		"fleetSweepCache":  probeMemo(&fleetSweepCache, unusedSweep),
-		"fleetPolicyCache": probeMemo(&fleetPolicyCache, unusedSweep),
-		"runCache":         probeMemo(&runCache, runKey{}),
-		"capCache":         probeMemo(&capCache, capKey{}),
+		"fig10Cache":    probeMemo(&fig10Cache, unusedSweep),
+		"fig11Cache":    probeMemo(&fig11Cache, unusedSweep),
+		"backendsCache": probeMemo(&backendsCache, unusedSweep),
+		"runCache":      probeMemo(&runCache, runKey{}),
+		"capCache":      probeMemo(&capCache, capKey{}),
 	}
 	declared := declaredMemos(t)
 	if len(declared) == 0 {

@@ -135,6 +135,12 @@ func NewNamed(name string, cfg Config, mem *dram.Memory, source memctl.LineSourc
 	if cfg.OSPAPages <= 0 {
 		panic(name + ": OSPAPages must be positive")
 	}
+	// Half entries for uncompressed pages are Compresso's §IV-B5
+	// optimization; LCP caches whole metadata entries (Pekhimenko's
+	// thesis), so the flag would change nothing here.
+	if cfg.MetadataCache.HalfEntry {
+		panic(name + ": MetadataCache.HalfEntry is Compresso's §IV-B5 optimization; LCP caches whole entries")
+	}
 	sizer, _ := source.(memctl.LineSizer)
 	c := &Controller{
 		cfg:   cfg,

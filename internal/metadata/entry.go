@@ -261,15 +261,3 @@ func (e *Entry) AddInflated(line int) (pos int, ok bool) {
 	e.InflatedCount++
 	return int(e.InflatedCount) - 1, true
 }
-
-// RemoveInflated removes a line from the inflation room if present,
-// compacting the pointer list, and reports whether it was there.
-func (e *Entry) RemoveInflated(line int) bool {
-	pos, ok := e.IsInflated(line)
-	if !ok {
-		return false
-	}
-	copy(e.Inflated[pos:], e.Inflated[pos+1:int(e.InflatedCount)])
-	e.InflatedCount--
-	return true
-}

@@ -43,13 +43,6 @@ func New(seed uint64) *Rand {
 	return r
 }
 
-// Fork derives an independent generator from r's stream. Forked
-// generators let subsystems (e.g. one per page, one per benchmark)
-// consume randomness without perturbing each other's sequences.
-func (r *Rand) Fork() *Rand {
-	return New(r.Uint64() ^ 0xa5a5a5a5deadbeef)
-}
-
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly random bits.

@@ -38,21 +38,6 @@ func TestZeroSeedUsable(t *testing.T) {
 	}
 }
 
-func TestForkIndependence(t *testing.T) {
-	parent := New(7)
-	child := parent.Fork()
-	// Child stream must not simply mirror the parent stream.
-	diffs := 0
-	for i := 0; i < 64; i++ {
-		if parent.Uint64() != child.Uint64() {
-			diffs++
-		}
-	}
-	if diffs < 60 {
-		t.Fatalf("forked stream too correlated: only %d/64 values differ", diffs)
-	}
-}
-
 func TestIntnRange(t *testing.T) {
 	r := New(3)
 	for n := 1; n <= 17; n++ {

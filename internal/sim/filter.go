@@ -66,15 +66,15 @@ func (f *filterSlot[L]) release(log *L, completed bool) {
 // several cores' private levels each to its core's private log. Each
 // log is replayed when published, else recorded when unclaimed, else
 // left live. It returns the release to call, with whether the run
-// completed, once the run ends (nil when nothing records). Runs whose
-// op count differs from the assets' keep the live caches, as do images
-// too large for the logs' 32-bit line addresses and one-core runs at
-// another footprint scale (which sets the one-core log's L3 geometry;
-// L1/L2 geometry is fixed, so the private logs do not depend on it).
+// completed, once the run ends (nil when nothing records). Images too
+// large for the logs' 32-bit line addresses keep the live caches, as do
+// one-core runs at another footprint scale (which sets the one-core
+// log's L3 geometry; L1/L2 geometry is fixed, so the private logs do
+// not depend on it).
 func (m *machine) filterCaches() (release func(completed bool)) {
 	a := m.cfg.Assets
 	n := len(m.cores)
-	if a == nil || a.ops != m.cfg.Ops ||
+	if a == nil ||
 		m.base[n-1]*memctl.LinesPerPage+m.streams[n-1].Image().Lines() >= cache.FilterLines {
 		return nil
 	}

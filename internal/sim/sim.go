@@ -158,13 +158,12 @@ type Config struct {
 
 	// Assets, when non-nil, supplies pre-materialized workload images
 	// with warm per-line size memos and recorded op streams
-	// (PrepareAssets). A run whose op count matches the recording
-	// replays it over a read-only overlay of the masters; any other run
-	// clones the masters. Either way the page-generation and
-	// install-sizing work is shared across the several systems of a
-	// comparison run. Must have been prepared for this config's
-	// profiles, FootprintScale and Seed; runs are byte-identical with or
-	// without it.
+	// (PrepareAssets). A run replays the recording over a read-only
+	// overlay of the masters, so the page-generation and install-sizing
+	// work is shared across the several systems of a comparison run.
+	// Must have been prepared for this config's profiles,
+	// FootprintScale, Seed and Ops (a run of another shape panics);
+	// runs are byte-identical with or without it.
 	Assets *MixAssets
 
 	// Cancel, when non-nil, aborts the run cooperatively: the demand
@@ -437,23 +436,19 @@ func PrepareAssets(profs []workload.Profile, cfg Config, codec compress.Codec, j
 	return a
 }
 
-// stream returns core i's op source: a replay over an overlay of the
-// shared master when the recording matches the run's op count (no page
-// bytes are copied), else a generating trace over a private clone.
-// Output is byte-identical either way.
+// stream returns core i's op source: a replay of its recording over
+// an overlay of the shared master (no page bytes are copied).
 func (a *MixAssets) stream(i int, prof workload.Profile, seed, ops uint64) workload.OpStream {
-	a.check(i, prof, seed)
-	if a.logs != nil && a.logs[i] != nil && a.ops == ops {
-		return a.logs[i].ReplayOver(a.images[i])
-	}
-	return workload.NewTraceOn(a.images[i].Clone(), prof, seed, ops)
+	a.check(i, prof, seed, ops)
+	return a.logs[i].ReplayOver(a.images[i])
 }
 
 // check validates that the assets were prepared for this run's shape:
 // the whole post-scaling profile (rendered with %#v, the identity the
-// workload size table and the experiments' run memo use) and the seed.
-func (a *MixAssets) check(i int, prof workload.Profile, seed uint64) {
-	if i >= len(a.images) || a.seed+uint64(i)*7919 != seed ||
+// workload size table and the experiments' run memo use), the seed
+// and the op count the recording holds.
+func (a *MixAssets) check(i int, prof workload.Profile, seed, ops uint64) {
+	if i >= len(a.images) || a.seed+uint64(i)*7919 != seed || a.ops != ops ||
 		fmt.Sprintf("%#v", a.profs[i]) != fmt.Sprintf("%#v", prof) {
 		panic(fmt.Sprintf("sim: Assets prepared for different run shape (core %d, profile %s)", i, prof.Name))
 	}

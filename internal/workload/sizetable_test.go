@@ -177,6 +177,12 @@ func (c flakyCodec) Compress(dst, src []byte) int {
 	return compress.BPC{}.Compress(dst, src)
 }
 func (c flakyCodec) Decompress(dst, src []byte) error { return compress.BPC{}.Decompress(dst, src) }
+func (c flakyCodec) SizeOnly(src []byte) int {
+	if *c.fail {
+		panic("flaky codec")
+	}
+	return compress.BPC{}.SizeOnly(src)
+}
 
 // TestSizeTableFailedFillPublishesNothing: a fill whose codec panics
 // leaves the table empty and its image unbound; the next binder fills.
