@@ -36,7 +36,8 @@ seam:
 # MixAssets claim, record and replay its cache-filter logs), the cache
 # hierarchies those logs drive and the metadata codec every run packs
 # entries with, the capacity tracker's fanned-out construction scan,
-# and the workload images' process-wide pristine size tables. The
+# the workload images' process-wide pristine size and LZ block tables,
+# and the dmc/mxt controllers that price blocks through them. The
 # heaviest sweeps skip under the race detector (see raceEnabled in
 # internal/experiments); the light cells still cover every grid call
 # shape on parallel.MapResilient.
@@ -46,7 +47,8 @@ race:
 		./internal/progress/... ./internal/obshttp/... \
 		./internal/memctl/... ./internal/cram/... ./internal/cxl/... \
 		./internal/fleet/... ./internal/capacity/... \
-		./internal/workload/... ./internal/cache/... ./internal/metadata/...
+		./internal/workload/... ./internal/cache/... ./internal/metadata/... \
+		./internal/dmc/...
 
 # Time one full quick-mode RunAll sweep serial vs parallel. The output
 # is byte-identical by contract; only the wall time should differ.
@@ -267,6 +269,7 @@ fuzz:
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzCodecSizeOnly$$' -fuzztime 20s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzLZSizeBlock$$' -fuzztime 20s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzLZMatchEquivalence$$' -fuzztime 20s
+	$(GO) test ./internal/workload/ -run '^$$' -fuzz '^FuzzBlockSizeMemo$$' -fuzztime 20s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzBPCSizeEquivalence$$' -fuzztime 20s
 	$(GO) test ./internal/capacity/ -run '^$$' -fuzz '^FuzzLCPPageBytesBounded$$' -fuzztime 20s
 	$(GO) test ./internal/capacity/ -run '^$$' -fuzz '^FuzzStackReplayMatchesPager$$' -fuzztime 20s

@@ -385,16 +385,16 @@ func validateTraceEvents(set bool, n int) error {
 	return nil
 }
 
-// parseInject parses an -inject spec, rejecting the sites no
-// compresso-sim run exposes: tracetrunc tears trace files, and
-// compresso-sim writes none, so a rate there would be accepted and do
-// nothing.
+// injectSites are the fault sites a compresso-sim run rolls: every
+// site but tracetrunc, which tears trace files, and compresso-sim
+// writes none, so a rate there would be accepted and do nothing.
+var injectSites = []faults.Site{faults.DataBitFlip, faults.MetaBitFlip,
+	faults.ChunkDrop, faults.ChunkDup, faults.MDCacheMiss}
+
+// parseInject parses an -inject spec, rejecting a non-zero rate at a
+// site outside injectSites, and suggesting only injectSites.
 func parseInject(spec string, seed uint64) (faults.Config, error) {
-	fc, err := faults.ParseSpec(spec, seed)
-	if err == nil && fc.Rate[faults.TraceTruncate] > 0 {
-		err = fmt.Errorf("faults: site %s tears trace files, which compresso-sim never writes", faults.TraceTruncate)
-	}
-	return fc, err
+	return faults.ParseSpec(spec, seed, injectSites)
 }
 
 // validateCapacity rejects a -capacity that would be ignored or

@@ -141,6 +141,17 @@ func TestInjectSpecValidation(t *testing.T) {
 	}
 }
 
+// TestInjectUnknownSiteSuggestsOnlyInjectableSites: the error for an
+// unknown -inject site lists the sites a run can inject, and not
+// tracetrunc, which parseInject would then reject.
+func TestInjectUnknownSiteSuggestsOnlyInjectableSites(t *testing.T) {
+	_, err := parseInject("bogus:0.5", 1)
+	const want = `faults: unknown site "bogus" (have bitflip, metaflip, chunkdrop, chunkdup, mdmiss)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+}
+
 // TestResilienceFlagValidation pins the resilience flag contract: every
 // nonsensical combination is a flag error (exit 2) carrying an
 // actionable message, and every documented-good shape passes.

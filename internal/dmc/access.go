@@ -93,24 +93,32 @@ func (c *Controller) priceCold(page uint64) {
 	}
 }
 
-// priceHot re-sizes the page's lines from source data and packs its
-// LCP layout afresh.
+// priceHot re-sizes the page's lines from source data, as the hot tier
+// sizes an installed line, and packs its LCP layout afresh.
 func (c *Controller) priceHot(page uint64, p *lcp.Page) {
 	for l := range p.Sizes {
-		c.source.ReadLine(page*metadata.LinesPerPage+uint64(l), c.lineBuf[:])
-		p.Sizes[l] = uint8(c.cfg.Bins.Fit(compress.SizeOnly(c.cfg.HotCodec, c.lineBuf[:])))
+		addr := page*metadata.LinesPerPage + uint64(l)
+		c.source.ReadLine(addr, c.lineBuf[:])
+		p.Sizes[l] = uint8(c.cfg.Bins.SizeOf(int(c.LineCode(addr, c.lineBuf[:]))))
 	}
 	p.Pack(c.cfg.Bins)
 }
 
-// repriceBlock recomputes one cold block's LZ size from source data.
-// Blocks are stored line-aligned for sane offsets.
+// repriceBlock recomputes one cold block's LZ size from source data,
+// through the source's memoized block sizes when it has them
+// (memctl.LZBlockSizer). Blocks are stored line-aligned for sane
+// offsets.
 func (c *Controller) repriceBlock(page uint64, b int) {
 	first := page*metadata.LinesPerPage + uint64(b*blockLines)
-	for l := 0; l < blockLines; l++ {
-		c.source.ReadLine(first+uint64(l), c.blockBuf[l*memctl.LineBytes:(l+1)*memctl.LineBytes])
+	var n int
+	if c.blocks != nil {
+		n = c.blocks.SizeLZBlock(first)
+	} else {
+		for l := 0; l < blockLines; l++ {
+			c.source.ReadLine(first+uint64(l), c.blockBuf[l*memctl.LineBytes:(l+1)*memctl.LineBytes])
+		}
+		n = compress.LZSizeBlock(c.blockBuf[:])
 	}
-	n := compress.LZSizeBlock(c.blockBuf[:])
 	c.tiers[page].blockBytes[b] = (n + memctl.LineBytes - 1) &^ (memctl.LineBytes - 1)
 }
 

@@ -78,12 +78,9 @@ func DefaultConfig(ospaPages int, machineBytes int64) Config {
 	}
 }
 
-// LZBlockBytes is the cold-page compression granularity (1 KB).
-const LZBlockBytes = 1024
-
 const (
-	blocksPerPage = memctl.PageSize / LZBlockBytes
-	blockLines    = LZBlockBytes / memctl.LineBytes
+	blocksPerPage = memctl.PageSize / memctl.LZBlockBytes
+	blockLines    = memctl.LZBlockLines
 )
 
 // tier is a page's dmc-only state: which format it is in and the cold
@@ -103,6 +100,7 @@ type Controller struct {
 	*lcp.Controller
 	cfg    Config
 	source memctl.LineSource
+	blocks memctl.LZBlockSizer // the source's memoized block sizes (nil when unsupported)
 
 	tiers      []tier
 	regionHits []uint64
@@ -112,7 +110,7 @@ type Controller struct {
 	mechanismSwitches uint64
 
 	lineBuf  [memctl.LineBytes]byte
-	blockBuf [LZBlockBytes]byte
+	blockBuf [memctl.LZBlockBytes]byte
 }
 
 var _ memctl.Controller = (*Controller)(nil)
@@ -133,13 +131,12 @@ func New(cfg Config, mem *dram.Memory, source memctl.LineSource) *Controller {
 		OnMemoryPressure:   cfg.OnMemoryPressure,
 	}
 	nRegions := (cfg.OSPAPages + cfg.RegionPages - 1) / cfg.RegionPages
+	blocks, _ := source.(memctl.LZBlockSizer)
 	return &Controller{
-		// The hot tier sizes lines from their bytes: the wrapper hides
-		// the source's size memo, which binds to the first codec an
-		// image sees and would add BDI tables to every sweep image.
-		Controller: lcp.NewNamed(cfg.Label, hot, mem, struct{ memctl.LineSource }{source}),
+		Controller: lcp.NewNamed(cfg.Label, hot, mem, source),
 		cfg:        cfg,
 		source:     source,
+		blocks:     blocks,
 		tiers:      make([]tier, cfg.OSPAPages),
 		regionHits: make([]uint64, nRegions),
 	}

@@ -358,3 +358,68 @@ func TestHotTierMatchesLCP(t *testing.T) {
 		t.Fatalf("sequence coverage: %+v, %d switches", ds, d.mechanismSwitches)
 	}
 }
+
+// blockSizedImage is the test image pricing its own blocks
+// (memctl.LZBlockSizer), counting the prices it serves.
+type blockSizedImage struct {
+	*image
+	priced int
+}
+
+func (im *blockSizedImage) SizeLZBlock(firstLine uint64) int {
+	im.priced++
+	block := make([]byte, memctl.LZBlockBytes)
+	for l := 0; l < memctl.LZBlockLines; l++ {
+		im.ReadLine(firstLine+uint64(l), block[l*memctl.LineBytes:(l+1)*memctl.LineBytes])
+	}
+	return compress.LZSizeBlock(block)
+}
+
+// TestBlockSizerMatchesBytes: a controller whose source prices cold
+// blocks itself behaves exactly like one that reads the lines and sizes
+// them, on dmc and on the all-cold mxt configuration.
+func TestBlockSizerMatchesBytes(t *testing.T) {
+	for _, base := range []func(int, int64) Config{DefaultConfig, MXTConfig} {
+		cfg := base(32, 1<<20)
+		cfg.ReclassifyEvery, cfg.HotThreshold = 512, max(cfg.HotThreshold, 64)
+		plain, sized := newImage(), &blockSizedImage{image: newImage()}
+		ctls := []*Controller{
+			New(cfg, dram.New(dram.DDR4_2666()), plain),
+			New(cfg, dram.New(dram.DDR4_2666()), sized),
+		}
+		if ctls[0].blocks != nil || ctls[1].blocks == nil {
+			t.Fatalf("%s: the block sizer was not picked up from the source alone", cfg.Label)
+		}
+		kinds := []datagen.Kind{datagen.Zero, datagen.Seq, datagen.SmallInt, datagen.Random, datagen.Text}
+		for i, im := range []*image{plain, sized.image} {
+			r := rng.New(11)
+			for p := uint64(0); p < 32; p++ {
+				install(ctls[i], im, p, pageOf(r, kinds[int(p)%len(kinds)]))
+			}
+			now := uint64(0)
+			for op := 0; op < 6000; op++ {
+				// Mostly the first two regions, so the rest go cold and
+				// take writes as cold pages.
+				addr := uint64(r.Intn(16 * 64))
+				if r.Bool(0.1) {
+					addr = uint64(r.Intn(32 * 64))
+				}
+				if r.Bool(0.3) {
+					write(ctls[i], im, now, addr, datagen.Line(r, kinds[r.Intn(len(kinds))]))
+				} else {
+					ctls[i].ReadLine(now, addr)
+				}
+				now += 40
+			}
+		}
+		if sized.priced == 0 {
+			t.Fatalf("%s: the controller never asked its source for a block price", cfg.Label)
+		}
+		if a, b := ctls[0].Stats(), ctls[1].Stats(); a != b {
+			t.Fatalf("%s: stats differ:\nbytes %+v\nsizer %+v", cfg.Label, a, b)
+		}
+		if a, b := ctls[0].CompressedBytes(), ctls[1].CompressedBytes(); a != b {
+			t.Fatalf("%s: compressed bytes %d by reading lines, %d through the sizer", cfg.Label, a, b)
+		}
+	}
+}

@@ -16,6 +16,7 @@ package faults
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,8 +99,10 @@ func (c Config) Enabled() bool {
 }
 
 // ParseSpec parses a comma-separated injection spec such as
-// "bitflip:1e-6,mdmiss:1e-4" into a Config seeded with seed.
-func ParseSpec(spec string, seed uint64) (Config, error) {
+// "bitflip:1e-6,mdmiss:1e-4" into a Config seeded with seed. accept
+// lists the sites the caller can inject: a spec giving any other site a
+// non-zero rate is rejected, and the errors name only accept's sites.
+func ParseSpec(spec string, seed uint64, accept []Site) (Config, error) {
 	cfg := Config{Seed: seed}
 	if strings.TrimSpace(spec) == "" {
 		return cfg, nil
@@ -121,16 +124,27 @@ func ParseSpec(spec string, seed uint64) (Config, error) {
 			}
 		}
 		if site < 0 {
-			return cfg, fmt.Errorf("faults: unknown site %q (have %s)",
-				name, strings.Join(siteNames[:], ", "))
+			return cfg, fmt.Errorf("faults: unknown site %q (have %s)", name, siteList(accept))
 		}
 		rate, err := strconv.ParseFloat(val, 64)
 		if err != nil || rate < 0 || rate > 1 {
 			return cfg, fmt.Errorf("faults: bad rate %q for site %s", val, name)
 		}
+		if rate > 0 && !slices.Contains(accept, site) {
+			return cfg, fmt.Errorf("faults: site %s cannot be injected here (have %s)", name, siteList(accept))
+		}
 		cfg.Rate[site] = rate
 	}
 	return cfg, nil
+}
+
+// siteList renders sites' spec names for an error message.
+func siteList(sites []Site) string {
+	names := make([]string, len(sites))
+	for i, s := range sites {
+		names[i] = s.String()
+	}
+	return strings.Join(names, ", ")
 }
 
 // SiteCount is one site's exposure and injection tally.

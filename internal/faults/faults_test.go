@@ -36,21 +36,43 @@ func TestNewReturnsNilWhenDisabled(t *testing.T) {
 	}
 }
 
+// allSites accepts every site.
+var allSites = []Site{DataBitFlip, MetaBitFlip, ChunkDrop, ChunkDup, MDCacheMiss, TraceTruncate}
+
 func TestParseSpec(t *testing.T) {
-	cfg, err := ParseSpec("bitflip:1e-6, mdmiss:0.25", 9)
+	cfg, err := ParseSpec("bitflip:1e-6, mdmiss:0.25", 9, allSites)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Seed != 9 || cfg.Rate[DataBitFlip] != 1e-6 || cfg.Rate[MDCacheMiss] != 0.25 {
 		t.Fatalf("cfg %+v", cfg)
 	}
-	if cfg, err := ParseSpec("", 1); err != nil || cfg.Enabled() {
+	if cfg, err := ParseSpec("", 1, allSites); err != nil || cfg.Enabled() {
 		t.Fatalf("empty spec: %v %+v", err, cfg)
 	}
 	for _, bad := range []string{"bitflip", "nosite:0.1", "bitflip:2", "bitflip:-1", "bitflip:x"} {
-		if _, err := ParseSpec(bad, 1); err == nil {
+		if _, err := ParseSpec(bad, 1, allSites); err == nil {
 			t.Fatalf("spec %q accepted", bad)
 		}
+	}
+}
+
+// TestParseSpecNamesOnlyAcceptedSites: a caller that accepts a subset
+// of the sites gets errors that suggest only that subset, and a
+// non-zero rate at any other site is rejected.
+func TestParseSpecNamesOnlyAcceptedSites(t *testing.T) {
+	accept := []Site{DataBitFlip, MDCacheMiss}
+	for _, spec := range []string{"bogus:0.5", "chunkdrop:0.1"} {
+		_, err := ParseSpec(spec, 1, accept)
+		if err == nil {
+			t.Fatalf("spec %q accepted", spec)
+		}
+		if !strings.HasSuffix(err.Error(), "(have bitflip, mdmiss)") {
+			t.Fatalf("spec %q: error %q does not list exactly the accepted sites", spec, err)
+		}
+	}
+	if cfg, err := ParseSpec("chunkdrop:0,mdmiss:0.5", 1, accept); err != nil || cfg.Rate[MDCacheMiss] != 0.5 {
+		t.Fatalf("a zero rate at an unaccepted site: %v %+v", err, cfg)
 	}
 }
 

@@ -212,10 +212,11 @@ func (c *Controller) checkPage(page uint64) {
 	}
 }
 
-// compressCode returns the bin code of data, the source's live content
-// at lineAddr (demand writebacks, InstallPage): when the source exposes
-// a memoized size path, sizing skips the compressor.
-func (c *Controller) compressCode(lineAddr uint64, data []byte) uint8 {
+// LineCode returns the bin code of data, the source's live content at
+// lineAddr (demand writebacks, InstallPage, a tiered controller's
+// repacking): when the source exposes a memoized size path, sizing
+// skips the compressor.
+func (c *Controller) LineCode(lineAddr uint64, data []byte) uint8 {
 	if c.sizer != nil {
 		return uint8(c.cfg.Bins.Code(c.sizer.SizeLine(c.cfg.Codec, lineAddr)))
 	}
@@ -265,7 +266,7 @@ func (c *Controller) BeginWrite(now, lineAddr uint64, data []byte) *Access {
 	attr := c.port.Attr()
 	attr.Begin(now, a.Page, true)
 	attr.Posted()
-	a.code = c.compressCode(lineAddr, data)
+	a.code = c.LineCode(lineAddr, data)
 	return a
 }
 
@@ -529,7 +530,7 @@ func (c *Controller) Install(page uint64, lines [][]byte) *Page {
 	c.pinned, c.hasPinned = page, true
 	allZero := true
 	for i, ln := range lines {
-		code := c.compressCode(page*metadata.LinesPerPage+uint64(i), ln)
+		code := c.LineCode(page*metadata.LinesPerPage+uint64(i), ln)
 		p.Sizes[i] = uint8(c.cfg.Bins.SizeOf(int(code)))
 		allZero = allZero && code == 0
 	}

@@ -47,6 +47,23 @@ type LineSizer interface {
 	SizeLine(codec compress.Codec, lineAddr uint64) int
 }
 
+// LZBlockBytes is the coarse compression granularity of the dmc and mxt
+// baselines: their cold data is LZ-compressed in 1 KB blocks.
+const LZBlockBytes = 1024
+
+// LZBlockLines is the number of lines in an LZBlockBytes block.
+const LZBlockLines = LZBlockBytes / LineBytes
+
+// LZBlockSizer is an optional LineSource extension, the block analogue
+// of LineSizer: SizeLZBlock returns exactly compress.LZSizeBlock over
+// the current content of the LZBlockLines lines starting at firstLine
+// (a multiple of LZBlockLines), typically memoized. Controllers must
+// fall back to reading the lines and sizing them directly when the
+// source does not implement LZBlockSizer.
+type LZBlockSizer interface {
+	SizeLZBlock(firstLine uint64) int
+}
+
 // Result reports the timing of one demand access.
 type Result struct {
 	// Done is the core cycle at which the critical path completes:

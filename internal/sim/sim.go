@@ -370,6 +370,14 @@ func (r *routedSource) SizeLine(codec compress.Codec, lineAddr uint64) int {
 	return img.SizeLine(codec, local)
 }
 
+// SizeLZBlock implements memctl.LZBlockSizer by routing to the owning
+// image's block sizes. Images start on page boundaries, so a block
+// never straddles two.
+func (r *routedSource) SizeLZBlock(firstLine uint64) int {
+	img, local := r.route(firstLine)
+	return img.SizeLZBlock(local)
+}
+
 // MixAssets is the shareable, immutable-by-convention part of a run's
 // workload state: fully materialized master images with warm per-line
 // size memos, one per core. Prepare once with PrepareAssets, then run

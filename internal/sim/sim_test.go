@@ -408,3 +408,25 @@ func TestOverlapModel(t *testing.T) {
 			on.Mem.OverlapHiddenCycles, on.Mem.OverlapExposedCycles, got, on.Mem.OverlapReads, decomp, want)
 	}
 }
+
+// TestScaledL3SmallerThanL2AboveScale4 pins a known gap in the scaled
+// cache geometry (DESIGN.md §5): the L3 shrinks with the footprint
+// divisor, 2 MB per core over the scale with a 128 KB floor, while
+// cache.NewHierarchy's 512 KB L2 does not. Up to scale 4 the victim L3
+// is at least the L2 it backs; above it, the L3 is smaller and almost
+// never hits, so its latency and geometry barely move the runs at
+// scale 8 (the BENCH_*.json runs) and 16 (make backends).
+func TestScaledL3SmallerThanL2AboveScale4(t *testing.T) {
+	const l2Bytes = 512 << 10
+	for _, c := range []struct{ scale, want int }{
+		{1, 2 << 20}, {2, 1 << 20}, {4, 512 << 10}, {8, 256 << 10}, {16, 128 << 10}, {32, 128 << 10},
+	} {
+		got := scaledL3Bytes(2<<20, c.scale)
+		if got != c.want {
+			t.Fatalf("scale %d: L3 %d B, want %d", c.scale, got, c.want)
+		}
+		if smaller := got < l2Bytes; smaller != (c.scale > 4) {
+			t.Fatalf("scale %d: L3 %d B against the %d B L2; the gap should open above scale 4 only", c.scale, got, l2Bytes)
+		}
+	}
+}

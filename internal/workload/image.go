@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"compresso/internal/compress"
 	"compresso/internal/datagen"
@@ -42,12 +43,26 @@ type Image struct {
 	// whose size is unknown or stale; stores invalidate via noteStore.
 	// While sharedSize is set, lineSize is the process-wide pristine
 	// table for this image (sizetable.go): read-only, copied on the
-	// first store. stored records that a store has reached the image,
-	// so its content no longer matches any pristine table.
+	// first store.
 	sizeCodec  string
 	lineSize   []int16
 	sharedSize bool
-	stored     bool
+	// altSize is altCodec's pristine table, which answers SizeLine under
+	// a codec other than the bound one for lines never stored to.
+	altCodec string
+	altSize  []int16
+
+	// storedBlocks has one bit per 1 KB block (memctl.LZBlockLines
+	// lines) of the image's own bytes that a store has reached; nil
+	// until the first store. A block whose bit is clear still holds its
+	// generated content, which the pristine tables describe.
+	storedBlocks []uint64
+	// blockSize is the process-wide pristine LZ block-size table for
+	// the image's key (nil until first used). blockMemo is the image's
+	// own memo of its stored-to blocks' sizes (n+1, 0 = unknown; nil
+	// until first used), which every store to a block clears.
+	blockSize []atomic.Uint32
+	blockMemo []uint32
 
 	// Store-size sharing for recorded-trace replays (TraceLog.Replay):
 	// lastStore[line] is 1 + the index of the last recorded store the
@@ -253,7 +268,7 @@ func (im *Image) bindSizeCodec(codec compress.Codec, jobs int) bool {
 	if im.lineSize != nil {
 		return im.sizeCodec == name
 	}
-	if im.stored {
+	if im.storedBlocks != nil {
 		im.sizeCodec, im.lineSize = name, unknownSizes(im.Lines())
 		return true
 	}
@@ -271,9 +286,11 @@ func unknownSizes(n uint64) []int16 {
 }
 
 // SizeLine returns compress.SizeOnly(codec, line-content), memoized
-// per line. The memo binds to the first codec used; sizing under any
-// other codec bypasses it. Stores through the trace layer invalidate
-// the touched line, so the memo always reflects live content.
+// per line. The memo binds to the first codec used; any other codec is
+// answered from its pristine table while the line was never stored
+// to, and from the line's bytes after. Stores through the trace layer
+// invalidate the touched line, so the memo always reflects live
+// content.
 func (im *Image) SizeLine(codec compress.Codec, lineAddr uint64) int {
 	if im.lastStore != nil {
 		// Replay overlay: the memo is shared read-only with the master
@@ -291,10 +308,10 @@ func (im *Image) SizeLine(codec compress.Codec, lineAddr uint64) int {
 				return int(n)
 			}
 		}
-		return compress.SizeOnly(codec, im.Line(lineAddr))
+		return im.unmemoSize(codec, lineAddr)
 	}
 	if !im.bindSizeCodec(codec, 1) {
-		return compress.SizeOnly(codec, im.Line(lineAddr))
+		return im.unmemoSize(codec, lineAddr)
 	}
 	if n := im.lineSize[lineAddr]; n >= 0 {
 		return int(n)
@@ -304,6 +321,95 @@ func (im *Image) SizeLine(codec compress.Codec, lineAddr uint64) int {
 		im.lineSize[lineAddr] = int16(n)
 	}
 	return n
+}
+
+// unmemoSize sizes a line the image's own memo does not cover: from
+// codec's pristine table while no store has reached the line's bytes,
+// else from the bytes.
+func (im *Image) unmemoSize(codec compress.Codec, lineAddr uint64) int {
+	if !im.blockStored(lineAddr / memctl.LZBlockLines) {
+		if sizes := im.altSizes(codec); sizes != nil && sizes[lineAddr] >= 0 {
+			return int(sizes[lineAddr])
+		}
+	}
+	return compress.SizeOnly(codec, im.Line(lineAddr))
+}
+
+// altSizes returns codec's pristine size table for the image's key,
+// binding it as the image's second codec, or nil when the image cannot
+// fill it: its own bytes were stored to, and it holds another codec's
+// table or none.
+func (im *Image) altSizes(codec compress.Codec) []int16 {
+	if name := codec.Name(); im.altCodec != name {
+		if im.storedBlocks != nil {
+			return nil
+		}
+		im.altCodec, im.altSize = name, pristineSizes(im, codec, 1)
+	}
+	return im.altSize
+}
+
+// blockStored reports whether a store has reached block b of the
+// image's own bytes.
+func (im *Image) blockStored(b uint64) bool {
+	return im.storedBlocks != nil && im.storedBlocks[b/64]&(1<<(b%64)) != 0
+}
+
+// SizeLZBlock implements memctl.LZBlockSizer. A block whose bytes are
+// still the generated ones is priced once per process, in the pristine
+// block table for the image's key (sizetable.go); a block a store has
+// reached is priced from its live bytes once per store, in the image's
+// own memo.
+func (im *Image) SizeLZBlock(firstLine uint64) int {
+	b := firstLine / memctl.LZBlockLines
+	if !im.blockPristine(b) {
+		if im.blockMemo == nil {
+			im.blockMemo = make([]uint32, im.Lines()/memctl.LZBlockLines)
+		}
+		if v := im.blockMemo[b]; v != 0 {
+			return int(v - 1)
+		}
+		n := im.lzSizeBlock(firstLine)
+		im.blockMemo[b] = uint32(n) + 1
+		return n
+	}
+	if im.blockSize == nil {
+		im.blockSize = pristineBlocks(im)
+	}
+	if v := im.blockSize[b].Load(); v != 0 {
+		return int(v - 1)
+	}
+	n := im.lzSizeBlock(firstLine)
+	im.blockSize[b].Store(uint32(n) + 1)
+	return n
+}
+
+// blockPristine reports whether block b still holds its generated
+// content: no store reached the image's bytes there and, on a replay
+// overlay, none of its lines resolves through the log.
+func (im *Image) blockPristine(b uint64) bool {
+	if im.blockStored(b) {
+		return false
+	}
+	if im.lastStore != nil {
+		first := b * memctl.LZBlockLines
+		for _, k := range im.lastStore[first : first+memctl.LZBlockLines] {
+			if k > 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// lzSizeBlock is compress.LZSizeBlock over the live content of the
+// block starting at firstLine.
+func (im *Image) lzSizeBlock(firstLine uint64) int {
+	var buf [memctl.LZBlockBytes]byte
+	for l := range memctl.LZBlockLines {
+		copy(buf[l*compress.LineSize:], im.Line(firstLine+uint64(l)))
+	}
+	return compress.LZSizeBlock(buf[:])
 }
 
 // SizeAll warms the size memo for every line in the image, batched
@@ -337,13 +443,22 @@ func (im *Image) sizeInto(codec compress.Codec, sizes []int16, jobs int) {
 	})
 }
 
-// noteStore invalidates the size memo for a mutated line. The trace
-// layer calls it on every store. (The trace layer's store path never
-// runs on replay overlays — their bytes are shared with the master —
-// so this only ever touches an image that owns its bytes.) A memo
-// still shared with the pristine table is copied first.
+// noteStore marks a mutated line's block stored and invalidates the
+// line's size memo. The trace layer calls it on every store. (The trace
+// layer's store path never runs on replay overlays — their bytes are
+// shared with the master — so this only ever touches an image that
+// owns its bytes.) A memo still shared with the pristine table is
+// copied first.
 func (im *Image) noteStore(lineAddr uint64) {
-	im.stored = true
+	if im.storedBlocks == nil {
+		blocks := im.Lines() / memctl.LZBlockLines
+		im.storedBlocks = make([]uint64, (blocks+63)/64)
+	}
+	b := lineAddr / memctl.LZBlockLines
+	im.storedBlocks[b/64] |= 1 << (b % 64)
+	if im.blockMemo != nil {
+		im.blockMemo[b] = 0
+	}
 	if im.lineSize == nil {
 		return
 	}
@@ -356,22 +471,27 @@ func (im *Image) noteStore(lineAddr uint64) {
 // overlay builds a replay view of a fully materialized image: the page
 // bytes, gen map and size memo are shared read-only with the receiver
 // (SizeLine shadows stored-to lines via lastStore instead of
-// invalidating memo entries), and the store overlay starts empty, so
-// creating an overlay allocates only the lastStore index. The receiver
-// must not be mutated while overlays exist.
+// invalidating memo entries), and the store overlay and the block memo
+// start empty, so creating an overlay allocates only the lastStore
+// index. The receiver must not be mutated while overlays exist.
 func (im *Image) overlay(lg *TraceLog) *Image {
 	cp := *im
 	cp.pages = nil // view cache would bypass the store overlay
+	cp.blockMemo = nil
 	cp.share = lg
 	cp.lastStore = make([]int32, im.Lines())
 	return &cp
 }
 
 // noteSharedStore records which log entry now owns a replayed line's
-// content. The (shared) size memo is left untouched: SizeLine consults
+// content and clears the line's block in the overlay's own block memo.
+// The (shared) size memo is left untouched: SizeLine consults
 // lastStore before the memo, so the stale entry is shadowed.
 func (im *Image) noteSharedStore(lineAddr uint64, store int32) {
 	im.lastStore[lineAddr] = store + 1
+	if im.blockMemo != nil {
+		im.blockMemo[lineAddr/memctl.LZBlockLines] = 0
+	}
 }
 
 // Clone returns a deep copy of the image: independent page contents
@@ -391,6 +511,7 @@ func (im *Image) CloneInto(dst *Image) *Image {
 		dst = new(Image)
 	}
 	flat, gen, lineSize, lastStore := dst.flat, dst.gen, dst.lineSize, dst.lastStore
+	storedBlocks, blockMemo := dst.storedBlocks, dst.blockMemo
 	if dst.sharedSize {
 		lineSize = nil // the shared table is never written
 	}
@@ -402,6 +523,8 @@ func (im *Image) CloneInto(dst *Image) *Image {
 		dst.lineSize = copyInto(lineSize, im.lineSize)
 	}
 	dst.lastStore = copyInto(lastStore, im.lastStore)
+	dst.storedBlocks = copyInto(storedBlocks, im.storedBlocks)
+	dst.blockMemo = copyInto(blockMemo, im.blockMemo)
 	return dst
 }
 

@@ -3,8 +3,10 @@ package workload
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"compresso/internal/compress"
+	"compresso/internal/memctl"
 )
 
 // Before its first store an image's content is a pure function of its
@@ -15,16 +17,26 @@ import (
 // seed, codec), sized once per process. Images point their memo at
 // the table read-only and copy it on their first store (noteStore).
 
+// imageKey identifies an image's pristine content.
+type imageKey struct {
+	prof string // the profile rendered with %#v, so every field counts
+	seed uint64
+}
+
 // sizeKey identifies a pristine size table.
 type sizeKey struct {
-	prof  string // the profile rendered with %#v, so every field counts
-	seed  uint64
+	imageKey
 	codec string // Codec.Name
+}
+
+// imageKey returns im's pristine-content key.
+func (im *Image) imageKey() imageKey {
+	return imageKey{fmt.Sprintf("%#v", im.prof), im.seed}
 }
 
 // sizeKey returns im's table key under codec.
 func (im *Image) sizeKey(codec compress.Codec) sizeKey {
-	return sizeKey{fmt.Sprintf("%#v", im.prof), im.seed, codec.Name()}
+	return sizeKey{im.imageKey(), codec.Name()}
 }
 
 // sizeTable is one key's table. mu is held for the whole fill, so
@@ -64,4 +76,30 @@ func pristineSizes(im *Image, codec compress.Codec, jobs int) []int16 {
 		tab.sizes = sizes
 	}
 	return tab.sizes
+}
+
+// The dmc and mxt baselines price cold data in 1 KB LZ blocks
+// (memctl.LZBlockSizer). A block's pristine size is as much a function
+// of (profile, seed) as a line's, so the same images share one block
+// table per key. It fills lazily, one entry at a time: LZ pricing is
+// costly and a run touches only some blocks, so no image prices the
+// whole table up front. Entry b holds block b's size plus one, 0 until
+// some image prices the block from bytes no store has reached;
+// concurrent pricers of one block store the same number.
+var blockTables = struct {
+	sync.Mutex
+	m map[imageKey][]atomic.Uint32
+}{m: make(map[imageKey][]atomic.Uint32)}
+
+// pristineBlocks returns the shared block table for im's key.
+func pristineBlocks(im *Image) []atomic.Uint32 {
+	k := im.imageKey()
+	blockTables.Lock()
+	defer blockTables.Unlock()
+	tab := blockTables.m[k]
+	if tab == nil {
+		tab = make([]atomic.Uint32, im.Lines()/memctl.LZBlockLines)
+		blockTables.m[k] = tab
+	}
+	return tab
 }

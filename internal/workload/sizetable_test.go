@@ -32,7 +32,7 @@ func dropSizeTable(im *Image, codec compress.Codec) {
 	sizeTables.Unlock()
 }
 
-func sizeTestProfile(t *testing.T, name string, scale int) Profile {
+func sizeTestProfile(t testing.TB, name string, scale int) Profile {
 	t.Helper()
 	p, err := ByName(name)
 	if err != nil {

@@ -109,9 +109,10 @@ func (t *TraceReplay) Next(op *Op) {
 
 // sharedStoreSize resolves a line's compressed size through the log's
 // shared slots when the line's current content is a recorded store
-// value. Returns (0, false) when no shared slot applies.
+// value and codec is the one the slots hold. Returns (0, false) when no
+// shared slot applies.
 func (im *Image) sharedStoreSize(codec compress.Codec, lineAddr uint64) (int, bool) {
-	if im.share == nil || im.share.sizeCodec != im.sizeCodec {
+	if im.share == nil || im.share.sizeCodec != codec.Name() {
 		return 0, false
 	}
 	k := im.lastStore[lineAddr]
