@@ -171,9 +171,11 @@ fleet:
 	echo "fleet: ok (package tests green, quick sweep sha-identical at -jobs 1 vs 8)"
 
 # Live-introspection smoke test: start a sweep with -serve, poll the
-# endpoints, and validate the /metrics exposition with the binary's
-# own -promcheck parser. Fails if any endpoint is unreachable or the
-# exposition is malformed.
+# endpoints, wait for /metrics to carry the harness cell counters the
+# server derives from the progress tracker, and validate the exposition
+# with the binary's own -promcheck parser. Fails if any endpoint is
+# unreachable, a harness counter never appears, or the exposition is
+# malformed.
 obs-smoke:
 	@rm -rf .obs-smoke; mkdir -p .obs-smoke
 	$(GO) build -o .obs-smoke/compresso-sim ./cmd/compresso-sim
@@ -196,7 +198,13 @@ obs-smoke:
 	curl -sf "http://$$addr/events?limit=5" > /dev/null; \
 	code=$$(curl -s -o /dev/null -w '%{http_code}' "http://$$addr/events?kind=bogus"); \
 	[ "$$code" = "400" ] || { echo "obs-smoke: bad kind filter returned $$code, want 400"; exit 1; }; \
-	curl -sf "http://$$addr/metrics" > .obs-smoke/metrics.txt; \
+	for i in $$(seq 1 150); do \
+		curl -sf "http://$$addr/metrics" > .obs-smoke/metrics.txt || break; \
+		grep -q '^harness_cells_done ' .obs-smoke/metrics.txt && break; sleep 0.2; \
+	done; \
+	for m in harness_cells_total harness_cells_done; do \
+		grep -q "^$$m " .obs-smoke/metrics.txt || { echo "obs-smoke: /metrics lacks $$m"; cat .obs-smoke/metrics.txt; exit 1; }; \
+	done; \
 	.obs-smoke/compresso-sim -promcheck .obs-smoke/metrics.txt; \
 	echo "obs-smoke: ok ($$addr)"
 

@@ -180,10 +180,11 @@ func main() {
 		usageErr(err)
 	}
 
-	// Live-introspection sinks. All of them observe the run from the
-	// outside (snapshot copies, wall-clock spans); none feeds back into
-	// results, so artifacts are byte-identical with or without them
-	// (DESIGN.md §9).
+	// Live introspection. The grids feed one progress Tracker; the
+	// terminal line, the server and the trace export read it. All of
+	// them observe the run from the outside (snapshot copies, wall-clock
+	// spans); none feeds back into results, so artifacts are
+	// byte-identical with or without them (DESIGN.md §9).
 	var tracker *progress.Tracker
 	var term *progress.Terminal
 	if *serve != "" || *progressF || *traceOut != "" {
@@ -191,10 +192,6 @@ func main() {
 	}
 	if *progressF {
 		term = progress.NewTerminal(tracker, os.Stderr)
-	}
-	var sinks []parallel.Progress
-	if tracker != nil {
-		sinks = append(sinks, tracker)
 	}
 	if *serve != "" {
 		server = obshttp.New(tracker)
@@ -204,17 +201,15 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "compresso-sim: serving live introspection on http://%s\n", addr)
 		defer server.Close()
-		sinks = append(sinks, server)
-	}
-	if term != nil {
-		sinks = append(sinks, term)
 	}
 
 	expOpts := experiments.Options{
 		Out: os.Stdout, Quick: *quick,
 		Seed: *seed, SeedSet: seedSet, Jobs: *jobs,
-		JSONDir:  *jsonDir,
-		Progress: progress.Multi(sinks...),
+		JSONDir: *jsonDir,
+	}
+	if tracker != nil {
+		expOpts.Progress = tracker // a nil *Tracker must not become a non-nil sink
 	}
 
 	// Resilience wiring for experiment runs (DESIGN.md §11): a signal-

@@ -75,7 +75,8 @@ type Config struct {
 	Ops uint64
 	// Intervals is the number of profiling intervals.
 	Intervals int
-	// Seed drives the workload; core i of a mix uses Seed+i*7919.
+	// Seed drives the workload; core i of a mix uses
+	// workload.CoreSeed(Seed, i).
 	Seed uint64
 	// SwapCostOps is a page fault's cost in operation-equivalents.
 	// Our synthetic traces fault far more often per operation than
@@ -177,7 +178,7 @@ func Profile(name string, profs []workload.Profile, cfg Config) *Recording {
 	var nextPage uint32
 	for i := range profs {
 		p := workload.Scale(profs[i], cfg.FootprintScale)
-		traces[i] = workload.NewTrace(p, cfg.Seed+uint64(i)*7919, cfg.Ops)
+		traces[i] = workload.NewTrace(p, workload.CoreSeed(cfg.Seed, i), cfg.Ops)
 		trackers[i] = newTracker(traces[i].Image(), cfg.Jobs)
 		pageBase[i] = nextPage
 		nextPage += uint32(p.FootprintPages)

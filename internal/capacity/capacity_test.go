@@ -315,7 +315,7 @@ func oneShotEvaluateMix(profs []workload.Profile, cfg Config, frac float64) mixO
 	var nextPage uint64
 	for i, p := range profs {
 		p = workload.Scale(p, cfg.FootprintScale)
-		traces[i] = workload.NewTrace(p, cfg.Seed+uint64(i)*7919, cfg.Ops)
+		traces[i] = workload.NewTrace(p, workload.CoreSeed(cfg.Seed, i), cfg.Ops)
 		trackers[i] = newTracker(traces[i].Image(), cfg.Jobs)
 		pageBase[i] = nextPage
 		nextPage += uint64(p.FootprintPages)

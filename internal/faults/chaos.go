@@ -18,9 +18,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -89,37 +87,11 @@ func (c ChaosConfig) Enabled() bool {
 // seed.
 func ParseChaosSpec(spec string, seed uint64) (ChaosConfig, error) {
 	cfg := ChaosConfig{Seed: seed}
-	if strings.TrimSpace(spec) == "" {
-		return cfg, nil
-	}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(part, ":")
-		if !ok {
-			return cfg, fmt.Errorf("faults: bad chaos entry %q (want site:rate)", part)
-		}
-		site := ChaosSite(-1)
-		for s, n := range chaosSiteNames {
-			if n == name {
-				site = ChaosSite(s)
-				break
-			}
-		}
-		if site < 0 {
-			return cfg, fmt.Errorf("faults: unknown chaos site %q (have %s)",
-				name, strings.Join(chaosSiteNames[:], ", "))
-		}
-		rate, err := strconv.ParseFloat(val, 64)
-		if err != nil || rate < 0 || rate > 1 {
-			return cfg, fmt.Errorf("faults: bad chaos rate %q for site %s", val, name)
-		}
-		cfg.Rate[site] = rate
-	}
-	return cfg, nil
+	err := parseRates(spec, chaosWords, chaosSiteNames[:], chaosSiteNames[:], cfg.Rate[:])
+	return cfg, err
 }
+
+var chaosWords = specWords{entry: "chaos entry", site: "chaos site", rate: "chaos rate"}
 
 // ChaosTotals tallies chaos exposure and injections per site.
 type ChaosTotals struct {
@@ -127,29 +99,10 @@ type ChaosTotals struct {
 }
 
 // Injected returns the total injected disruptions across sites.
-func (t ChaosTotals) Injected() uint64 {
-	var n uint64
-	for _, c := range t.Sites {
-		n += c.Injected
-	}
-	return n
-}
+func (t ChaosTotals) Injected() uint64 { return injected(t.Sites[:]) }
 
 // String renders the non-zero-exposure sites compactly.
-func (t ChaosTotals) String() string {
-	var parts []string
-	for s, c := range t.Sites {
-		if c.Opportunities == 0 && c.Injected == 0 {
-			continue
-		}
-		parts = append(parts, fmt.Sprintf("%s %d/%d", ChaosSite(s), c.Injected, c.Opportunities))
-	}
-	sort.Strings(parts)
-	if len(parts) == 0 {
-		return "no opportunities"
-	}
-	return strings.Join(parts, ", ")
-}
+func (t ChaosTotals) String() string { return tally(t.Sites[:], chaosSiteNames[:]) }
 
 // hardKill terminates the process with SIGKILL semantics; a variable
 // so tests can intercept it.

@@ -104,9 +104,24 @@ func (c Config) Enabled() bool {
 // non-zero rate is rejected, and the errors name only accept's sites.
 func ParseSpec(spec string, seed uint64, accept []Site) (Config, error) {
 	cfg := Config{Seed: seed}
-	if strings.TrimSpace(spec) == "" {
-		return cfg, nil
+	names := make([]string, len(accept))
+	for i, s := range accept {
+		names[i] = s.String()
 	}
+	err := parseRates(spec, injectWords, siteNames[:], names, cfg.Rate[:])
+	return cfg, err
+}
+
+// specWords are the nouns a spec's error messages use.
+type specWords struct{ entry, site, rate string }
+
+var injectWords = specWords{entry: "spec entry", site: "site", rate: "rate"}
+
+// parseRates parses a comma-separated "site:rate" spec into rate,
+// indexed like names. Only the sites named in accept may take a
+// non-zero rate, and the errors list just those.
+func parseRates(spec string, w specWords, names, accept []string, rate []float64) error {
+	have := strings.Join(accept, ", ")
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -114,37 +129,22 @@ func ParseSpec(spec string, seed uint64, accept []Site) (Config, error) {
 		}
 		name, val, ok := strings.Cut(part, ":")
 		if !ok {
-			return cfg, fmt.Errorf("faults: bad spec entry %q (want site:rate)", part)
+			return fmt.Errorf("faults: bad %s %q (want site:rate)", w.entry, part)
 		}
-		site := Site(-1)
-		for s, n := range siteNames {
-			if n == name {
-				site = Site(s)
-				break
-			}
-		}
+		site := slices.Index(names, name)
 		if site < 0 {
-			return cfg, fmt.Errorf("faults: unknown site %q (have %s)", name, siteList(accept))
+			return fmt.Errorf("faults: unknown %s %q (have %s)", w.site, name, have)
 		}
-		rate, err := strconv.ParseFloat(val, 64)
-		if err != nil || rate < 0 || rate > 1 {
-			return cfg, fmt.Errorf("faults: bad rate %q for site %s", val, name)
+		r, err := strconv.ParseFloat(val, 64)
+		if err != nil || r < 0 || r > 1 {
+			return fmt.Errorf("faults: bad %s %q for site %s", w.rate, val, name)
 		}
-		if rate > 0 && !slices.Contains(accept, site) {
-			return cfg, fmt.Errorf("faults: site %s cannot be injected here (have %s)", name, siteList(accept))
+		if r > 0 && !slices.Contains(accept, name) {
+			return fmt.Errorf("faults: site %s cannot be injected here (have %s)", name, have)
 		}
-		cfg.Rate[site] = rate
+		rate[site] = r
 	}
-	return cfg, nil
-}
-
-// siteList renders sites' spec names for an error message.
-func siteList(sites []Site) string {
-	names := make([]string, len(sites))
-	for i, s := range sites {
-		names[i] = s.String()
-	}
-	return strings.Join(names, ", ")
+	return nil
 }
 
 // SiteCount is one site's exposure and injection tally.
@@ -162,29 +162,38 @@ type Totals struct {
 }
 
 // Injected returns the total number of injected faults across sites.
-func (t Totals) Injected() uint64 {
+func (t Totals) Injected() uint64 { return injected(t.Sites[:]) }
+
+// String renders the non-zero-exposure sites compactly.
+func (t Totals) String() string {
+	return fmt.Sprintf("%s (dram %d reads / %d writes observed)",
+		tally(t.Sites[:], siteNames[:]), t.DRAMReads, t.DRAMWrites)
+}
+
+// injected sums the injections across sites.
+func injected(sites []SiteCount) uint64 {
 	var n uint64
-	for _, c := range t.Sites {
+	for _, c := range sites {
 		n += c.Injected
 	}
 	return n
 }
 
-// String renders the non-zero-exposure sites compactly.
-func (t Totals) String() string {
+// tally renders each exposed site as "name injected/opportunities",
+// sorted by name, or "no opportunities" when none was exposed.
+func tally(sites []SiteCount, names []string) string {
 	var parts []string
-	for s, c := range t.Sites {
+	for s, c := range sites {
 		if c.Opportunities == 0 && c.Injected == 0 {
 			continue
 		}
-		parts = append(parts, fmt.Sprintf("%s %d/%d", Site(s), c.Injected, c.Opportunities))
+		parts = append(parts, fmt.Sprintf("%s %d/%d", names[s], c.Injected, c.Opportunities))
+	}
+	if len(parts) == 0 {
+		return "no opportunities"
 	}
 	sort.Strings(parts)
-	if len(parts) == 0 {
-		parts = []string{"no opportunities"}
-	}
-	return fmt.Sprintf("%s (dram %d reads / %d writes observed)",
-		strings.Join(parts, ", "), t.DRAMReads, t.DRAMWrites)
+	return strings.Join(parts, ", ")
 }
 
 // Register records per-site opportunity/injection counters and the

@@ -35,7 +35,7 @@ type NodeSpec struct {
 var Backends = []string{"compresso", "lcp", "cram", "cxl", "uncompressed"}
 
 // nodeSeedStride decorrelates per-node seeds (a prime, like the
-// per-core 7919 stride in internal/sim).
+// per-core stride of workload.CoreSeed).
 const nodeSeedStride = 9973
 
 // mixTheta is the service-popularity skew: at ~1.1 the head service

@@ -7,9 +7,10 @@
 // handlers under /debug/pprof/.
 //
 // The server is determinism-neutral by construction: it only ever
-// reads mutex-guarded snapshot copies published into it (or built by
-// its own wall-clock sampler), so a run's artifacts are byte-identical
-// with the server on or off (DESIGN.md §9).
+// reads mutex-guarded snapshot copies published into it and the
+// progress Tracker's state (polled by its own wall-clock sampler and
+// each /metrics scrape), so a run's artifacts are byte-identical with
+// the server on or off (DESIGN.md §9).
 package obshttp
 
 import (
@@ -33,19 +34,16 @@ const harnessSampleMs = 1000
 // runSeriesWindows bounds the run series the server retains.
 const runSeriesWindows = 1024
 
-// Server is the live introspection server. It implements
-// parallel.Progress so experiment grids feed its harness metrics, and
-// run loops publish registry snapshots into it via SampleRun /
-// PublishRun. All state is guarded by one mutex; handlers serve
-// copies.
+// Server is the live introspection server. Its harness metrics are
+// derived from the progress Tracker the experiment grids feed, and run
+// loops publish registry snapshots into it via SampleRun / PublishRun.
+// All state is guarded by one mutex; handlers serve copies.
 type Server struct {
 	mu      sync.Mutex
 	tracker *progress.Tracker
 	epoch   time.Time
 
-	// Harness-level metrics (grids, cells, wall times) plus their
-	// wall-clock time series.
-	reg      *obs.Registry
+	// Wall-clock time series of the harness metrics.
 	hSampler *obs.Sampler
 
 	// Latest published run state.
@@ -60,13 +58,12 @@ type Server struct {
 	done chan struct{}
 }
 
-// New returns a server rendering progress from tracker (which may be
-// nil when no grids will run).
+// New returns a server whose /progress and harness metrics read
+// tracker.
 func New(tracker *progress.Tracker) *Server {
 	return &Server{
 		tracker:  tracker,
 		epoch:    time.Now(),
-		reg:      obs.NewRegistry(),
 		hSampler: obs.NewSampler(harnessSampleMs, 512),
 		done:     make(chan struct{}),
 	}
@@ -115,7 +112,7 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// sampleLoop snapshots the harness registry once per second into the
+// sampleLoop snapshots the harness metrics once per second into the
 // wall-clock time series, so /timeseries has a timeline even for runs
 // (experiment sweeps) that carry no per-window run sampler.
 func (s *Server) sampleLoop() {
@@ -126,58 +123,26 @@ func (s *Server) sampleLoop() {
 		case <-s.done:
 			return
 		case <-tick.C:
-			s.mu.Lock()
-			s.hSampler.Sample(uint64(time.Since(s.epoch).Milliseconds()), s.reg.Snapshot())
-			s.mu.Unlock()
+			s.sampleHarness()
 		}
 	}
 }
 
-// GridStart implements parallel.Progress: grid activity becomes
-// harness counters.
-func (s *Server) GridStart(label string, cells int) {
+// sampleHarness closes one window of the /timeseries harness series.
+func (s *Server) sampleHarness() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.reg.Counter("harness.grids_started").Add(1)
-	s.reg.Counter("harness.cells_total").Add(uint64(cells))
+	up := time.Since(s.epoch)
+	s.hSampler.Sample(uint64(up.Milliseconds()), s.harness(up))
 }
 
-// GridCell implements parallel.Progress.
-func (s *Server) GridCell(label string, index int, wall time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reg.Counter("harness.cells_done").Add(1)
-	s.reg.Histogram("harness.cell_wall_ms").Observe(int(wall.Milliseconds()))
-}
-
-// GridEnd implements parallel.Progress.
-func (s *Server) GridEnd(label string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reg.Counter("harness.grids_done").Add(1)
-}
-
-// CellRetry implements parallel.ResilienceObserver: retry and backoff
-// activity becomes harness counters (DESIGN.md §11).
-func (s *Server) CellRetry(label string, index, attempt int, backoff time.Duration, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reg.Counter("harness.cell_retries").Add(1)
-	s.reg.Counter("harness.retry_backoff_ms").Add(uint64(backoff.Milliseconds()))
-}
-
-// CellQuarantined implements parallel.ResilienceObserver.
-func (s *Server) CellQuarantined(label string, index, attempts int, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reg.Counter("harness.cells_quarantined").Add(1)
-}
-
-// CellReplayed implements parallel.ResilienceObserver.
-func (s *Server) CellReplayed(label string, index int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.reg.Counter("harness.cells_replayed").Add(1)
+// harness derives the harness.* metrics from the tracker, plus the
+// server's uptime gauge.
+func (s *Server) harness(up time.Duration) obs.Snapshot {
+	reg := obs.NewRegistry()
+	s.tracker.Metrics(reg)
+	reg.Gauge("harness.uptime_seconds").Set(up.Seconds())
+	return reg.Snapshot()
 }
 
 // AttachRun prepares the server for a sampled run: /timeseries serves
@@ -231,9 +196,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	harness := s.harness(time.Since(s.epoch))
 	s.mu.Lock()
-	s.reg.Gauge("harness.uptime_seconds").Set(time.Since(s.epoch).Seconds())
-	harness := s.reg.Snapshot()
 	runName, runSnap := s.runName, s.runSnap
 	s.mu.Unlock()
 
@@ -324,11 +288,7 @@ func (s *Server) handleAttribution(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	var st progress.State
-	if s.tracker != nil {
-		st = s.tracker.State()
-	}
-	writeJSON(w, st)
+	writeJSON(w, s.tracker.State())
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {

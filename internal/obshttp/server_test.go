@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +16,13 @@ import (
 
 func startTestServer(t *testing.T) (*Server, string) {
 	t.Helper()
-	s := New(progress.NewTracker())
+	return startTrackerServer(t, progress.NewTracker())
+}
+
+// startTrackerServer serves tr's progress and harness metrics.
+func startTrackerServer(t *testing.T, tr *progress.Tracker) (*Server, string) {
+	t.Helper()
+	s := New(tr)
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -45,11 +52,9 @@ func TestServerEndpoints(t *testing.T) {
 	s, addr := startTestServer(t)
 
 	// Feed it like a run would: grid progress, run samples, a trace.
-	s.GridStart("fig2", 3)
-	s.GridCell("fig2", 0, 5*time.Millisecond)
-	s.GridCell("fig2", 1, 7*time.Millisecond)
 	s.tracker.GridStart("fig2", 3)
 	s.tracker.GridCell("fig2", 0, 5*time.Millisecond)
+	s.tracker.GridCell("fig2", 1, 7*time.Millisecond)
 
 	s.AttachRun("gcc_compresso", 1000)
 	snap := obs.Snapshot{Counters: map[string]uint64{"memctl.demand_reads": 11}}
@@ -91,7 +96,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("/progress not JSON: %v", err)
 	}
-	if st.CellsDone != 1 || st.CellsTotal != 3 {
+	if st.CellsDone != 2 || st.CellsTotal != 3 {
 		t.Fatalf("/progress state %+v", st)
 	}
 
@@ -245,13 +250,8 @@ func TestServerAttributionEndpoint(t *testing.T) {
 	}
 }
 
-func TestServerNoRunNoTracker(t *testing.T) {
-	s := New(nil)
-	addr, err := s.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+func TestServerNoRunNoGrids(t *testing.T) {
+	_, addr := startTestServer(t)
 
 	// Without a run or grids, /metrics still exposes the harness gauge
 	// and must parse.
@@ -271,7 +271,7 @@ func TestServerNoRunNoTracker(t *testing.T) {
 }
 
 func TestServerStartRewritesUnspecifiedHost(t *testing.T) {
-	s := New(nil)
+	s := New(progress.NewTracker())
 	addr, err := s.Start(":0")
 	if err != nil {
 		t.Fatal(err)
@@ -282,5 +282,93 @@ func TestServerStartRewritesUnspecifiedHost(t *testing.T) {
 	}
 	if _, err := fmt.Sscanf(addr, "127.0.0.1:%d", new(int)); err != nil {
 		t.Fatalf("addr %q not host:port", addr)
+	}
+}
+
+// TestServerHarnessMetricsFromTracker drives a tracker through a
+// scripted sweep and requires /metrics and the /timeseries harness
+// window to carry the hand-computed harness.* totals.
+func TestServerHarnessMetricsFromTracker(t *testing.T) {
+	tr := progress.NewTracker()
+	tr.GridStart("fig10", 3)
+	tr.GridCell("fig10", 0, 5*time.Millisecond)
+	tr.GridCell("fig10", 1, 7*time.Millisecond+900*time.Microsecond) // 7 ms bucket
+	tr.CellRetry("fig10", 2, 1, 1500*time.Microsecond, nil)          // 1 ms
+	tr.CellRetry("fig10", 2, 2, 4*time.Millisecond, nil)             // 4 ms
+	tr.CellQuarantined("fig10", 2, 3, nil)
+	tr.GridEnd("fig10")
+	tr.GridStart("tab2", 2)
+	tr.CellReplayed("tab2", 0)
+	tr.GridCell("tab2", 0, 300*time.Microsecond) // 0 ms bucket
+	tr.GridCell("tab2", 1, 7*time.Millisecond)
+	// tab2 is still running: one grid started but not done.
+
+	want := obs.Snapshot{
+		Counters: map[string]uint64{
+			"harness.grids_started":     2,
+			"harness.grids_done":        1,
+			"harness.cells_total":       5,
+			"harness.cells_done":        4,
+			"harness.cell_retries":      2,
+			"harness.retry_backoff_ms":  5,
+			"harness.cells_quarantined": 1,
+			"harness.cells_replayed":    1,
+		},
+		Hists: map[string]obs.HistSnapshot{
+			"harness.cell_wall_ms": {Total: 4, Buckets: map[string]uint64{"0": 1, "5": 1, "7": 2}},
+		},
+	}
+
+	s, addr := startTrackerServer(t, tr)
+	body, _ := get(t, addr, "/metrics")
+	var got []string
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "harness_") && !strings.HasPrefix(line, "harness_uptime_seconds ") {
+			got = append(got, line)
+		}
+	}
+	wantLines := []string{
+		`harness_cell_retries 2`,
+		`harness_cell_wall_ms_bucket{le="0"} 1`,
+		`harness_cell_wall_ms_bucket{le="5"} 2`,
+		`harness_cell_wall_ms_bucket{le="7"} 4`,
+		`harness_cell_wall_ms_bucket{le="+Inf"} 4`,
+		`harness_cell_wall_ms_sum 19`,
+		`harness_cell_wall_ms_count 4`,
+		`harness_cells_done 4`,
+		`harness_cells_quarantined 1`,
+		`harness_cells_replayed 1`,
+		`harness_cells_total 5`,
+		`harness_grids_done 1`,
+		`harness_grids_started 2`,
+		`harness_retry_backoff_ms 5`,
+	}
+	if !reflect.DeepEqual(got, wantLines) {
+		t.Fatalf("/metrics harness lines:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(wantLines, "\n"))
+	}
+	if !strings.Contains(body, "\nharness_uptime_seconds ") {
+		t.Fatalf("/metrics missing the uptime gauge:\n%s", body)
+	}
+
+	s.sampleHarness()
+	body, _ = get(t, addr, "/timeseries")
+	var ts struct {
+		Harness obs.Series `json:"harness"`
+	}
+	if err := json.Unmarshal([]byte(body), &ts); err != nil {
+		t.Fatalf("/timeseries not JSON: %v", err)
+	}
+	if len(ts.Harness.Windows) == 0 {
+		t.Fatalf("/timeseries has no harness window: %s", body)
+	}
+	// The tracker was complete before the server started, so the first
+	// window's delta is the whole sweep.
+	w := ts.Harness.Windows[0].Delta
+	if _, ok := w.Gauges["harness.uptime_seconds"]; !ok {
+		t.Fatalf("harness window lacks the uptime gauge: %+v", w.Gauges)
+	}
+	w.Gauges = nil
+	if !reflect.DeepEqual(w, want) {
+		t.Fatalf("harness window delta = %+v\nwant %+v", w, want)
 	}
 }

@@ -27,35 +27,11 @@ import (
 	"compresso/internal/rng"
 )
 
-// TransientError marks a cell failure as retryable: a RetryPolicy
-// re-attempts cells whose error unwraps to one (or to a context
-// deadline, which is how a per-cell timeout surfaces).
-type TransientError struct{ Err error }
-
-// Error implements error.
-func (e *TransientError) Error() string { return "transient: " + e.Err.Error() }
-
-// Unwrap exposes the wrapped cause to errors.Is/As.
-func (e *TransientError) Unwrap() error { return e.Err }
-
-// Transient wraps err as retryable (nil stays nil).
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &TransientError{Err: err}
-}
-
-// IsTransient reports whether err is retryable under a RetryPolicy: a
-// TransientError anywhere in its chain, any error that self-reports
-// via a `Transient() bool` method (the decoupled marker other packages
-// use — e.g. the chaos injector's transient failures), or a per-cell
-// deadline expiry.
+// IsTransient reports whether err is retryable under a RetryPolicy:
+// an error in its chain self-reports via a `Transient() bool` method
+// (the decoupled marker other packages use — e.g. the chaos injector's
+// transient failures), or it is a per-cell deadline expiry.
 func IsTransient(err error) bool {
-	var t *TransientError
-	if errors.As(err, &t) {
-		return true
-	}
 	var m interface{ Transient() bool }
 	if errors.As(err, &m) && m.Transient() {
 		return true

@@ -30,31 +30,31 @@ func TestIsTransient(t *testing.T) {
 		want bool
 	}{
 		{base, false},
-		{Transient(base), true},
-		{fmt.Errorf("wrapped: %w", Transient(base)), true},
 		{context.DeadlineExceeded, true},
 		{fmt.Errorf("cell: %w", context.DeadlineExceeded), true},
 		{context.Canceled, false},
 		{&PanicError{Value: "v"}, false},
-		{selfTransient{}, true},
-		{fmt.Errorf("wrapped: %w", selfTransient{}), true},
+		{selfTransient{base}, true},
+		{fmt.Errorf("wrapped: %w", selfTransient{base}), true},
+		{notTransient{base}, false},
 	}
 	for _, c := range cases {
 		if got := IsTransient(c.err); got != c.want {
 			t.Errorf("IsTransient(%v) = %v, want %v", c.err, got, c.want)
 		}
 	}
-	if Transient(nil) != nil {
-		t.Error("Transient(nil) != nil")
-	}
 }
 
-// selfTransient marks itself retryable via the decoupled
+// selfTransient marks its cause retryable via the decoupled
 // `Transient() bool` marker (the chaos injector's idiom).
-type selfTransient struct{}
+type selfTransient struct{ error }
 
-func (selfTransient) Error() string   { return "self-transient" }
 func (selfTransient) Transient() bool { return true }
+
+// notTransient carries the marker but reports false.
+type notTransient struct{ error }
+
+func (notTransient) Transient() bool { return false }
 
 // TestRetryEventuallySucceeds: cells fail transiently until their
 // attempt budget's last try, then succeed; all results land.
@@ -64,7 +64,7 @@ func TestRetryEventuallySucceeds(t *testing.T) {
 	out, fails, err := MapResilient(retryRun(4, 3), n, func(ctx context.Context, i, attempt int) (int, error) {
 		atomic.AddInt32(&calls[i], 1)
 		if attempt < 3 {
-			return 0, Transient(fmt.Errorf("cell %d attempt %d", i, attempt))
+			return 0, selfTransient{fmt.Errorf("cell %d attempt %d", i, attempt)}
 		}
 		return i * 10, nil
 	})
@@ -86,7 +86,7 @@ func TestRetryEventuallySucceeds(t *testing.T) {
 func TestRetryExhaustionFatal(t *testing.T) {
 	_, fails, err := MapResilient(retryRun(2, 3), 8, func(ctx context.Context, i, attempt int) (int, error) {
 		if i == 5 {
-			return 0, Transient(errors.New("always failing"))
+			return 0, selfTransient{errors.New("always failing")}
 		}
 		return i, nil
 	})
@@ -161,7 +161,7 @@ func TestQuarantineManifest(t *testing.T) {
 		case 3:
 			panic("defect")
 		case 7:
-			return 0, Transient(errors.New("never recovers"))
+			return 0, selfTransient{errors.New("never recovers")}
 		}
 		return i + 1, nil
 	})
@@ -333,7 +333,7 @@ func TestResilientDeterminismUnderRetries(t *testing.T) {
 			failed[i] = true
 			mu.Unlock()
 			if first && i%3 == 0 {
-				return 0, Transient(fmt.Errorf("first try of %d", i))
+				return 0, selfTransient{fmt.Errorf("first try of %d", i)}
 			}
 			return i * i, nil
 		})
@@ -360,7 +360,7 @@ func TestResilienceObserverEvents(t *testing.T) {
 	run.Label = "g"
 	_, fails, err := MapResilient(run, 6, func(ctx context.Context, i, attempt int) (int, error) {
 		if i == 4 {
-			return 0, Transient(errors.New("always"))
+			return 0, selfTransient{errors.New("always")}
 		}
 		return i, nil
 	})

@@ -1,10 +1,11 @@
 // Package progress implements run-progress tracking for the
 // experiment grids: a concurrency-safe Tracker that accumulates the
 // parallel.Progress event stream into cells-done/total state with an
-// ETA, a throttled single-line terminal renderer, and a Chrome/
-// Perfetto span exporter for per-cell wall times. Everything here is
-// display and telemetry only — sinks observe the grids, they never
-// influence results (DESIGN.md §9).
+// ETA, the harness.* metrics the live server exposes, and a Chrome/
+// Perfetto span exporter for per-cell wall times; plus a single-line
+// terminal renderer that polls the Tracker. Everything here is display
+// and telemetry only — the Tracker observes the grids, it never
+// influences results (DESIGN.md §9).
 package progress
 
 import (
@@ -15,7 +16,6 @@ import (
 	"time"
 
 	"compresso/internal/obs"
-	"compresso/internal/parallel"
 )
 
 // cellSpan is one completed cell's wall-clock extent, as offsets from
@@ -38,6 +38,7 @@ type grid struct {
 
 	// Resilience events (parallel.ResilienceObserver).
 	retries     int
+	backoffMs   uint64 // summed per-retry backoff, each in whole ms
 	quarantined int
 	replayed    int
 }
@@ -101,6 +102,7 @@ func (t *Tracker) CellRetry(label string, index, attempt int, backoff time.Durat
 	defer t.mu.Unlock()
 	if g := t.lookup(label); g != nil {
 		g.retries++
+		g.backoffMs += uint64(backoff.Milliseconds())
 	}
 }
 
@@ -205,6 +207,38 @@ func (t *Tracker) State() State {
 	return st
 }
 
+// Metrics records the tracker's totals into r as the harness.* metrics
+// of the live server's /metrics and /timeseries: counters grids_started,
+// grids_done, cells_total, cells_done, cell_retries, retry_backoff_ms,
+// cells_quarantined and cells_replayed, and the cell_wall_ms histogram.
+// A metric appears once its first event has happened, so a sweep
+// without retries carries no retry counters.
+func (t *Tracker) Metrics(r *obs.Registry) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, g := range t.grids {
+		r.Counter("harness.grids_started").Add(1)
+		r.Counter("harness.cells_total").Add(uint64(g.total))
+		if !g.active {
+			r.Counter("harness.grids_done").Add(1)
+		}
+		for _, c := range g.cells {
+			r.Counter("harness.cells_done").Add(1)
+			r.Histogram("harness.cell_wall_ms").Observe(int((c.end - c.start).Milliseconds()))
+		}
+		if g.retries > 0 {
+			r.Counter("harness.cell_retries").Add(uint64(g.retries))
+			r.Counter("harness.retry_backoff_ms").Add(g.backoffMs)
+		}
+		if g.quarantined > 0 {
+			r.Counter("harness.cells_quarantined").Add(uint64(g.quarantined))
+		}
+		if g.replayed > 0 {
+			r.Counter("harness.cells_replayed").Add(uint64(g.replayed))
+		}
+	}
+}
+
 // ChromeEvents exports every grid and completed cell as Chrome/
 // Perfetto duration spans under the given pid. Each grid owns a block
 // of tids: the grid's own span on the base tid, its cells lane-packed
@@ -264,62 +298,46 @@ func (t *Tracker) ChromeEvents(pid int) []obs.ChromeEvent {
 	return out
 }
 
-// Terminal renders a tracker's state as a single throttled line
-// (carriage-return overwritten) on each progress event. It implements
-// parallel.Progress but does not accumulate state itself — combine it
-// with the Tracker it renders via Multi, Tracker first.
+// Terminal renders a tracker's state as a single line, redrawn
+// (carriage-return overwritten) every 200 ms until Finish.
 type Terminal struct {
 	tr    *Tracker
 	w     io.Writer
-	every time.Duration
-
-	mu    sync.Mutex
-	last  time.Time
 	width int
+	stop  chan struct{}
+	done  chan struct{}
 }
 
-// NewTerminal returns a renderer for tr writing to w, redrawing at
-// most every 200 ms.
+// NewTerminal starts redrawing tr's progress line on w.
 func NewTerminal(tr *Tracker, w io.Writer) *Terminal {
-	return &Terminal{tr: tr, w: w, every: 200 * time.Millisecond}
+	t := &Terminal{tr: tr, w: w, stop: make(chan struct{}), done: make(chan struct{})}
+	go t.loop(200 * time.Millisecond)
+	return t
 }
 
-// GridStart implements parallel.Progress.
-func (t *Terminal) GridStart(string, int) { t.render(false) }
+func (t *Terminal) loop(every time.Duration) {
+	defer close(t.done)
+	tick := time.NewTicker(every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-t.stop:
+			return
+		case <-tick.C:
+			t.render()
+		}
+	}
+}
 
-// GridCell implements parallel.Progress.
-func (t *Terminal) GridCell(string, int, time.Duration) { t.render(false) }
-
-// GridEnd implements parallel.Progress.
-func (t *Terminal) GridEnd(string) { t.render(true) }
-
-// CellRetry implements parallel.ResilienceObserver.
-func (t *Terminal) CellRetry(string, int, int, time.Duration, error) { t.render(false) }
-
-// CellQuarantined implements parallel.ResilienceObserver.
-func (t *Terminal) CellQuarantined(string, int, int, error) { t.render(false) }
-
-// CellReplayed implements parallel.ResilienceObserver.
-func (t *Terminal) CellReplayed(string, int) { t.render(false) }
-
-// Finish forces a final render and terminates the line.
+// Finish stops the redraws, draws the final state and ends the line.
 func (t *Terminal) Finish() {
-	t.render(true)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.width > 0 {
-		fmt.Fprintln(t.w)
-	}
+	close(t.stop)
+	<-t.done
+	t.render()
+	fmt.Fprintln(t.w)
 }
 
-func (t *Terminal) render(force bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	now := time.Now()
-	if !force && now.Sub(t.last) < t.every {
-		return
-	}
-	t.last = now
+func (t *Terminal) render() {
 	st := t.tr.State()
 	line := fmt.Sprintf("progress: %d/%d cells", st.CellsDone, st.CellsTotal)
 	if st.CellsTotal > 0 {
@@ -338,83 +356,7 @@ func (t *Terminal) render(force bool) {
 	if st.Quarantined > 0 {
 		line += fmt.Sprintf(" · %d quarantined", st.Quarantined)
 	}
-	pad := t.width - len(line)
-	if len(line) > t.width {
-		t.width = len(line)
-	}
-	if pad < 0 {
-		pad = 0
-	}
+	pad := max(t.width-len(line), 0)
+	t.width = max(t.width, len(line))
 	fmt.Fprintf(t.w, "\r%s%s", line, strings.Repeat(" ", pad))
-}
-
-// multi fans progress events out to several sinks in order.
-type multi []parallel.Progress
-
-// Multi combines progress sinks; events reach each non-nil sink in
-// argument order (put the Tracker before any Terminal rendering it).
-// Returns nil when no usable sink remains.
-func Multi(ps ...parallel.Progress) parallel.Progress {
-	var m multi
-	for _, p := range ps {
-		if p != nil {
-			m = append(m, p)
-		}
-	}
-	switch len(m) {
-	case 0:
-		return nil
-	case 1:
-		return m[0]
-	}
-	return m
-}
-
-// GridStart implements parallel.Progress.
-func (m multi) GridStart(label string, cells int) {
-	for _, p := range m {
-		p.GridStart(label, cells)
-	}
-}
-
-// GridCell implements parallel.Progress.
-func (m multi) GridCell(label string, index int, wall time.Duration) {
-	for _, p := range m {
-		p.GridCell(label, index, wall)
-	}
-}
-
-// GridEnd implements parallel.Progress.
-func (m multi) GridEnd(label string) {
-	for _, p := range m {
-		p.GridEnd(label)
-	}
-}
-
-// CellRetry implements parallel.ResilienceObserver; the event reaches
-// each combined sink that also observes resilience events.
-func (m multi) CellRetry(label string, index, attempt int, backoff time.Duration, err error) {
-	for _, p := range m {
-		if o, ok := p.(parallel.ResilienceObserver); ok {
-			o.CellRetry(label, index, attempt, backoff, err)
-		}
-	}
-}
-
-// CellQuarantined implements parallel.ResilienceObserver.
-func (m multi) CellQuarantined(label string, index, attempts int, err error) {
-	for _, p := range m {
-		if o, ok := p.(parallel.ResilienceObserver); ok {
-			o.CellQuarantined(label, index, attempts, err)
-		}
-	}
-}
-
-// CellReplayed implements parallel.ResilienceObserver.
-func (m multi) CellReplayed(label string, index int) {
-	for _, p := range m {
-		if o, ok := p.(parallel.ResilienceObserver); ok {
-			o.CellReplayed(label, index)
-		}
-	}
 }

@@ -2,11 +2,19 @@ package progress
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"compresso/internal/obs"
 	"compresso/internal/parallel"
+)
+
+// The tracker is the grids' one progress sink, resilience events
+// included.
+var (
+	_ parallel.Progress           = (*Tracker)(nil)
+	_ parallel.ResilienceObserver = (*Tracker)(nil)
 )
 
 func TestTrackerStateAggregation(t *testing.T) {
@@ -114,9 +122,7 @@ func TestTerminalRendersProgressLine(t *testing.T) {
 	var buf strings.Builder
 	term := NewTerminal(tr, &buf)
 	tr.GridStart("g", 2)
-	term.GridStart("g", 2)
 	tr.GridCell("g", 0, time.Millisecond)
-	term.GridCell("g", 0, time.Millisecond)
 	tr.GridEnd("g")
 	term.Finish()
 	out := buf.String()
@@ -128,23 +134,91 @@ func TestTerminalRendersProgressLine(t *testing.T) {
 	}
 }
 
-func TestMulti(t *testing.T) {
-	if Multi() != nil || Multi(nil, nil) != nil {
-		t.Fatal("empty Multi should be nil")
-	}
-	a, b := NewTracker(), NewTracker()
-	m := Multi(a, nil, b)
-	m.GridStart("g", 1)
-	m.GridCell("g", 0, time.Millisecond)
-	m.GridEnd("g")
-	for _, tr := range []*Tracker{a, b} {
-		if st := tr.State(); st.CellsDone != 1 {
-			t.Fatalf("sink missed events: %+v", st)
+// lockedBuffer is a strings.Builder safe to read while the terminal's
+// ticker writes to it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  strings.Builder
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestTerminalRedrawsWithoutEvents: the line redraws from the tracker
+// on the terminal's own ticker, before Finish and without any event
+// reaching the terminal.
+func TestTerminalRedrawsWithoutEvents(t *testing.T) {
+	tr := NewTracker()
+	var buf lockedBuffer
+	term := NewTerminal(tr, &buf)
+	defer term.Finish()
+	tr.GridStart("g", 4)
+	tr.GridCell("g", 0, time.Millisecond)
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(buf.String(), "progress: 1/4 cells (25%)"); {
+		if time.Now().After(deadline) {
+			t.Fatalf("no redraw within 5s: %q", buf.String())
 		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	// A single sink is returned unwrapped.
-	if Multi(a) != parallel.Progress(a) {
-		t.Fatal("single-sink Multi should return the sink itself")
+}
+
+// TestTrackerConcurrentFeedAndPoll: workers feed one grid while the
+// readers (State, Metrics, ChromeEvents) poll, as the server and the
+// terminal do; the final totals count every event.
+func TestTrackerConcurrentFeedAndPoll(t *testing.T) {
+	const workers, cells = 4, 50
+	tr := NewTracker()
+	tr.GridStart("g", workers*cells)
+	stop := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				tr.State()
+				tr.Metrics(obs.NewRegistry())
+				tr.ChromeEvents(2)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < cells; i++ {
+				tr.CellRetry("g", w*cells+i, 1, time.Millisecond, nil)
+				tr.GridCell("g", w*cells+i, time.Millisecond)
+			}
+		}(w)
 	}
-	var _ []obs.ChromeEvent = a.ChromeEvents(1)
+	wg.Wait()
+	close(stop)
+	<-polled
+	tr.GridEnd("g")
+
+	r := obs.NewRegistry()
+	tr.Metrics(r)
+	snap := r.Snapshot()
+	if got := snap.Counters["harness.cells_done"]; got != workers*cells {
+		t.Fatalf("cells_done = %d, want %d", got, workers*cells)
+	}
+	if got := snap.Counters["harness.retry_backoff_ms"]; got != workers*cells {
+		t.Fatalf("retry_backoff_ms = %d, want %d", got, workers*cells)
+	}
+	if st := tr.State(); st.CellsDone != workers*cells || st.Retries != workers*cells {
+		t.Fatalf("state = %+v", st)
+	}
 }

@@ -424,7 +424,7 @@ func PrepareAssets(profs []workload.Profile, cfg Config, codec compress.Codec, j
 		private: make([]filterSlot[cache.PrivateLog], len(profs))}
 	for i, p := range profs {
 		p = workload.Scale(p, cfg.FootprintScale)
-		img := workload.NewImage(p, cfg.Seed+uint64(i)*7919)
+		img := workload.NewImage(p, workload.CoreSeed(cfg.Seed, i))
 		img.Materialize(jobs)
 		img.SizeAll(codec, jobs)
 		a.profs = append(a.profs, p)
@@ -437,7 +437,7 @@ func PrepareAssets(profs []workload.Profile, cfg Config, codec compress.Codec, j
 		for i := w; i < len(a.profs); i += workers {
 			scratch = a.images[i].CloneInto(scratch)
 			a.logs[i] = workload.RecordTrace(scratch, a.profs[i],
-				cfg.Seed+uint64(i)*7919, cfg.Ops, codec)
+				workload.CoreSeed(cfg.Seed, i), cfg.Ops, codec)
 		}
 		return struct{}{}
 	})
@@ -456,7 +456,7 @@ func (a *MixAssets) stream(i int, prof workload.Profile, seed, ops uint64) workl
 // workload size table and the experiments' run memo use), the seed
 // and the op count the recording holds.
 func (a *MixAssets) check(i int, prof workload.Profile, seed, ops uint64) {
-	if i >= len(a.images) || a.seed+uint64(i)*7919 != seed || a.ops != ops ||
+	if i >= len(a.images) || workload.CoreSeed(a.seed, i) != seed || a.ops != ops ||
 		fmt.Sprintf("%#v", a.profs[i]) != fmt.Sprintf("%#v", prof) {
 		panic(fmt.Sprintf("sim: Assets prepared for different run shape (core %d, profile %s)", i, prof.Name))
 	}
@@ -555,13 +555,13 @@ type machine struct {
 }
 
 // newMachine provisions the machine for one core per profile. Core i
-// runs its scaled profile under seed Seed+7919i, its image placed in
-// the OSPA after core i-1's. One core gets the Tab. III system: one
-// DRAM channel and a 2 MB L3, both scaled with the footprint. Several
-// cores get the Xeon-class provisioning the paper's 4-core results
-// imply: a second channel, 2 MB of shared L3 per core (8 MB for four),
-// and a metadata cache and L3 sized at half the footprint scale, since
-// they cover n cores' pages.
+// runs its scaled profile under seed workload.CoreSeed(Seed, i), its
+// image placed in the OSPA after core i-1's. One core gets the Tab. III
+// system: one DRAM channel and a 2 MB L3, both scaled with the
+// footprint. Several cores get the Xeon-class provisioning the paper's
+// 4-core results imply: a second channel, 2 MB of shared L3 per core
+// (8 MB for four), and a metadata cache and L3 sized at half the
+// footprint scale, since they cover n cores' pages.
 func newMachine(profs []workload.Profile, cfg Config) *machine {
 	n := len(profs)
 	m := &machine{
@@ -575,7 +575,7 @@ func newMachine(profs []workload.Profile, cfg Config) *machine {
 	var pages uint64
 	for i, p := range profs {
 		p = workload.Scale(p, cfg.FootprintScale)
-		seed := cfg.Seed + uint64(i)*7919
+		seed := workload.CoreSeed(cfg.Seed, i)
 		if cfg.Assets != nil {
 			m.streams[i] = cfg.Assets.stream(i, p, seed, cfg.Ops)
 		} else {

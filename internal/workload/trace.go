@@ -34,6 +34,10 @@ type Trace struct {
 	phaseEnd []uint64 // cumulative op counts per phase
 }
 
+// CoreSeed is core i's workload seed in a multi-core run seeded with
+// seed: a prime stride keeps the cores' images and op streams apart.
+func CoreSeed(seed uint64, i int) uint64 { return seed + uint64(i)*7919 }
+
 // NewTrace builds a trace over a fresh image. totalOps scales the
 // profile's phases onto the stream; use the number of operations you
 // intend to draw (more draws simply repeat the last phase).

@@ -428,3 +428,17 @@ func TestCloneIntoReusesStorage(t *testing.T) {
 		}
 	}
 }
+
+// TestCoreSeedStride pins the per-core seed stride: every multi-core
+// artifact (and the benchmark's own copy of the stride) depends on it.
+func TestCoreSeedStride(t *testing.T) {
+	for _, c := range []struct {
+		seed uint64
+		core int
+		want uint64
+	}{{42, 0, 42}, {42, 1, 42 + 7919}, {1, 3, 1 + 3*7919}} {
+		if got := CoreSeed(c.seed, c.core); got != c.want {
+			t.Errorf("CoreSeed(%d, %d) = %d, want %d", c.seed, c.core, got, c.want)
+		}
+	}
+}
