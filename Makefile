@@ -37,7 +37,8 @@ seam:
 # hierarchies those logs drive and the metadata codec every run packs
 # entries with, the capacity tracker's fanned-out construction scan,
 # the workload images' process-wide pristine size and LZ block tables,
-# and the dmc/mxt controllers that price blocks through them. The
+# the dmc/mxt controllers that price blocks through them, and the obs
+# snapshots the live server reads while runs write them. The
 # heaviest sweeps skip under the race detector (see raceEnabled in
 # internal/experiments); the light cells still cover every grid call
 # shape on parallel.MapResilient.
@@ -48,7 +49,7 @@ race:
 		./internal/memctl/... ./internal/cram/... ./internal/cxl/... \
 		./internal/fleet/... ./internal/capacity/... \
 		./internal/workload/... ./internal/cache/... ./internal/metadata/... \
-		./internal/dmc/...
+		./internal/dmc/... ./internal/obs/...
 
 # Time one full quick-mode RunAll sweep serial vs parallel. The output
 # is byte-identical by contract; only the wall time should differ.
@@ -270,8 +271,10 @@ soak:
 # layout behind the capacity model's LCP price, of the capacity
 # model's one-pass stack-depth replay against the LRU pager, of the
 # multi-core private-level cache replay against live hierarchies under
-# another interleave, and of the word-level metadata entry codec against
-# its bitstream reference (the default corpora run as part of `test`).
+# another interleave, of the word-level metadata entry codec against
+# its bitstream reference, and of the attribution ledger's map-free
+# hot-page profile against its map-and-scan reference (the default
+# corpora run as part of `test`).
 fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzControllerReadWrite -fuzztime 60s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzCodecSizeOnly$$' -fuzztime 20s
@@ -283,3 +286,4 @@ fuzz:
 	$(GO) test ./internal/capacity/ -run '^$$' -fuzz '^FuzzStackReplayMatchesPager$$' -fuzztime 20s
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzPrivateReplayMatchesLive$$' -fuzztime 20s
 	$(GO) test ./internal/metadata/ -run '^$$' -fuzz '^FuzzEntryCodecMatchesReference$$' -fuzztime 20s
+	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzPageProfileMatchesReference$$' -fuzztime 20s

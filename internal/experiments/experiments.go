@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime/pprof"
 	"sort"
 	"strconv"
 	"time"
@@ -310,6 +311,9 @@ func RunAll(opt Options) error {
 	return errors.Join(errs...)
 }
 
+// runRecovering runs e under the pprof label experiment=<name>, which
+// its grids' worker goroutines inherit, so a -cpuprofile of a sweep
+// splits by experiment (go tool pprof -tagfocus).
 func runRecovering(e Experiment, opt Options) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -320,7 +324,15 @@ func runRecovering(e Experiment, opt Options) (err error) {
 			err = fmt.Errorf("experiments: %s panicked: %v", e.Name, r)
 		}
 	}()
-	data, err := e.Run(opt)
+	ctx := opt.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	var data any
+	pprof.Do(ctx, pprof.Labels("experiment", e.Name), func(ctx context.Context) {
+		opt.Ctx = ctx
+		data, err = e.Run(opt)
+	})
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"runtime/pprof"
 
 	"compresso/internal/core"
 	"compresso/internal/sim"
@@ -87,15 +88,20 @@ func (s runSpec) config(ctx context.Context, opt Options) sim.Config {
 // it only when no earlier caller in the process has (runCache). The
 // returned Result is shared: callers must not mutate it.
 //
-// The computing caller's ctx is installed as the run's Cancel; a
+// The computing caller's ctx, with the pprof labels system=<sys> and
+// bench=<profile> added for the run, is installed as the run's Cancel; a
 // canceled or panicking run publishes nothing and unwinds to that
 // caller alone. A caller waiting on another's in-flight run stops
 // waiting when its own ctx fires and unwinds with the same kind of
 // cancellation error a canceled simulation throws, which the grid
 // classifies as a cancellation.
 func runSingle(ctx context.Context, opt Options, prof workload.Profile, spec runSpec) sim.Result {
-	res, err := runCache.get(ctx, spec.key(prof, opt), func() (sim.Result, error) {
-		return sim.RunSingle(prof, spec.config(ctx, opt)), nil
+	res, err := runCache.get(ctx, spec.key(prof, opt), func() (res sim.Result, _ error) {
+		labels := pprof.Labels("system", string(spec.sys), "bench", prof.Name)
+		pprof.Do(ctx, labels, func(ctx context.Context) {
+			res = sim.RunSingle(prof, spec.config(ctx, opt))
+		})
+		return res, nil
 	})
 	if err != nil {
 		panic(fmt.Errorf("experiments: waiting for %s on %s: %w", spec.sys, prof.Name, err))

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"reflect"
+	"runtime/pprof"
 	"strings"
 	"testing"
 	"time"
@@ -327,5 +329,56 @@ func TestAttributionLeavesMemoizedRunsIntact(t *testing.T) {
 	b, _ := json.Marshal(again)
 	if string(a) != string(b) {
 		t.Fatal("attribution rows changed on a memo hit: the merge wrote into a memoized result")
+	}
+}
+
+// TestComputingCellCarriesProfileLabels: a simulation computed inside
+// an experiment's grid runs on a goroutine labeled with the experiment,
+// the system and the benchmark, the labels a -cpuprofile of a sweep
+// is split by.
+func TestComputingCellCarriesProfileLabels(t *testing.T) {
+	resetMemos()
+	defer resetMemos()
+	prof := gccProfile(t)
+	var labels []string // the labels of every goroutine that called mod
+	mod := func(c *core.Config) {
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Error(err)
+		}
+		for _, rec := range strings.Split(buf.String(), "\n\n") {
+			if strings.Contains(rec, "TestComputingCellCarriesProfileLabels.func") &&
+				strings.Contains(rec, "pprof.(*Profile).WriteTo") {
+				line := ""
+				for _, l := range strings.Split(rec, "\n") {
+					if strings.HasPrefix(l, "# labels: ") {
+						line = l
+					}
+				}
+				labels = append(labels, line)
+			}
+		}
+	}
+	e := Experiment{Name: "labels-probe", Run: func(opt Options) (any, error) {
+		grid(opt, "probe", 1, func(ctx context.Context, _ int) sim.Result {
+			return runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso, mod: mod})
+		})
+		return nil, nil
+	}}
+	opt := quickOpts()
+	opt.Jobs = 2
+	if err := runRecovering(e, opt); err != nil {
+		t.Fatal(err)
+	}
+	if len(labels) == 0 {
+		t.Fatal("the run never called its config modifier")
+	}
+	// The memo key resolves mod before the run does; the last call is
+	// the computing one.
+	got := labels[len(labels)-1]
+	for _, want := range []string{`"experiment":"labels-probe"`, `"system":"compresso"`, `"bench":"gcc"`} {
+		if !strings.Contains(got, want) {
+			t.Errorf("computing goroutine's labels %q lack %s", got, want)
+		}
 	}
 }

@@ -99,7 +99,9 @@ type Attribution struct {
 	exposed [NComponents]uint64
 	hidden  [NComponents]uint64
 	charges [NComponents]uint64 // accesses that charged the component exposed
-	hists   [NComponents]Histogram
+	// classes counts accesses by latency class bits.Len64(exposed
+	// cycles), 0..64; Snapshot renders them as Histograms.
+	classes [NComponents][65]uint64
 
 	accesses   uint64
 	reads      uint64
@@ -116,6 +118,7 @@ type Attribution struct {
 	posted    bool
 	sum       uint64
 	acc       [NComponents]uint64
+	touched   uint16 // bit c set when acc[c] was charged this access
 	accHidden uint64
 
 	pages *pageProfile
@@ -157,7 +160,10 @@ func (a *Attribution) Begin(now, page uint64, write bool) {
 	a.write = write
 	a.posted = false
 	a.sum = 0
-	a.acc = [NComponents]uint64{}
+	for m := a.touched; m != 0; m &= m - 1 {
+		a.acc[bits.TrailingZeros16(m)] = 0
+	}
+	a.touched = 0
 	a.accHidden = 0
 }
 
@@ -196,6 +202,7 @@ func (a *Attribution) ExposedCritical(c Component, cycles uint64) {
 	if a.open {
 		a.sum += cycles
 		a.acc[c] += cycles
+		a.touched |= 1 << c
 	}
 }
 
@@ -261,10 +268,11 @@ func (a *Attribution) End(done uint64) {
 		}
 	}
 	var overhead uint64
-	for c := Component(0); c < NComponents; c++ {
+	for m := a.touched; m != 0; m &= m - 1 {
+		c := Component(bits.TrailingZeros16(m))
 		if v := a.acc[c]; v > 0 {
 			a.charges[c]++
-			a.hists[c].Observe(bits.Len64(v))
+			a.classes[c][bits.Len64(v)]++
 			if c != CompDRAMQueue && c != CompDRAMService {
 				overhead += v
 			}
@@ -381,7 +389,13 @@ func (a *Attribution) Snapshot() AttributionSnapshot {
 		s.Components[c].ExposedCycles = a.exposed[c]
 		s.Components[c].HiddenCycles = a.hidden[c]
 		s.Components[c].Charges = a.charges[c]
-		s.Components[c].Latency = a.hists[c].Snapshot()
+		var h Histogram
+		for class, n := range a.classes[c] {
+			if n > 0 {
+				h.ObserveN(class, n)
+			}
+		}
+		s.Components[c].Latency = h.Snapshot()
 	}
 	if a.pages != nil {
 		s.HotPages = a.pages.top()
@@ -392,9 +406,9 @@ func (a *Attribution) Snapshot() AttributionSnapshot {
 
 // Merge folds other into s (multi-core runs keep one ledger per
 // controller and merge the snapshots): counters add, histograms add,
-// hot pages combine by page and re-truncate to the larger bound, the
-// first violation detail wins. The sample series do not interleave
-// meaningfully, so the merged snapshot drops them.
+// hot pages combine by page and re-truncate to topPages (<= 0 keeps
+// them all), the first violation detail wins. The sample series do not
+// interleave meaningfully, so the merged snapshot drops them.
 func (s *AttributionSnapshot) Merge(other AttributionSnapshot, topPages int) {
 	s.Accesses += other.Accesses
 	s.Reads += other.Reads
@@ -509,25 +523,71 @@ func sortHotPages(pages []HotPage) {
 // a new page admitted over a full table replaces the minimum-weight
 // entry (earliest index on ties), inheriting its weight as the
 // overestimate bound.
+//
+// It keeps no Go map: pages are found through an open-addressed index
+// (linear probing over a power-of-two table of at least 4*cap slots,
+// backward-shift deletion), and weights mirrors entries' OverheadCycles
+// packed for the eviction scan.
 type pageProfile struct {
 	cap     int
-	idx     map[uint64]int
 	entries []HotPage
+	weights []uint64
+	slots   []pageSlot
+	shift   uint // 64 - log2(len(slots))
+}
+
+// pageSlot maps page to entry ref-1; ref 0 marks an empty slot.
+type pageSlot struct {
+	page uint64
+	ref  uint32
 }
 
 func newPageProfile(n int) *pageProfile {
-	return &pageProfile{cap: n, idx: make(map[uint64]int, n)}
+	shift := uint(62 - bits.Len(uint(n-1))) // 4x the next power of two >= n
+	return &pageProfile{cap: n, slots: make([]pageSlot, 1<<(64-shift)), shift: shift}
+}
+
+// home is page's preferred slot (Fibonacci hashing).
+func (p *pageProfile) home(page uint64) int {
+	return int((page * 0x9E3779B97F4A7C15) >> p.shift)
+}
+
+// find returns the slot holding page, or the empty slot that ends its
+// probe run.
+func (p *pageProfile) find(page uint64) int {
+	mask := len(p.slots) - 1
+	i := p.home(page)
+	for p.slots[i].ref != 0 && p.slots[i].page != page {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// remove empties the occupied slot i, shifting later entries of its
+// probe run back so that no run has a hole.
+func (p *pageProfile) remove(i int) {
+	mask := len(p.slots) - 1
+	for j := (i + 1) & mask; p.slots[j].ref != 0; j = (j + 1) & mask {
+		if h := p.home(p.slots[j].page); (i-h)&mask < (j-h)&mask {
+			p.slots[i] = p.slots[j]
+			i = j
+		}
+	}
+	p.slots[i] = pageSlot{}
 }
 
 func (p *pageProfile) record(page, weight uint64) {
-	if i, ok := p.idx[page]; ok {
-		p.entries[i].OverheadCycles += weight
-		p.entries[i].Accesses++
+	s := p.find(page)
+	if r := p.slots[s].ref; r != 0 {
+		p.weights[r-1] += weight
+		p.entries[r-1].OverheadCycles += weight
+		p.entries[r-1].Accesses++
 		return
 	}
 	if len(p.entries) < p.cap {
-		p.idx[page] = len(p.entries)
+		p.slots[s] = pageSlot{page: page, ref: uint32(len(p.entries) + 1)}
 		p.entries = append(p.entries, HotPage{Page: page, OverheadCycles: weight, Accesses: 1})
+		p.weights = append(p.weights, weight)
 		return
 	}
 	if weight == 0 {
@@ -535,21 +595,16 @@ func (p *pageProfile) record(page, weight uint64) {
 		// overhead concentrates, not raw popularity.
 		return
 	}
-	min := 0
-	for i := 1; i < len(p.entries); i++ {
-		if p.entries[i].OverheadCycles < p.entries[min].OverheadCycles {
-			min = i
+	victim, bound := 0, p.weights[0]
+	for i, w := range p.weights {
+		if w < bound {
+			victim, bound = i, w
 		}
 	}
-	old := p.entries[min]
-	delete(p.idx, old.Page)
-	p.idx[page] = min
-	p.entries[min] = HotPage{
-		Page:           page,
-		OverheadCycles: old.OverheadCycles + weight,
-		Accesses:       1,
-		ErrorBound:     old.OverheadCycles,
-	}
+	p.remove(p.find(p.entries[victim].Page))
+	p.slots[p.find(page)] = pageSlot{page: page, ref: uint32(victim + 1)}
+	p.weights[victim] = bound + weight
+	p.entries[victim] = HotPage{Page: page, OverheadCycles: bound + weight, Accesses: 1, ErrorBound: bound}
 }
 
 // top returns the entries sorted by overhead (descending), page
