@@ -32,8 +32,8 @@ seam:
 
 # The concurrency-bearing packages: the parallel fan-out primitive,
 # the experiments that run cells through it, the simulator whose
-# state those cells must not share (and whose concurrent runs on one
-# MixAssets claim, record and replay its cache-filter logs), the cache
+# state those cells must not share (and whose concurrent runs claim,
+# record and replay the process's cache-filter logs), the cache
 # hierarchies those logs drive and the metadata codec every run packs
 # entries with, the capacity tracker's fanned-out construction scan,
 # the workload images' process-wide pristine size and LZ block tables,
@@ -270,8 +270,9 @@ soak:
 # kernel against the pre-fusion size path, of the shared LCP page
 # layout behind the capacity model's LCP price, of the capacity
 # model's one-pass stack-depth replay against the LRU pager, of the
-# multi-core private-level cache replay against live hierarchies under
-# another interleave, of the word-level metadata entry codec against
+# one-core cache-filter replay against live hierarchies of small
+# geometries, of the multi-core private-level cache replay against live
+# hierarchies under another interleave, of the word-level metadata entry codec against
 # its bitstream reference, and of the attribution ledger's map-free
 # hot-page profile against its map-and-scan reference (the default
 # corpora run as part of `test`).
@@ -284,6 +285,7 @@ fuzz:
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzBPCSizeEquivalence$$' -fuzztime 20s
 	$(GO) test ./internal/capacity/ -run '^$$' -fuzz '^FuzzLCPPageBytesBounded$$' -fuzztime 20s
 	$(GO) test ./internal/capacity/ -run '^$$' -fuzz '^FuzzStackReplayMatchesPager$$' -fuzztime 20s
+	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzFilterReplayMatchesLive$$' -fuzztime 20s
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzPrivateReplayMatchesLive$$' -fuzztime 20s
 	$(GO) test ./internal/metadata/ -run '^$$' -fuzz '^FuzzEntryCodecMatchesReference$$' -fuzztime 20s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzPageProfileMatchesReference$$' -fuzztime 20s

@@ -219,7 +219,8 @@ type Hierarchy struct {
 	// counting L3 installs.
 	rec, play         *FilterLog
 	privRec, privPlay *PrivateLog
-	playOp, playWB    int
+	playOp            opCursor
+	playWB            int
 }
 
 // NewHierarchy builds the paper's single-core hierarchy with the given

@@ -81,14 +81,17 @@ type Core struct {
 	hier  *cache.Hierarchy
 	ctl   memctl.Controller
 	src   memctl.LineSource
+	view  memctl.LineViewer // src's views, when it offers them
 	now   uint64
 	stats Stats
 
 	// misses is the MLP window of outstanding memory loads, oldest
 	// first. Its MLP+1 capacity is allocated once in New and never
 	// outgrown: memLoad retires down to fewer than MLP before adding one.
-	misses  []outstanding
-	instrs  uint64
+	misses []outstanding
+	instrs uint64
+	// lineBuf holds a writeback's value copied from a source that
+	// offers no view of it.
 	lineBuf [memctl.LineBytes]byte
 	// leftover fractional issue cycles, in instruction units.
 	issueDebt int
@@ -98,12 +101,14 @@ type Core struct {
 	cycleBase uint64
 }
 
-// New builds a core. src supplies line values for dirty writebacks.
+// New builds a core. src supplies line values for dirty writebacks:
+// a view of the value when src is a memctl.LineViewer, else a copy.
 func New(cfg Config, hier *cache.Hierarchy, ctl memctl.Controller, src memctl.LineSource) *Core {
 	if cfg.IssueWidth <= 0 || cfg.MLP <= 0 {
 		panic("cpu: invalid config")
 	}
-	return &Core{cfg: cfg, hier: hier, ctl: ctl, src: src,
+	view, _ := src.(memctl.LineViewer)
+	return &Core{cfg: cfg, hier: hier, ctl: ctl, src: src, view: view,
 		misses: make([]outstanding, 0, cfg.MLP+1)}
 }
 
@@ -145,8 +150,7 @@ func (c *Core) Step(op *workload.Op) {
 	var fillDone uint64
 	for _, ev := range c.hier.Events {
 		if ev.Write {
-			c.src.ReadLine(ev.LineAddr, c.lineBuf[:])
-			res := c.ctl.WriteLine(c.now, ev.LineAddr, c.lineBuf[:])
+			res := c.ctl.WriteLine(c.now, ev.LineAddr, c.writeback(ev.LineAddr))
 			// Posted writes do not stall; an OS page fault (LCP's
 			// overflow handling) does.
 			if res.Done > c.now {
@@ -181,6 +185,15 @@ func (c *Core) Step(op *workload.Op) {
 		c.stats.LoadsMem++
 		c.memLoad(fillDone)
 	}
+}
+
+// writeback returns the value a dirty writeback of lineAddr carries.
+func (c *Core) writeback(lineAddr uint64) []byte {
+	if c.view != nil {
+		return c.view.Line(lineAddr)
+	}
+	c.src.ReadLine(lineAddr, c.lineBuf[:])
+	return c.lineBuf[:]
 }
 
 func (c *Core) stall(cycles uint64) {

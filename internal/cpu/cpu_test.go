@@ -156,6 +156,80 @@ func TestWritebackFaultStalls(t *testing.T) {
 	}
 }
 
+// lineSource holds distinct line values and offers views of them;
+// copySource offers only copies.
+type lineSource struct{ mem []byte }
+
+func (s lineSource) ReadLine(addr uint64, buf []byte) { copy(buf, s.Line(addr)) }
+func (s lineSource) Line(addr uint64) []byte {
+	return s.mem[addr*memctl.LineBytes : (addr+1)*memctl.LineBytes]
+}
+
+type copySource struct{ src lineSource }
+
+func (s copySource) ReadLine(addr uint64, buf []byte) { s.src.ReadLine(addr, buf) }
+
+// capturingController records the data of every writeback.
+type capturingController struct {
+	faultingController
+	writes []capturedWrite
+}
+
+type capturedWrite struct {
+	addr uint64
+	data []byte
+}
+
+func (c *capturingController) WriteLine(now uint64, a uint64, d []byte) memctl.Result {
+	c.writes = append(c.writes, capturedWrite{a, d})
+	return memctl.Result{Done: now}
+}
+
+// TestWritebackCarriesSourceLine: a writeback carries its line's value
+// from either kind of source, as a view of the source's memory when it
+// offers views and as a copy when it does not.
+func TestWritebackCarriesSourceLine(t *testing.T) {
+	const lines = 512
+	mem := make([]byte, lines*memctl.LineBytes)
+	for i := range mem {
+		mem[i] = byte(i/memctl.LineBytes) ^ byte(i)
+	}
+	for _, tc := range []struct {
+		name string
+		src  memctl.LineSource
+		view bool
+	}{{"view", lineSource{mem}, true}, {"copy", copySource{lineSource{mem}}, false}} {
+		ctl := &capturingController{}
+		hier := &cache.Hierarchy{
+			L1: cache.New("l1", 2*64, 2),
+			L2: cache.New("l2", 4*64, 2),
+			L3: cache.New("l3", 8*64, 2),
+		}
+		c := New(DefaultConfig(), hier, ctl, tc.src)
+		for i := uint64(0); i < lines; i++ {
+			step(c, 0, i*7%lines, true)
+		}
+		if len(ctl.writes) == 0 {
+			t.Fatalf("%s: no writebacks", tc.name)
+		}
+		for _, w := range ctl.writes {
+			line := mem[w.addr*memctl.LineBytes : (w.addr+1)*memctl.LineBytes]
+			if aliased := &w.data[0] == &line[0]; aliased != tc.view {
+				t.Fatalf("%s: writeback of line %d aliases the source %v, want %v", tc.name, w.addr, aliased, tc.view)
+			}
+			if !tc.view {
+				continue // the copy buffer has since been reused
+			}
+			if string(w.data) != string(line) {
+				t.Fatalf("%s: writeback of line %d carried another value", tc.name, w.addr)
+			}
+		}
+		if last := ctl.writes[len(ctl.writes)-1]; string(last.data) != string(mem[last.addr*memctl.LineBytes:(last.addr+1)*memctl.LineBytes]) {
+			t.Fatalf("%s: last writeback carried another value", tc.name)
+		}
+	}
+}
+
 func TestIPCBounds(t *testing.T) {
 	c, _ := newCore(t)
 	for i := 0; i < 2000; i++ {

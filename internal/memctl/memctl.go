@@ -47,6 +47,16 @@ type LineSizer interface {
 	SizeLine(codec compress.Codec, lineAddr uint64) int
 }
 
+// LineViewer is an optional LineSource extension: Line returns a
+// read-only view of the line's current 64-byte value, so a caller that
+// only reads the value need not copy it. Like InstallPage's lines, the
+// view aliases live source memory: callers must not write through it
+// or retain it past the call they hand it to. Callers must fall back
+// to ReadLine when the source does not implement LineViewer.
+type LineViewer interface {
+	Line(lineAddr uint64) []byte
+}
+
 // LZBlockBytes is the coarse compression granularity of the dmc and mxt
 // baselines: their cold data is LZ-compressed in 1 KB blocks.
 const LZBlockBytes = 1024
@@ -187,7 +197,9 @@ type Controller interface {
 	ReadLine(now uint64, lineAddr uint64) Result
 
 	// WriteLine serves a dirty LLC writeback carrying the line's new
-	// 64-byte value.
+	// 64-byte value. Implementations must not write through data or
+	// retain it past the call: it may be a LineViewer's view of the
+	// source's live memory.
 	WriteLine(now uint64, lineAddr uint64, data []byte) Result
 
 	// InstallPage pre-populates an OSPA page with its initial lines at

@@ -7,6 +7,7 @@ package sim
 // restores consistency after the oracle is mutated behind their back.
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -234,6 +235,44 @@ func TestBackendConformance(t *testing.T) {
 			}
 			if got := ctl.CompressedBytes(); got != before {
 				t.Fatalf("ResetStats changed CompressedBytes: %d -> %d", before, got)
+			}
+		})
+	}
+}
+
+// TestBackendsLeaveWritebackDataAlone: a writeback's data may be a
+// view of the simulator's live image (memctl.LineViewer), so no backend
+// may write through it, during WriteLine or after. Each backend takes
+// a write-heavy demand program whose every writeback buffer is kept
+// and compared with its value when handed over, after its own call and
+// at the end.
+func TestBackendsLeaveWritebackDataAlone(t *testing.T) {
+	for _, b := range memctl.Backends() {
+		t.Run(b.Name, func(t *testing.T) {
+			ctl, im, _ := buildBackend(t, b)
+			r := rng.New(conformanceSeed)
+			conformanceInstall(ctl, im, r)
+			totalLines := uint64(conformancePages) * metadata.LinesPerPage
+			var handed, values [][]byte
+			for i := range 4000 {
+				addr := r.Uint64() % totalLines
+				now := uint64(i) * 4
+				if r.Uint64()%4 == 0 {
+					ctl.ReadLine(now, addr)
+					continue
+				}
+				data := datagen.Line(r, datagen.Kind(r.Intn(int(datagen.NKinds))))
+				im.set(addr, data)
+				handed, values = append(handed, data), append(values, bytes.Clone(data))
+				ctl.WriteLine(now, addr, data)
+				if !bytes.Equal(data, values[len(values)-1]) {
+					t.Fatalf("writeback %d to line %d: WriteLine wrote through its data", len(handed)-1, addr)
+				}
+			}
+			for i := range handed {
+				if !bytes.Equal(handed[i], values[i]) {
+					t.Fatalf("writeback %d's data changed after its WriteLine returned", i)
+				}
 			}
 		})
 	}

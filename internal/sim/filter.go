@@ -1,92 +1,138 @@
 package sim
 
 import (
+	"fmt"
 	"sync"
 
 	"compresso/internal/cache"
 	"compresso/internal/memctl"
+	"compresso/internal/workload"
 )
 
 // The cache filter (DESIGN.md §13). A one-core machine's L1/L2/L3
-// outcome depends only on its op stream and its L3 geometry, and
-// shared assets fix both for every system of a comparison. So the
-// first such run on a MixAssets records the hierarchy's outcome into a
-// cache.FilterLog, and every later run replays it instead of simulating
-// the caches.
+// outcome depends only on its op stream and its L3 geometry, and the
+// op stream only on the scaled profile, the seed and Ops. So the first
+// run of such a stream in the process records the hierarchy's outcome
+// into a cache.FilterLog, and every later run of it, on any system,
+// replays the log instead of simulating the caches.
 //
 // A multi-core machine's shared L3 sees the cores in an order that
 // follows each core's clock, which differs per system, so L3 must run
 // live. Each core's private L1/L2 outcome, and the L3 installs it
-// issues, depend on that core's op stream alone (the hierarchy is
-// non-inclusive and never back-invalidates). So the first multi-core
-// run on a MixAssets records one cache.PrivateLog per core, and later
-// runs replay those logs in place of L1/L2 while driving the shared L3
-// live. Each core still charges its own system's latencies.
+// issues, depend on that core's op stream and OSPA base page alone (the
+// hierarchy is non-inclusive and never back-invalidates). So the first
+// run of each core's stream at its base records one cache.PrivateLog,
+// and later runs replay it in place of L1/L2 while driving the shared
+// L3 live. Each core still charges its own system's latencies.
 
-// filterSlot is a MixAssets' cache-filter log of type L and the claim
-// on recording it.
+// filterKey is what fixes a log's content: the scaled profile (rendered
+// with %#v, the identity the workload size table and the experiments'
+// run memo use), the seed and Ops, which fix the op stream, and where
+// the stream runs. A one-core log depends on the L3 geometry and so
+// sets l3Bytes; a private log depends on the line addresses its core's
+// base page gives the stream, which select the L1/L2 sets, and so sets
+// base. The two kinds live in separate tables.
+type filterKey struct {
+	profile   string
+	seed, ops uint64
+	l3Bytes   int
+	base      uint64
+}
+
+// oneCoreKey is the key of a one-core machine's log.
+func oneCoreKey(prof workload.Profile, seed, ops uint64, l3Bytes int) filterKey {
+	return filterKey{profile: fmt.Sprintf("%#v", prof), seed: seed, ops: ops, l3Bytes: l3Bytes}
+}
+
+// privateKey is the key of one core's private-level log.
+func privateKey(prof workload.Profile, seed, ops, base uint64) filterKey {
+	return filterKey{profile: fmt.Sprintf("%#v", prof), seed: seed, ops: ops, base: base}
+}
+
+// filterSlot is one key's log of type L and the claim on recording it.
 type filterSlot[L any] struct {
-	mu        sync.Mutex
 	recording bool // a run holds the claim
 	log       *L   // published by a completed recording
 }
 
-// claim returns the published log to replay, or nil with record true
+// filterTable holds the logs of type L by key.
+type filterTable[L any] struct {
+	mu    sync.Mutex
+	slots map[filterKey]*filterSlot[L]
+}
+
+// filterTables is a set of one-core and private-level logs.
+type filterTables struct {
+	one     filterTable[cache.FilterLog]
+	private filterTable[cache.PrivateLog]
+}
+
+// processFilters holds every log the process has recorded. A log is
+// about one byte per op plus four per writeback or L3 install, so the
+// logs stay for the process's life.
+var processFilters filterTables
+
+// claim returns key's published log to replay, or nil with record true
 // when the caller takes the claim to record a fresh log (it must then
 // release it), or nil with record false when another run is recording:
 // the caller runs live rather than waiting, so the outcome cannot
 // depend on scheduling.
-func (f *filterSlot[L]) claim() (log *L, record bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+func (t *filterTable[L]) claim(key filterKey) (log *L, record bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.slots[key]
+	if s == nil {
+		if t.slots == nil {
+			t.slots = make(map[filterKey]*filterSlot[L])
+		}
+		s = &filterSlot[L]{}
+		t.slots[key] = s
+	}
 	switch {
-	case f.log != nil:
-		return f.log, false
-	case f.recording:
+	case s.log != nil:
+		return s.log, false
+	case s.recording:
 		return nil, false
 	}
-	f.recording = true
+	s.recording = true
 	return nil, true
 }
 
-// release ends a recording claim. Only a run that completed every op
-// publishes its log; after a panic or cancellation the next run
-// records afresh.
-func (f *filterSlot[L]) release(log *L, completed bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.recording = false
+// release ends a recording claim on key. Only a run that completed
+// every op publishes its log; after a panic or cancellation the next
+// run records afresh.
+func (t *filterTable[L]) release(key filterKey, log *L, completed bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.slots[key]
+	s.recording = false
 	if completed {
-		f.log = log
+		s.log = log
 	}
 }
 
-// filterCaches connects a machine running on shared assets to their
-// cache-filter logs: one core's whole hierarchy to the one-core log,
-// several cores' private levels each to its core's private log. Each
-// log is replayed when published, else recorded when unclaimed, else
-// left live. It returns the release to call, with whether the run
-// completed, once the run ends (nil when nothing records). Images too
-// large for the logs' 32-bit line addresses keep the live caches, as do
-// one-core runs at another footprint scale (which sets the one-core
-// log's L3 geometry; L1/L2 geometry is fixed, so the private logs do
-// not depend on it).
+// filterCaches connects a machine to its cache-filter logs in m.filters:
+// one core's whole hierarchy to its one-core log, several cores' private
+// levels each to its core's private log. Each log is replayed when
+// published, else recorded when unclaimed, else left live. It returns
+// the release to call, with whether the run completed, once the run
+// ends (nil when nothing records). Images too large for the logs'
+// 32-bit line addresses keep the live caches.
 func (m *machine) filterCaches() (release func(completed bool)) {
-	a := m.cfg.Assets
 	n := len(m.cores)
-	if a == nil ||
-		m.base[n-1]*memctl.LinesPerPage+m.streams[n-1].Image().Lines() >= cache.FilterLines {
+	if m.base[n-1]*memctl.LinesPerPage+m.streams[n-1].Image().Lines() >= cache.FilterLines {
 		return nil
 	}
 	if n == 1 {
-		if a.scale != m.cfg.FootprintScale {
-			return nil
-		}
-		return filterInto(&a.filter, m.cfg.Ops, cache.NewFilterLog, m.hiers[0].Replay, m.hiers[0].Record)
+		key := oneCoreKey(m.profs[0], m.cfg.Seed, m.cfg.Ops, m.l3Bytes)
+		return filterInto(&m.filters.one, key, cache.NewFilterLog, (*cache.FilterLog).Finish,
+			m.hiers[0].Replay, m.hiers[0].Record)
 	}
 	var releases []func(bool)
 	for i, h := range m.hiers {
-		if r := filterInto(&a.private[i], m.cfg.Ops, cache.NewPrivateLog, h.ReplayPrivate, h.RecordPrivate); r != nil {
+		key := privateKey(m.profs[i], workload.CoreSeed(m.cfg.Seed, i), m.cfg.Ops, m.base[i])
+		if r := filterInto(&m.filters.private, key, cache.NewPrivateLog, (*cache.PrivateLog).Finish,
+			h.ReplayPrivate, h.RecordPrivate); r != nil {
 			releases = append(releases, r)
 		}
 	}
@@ -100,11 +146,12 @@ func (m *machine) filterCaches() (release func(completed bool)) {
 	}
 }
 
-// filterInto claims slot for one hierarchy: it starts replay of a
-// published log, or recording of a fresh one of ops Accesses, returning
-// that recording's release.
-func filterInto[L any](slot *filterSlot[L], ops uint64, fresh func(int) *L, replay, record func(*L)) func(bool) {
-	log, rec := slot.claim()
+// filterInto claims key in table for one hierarchy: it starts replay of
+// a published log, or recording of a fresh one of the key's ops
+// Accesses, returning that recording's release, which finishes a
+// completed log before publishing it.
+func filterInto[L any](table *filterTable[L], key filterKey, fresh func(int) *L, finish, replay, record func(*L)) func(bool) {
+	log, rec := table.claim(key)
 	switch {
 	case log != nil:
 		replay(log)
@@ -112,7 +159,12 @@ func filterInto[L any](slot *filterSlot[L], ops uint64, fresh func(int) *L, repl
 	case !rec:
 		return nil
 	}
-	log = fresh(int(ops))
+	log = fresh(int(key.ops))
 	record(log)
-	return func(completed bool) { slot.release(log, completed) }
+	return func(completed bool) {
+		if completed {
+			finish(log)
+		}
+		table.release(key, log, completed)
+	}
 }

@@ -316,13 +316,13 @@ func simGateConfig() Config {
 }
 
 // simOutcome is the sim program's Result, or the panic that ended it,
-// plus the calls into perturbed hooks and whether the run recorded its
-// assets' cache-filter log.
+// plus the calls into perturbed hooks and whether the run replayed its
+// assets' recorded op stream.
 type simOutcome struct {
-	Result   Result
-	Panic    string
-	Hooks    int
-	Filtered bool
+	Result     Result
+	Panic      string
+	Hooks      int
+	FromAssets bool
 }
 
 func runSimGate(cfg Config) (out simOutcome) {
@@ -332,9 +332,11 @@ func runSimGate(cfg Config) (out simOutcome) {
 			out.Panic = fmt.Sprint(r)
 		}
 		out.Hooks = gateHookCalls
-		out.Filtered = cfg.Assets != nil && cfg.Assets.filter.log != nil
 	}()
-	out.Result = RunSingle(simGateProfile(), cfg)
+	m := newMachine([]workload.Profile{simGateProfile()}, cfg)
+	_, generated := m.streams[0].(*workload.Trace)
+	out.FromAssets = !generated
+	out.Result = m.runSolo()
 	return out
 }
 

@@ -363,6 +363,13 @@ func (r *routedSource) ReadLine(lineAddr uint64, buf []byte) {
 	img.ReadLine(local, buf)
 }
 
+// Line implements memctl.LineViewer by routing to the owning image's
+// live line.
+func (r *routedSource) Line(lineAddr uint64) []byte {
+	img, local := r.route(lineAddr)
+	return img.Line(local)
+}
+
 // SizeLine implements memctl.LineSizer by routing to the owning
 // image's per-line size memo.
 func (r *routedSource) SizeLine(codec compress.Codec, lineAddr uint64) int {
@@ -386,19 +393,11 @@ func (r *routedSource) SizeLZBlock(firstLine uint64) int {
 // paid once instead of per system. The masters themselves are never
 // written.
 type MixAssets struct {
-	scale  int
 	seed   uint64
 	ops    uint64
 	profs  []workload.Profile // post-scaling profiles
 	images []*workload.Image
 	logs   []*workload.TraceLog
-
-	// filter is the one-core cache-filter log, recorded by the first
-	// single-core run on these assets, and private[i] core i's
-	// private-level log, recorded by the first multi-core run
-	// (filter.go).
-	filter  filterSlot[cache.FilterLog]
-	private []filterSlot[cache.PrivateLog]
 }
 
 // PrepareAssets materializes and sizes master images for the given
@@ -417,11 +416,10 @@ type MixAssets struct {
 // log's shared store-size slots let the several systems of a
 // comparison run share the recompression of stored lines — the sizes
 // are content-determined, so replays are byte-identical to generation.
-// The cache-filter logs are not built here: the first run on the
-// assets records them.
+// The cache-filter logs are not built here: they are the process's
+// (filter.go), recorded by the first run of each op stream.
 func PrepareAssets(profs []workload.Profile, cfg Config, codec compress.Codec, jobs int) *MixAssets {
-	a := &MixAssets{scale: cfg.FootprintScale, seed: cfg.Seed, ops: cfg.Ops,
-		private: make([]filterSlot[cache.PrivateLog], len(profs))}
+	a := &MixAssets{seed: cfg.Seed, ops: cfg.Ops}
 	for i, p := range profs {
 		p = workload.Scale(p, cfg.FootprintScale)
 		img := workload.NewImage(p, workload.CoreSeed(cfg.Seed, i))
@@ -539,9 +537,11 @@ func newAuditor(cfg Config, ctl memctl.Controller) *audit.Runner {
 // general one; they differ only in how they report its state.
 type machine struct {
 	cfg     Config
-	benches []string
+	profs   []workload.Profile // each core's scaled profile
 	streams []workload.OpStream
 	base    []uint64 // first OSPA page of each core's image
+	l3Bytes int
+	filters *filterTables // the cache-filter logs the run may replay
 	mem     *dram.Memory
 	ctl     memctl.Controller
 	inj     *faults.Injector
@@ -565,9 +565,10 @@ type machine struct {
 func newMachine(profs []workload.Profile, cfg Config) *machine {
 	n := len(profs)
 	m := &machine{
-		benches: make([]string, n),
+		profs:   make([]workload.Profile, n),
 		streams: make([]workload.OpStream, n),
 		base:    make([]uint64, n),
+		filters: &processFilters,
 		hiers:   make([]*cache.Hierarchy, n),
 		cores:   make([]*cpu.Core, n),
 	}
@@ -581,7 +582,7 @@ func newMachine(profs []workload.Profile, cfg Config) *machine {
 		} else {
 			m.streams[i] = workload.NewTrace(p, seed, cfg.Ops)
 		}
-		m.benches[i] = p.Name
+		m.profs[i] = p
 		images[i] = m.streams[i].Image()
 		m.base[i] = pages
 		pages += uint64(p.FootprintPages)
@@ -606,7 +607,8 @@ func newMachine(profs []workload.Profile, cfg Config) *machine {
 	m.tracer = attachTracer(cfg, m.ctl)
 	m.attr = attachAttribution(cfg, m.ctl)
 
-	m.l3 = cache.New("l3", scaledL3Bytes(2<<20*n, cfg.FootprintScale), 16)
+	m.l3Bytes = scaledL3Bytes(2<<20*n, cfg.FootprintScale)
+	m.l3 = cache.New("l3", m.l3Bytes, 16)
 	for i := range m.cores {
 		m.hiers[i] = cache.NewHierarchy(m.l3)
 		m.cores[i] = cpu.New(cfg.CPU, m.hiers[i], m.ctl, src)
@@ -721,7 +723,7 @@ func (m *machine) state() MultiResult {
 	for i, c := range m.cores {
 		s := c.Stats()
 		out.Cores = append(out.Cores, Result{
-			Bench:  m.benches[i],
+			Bench:  m.profs[i].Name,
 			System: out.System,
 			Cycles: s.Cycles,
 			Instrs: s.Instrs,

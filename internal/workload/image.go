@@ -228,10 +228,10 @@ func (im *Image) Materialize(jobs int) {
 	})
 }
 
-// Line returns the live 64-byte value of an OSPA line. On a replay
-// overlay, a stored-to line's value lives in the recorded log; callers
-// must treat the returned slice as read-only (the trace layer's own
-// store path never runs on overlays).
+// Line returns the live 64-byte value of an OSPA line, implementing
+// memctl.LineViewer. On a replay overlay, a stored-to line's value
+// lives in the recorded log; callers must treat the returned slice as
+// read-only (the trace layer's own store path never runs on overlays).
 func (im *Image) Line(lineAddr uint64) []byte {
 	if im.lastStore != nil {
 		if k := im.lastStore[lineAddr]; k > 0 {
