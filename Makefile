@@ -269,13 +269,14 @@ soak:
 # matcher against its brute-force reference, of the fused BPC size
 # kernel against the pre-fusion size path, of the shared LCP page
 # layout behind the capacity model's LCP price, of the capacity
-# model's one-pass stack-depth replay against the LRU pager, of the
-# one-core cache-filter replay against live hierarchies of small
-# geometries, of the multi-core private-level cache replay against live
+# model's one-pass stack-depth replay at several fractions against the
+# LRU pager, of the one-core cache-filter replay against live
+# hierarchies of small geometries, of the multi-core private-level cache replay against live
 # hierarchies under another interleave, of the word-level metadata entry codec against
-# its bitstream reference, and of the attribution ledger's map-free
-# hot-page profile against its map-and-scan reference (the default
-# corpora run as part of `test`).
+# its bitstream reference, of the attribution ledger's map-free
+# hot-page profile against its map-and-scan reference, and of lockstep
+# passes of random system and compresso-variant subsets against their
+# solo runs (the default corpora run as part of `test`).
 fuzz:
 	$(GO) test ./internal/core/ -run '^$$' -fuzz FuzzControllerReadWrite -fuzztime 60s
 	$(GO) test ./internal/compress/ -run '^$$' -fuzz '^FuzzCodecSizeOnly$$' -fuzztime 20s
@@ -289,3 +290,4 @@ fuzz:
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzPrivateReplayMatchesLive$$' -fuzztime 20s
 	$(GO) test ./internal/metadata/ -run '^$$' -fuzz '^FuzzEntryCodecMatchesReference$$' -fuzztime 20s
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz '^FuzzPageProfileMatchesReference$$' -fuzztime 20s
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzRunSinglesMatchesSolo$$' -fuzztime 20s

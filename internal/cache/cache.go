@@ -221,6 +221,11 @@ type Hierarchy struct {
 	privRec, privPlay *PrivateLog
 	playOp            opCursor
 	playWB            int
+
+	// lead, when non-nil, supplies every Access: its latest one, whose
+	// level is level (filter.go).
+	lead  *Hierarchy
+	level int
 }
 
 // NewHierarchy builds the paper's single-core hierarchy with the given
@@ -247,21 +252,23 @@ func (h *Hierarchy) ResetStats() {
 func (h *Hierarchy) Access(lineAddr uint64, write bool) int {
 	switch {
 	case h.play != nil:
-		return h.replay(lineAddr)
+		h.level = h.replay(lineAddr)
+	case h.lead != nil:
+		return h.follow()
 	case h.privPlay != nil:
-		return h.replayPrivate(lineAddr)
+		h.level = h.replayPrivate(lineAddr)
 	case h.rec != nil:
 		before := h.L3.stats
-		level := h.access(lineAddr, write)
-		h.rec.add(level, before, h.L3.stats, h.Events)
-		return level
+		h.level = h.access(lineAddr, write)
+		h.rec.add(h.level, before, h.L3.stats, h.Events)
 	case h.privRec != nil:
 		installs := len(h.privRec.installs)
-		level := h.access(lineAddr, write)
-		h.privRec.add(level, len(h.privRec.installs)-installs)
-		return level
+		h.level = h.access(lineAddr, write)
+		h.privRec.add(h.level, len(h.privRec.installs)-installs)
+	default:
+		h.level = h.access(lineAddr, write)
 	}
-	return h.access(lineAddr, write)
+	return h.level
 }
 
 // access is Access on the live caches.

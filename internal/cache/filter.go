@@ -142,6 +142,33 @@ func (h *Hierarchy) replay(lineAddr uint64) int {
 	return level
 }
 
+// NewFollower returns a hierarchy that repeats lead's outcomes instead
+// of running caches of its own: each Access returns the level of lead's
+// latest Access, hands out its Events and sets the L3 counters to
+// lead's. A hierarchy fed the op sequence lead is fed, one op behind it,
+// comes out exactly as one of lead's geometry running the ops itself,
+// whether lead runs live, records or replays: this is how the
+// one-core machines of a lockstep pass share one cache outcome per op.
+// The caller must make lead's Access of each op come first, and must
+// reset both hierarchies' counters at the same op boundary, after
+// every Access of that op. The follower's levels hold counters only;
+// their lines are never allocated.
+func NewFollower(lead *Hierarchy) *Hierarchy {
+	return &Hierarchy{
+		L1:   &Cache{name: lead.L1.name},
+		L2:   &Cache{name: lead.L2.name},
+		L3:   &Cache{name: lead.L3.name},
+		lead: lead,
+	}
+}
+
+// follow is Access on a follower.
+func (h *Hierarchy) follow() int {
+	h.Events = h.lead.Events
+	h.L3.stats = h.lead.L3.stats
+	return h.lead.level
+}
+
 // A PrivateLog is the recorded outcome of one op sequence through a
 // Hierarchy's private levels. The hierarchy is non-inclusive and L3
 // never invalidates above itself, so what L1 and L2 do with an Access,

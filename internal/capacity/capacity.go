@@ -271,80 +271,109 @@ func (d *stackDepths) add(t, v int32) {
 	}
 }
 
-// At runs stage 2: one LRU replay per sizer through a pager shared by
-// every core, whose budget is frac of the combined footprint scaled by
-// the sizer's ratio of the current interval. Faults are attributed to
-// the core that took them and cost SwapCostOps each.
+// At runs stage 2 at one constrained fraction: AtEach of frac alone.
 func (r *Recording) At(frac float64) Outcome {
-	out := Outcome{
-		Bench:         r.name,
-		Frac:          frac,
-		FootprintB:    r.footprint,
-		RecordedTouch: len(r.depths),
-	}
-	coreFaults := replayDepths(r.depths, r.cores, r.nCores, r.interval, func(iv int, s Sizer) int64 {
-		return int64(frac * float64(r.footprint) * r.ratios[min(iv, len(r.ratios)-1)][s])
+	return r.AtEach([]float64{frac})[0]
+}
+
+// AtEach runs stage 2 at each of fracs in one walk over the recording:
+// per fraction, one LRU replay per sizer through a pager shared by
+// every core, whose budget is that fraction of the combined footprint
+// scaled by the sizer's ratio of the current interval. Faults are
+// attributed to the core that took them and cost SwapCostOps each.
+// Each Outcome is exactly At's for its fraction.
+func (r *Recording) AtEach(fracs []float64) []Outcome {
+	coreFaults := replayDepths(r.depths, r.cores, r.nCores, r.interval, len(fracs), func(iv, lane int, s Sizer) int64 {
+		return int64(fracs[lane] * float64(r.footprint) * r.ratios[min(iv, len(r.ratios)-1)][s])
 	})
+	var meanRatio [NSizers]float64
 	for s := Sizer(0); s < NSizers; s++ {
 		total := 0.0
 		for _, rv := range r.ratios {
 			total += rv[s]
 		}
-		out.MeanRatio[s] = total / float64(len(r.ratios))
+		meanRatio[s] = total / float64(len(r.ratios))
 	}
-
 	opTime := func(faults uint64) float64 { return float64(r.ops) + float64(faults)*r.swapCost }
-	for s := Sizer(0); s < NSizers; s++ {
-		total := 0.0
-		for _, f := range coreFaults {
-			out.Faults[s] += f[s]
-			total += opTime(f[Uncompressed]) / opTime(f[s])
+	outs := make([]Outcome, len(fracs))
+	for lane, frac := range fracs {
+		out := Outcome{
+			Bench:         r.name,
+			Frac:          frac,
+			MeanRatio:     meanRatio,
+			FootprintB:    r.footprint,
+			RecordedTouch: len(r.depths),
 		}
-		out.RelPerf[s] = total / float64(r.nCores)
+		faults := coreFaults[lane]
+		for s := Sizer(0); s < NSizers; s++ {
+			total := 0.0
+			for _, f := range faults {
+				out.Faults[s] += f[s]
+				total += opTime(f[Uncompressed]) / opTime(f[s])
+			}
+			out.RelPerf[s] = total / float64(r.nCores)
+		}
+		total := 0.0
+		for _, f := range faults {
+			total += opTime(f[Uncompressed]) / float64(r.ops)
+		}
+		out.Unconstrained = total / float64(r.nCores)
+		out.BaselineRate = float64(out.Faults[Uncompressed]) / float64(len(r.depths))
+		outs[lane] = out
 	}
-	total := 0.0
-	for _, f := range coreFaults {
-		total += opTime(f[Uncompressed]) / float64(r.ops)
-	}
-	out.Unconstrained = total / float64(r.nCores)
-	out.BaselineRate = float64(out.Faults[Uncompressed]) / float64(len(r.depths))
-	return out
+	return outs
 }
 
 // replayDepths replays a touch stream, given as stack depths and the
-// core behind each touch, through one LRU pager per sizer in a single
-// pass, and returns each core's faults per sizer. budget(iv, s) is
-// sizer s's byte budget in interval iv, each interval being interval
-// touches long; a negative budget is unconstrained.
+// core behind each touch, through lanes sets of one LRU pager per sizer
+// in a single pass, and returns each lane's faults per core and sizer.
+// budget(iv, lane, s) is lane's sizer s byte budget in interval iv,
+// each interval being interval touches long; a negative budget is
+// unconstrained.
 //
 // An LRU pager whose capacity changes only between touches always
 // holds the top r pages of the recency stack, r being its resident
 // count. So a touch hits exactly when its depth is nonzero and at most
 // r; a fault sets r to min(r+1, cap), cap being the budget in whole
 // pages; a budget change sets r to min(r, cap). The result equals
-// driving an oskernel.Pager per sizer (FuzzStackReplayMatchesPager).
-func replayDepths(depths []uint32, cores []uint8, nCores int, interval uint64, budget func(iv int, s Sizer) int64) [][NSizers]uint64 {
-	faults := make([][NSizers]uint64, nCores)
-	var resident, capacity [NSizers]uint64
+// driving an oskernel.Pager per lane and sizer
+// (FuzzStackReplayMatchesPager).
+func replayDepths(depths []uint32, cores []uint8, nCores int, interval uint64, lanes int,
+	budget func(iv, lane int, s Sizer) int64) [][][NSizers]uint64 {
+	// One flat state of lanes x NSizers pagers: pager k is lane
+	// k/NSizers, sizer k%NSizers. counts holds each core's faults per
+	// pager, core after core.
+	n := lanes * int(NSizers)
+	resident := make([]uint64, n)
+	capacity := make([]uint64, n)
+	counts := make([]uint64, nCores*n)
 	for start, iv := 0, 0; start < len(depths); start, iv = start+int(interval), iv+1 {
-		for s := range capacity {
-			capacity[s] = math.MaxUint64
-			if b := budget(iv, Sizer(s)); b >= 0 {
-				capacity[s] = uint64(b / memctl.PageSize)
+		for k := range capacity {
+			capacity[k] = math.MaxUint64
+			if b := budget(iv, k/int(NSizers), Sizer(k%int(NSizers))); b >= 0 {
+				capacity[k] = uint64(b / memctl.PageSize)
 			}
-			resident[s] = min(resident[s], capacity[s])
+			resident[k] = min(resident[k], capacity[k])
 		}
 		end := min(start+int(interval), len(depths))
 		for i, d := range depths[start:end] {
-			f := &faults[cores[start+i]]
-			for s := range resident {
-				if d == 0 || uint64(d) > resident[s] {
-					f[s]++
-					if resident[s] < capacity[s] {
-						resident[s]++
+			c := int(cores[start+i]) * n
+			f, cp := counts[c:c+n], capacity[:n]
+			for k, r := range resident[:n] {
+				if d == 0 || uint64(d) > r {
+					f[k]++
+					if r < cp[k] {
+						resident[k] = r + 1
 					}
 				}
 			}
+		}
+	}
+	faults := make([][][NSizers]uint64, lanes)
+	for lane := range faults {
+		faults[lane] = make([][NSizers]uint64, nCores)
+		for core := range faults[lane] {
+			copy(faults[lane][core][:], counts[core*n+lane*int(NSizers):])
 		}
 	}
 	return faults

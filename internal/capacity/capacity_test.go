@@ -458,33 +458,35 @@ func fuzzBudget(bytes int64) []byte {
 
 // FuzzStackReplayMatchesPager is the differential for stage 2's
 // one-pass replay: stack depths from stackDepths, replayed by
-// replayDepths for every sizer at once, fault on the same touches of
-// the same cores as one oskernel.Pager per sizer whose budget is set at
-// each interval boundary. Each stream byte is one touch: the low six
-// bits pick the page, the top two the core. The budget schedule cycles
-// through the decoded budgets, one per (interval, sizer).
+// replayDepths for every sizer of one to three fractions (lanes) at
+// once, fault on the same touches of the same cores as one
+// oskernel.Pager per lane and sizer whose budget is set at each
+// interval boundary. Each stream byte is one touch: the low six bits
+// pick the page, the top two the core. The budget schedule cycles
+// through the decoded budgets, one per (interval, lane, sizer).
 func FuzzStackReplayMatchesPager(f *testing.F) {
 	loop := make([]byte, 200)
 	for i := range loop {
 		loop[i] = byte(i%23) | byte(i%4)<<6
 	}
-	f.Add(loop, uint8(0), uint8(7), fuzzBudget(0))
-	f.Add(loop, uint8(3), uint8(5), fuzzBudget(3*memctl.PageSize+112))
-	f.Add(loop, uint8(1), uint8(1), fuzzBudget(2*fuzzPages*memctl.PageSize))
-	f.Add(loop, uint8(2), uint8(9), fuzzBudget(-16))
-	f.Add(loop, uint8(3), uint8(3), slices.Concat(fuzzBudget(5*memctl.PageSize), fuzzBudget(0),
+	f.Add(loop, uint8(0), uint8(7), uint8(0), fuzzBudget(0))
+	f.Add(loop, uint8(3), uint8(5), uint8(2), fuzzBudget(3*memctl.PageSize+112))
+	f.Add(loop, uint8(1), uint8(1), uint8(1), fuzzBudget(2*fuzzPages*memctl.PageSize))
+	f.Add(loop, uint8(2), uint8(9), uint8(0), fuzzBudget(-16))
+	f.Add(loop, uint8(3), uint8(3), uint8(2), slices.Concat(fuzzBudget(5*memctl.PageSize), fuzzBudget(0),
 		fuzzBudget(-1600), fuzzBudget(memctl.PageSize-16), fuzzBudget(40*memctl.PageSize+48),
-		fuzzBudget(2*memctl.PageSize)))
-	f.Add([]byte{}, uint8(0), uint8(0), []byte{})
-	f.Fuzz(func(t *testing.T, stream []byte, cores, interval uint8, schedule []byte) {
+		fuzzBudget(2*memctl.PageSize), fuzzBudget(7*memctl.PageSize)))
+	f.Add([]byte{}, uint8(0), uint8(0), uint8(1), []byte{})
+	f.Fuzz(func(t *testing.T, stream []byte, cores, interval, fracs uint8, schedule []byte) {
 		nCores := 1 + int(cores)%4
 		every := 1 + uint64(interval)%32
-		budget := func(iv int, s Sizer) int64 {
+		lanes := 1 + int(fracs)%3
+		budget := func(iv, lane int, s Sizer) int64 {
 			n := len(schedule) / 2
 			if n == 0 {
 				return -1
 			}
-			k := 2 * ((iv*int(NSizers) + int(s)) % n)
+			k := 2 * (((iv*lanes+lane)*int(NSizers) + int(s)) % n)
 			return int64(int16(binary.LittleEndian.Uint16(schedule[k:]))) * 16
 		}
 		pages := make([]uint32, len(stream))
@@ -496,25 +498,49 @@ func FuzzStackReplayMatchesPager(f *testing.F) {
 			coreOf[i] = (b >> 6) % uint8(nCores)
 			depths[i] = stack.touch(pages[i])
 		}
-		got := replayDepths(depths, coreOf, nCores, every, budget)
-		for s := Sizer(0); s < NSizers; s++ {
-			pager := oskernel.NewPager(budget(0, s))
-			want := make([]uint64, nCores)
-			for i, page := range pages {
-				if i > 0 && uint64(i)%every == 0 {
-					pager.SetBudget(budget(int(uint64(i)/every), s))
+		got := replayDepths(depths, coreOf, nCores, every, lanes, budget)
+		for lane := range lanes {
+			for s := Sizer(0); s < NSizers; s++ {
+				pager := oskernel.NewPager(budget(0, lane, s))
+				want := make([]uint64, nCores)
+				for i, page := range pages {
+					if i > 0 && uint64(i)%every == 0 {
+						pager.SetBudget(budget(int(uint64(i)/every), lane, s))
+					}
+					if pager.Touch(uint64(page)) {
+						want[coreOf[i]]++
+					}
 				}
-				if pager.Touch(uint64(page)) {
-					want[coreOf[i]]++
-				}
-			}
-			for c := range want {
-				if got[c][s] != want[c] {
-					t.Fatalf("sizer %v core %d: replay %d faults, pager %d", s, c, got[c][s], want[c])
+				for c := range want {
+					if got[lane][c][s] != want[c] {
+						t.Fatalf("lane %d sizer %v core %d: replay %d faults, pager %d", lane, s, c, got[lane][c][s], want[c])
+					}
 				}
 			}
 		}
 	})
+}
+
+// TestAtEachMatchesAt: the one walk over a recording at several
+// fractions gives, for each, exactly the Outcome of a replay at that
+// fraction alone, for a benchmark and a mix, fractions in any order and
+// repeated.
+func TestAtEachMatchesAt(t *testing.T) {
+	fracs := []float64{0.8, 0.7, 0.6, 0.95, 0.7, 0.3}
+	for _, rec := range []*Recording{
+		record(t, "soplex", quickCfg()),
+		Profile("mix2", mix2(t), quickCfg()),
+	} {
+		outs := rec.AtEach(fracs)
+		if len(outs) != len(fracs) {
+			t.Fatalf("%s: %d outcomes for %d fractions", rec.name, len(outs), len(fracs))
+		}
+		for i, frac := range fracs {
+			if want := rec.At(frac); outs[i] != want {
+				t.Errorf("%s at %v: one walk gave %+v, alone %+v", rec.name, frac, outs[i], want)
+			}
+		}
+	}
 }
 
 // TestProfileGuardsTouchIndex pins the depth pass's bound: a recording

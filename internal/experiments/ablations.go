@@ -32,18 +32,18 @@ func AbBinsData(opt Options) []AbBinsRow {
 	profs := workload.All()
 	return grid(opt, "ab-bins", len(profs), func(ctx context.Context, i int) AbBinsRow {
 		prof := profs[i]
-		mk := func(mod func(*core.Config)) sim.Result {
-			return runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso, mod: mod})
-		}
-		eightBins := mk(func(c *core.Config) { c.Bins = compress.EightBins })
 		// The default config is both the 4-bin and the 8-page-size
 		// column, so one run feeds both.
-		fourBins := mk(nil)
-		eightPages := fourBins
-		fourPages := mk(func(c *core.Config) {
-			c.PageSizes = []int{2, 4, 6, 8}
-			c.DynamicIRExpansion = false // needs +1-chunk growth
+		runs := runMany(ctx, opt, prof, []runSpec{
+			{sys: sim.Compresso, mod: func(c *core.Config) { c.Bins = compress.EightBins }},
+			{sys: sim.Compresso},
+			{sys: sim.Compresso, mod: func(c *core.Config) {
+				c.PageSizes = []int{2, 4, 6, 8}
+				c.DynamicIRExpansion = false // needs +1-chunk growth
+			}},
 		})
+		eightBins, fourBins, fourPages := runs[0], runs[1], runs[2]
+		eightPages := fourBins
 		return AbBinsRow{
 			Bench:          prof.Name,
 			Ratio8Bins:     eightBins.Ratio,
@@ -99,12 +99,11 @@ func AbAlignData(opt Options) []AbAlignRow {
 	profs := workload.All()
 	return grid(opt, "ab-align", len(profs), func(ctx context.Context, i int) AbAlignRow {
 		prof := profs[i]
-		mk := func(bins compress.Bins) sim.Result {
-			return runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso,
-				mod: func(c *core.Config) { baselineMod(c); c.Bins = bins }})
+		spec := func(bins compress.Bins) runSpec {
+			return runSpec{sys: sim.Compresso, mod: func(c *core.Config) { baselineMod(c); c.Bins = bins }}
 		}
-		legacy := mk(compress.LegacyBins)
-		aligned := mk(compress.CompressoBins)
+		runs := runMany(ctx, opt, prof, []runSpec{spec(compress.LegacyBins), spec(compress.CompressoBins)})
+		legacy, aligned := runs[0], runs[1]
 		return AbAlignRow{
 			Bench:        prof.Name,
 			SplitLegacy:  float64(legacy.Mem.SplitAccesses) / float64(legacy.Mem.DemandAccesses()),

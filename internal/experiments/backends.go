@@ -53,13 +53,16 @@ func BackendsData(opt Options) []BackendRow {
 				Ratio:   make([]float64, len(systems)),
 				Extra:   make([]ExtraBreakdown, len(systems)),
 			}
-			results := make([]sim.Result, len(systems))
-			var baseCycles uint64
+			specs := make([]runSpec, len(systems))
 			for s, sys := range systems {
 				row.Systems[s] = sys.String()
-				results[s] = runSingle(ctx, opt, prof, runSpec{sys: sys})
-				if sys == sim.Uncompressed {
-					baseCycles = results[s].Cycles
+				specs[s] = runSpec{sys: sys}
+			}
+			results := runMany(ctx, opt, prof, specs)
+			var baseCycles uint64
+			for s, res := range results {
+				if systems[s] == sim.Uncompressed {
+					baseCycles = res.Cycles
 				}
 			}
 			for s, res := range results {

@@ -132,12 +132,17 @@ func Fig10Data(opt Options) []Fig10Row {
 			prof := profs[i]
 			row := Fig10Row{Bench: prof.Name, Runs: map[string]sim.Result{}}
 
-			// Cycle-based simulations.
-			base := runSingle(ctx, opt, prof, runSpec{sys: sim.Uncompressed})
-			row.Runs[base.System] = base
-			for i, sys := range CompressedSystems {
-				res := runSingle(ctx, opt, prof, runSpec{sys: sys})
+			// Cycle-based simulations, in one pass.
+			specs := []runSpec{{sys: sim.Uncompressed}}
+			for _, sys := range CompressedSystems {
+				specs = append(specs, runSpec{sys: sys})
+			}
+			runs := runMany(ctx, opt, prof, specs)
+			base := runs[0]
+			for _, res := range runs {
 				row.Runs[res.System] = res
+			}
+			for i, res := range runs[1:] {
 				row.CycleRel[i] = float64(base.Cycles) / float64(res.Cycles)
 			}
 

@@ -62,17 +62,18 @@ func Fig4Data(opt Options) []Fig4Row {
 	profs := workload.All()
 	return grid(opt, "fig4", len(profs), func(ctx context.Context, i int) Fig4Row {
 		prof := profs[i]
-		fixed := runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso, mod: baselineMod})
-		variable := runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso, mod: func(c *core.Config) {
-			baselineMod(c)
-			c.Allocation = core.VariableChunks
-			c.PageSizes = []int{1, 2, 4, 8}
-		}})
-
+		runs := runMany(ctx, opt, prof, []runSpec{
+			{sys: sim.Compresso, mod: baselineMod},
+			{sys: sim.Compresso, mod: func(c *core.Config) {
+				baselineMod(c)
+				c.Allocation = core.VariableChunks
+				c.PageSizes = []int{1, 2, 4, 8}
+			}},
+		})
 		return Fig4Row{
 			Bench:    prof.Name,
-			Fixed:    breakdown(fixed),
-			Variable: breakdown(variable),
+			Fixed:    breakdown(runs[0]),
+			Variable: breakdown(runs[1]),
 		}
 	})
 }
@@ -138,24 +139,23 @@ func fig6Mods() []func(*core.Config) {
 	}
 }
 
-// Fig6Data runs the optimization staircase per benchmark. The grid is
-// flattened to (benchmark, stage) cells so the fan-out stays wide even
-// for high job counts; results land by index, preserving suite order.
+// Fig6Data runs the optimization staircase per benchmark. Benchmarks
+// are independent cells fanned out across Options.Jobs workers, each
+// running its stages in one lockstep pass over the benchmark's trace.
 func Fig6Data(opt Options) []Fig6Row {
 	mods := fig6Mods()
 	profs := workload.All()
-	vals := grid(opt, "fig6", len(profs)*len(mods), func(ctx context.Context, k int) float64 {
-		prof, mod := profs[k/len(mods)], mods[k%len(mods)]
-		return breakdown(runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso, mod: mod})).Total()
-	})
-	rows := make([]Fig6Row, len(profs))
-	for i, prof := range profs {
-		rows[i].Bench = prof.Name
-		for s := range mods {
-			rows[i].Stages[s] = vals[i*len(mods)+s]
+	return grid(opt, "fig6", len(profs), func(ctx context.Context, i int) Fig6Row {
+		specs := make([]runSpec, len(mods))
+		for s, mod := range mods {
+			specs[s] = runSpec{sys: sim.Compresso, mod: mod}
 		}
-	}
-	return rows
+		row := Fig6Row{Bench: profs[i].Name}
+		for s, res := range runMany(ctx, opt, profs[i], specs) {
+			row.Stages[s] = breakdown(res).Total()
+		}
+		return row
+	})
 }
 
 func runFig6(opt Options) (any, error) {

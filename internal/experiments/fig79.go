@@ -27,9 +27,11 @@ func Fig7Data(opt Options) []Fig7Row {
 	profs := workload.All()
 	return grid(opt, "fig7", len(profs), func(ctx context.Context, i int) Fig7Row {
 		prof := profs[i]
-		with := runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso})
-		without := runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso,
-			mod: func(c *core.Config) { c.DynamicRepacking = false }})
+		runs := runMany(ctx, opt, prof, []runSpec{
+			{sys: sim.Compresso},
+			{sys: sim.Compresso, mod: func(c *core.Config) { c.DynamicRepacking = false }},
+		})
+		with, without := runs[0], runs[1]
 
 		return Fig7Row{
 			Bench:      prof.Name,

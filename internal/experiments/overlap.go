@@ -32,8 +32,8 @@ func OverlapData(opt Options) []OverlapRow {
 	profs := workload.All()
 	return grid(opt, "overlap", len(profs), func(ctx context.Context, i int) OverlapRow {
 		prof := profs[i]
-		serial := runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso})
-		over := runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso, overlap: true})
+		runs := runMany(ctx, opt, prof, []runSpec{{sys: sim.Compresso}, {sys: sim.Compresso, overlap: true}})
+		serial, over := runs[0], runs[1]
 
 		row := OverlapRow{
 			Bench:         prof.Name,

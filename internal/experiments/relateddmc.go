@@ -42,13 +42,10 @@ func RelatedDMCData(opt Options) ([]DMCRow, error) {
 		if err != nil {
 			return DMCRow{}, fmt.Errorf("related-dmc: %w", err)
 		}
-		run := func(sys sim.System) sim.Result {
-			return runSingle(ctx, opt, prof, runSpec{sys: sys})
-		}
-		base := run(sim.Uncompressed)
-		m := run(sim.MXT)
-		d := run(sim.DMC)
-		c := run(sim.Compresso)
+		runs := runMany(ctx, opt, prof, []runSpec{
+			{sys: sim.Uncompressed}, {sys: sim.MXT}, {sys: sim.DMC}, {sys: sim.Compresso},
+		})
+		base, m, d, c := runs[0], runs[1], runs[2], runs[3]
 		return DMCRow{
 			Bench:        name,
 			MXTRel:       float64(base.Cycles) / float64(m.Cycles),

@@ -4,6 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime/pprof"
+	"slices"
+	"strings"
+	"sync"
 
 	"compresso/internal/core"
 	"compresso/internal/sim"
@@ -84,27 +87,123 @@ func (s runSpec) config(ctx context.Context, opt Options) sim.Config {
 	return cfg
 }
 
-// runSingle returns the result of simulating prof under spec, running
-// it only when no earlier caller in the process has (runCache). The
-// returned Result is shared: callers must not mutate it.
-//
-// The computing caller's ctx, with the pprof labels system=<sys> and
-// bench=<profile> added for the run, is installed as the run's Cancel; a
-// canceled or panicking run publishes nothing and unwinds to that
-// caller alone. A caller waiting on another's in-flight run stops
-// waiting when its own ctx fires and unwinds with the same kind of
-// cancellation error a canceled simulation throws, which the grid
-// classifies as a cancellation.
+// streamLocks holds one lock per op stream, keyed by the runKey fields
+// that fix the stream (profile, ops, scale, seed): runMany computes one
+// pass of a stream at a time. Two experiments sweeping the benchmarks
+// in the same order would otherwise run their passes on each stream
+// side by side, one recording its cache-filter log and the other
+// simulating its caches live (DESIGN.md §13); serialized, the second
+// replays the first's log.
+var streamLocks keyedLock
+
+// keyedLock is a set of mutexes by run key whose waits honour a
+// context. A key's entry lives while a caller holds or waits for it.
+type keyedLock struct {
+	mu sync.Mutex
+	m  map[runKey]*keyLock
+}
+
+type keyLock struct {
+	held  chan struct{} // a one-slot semaphore
+	users int           // callers holding or waiting
+}
+
+// lock takes key's lock, waiting on ctx (nil means never canceled):
+// when ctx fires first, lock returns ctx's error without the lock.
+// Otherwise the caller must call the returned unlock once.
+func (l *keyedLock) lock(ctx context.Context, key runKey) (unlock func(), err error) {
+	l.mu.Lock()
+	if l.m == nil {
+		l.m = map[runKey]*keyLock{}
+	}
+	kl := l.m[key]
+	if kl == nil {
+		kl = &keyLock{held: make(chan struct{}, 1)}
+		l.m[key] = kl
+	}
+	kl.users++
+	l.mu.Unlock()
+	leave := func() {
+		l.mu.Lock()
+		if kl.users--; kl.users == 0 {
+			delete(l.m, key)
+		}
+		l.mu.Unlock()
+	}
+	var canceled <-chan struct{}
+	if ctx != nil {
+		canceled = ctx.Done()
+	}
+	select {
+	case kl.held <- struct{}{}:
+		return func() { <-kl.held; leave() }, nil
+	case <-canceled:
+		leave()
+		return nil, ctx.Err()
+	}
+}
+
+// runSingle returns the result of simulating prof under spec: runMany
+// of one spec.
 func runSingle(ctx context.Context, opt Options, prof workload.Profile, spec runSpec) sim.Result {
-	res, err := runCache.get(ctx, spec.key(prof, opt), func() (res sim.Result, _ error) {
-		labels := pprof.Labels("system", string(spec.sys), "bench", prof.Name)
+	return runMany(ctx, opt, prof, []runSpec{spec})[0]
+}
+
+// runMany returns the results of simulating prof under each of specs,
+// in order, running only the runs no earlier caller in the process has
+// (runCache). It claims every such run at once (memo.getMany) and
+// computes them in one lockstep pass (sim.RunSingles), so a grid cell
+// that wants several systems on one benchmark draws its op stream and
+// builds its image once. The returned Results are shared: callers must
+// not mutate them.
+//
+// The computing caller's ctx, with the pprof labels bench=<profile> and
+// systems=<the pass's systems, comma-separated, each once> added for the
+// pass, is installed as every run's Cancel; a canceled or panicking pass
+// publishes nothing and unwinds to that caller alone. A caller waiting
+// on another's in-flight run stops waiting when its own ctx fires and
+// unwinds with the same kind of cancellation error a canceled
+// simulation throws, which the grid classifies as a cancellation.
+func runMany(ctx context.Context, opt Options, prof workload.Profile, specs []runSpec) []sim.Result {
+	keys := make([]runKey, len(specs))
+	for i, s := range specs {
+		keys[i] = s.key(prof, opt)
+	}
+	res, err := runCache.getMany(ctx, keys, func(idx []int) (res []sim.Result, _ error) {
+		k := keys[idx[0]]
+		unlock, err := streamLocks.lock(ctx, runKey{prof: k.prof, ops: k.ops, scale: k.scale, seed: k.seed})
+		if err != nil {
+			return nil, err
+		}
+		defer unlock()
+		claimed := make([]runSpec, len(idx))
+		for k, i := range idx {
+			claimed[k] = specs[i]
+		}
+		labels := pprof.Labels("systems", systemNames(claimed), "bench", prof.Name)
 		pprof.Do(ctx, labels, func(ctx context.Context) {
-			res = sim.RunSingle(prof, spec.config(ctx, opt))
+			cfgs := make([]sim.Config, len(claimed))
+			for k, s := range claimed {
+				cfgs[k] = s.config(ctx, opt)
+			}
+			res = sim.RunSingles(prof, cfgs)
 		})
 		return res, nil
 	})
 	if err != nil {
-		panic(fmt.Errorf("experiments: waiting for %s on %s: %w", spec.sys, prof.Name, err))
+		panic(fmt.Errorf("experiments: waiting for %s on %s: %w", systemNames(specs), prof.Name, err))
 	}
 	return res
+}
+
+// systemNames names the systems of specs, comma-separated in order,
+// each once.
+func systemNames(specs []runSpec) string {
+	var names []string
+	for _, s := range specs {
+		if name := string(s.sys); !slices.Contains(names, name) {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, ",")
 }

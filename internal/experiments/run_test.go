@@ -8,7 +8,10 @@ import (
 	"io"
 	"reflect"
 	"runtime/pprof"
+	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -332,10 +335,11 @@ func TestAttributionLeavesMemoizedRunsIntact(t *testing.T) {
 	}
 }
 
-// TestComputingCellCarriesProfileLabels: a simulation computed inside
-// an experiment's grid runs on a goroutine labeled with the experiment,
-// the system and the benchmark, the labels a -cpuprofile of a sweep
-// is split by.
+// TestComputingCellCarriesProfileLabels: a lockstep pass computed
+// inside an experiment's grid runs on a goroutine labeled with the
+// experiment, the pass's systems and the benchmark, the labels a
+// -cpuprofile of a sweep is split by. Each label is matched with its
+// key, so renaming a key fails the test.
 func TestComputingCellCarriesProfileLabels(t *testing.T) {
 	resetMemos()
 	defer resetMemos()
@@ -361,7 +365,7 @@ func TestComputingCellCarriesProfileLabels(t *testing.T) {
 	}
 	e := Experiment{Name: "labels-probe", Run: func(opt Options) (any, error) {
 		grid(opt, "probe", 1, func(ctx context.Context, _ int) sim.Result {
-			return runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso, mod: mod})
+			return runMany(ctx, opt, prof, []runSpec{{sys: sim.Uncompressed}, {sys: sim.Compresso, mod: mod}})[1]
 		})
 		return nil, nil
 	}}
@@ -376,9 +380,109 @@ func TestComputingCellCarriesProfileLabels(t *testing.T) {
 	// The memo key resolves mod before the run does; the last call is
 	// the computing one.
 	got := labels[len(labels)-1]
-	for _, want := range []string{`"experiment":"labels-probe"`, `"system":"compresso"`, `"bench":"gcc"`} {
+	for _, want := range []string{`"experiment":"labels-probe"`, `"systems":"uncompressed,compresso"`, `"bench":"gcc"`} {
 		if !strings.Contains(got, want) {
 			t.Errorf("computing goroutine's labels %q lack %s", got, want)
 		}
+	}
+}
+
+// TestRunManyFailedPassWithdrawsEveryRun: a lockstep pass that is
+// canceled, or panics in one of its machines, publishes none of its
+// runs, not even the healthy machines'; the next caller simulates them
+// and gets exactly the solo results.
+func TestRunManyFailedPassWithdrawsEveryRun(t *testing.T) {
+	prof := gccProfile(t)
+	opt := quickOpts()
+	healthy := []runSpec{{sys: sim.Uncompressed}, {sys: sim.LCP}}
+	boom := runSpec{sys: sim.Compresso, mod: func(c *core.Config) {
+		c.PrefetchBuffer = 5
+		if c.OSPAPages != 0 {
+			panic("boom in the controller build")
+		}
+	}}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, fail := range map[string]func(){
+		"canceled": func() { runMany(canceled, opt, prof, healthy) },
+		"panic":    func() { runMany(context.Background(), opt, prof, append(slices.Clone(healthy), boom)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			resetMemos()
+			defer resetMemos()
+			func() {
+				defer func() {
+					r := recover()
+					err, _ := r.(error)
+					if !errors.Is(err, context.Canceled) && r != "boom in the controller build" {
+						t.Fatalf("failed pass unwound with %v", r)
+					}
+				}()
+				fail()
+			}()
+			if n := cachedRuns(); n != 0 {
+				t.Fatalf("failed pass left %d memo entries", n)
+			}
+			got := runMany(context.Background(), opt, prof, healthy)
+			for i, spec := range healthy {
+				want := sim.RunSingle(prof, spec.config(context.Background(), opt))
+				if resultJSON(t, got[i]) != resultJSON(t, want) {
+					t.Errorf("%s after the failed pass differs from a fresh sim.RunSingle", spec.sys)
+				}
+			}
+			if n := cachedRuns(); n != len(healthy) {
+				t.Fatalf("the recomputing pass published %d runs, want %d", n, len(healthy))
+			}
+		})
+	}
+}
+
+// TestKeyedLockSerializesPerKey: callers of one key hold its lock one
+// at a time while another key's lock stays free, a waiter whose
+// context fires returns its error without the lock, and a key's entry
+// is dropped once no caller holds or waits for it.
+func TestKeyedLockSerializesPerKey(t *testing.T) {
+	var l keyedLock
+	one, two := runKey{prof: "one"}, runKey{prof: "two"}
+	unlock, err := l.lock(context.Background(), one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := l.lock(context.Background(), two)
+	if err != nil {
+		t.Fatalf("a held key blocked another: %v", err)
+	}
+	other()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := l.lock(ctx, one); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiter on a held key returned %v, want its deadline", err)
+	}
+	var inside, overlaps atomic.Int32
+	var wg sync.WaitGroup
+	unlock()
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			unlock, err := l.lock(context.Background(), one)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if inside.Add(1) > 1 {
+				overlaps.Add(1)
+			}
+			time.Sleep(time.Millisecond)
+			inside.Add(-1)
+			unlock()
+		}()
+	}
+	wg.Wait()
+	if n := overlaps.Load(); n != 0 {
+		t.Fatalf("%d lockers of one key overlapped", n)
+	}
+	if len(l.m) != 0 {
+		t.Fatalf("%d keys left after every caller left", len(l.m))
 	}
 }

@@ -64,11 +64,8 @@ func capacityCell(ctx context.Context, opt Options, name string, profs []workloa
 	cfg.Seed = opt.seed()
 	key := capKey{name: name, profs: fmt.Sprintf("%#v", profs), cfg: fmt.Sprintf("%#v", cfg)}
 	outs, err := capCache.get(ctx, key, func() (capOutcomes, error) {
-		rec := capacity.Profile(name, profs, cfg)
 		var outs capOutcomes
-		for f, frac := range tab2Fracs {
-			outs[f] = rec.At(frac)
-		}
+		copy(outs[:], capacity.Profile(name, profs, cfg).AtEach(tab2Fracs[:]))
 		return outs, nil
 	})
 	if err != nil {

@@ -69,15 +69,33 @@ type filterTables struct {
 
 // processFilters holds every log the process has recorded. A log is
 // about one byte per op plus four per writeback or L3 install, so the
-// logs stay for the process's life.
+// logs stay for the process's life, or until ResetCacheFilters.
 var processFilters filterTables
 
-// claim returns key's published log to replay, or nil with record true
-// when the caller takes the claim to record a fresh log (it must then
-// release it), or nil with record false when another run is recording:
+// ResetCacheFilters drops every cache-filter log the process has
+// published, so the next run of each op stream records it afresh (the
+// determinism tests use it to record at every jobs setting). A
+// recording in flight keeps its claim on the dropped slot: it completes
+// unharmed but publishes nothing, and a concurrent run of its key
+// records its own log. Results are the same either way.
+func ResetCacheFilters() {
+	processFilters.one.reset()
+	processFilters.private.reset()
+}
+
+// reset drops every slot of t.
+func (t *filterTable[L]) reset() {
+	t.mu.Lock()
+	t.slots = nil
+	t.mu.Unlock()
+}
+
+// claim returns key's published log to replay, or nil with a non-nil
+// slot when the caller takes the claim to record a fresh log (it must
+// then release the slot), or nil and nil when another run is recording:
 // the caller runs live rather than waiting, so the outcome cannot
 // depend on scheduling.
-func (t *filterTable[L]) claim(key filterKey) (log *L, record bool) {
+func (t *filterTable[L]) claim(key filterKey) (log *L, rec *filterSlot[L]) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.slots[key]
@@ -90,48 +108,49 @@ func (t *filterTable[L]) claim(key filterKey) (log *L, record bool) {
 	}
 	switch {
 	case s.log != nil:
-		return s.log, false
+		return s.log, nil
 	case s.recording:
-		return nil, false
+		return nil, nil
 	}
 	s.recording = true
-	return nil, true
+	return nil, s
 }
 
-// release ends a recording claim on key. Only a run that completed
+// release ends a recording claim on slot s. Only a run that completed
 // every op publishes its log; after a panic or cancellation the next
 // run records afresh.
-func (t *filterTable[L]) release(key filterKey, log *L, completed bool) {
+func (t *filterTable[L]) release(s *filterSlot[L], log *L, completed bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := t.slots[key]
 	s.recording = false
 	if completed {
 		s.log = log
 	}
 }
 
-// filterCaches connects a machine to its cache-filter logs in m.filters:
-// one core's whole hierarchy to its one-core log, several cores' private
-// levels each to its core's private log. Each log is replayed when
-// published, else recorded when unclaimed, else left live. It returns
-// the release to call, with whether the run completed, once the run
-// ends (nil when nothing records). Images too large for the logs'
-// 32-bit line addresses keep the live caches.
-func (m *machine) filterCaches() (release func(completed bool)) {
-	n := len(m.cores)
-	if m.base[n-1]*memctl.LinesPerPage+m.streams[n-1].Image().Lines() >= cache.FilterLines {
+// filterCaches connects a pass to its cache-filter logs in p.filters,
+// through its first machine, which the others follow: one core's whole
+// hierarchy to its one-core log, several cores' private levels each to
+// its core's private log. Each log is replayed when published, else
+// recorded when unclaimed, else left live. It returns the release to
+// call, with whether the pass completed, once the pass ends (nil when
+// nothing records). Images too large for the logs' 32-bit line
+// addresses keep the live caches.
+func (p *pass) filterCaches() (release func(completed bool)) {
+	n := len(p.profs)
+	if p.base[n-1]*memctl.LinesPerPage+p.streams[n-1].Image().Lines() >= cache.FilterLines {
 		return nil
 	}
+	lead := p.ms[0]
 	if n == 1 {
-		key := oneCoreKey(m.profs[0], m.cfg.Seed, m.cfg.Ops, m.l3Bytes)
-		return filterInto(&m.filters.one, key, cache.NewFilterLog, (*cache.FilterLog).Finish,
-			m.hiers[0].Replay, m.hiers[0].Record)
+		key := oneCoreKey(p.profs[0], p.cfg.Seed, p.cfg.Ops, lead.l3Bytes)
+		return filterInto(&p.filters.one, key, cache.NewFilterLog, (*cache.FilterLog).Finish,
+			lead.hiers[0].Replay, lead.hiers[0].Record)
 	}
 	var releases []func(bool)
-	for i, h := range m.hiers {
-		key := privateKey(m.profs[i], workload.CoreSeed(m.cfg.Seed, i), m.cfg.Ops, m.base[i])
-		if r := filterInto(&m.filters.private, key, cache.NewPrivateLog, (*cache.PrivateLog).Finish,
+	for i, h := range lead.hiers {
+		key := privateKey(p.profs[i], workload.CoreSeed(p.cfg.Seed, i), p.cfg.Ops, p.base[i])
+		if r := filterInto(&p.filters.private, key, cache.NewPrivateLog, (*cache.PrivateLog).Finish,
 			h.ReplayPrivate, h.RecordPrivate); r != nil {
 			releases = append(releases, r)
 		}
@@ -151,12 +170,12 @@ func (m *machine) filterCaches() (release func(completed bool)) {
 // Accesses, returning that recording's release, which finishes a
 // completed log before publishing it.
 func filterInto[L any](table *filterTable[L], key filterKey, fresh func(int) *L, finish, replay, record func(*L)) func(bool) {
-	log, rec := table.claim(key)
+	log, slot := table.claim(key)
 	switch {
 	case log != nil:
 		replay(log)
 		return nil
-	case !rec:
+	case slot == nil:
 		return nil
 	}
 	log = fresh(int(key.ops))
@@ -165,6 +184,6 @@ func filterInto[L any](table *filterTable[L], key filterKey, fresh func(int) *L,
 		if completed {
 			finish(log)
 		}
-		table.release(key, log, completed)
+		table.release(slot, log, completed)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"compresso/internal/cache"
 	"compresso/internal/compress"
 	"compresso/internal/obs"
 	"compresso/internal/workload"
@@ -36,10 +37,10 @@ func filterCfg(sys System) (workload.Profile, Config) {
 // hierarchy never touches L1, a live one always does. A fresh table
 // makes the run record, so it is live.
 func runFiltered(prof workload.Profile, cfg Config, tables *filterTables) (Result, bool) {
-	m := newMachine([]workload.Profile{prof}, cfg)
-	m.filters = tables
-	r := m.runSolo()
-	return r, m.hiers[0].L1.Stats().Accesses() == 0
+	p := newPass([]workload.Profile{prof}, []Config{cfg})
+	p.filters = tables
+	r := p.runSolos()[0]
+	return r, p.ms[0].hiers[0].L1.Stats().Accesses() == 0
 }
 
 // runLive runs RunSingle's machine on a fresh table, so it records,
@@ -173,6 +174,38 @@ func TestAssetFreeRunReplays(t *testing.T) {
 		t.Fatal("the second asset-free run of a stream ran live")
 	}
 	requireSameRun(t, "asset-free replay", second, first)
+}
+
+// TestResetCacheFiltersRecordsAfresh: after ResetCacheFilters the next
+// run of a replayed stream records again and reports the same, and a
+// recording claimed before the reset completes without publishing into
+// the new table.
+func TestResetCacheFiltersRecordsAfresh(t *testing.T) {
+	prof, cfg := filterCfg(LCP)
+	cfg.Seed = 0x5e5e7
+	key := oneCoreKey(workload.Scale(prof, cfg.FootprintScale), cfg.Seed, cfg.Ops, scaledL3Bytes(2<<20, cfg.FootprintScale))
+	for slot(&processFilters.one, key) {
+		cfg.Seed++ // the test already ran in this process (-count)
+		key.seed++
+	}
+	first, _ := runFiltered(prof, cfg, &processFilters)
+	if _, replayed := runFiltered(prof, cfg, &processFilters); !replayed {
+		t.Fatal("the second run of a stream ran live")
+	}
+	ResetCacheFilters()
+	again, replayed := runFiltered(prof, cfg, &processFilters)
+	if replayed {
+		t.Fatal("the run after ResetCacheFilters replayed a dropped log")
+	}
+	requireSameRun(t, "re-recording after the reset", again, first)
+
+	var tables filterTables
+	_, held := tables.one.claim(key)
+	tables.one.reset()
+	tables.one.release(held, cache.NewFilterLog(1), true)
+	if published, recording := logs(&tables.one); published != 0 || recording != 0 {
+		t.Fatalf("a claim from before the reset left %d logs, %d claims", published, recording)
+	}
 }
 
 // TestFilterKeyCoversStreamIdentity: each input that fixes a log's
@@ -328,17 +361,18 @@ func mixCfg(sys System, scale int) ([]workload.Profile, Config) {
 // of one run must agree.
 func runMixFiltered(t *testing.T, profs []workload.Profile, cfg Config, tables *filterTables) (MultiResult, bool) {
 	t.Helper()
-	m := newMachine(profs, cfg)
-	m.filters = tables
-	r := m.runMix("pair")
+	p := newPass(profs, []Config{cfg})
+	p.filters = tables
+	r := p.runMix("pair")
+	hiers := p.ms[0].hiers
 	replayed := 0
-	for _, h := range m.hiers {
+	for _, h := range hiers {
 		if h.L1.Stats().Accesses() == 0 {
 			replayed++
 		}
 	}
-	if replayed != 0 && replayed != len(m.hiers) {
-		t.Fatalf("%d of %d cores replayed", replayed, len(m.hiers))
+	if replayed != 0 && replayed != len(hiers) {
+		t.Fatalf("%d of %d cores replayed", replayed, len(hiers))
 	}
 	return r, replayed > 0
 }
@@ -480,9 +514,9 @@ func TestFilterMultiCoreConcurrentRuns(t *testing.T) {
 			if i%2 == 0 {
 				cfg.Assets = assets
 			}
-			m := newMachine(profs, cfg)
-			m.filters = tables
-			got[i] = m.runMix("pair")
+			p := newPass(profs, []Config{cfg})
+			p.filters = tables
+			got[i] = p.runMix("pair")
 		}()
 	}
 	wg.Wait()

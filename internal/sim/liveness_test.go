@@ -333,10 +333,10 @@ func runSimGate(cfg Config) (out simOutcome) {
 		}
 		out.Hooks = gateHookCalls
 	}()
-	m := newMachine([]workload.Profile{simGateProfile()}, cfg)
-	_, generated := m.streams[0].(*workload.Trace)
+	p := newPass([]workload.Profile{simGateProfile()}, []Config{cfg})
+	_, generated := p.streams[0].(*workload.Trace)
 	out.FromAssets = !generated
-	out.Result = m.runSolo()
+	out.Result = p.runSolos()[0]
 	return out
 }
 

@@ -190,9 +190,10 @@ func (e canceledError) Error() string { return "sim: run canceled: " + e.err.Err
 func (e canceledError) Unwrap() error { return e.err }
 
 // checkCancel aborts the run when its Config.Cancel context has fired
-// (called with the loop's op counter to amortize the context poll).
-func checkCancel(cancel context.Context, ops uint64) {
-	if cancel != nil && ops%cancelCheckPeriod == 0 {
+// (the loop calls it every cancelCheckPeriod ops to amortize the
+// context poll).
+func checkCancel(cancel context.Context) {
+	if cancel != nil {
 		if err := cancel.Err(); err != nil {
 			panic(canceledError{err: err})
 		}
@@ -533,15 +534,12 @@ func newAuditor(cfg Config, ctl memctl.Controller) *audit.Runner {
 
 // machine is the simulated system of one run: n cores with private
 // L1/L2 over a shared L3, one memory controller and its DRAM, and the
-// run's observers. RunSingle is its one-core case and RunMix the
-// general one; they differ only in how they report its state.
+// run's observers. A pass feeds its cores; RunSingles runs several
+// one-core machines in one pass, RunMix one machine of several cores.
 type machine struct {
 	cfg     Config
-	profs   []workload.Profile // each core's scaled profile
-	streams []workload.OpStream
-	base    []uint64 // first OSPA page of each core's image
+	profs   []workload.Profile // each core's scaled profile (the pass's)
 	l3Bytes int
-	filters *filterTables // the cache-filter logs the run may replay
 	mem     *dram.Memory
 	ctl     memctl.Controller
 	inj     *faults.Injector
@@ -552,40 +550,107 @@ type machine struct {
 	tracer  *obs.Tracer
 	attr    *obs.Attribution
 	sampler *obs.Sampler
+	// nextSample is the pass step count of the next sample (0 when
+	// sampling is off: the count is at least 1 when it is checked).
+	nextSample uint64
 }
 
-// newMachine provisions the machine for one core per profile. Core i
-// runs its scaled profile under seed workload.CoreSeed(Seed, i), its
-// image placed in the OSPA after core i-1's. One core gets the Tab. III
-// system: one DRAM channel and a 2 MB L3, both scaled with the
-// footprint. Several cores get the Xeon-class provisioning the paper's
-// 4-core results imply: a second channel, 2 MB of shared L3 per core
-// (8 MB for four), and a metadata cache and L3 sized at half the
-// footprint scale, since they cover n cores' pages.
-func newMachine(profs []workload.Profile, cfg Config) *machine {
+// pass is one op stream per core and the machines that step it in
+// lockstep: each op is drawn once, applying its store to the one image
+// of its core, and every machine steps it before the next op is drawn.
+// Controllers never write through the image's bytes, so every machine
+// sees the bytes and memoized sizes it would see running alone, and
+// page generation, trace generation and stored-line sizing run once per
+// pass instead of once per machine. A pass of several machines has one
+// core each (RunSingles): their caches see the same op sequence, so the
+// first machine's hierarchy runs (live, recording or replaying its
+// cache-filter log) and the others follow it (cache.NewFollower).
+type pass struct {
+	cfg     Config             // the first machine's: the stream's shape
+	profs   []workload.Profile // each core's scaled profile
+	streams []workload.OpStream
+	base    []uint64      // first OSPA page of each core's image
+	filters *filterTables // the cache-filter logs the pass may replay
+	ms      []*machine
+}
+
+// newPass provisions one op stream per profile and one machine per
+// config over them. Core i runs its scaled profile under seed
+// workload.CoreSeed(Seed, i), its image placed in the OSPA after core
+// i-1's. Several configs need one profile and must agree on everything
+// that fixes the stream and its warmup (checkLockstep).
+func newPass(profs []workload.Profile, cfgs []Config) *pass {
+	if len(profs) > 1 && len(cfgs) > 1 {
+		panic("sim: a lockstep pass runs one-core machines only (a mix's core interleave differs per system)")
+	}
+	cfg := cfgs[0]
+	for _, c := range cfgs[1:] {
+		checkLockstep(cfg, c)
+	}
 	n := len(profs)
-	m := &machine{
+	p := &pass{
+		cfg:     cfg,
 		profs:   make([]workload.Profile, n),
 		streams: make([]workload.OpStream, n),
 		base:    make([]uint64, n),
 		filters: &processFilters,
-		hiers:   make([]*cache.Hierarchy, n),
-		cores:   make([]*cpu.Core, n),
 	}
 	images := make([]*workload.Image, n)
 	var pages uint64
-	for i, p := range profs {
-		p = workload.Scale(p, cfg.FootprintScale)
+	for i, prof := range profs {
+		prof = workload.Scale(prof, cfg.FootprintScale)
 		seed := workload.CoreSeed(cfg.Seed, i)
 		if cfg.Assets != nil {
-			m.streams[i] = cfg.Assets.stream(i, p, seed, cfg.Ops)
+			p.streams[i] = cfg.Assets.stream(i, prof, seed, cfg.Ops)
 		} else {
-			m.streams[i] = workload.NewTrace(p, seed, cfg.Ops)
+			p.streams[i] = workload.NewTrace(prof, seed, cfg.Ops)
 		}
-		m.profs[i] = p
-		images[i] = m.streams[i].Image()
-		m.base[i] = pages
-		pages += uint64(p.FootprintPages)
+		p.profs[i] = prof
+		images[i] = p.streams[i].Image()
+		p.base[i] = pages
+		pages += uint64(prof.FootprintPages)
+	}
+	src := &routedSource{basePages: p.base, images: images}
+	for _, c := range cfgs {
+		p.ms = append(p.ms, p.newMachine(c, int(pages), src))
+	}
+	return p
+}
+
+// checkLockstep panics unless c may step in lockstep with the pass
+// whose first config is first: the same op stream (Ops, Seed,
+// FootprintScale, Assets) and the same warmup boundary (WarmupFrac).
+func checkLockstep(first, c Config) {
+	for _, f := range []struct {
+		name string
+		same bool
+	}{
+		{"Ops", c.Ops == first.Ops},
+		{"Seed", c.Seed == first.Seed},
+		{"FootprintScale", c.FootprintScale == first.FootprintScale},
+		{"WarmupFrac", c.WarmupFrac == first.WarmupFrac},
+		{"Assets", c.Assets == first.Assets},
+	} {
+		if !f.same {
+			panic(fmt.Sprintf("sim: RunSingles configs differ in %s; a lockstep pass shares one op stream", f.name))
+		}
+	}
+}
+
+// newMachine provisions the pass's next machine under cfg over the
+// pass's images (src, pages OSPA pages in all). One core gets the
+// Tab. III system: one DRAM channel and a 2 MB L3, both scaled with the
+// footprint. Several cores get the Xeon-class provisioning the paper's
+// 4-core results imply: a second channel, 2 MB of shared L3 per core
+// (8 MB for four), and a metadata cache and L3 sized at half the
+// footprint scale, since they cover n cores' pages. Every machine after
+// the first follows the first one's caches.
+func (p *pass) newMachine(cfg Config, pages int, src *routedSource) *machine {
+	n := len(p.profs)
+	m := &machine{
+		profs: p.profs,
+		hiers: make([]*cache.Hierarchy, n),
+		cores: make([]*cpu.Core, n),
 	}
 	dcfg := cfg.DRAM
 	if n > 1 {
@@ -598,86 +663,117 @@ func newMachine(profs []workload.Profile, cfg Config) *machine {
 	}
 	m.cfg = cfg
 	m.mem = dram.New(dcfg)
-	src := &routedSource{basePages: m.base, images: images}
-	m.ctl, m.inj = buildController(cfg, int(pages), m.mem, src)
-	for i, img := range images {
-		img.InstallIntoAt(m.ctl, m.base[i])
+	m.ctl, m.inj = buildController(cfg, pages, m.mem, src)
+	for i, img := range src.images {
+		img.InstallIntoAt(m.ctl, p.base[i])
 	}
 	m.auditor = newAuditor(cfg, m.ctl)
 	m.tracer = attachTracer(cfg, m.ctl)
 	m.attr = attachAttribution(cfg, m.ctl)
 
 	m.l3Bytes = scaledL3Bytes(2<<20*n, cfg.FootprintScale)
-	m.l3 = cache.New("l3", m.l3Bytes, 16)
+	if len(p.ms) == 0 {
+		m.l3 = cache.New("l3", m.l3Bytes, 16)
+		for i := range m.hiers {
+			m.hiers[i] = cache.NewHierarchy(m.l3)
+		}
+	} else {
+		for i, lead := range p.ms[0].hiers {
+			m.hiers[i] = cache.NewFollower(lead)
+		}
+		m.l3 = m.hiers[0].L3
+	}
 	for i := range m.cores {
-		m.hiers[i] = cache.NewHierarchy(m.l3)
 		m.cores[i] = cpu.New(cfg.CPU, m.hiers[i], m.ctl, src)
 	}
 	m.sampler = newRunSampler(cfg)
+	m.nextSample = cfg.SampleEvery
 	return m
 }
 
-// run steps every core through Ops trace operations and drains them.
-// Each step advances the core with the smallest local clock, so the
-// cores contend continuously (the syncedFastForward analogue: everyone
-// starts at its region). Statistics reset once every core has finished
-// its warmup share; snapshot renders the state the sampler records.
-func (m *machine) run(snapshot func() obs.Snapshot) {
-	cfg := m.cfg
+// run steps every core through Ops trace operations on every machine,
+// then drains them. Each step draws the next op of the core with the
+// smallest local clock on the first machine, so a mix's cores contend
+// continuously (the syncedFastForward analogue: everyone starts at its
+// region); the machines of a lockstep pass have one core each, so the
+// choice is the same on all of them. Every machine steps the op before
+// any closes it (sampling, warmup), so a follower's caches read their
+// lead's outcome before the lead resets its counters. Statistics reset
+// once every core has finished its warmup share; snapshot renders the
+// state a machine's sampler records.
+func (p *pass) run(snapshot func(*machine) obs.Snapshot) {
+	cfg := p.cfg
 	completed := false
-	if release := m.filterCaches(); release != nil {
+	if release := p.filterCaches(); release != nil {
 		defer func() { release(completed) }()
-	}
-	sample := func() {
-		now, snap := m.now(), snapshot()
-		m.sampler.Sample(now, snap)
-		if cfg.OnSample != nil {
-			cfg.OnSample(now, snap)
-		}
 	}
 	warm := uint64(float64(cfg.Ops) * cfg.WarmupFrac)
 	warmed := warm == 0 // no warmup: the statistics cover the whole run
-	done := make([]uint64, len(m.cores))
+	lead := p.ms[0].cores
+	done := make([]uint64, len(lead))
 	var steps uint64 // ops across all cores (the sampling clock)
 	var op workload.Op
 	for {
 		sel := -1
-		for i, c := range m.cores {
-			if done[i] < cfg.Ops && (sel == -1 || c.Now() < m.cores[sel].Now()) {
+		for i, c := range lead {
+			if done[i] < cfg.Ops && (sel == -1 || c.Now() < lead[sel].Now()) {
 				sel = i
 			}
 		}
 		if sel == -1 {
 			break
 		}
-		checkCancel(cfg.Cancel, steps)
-		m.streams[sel].Next(&op)
-		op.LineAddr += m.base[sel] * memctl.LinesPerPage
-		c := m.cores[sel]
-		c.Step(&op)
-		if m.auditor != nil {
-			if rep := m.auditor.Tick(); rep != nil {
-				m.tracer.Emit(c.Now(), obs.EvAuditRun, obs.NoPage, uint64(len(rep.Violations)))
+		if steps%cancelCheckPeriod == 0 {
+			for _, m := range p.ms {
+				checkCancel(m.cfg.Cancel)
+			}
+		}
+		p.streams[sel].Next(&op)
+		op.LineAddr += p.base[sel] * memctl.LinesPerPage
+		for _, m := range p.ms {
+			c := m.cores[sel]
+			c.Step(&op)
+			if m.auditor != nil {
+				if rep := m.auditor.Tick(); rep != nil {
+					m.tracer.Emit(c.Now(), obs.EvAuditRun, obs.NoPage, uint64(len(rep.Violations)))
+				}
 			}
 		}
 		done[sel]++
 		steps++
-		if cfg.SampleEvery > 0 && steps%cfg.SampleEvery == 0 {
-			sample()
+		for _, m := range p.ms {
+			if steps == m.nextSample {
+				m.sample(snapshot(m))
+				m.nextSample += m.cfg.SampleEvery
+			}
 		}
 		// Only the core that just ran its last warmup op can be the one
 		// completing the set.
 		if !warmed && done[sel] == warm && slices.Min(done) >= warm {
-			m.resetStats()
+			for _, m := range p.ms {
+				m.resetStats()
+			}
 			warmed = true
 		}
 	}
 	completed = true
-	for _, c := range m.cores {
-		c.Drain()
+	for _, m := range p.ms {
+		for _, c := range m.cores {
+			c.Drain()
+		}
+		if m.cfg.SampleEvery > 0 {
+			m.sample(snapshot(m)) // close the partial final window at the drained clocks
+		}
 	}
-	if cfg.SampleEvery > 0 {
-		sample() // close the partial final window at the drained clocks
+}
+
+// sample hands snap, taken at the machine's clock, to its sampler and
+// its OnSample hook.
+func (m *machine) sample(snap obs.Snapshot) {
+	now := m.now()
+	m.sampler.Sample(now, snap)
+	if m.cfg.OnSample != nil {
+		m.cfg.OnSample(now, snap)
 	}
 }
 
@@ -771,20 +867,40 @@ func soloResult(m MultiResult, l3 cache.Stats) Result {
 }
 
 // RunSingle simulates one benchmark on a single-core system: exactly
-// a one-core RunMix, reported as a Result.
+// a one-core RunMix, reported as a Result. It is RunSingles' one-config
+// case.
 func RunSingle(prof workload.Profile, cfg Config) Result {
-	return newMachine([]workload.Profile{prof}, cfg).runSolo()
+	return RunSingles(prof, []Config{cfg})[0]
 }
 
-// runSolo runs a one-core machine and reports it as a Result.
-func (m *machine) runSolo() Result {
-	m.run(func() obs.Snapshot {
+// RunSingles simulates one benchmark on one single-core system per
+// config, in lockstep over one op stream and one image (see pass), and
+// returns each config's Result, exactly as RunSingle would. The configs
+// may differ in system, controller and observer settings but must agree
+// on Ops, Seed, FootprintScale, WarmupFrac and Assets; a pass whose
+// configs differ in one of those panics, naming it. Each config's
+// Cancel aborts the whole pass.
+func RunSingles(prof workload.Profile, cfgs []Config) []Result {
+	if len(cfgs) == 0 {
+		return nil
+	}
+	return newPass([]workload.Profile{prof}, cfgs).runSolos()
+}
+
+// runSolos runs a pass of one-core machines and reports each as a
+// Result.
+func (p *pass) runSolos() []Result {
+	p.run(func(m *machine) obs.Snapshot {
 		mr := m.state()
 		mr.PageSizes = pageSizes(m.ctl)
 		return soloResult(mr, m.l3.Stats()).Registry().Snapshot()
 	})
-	l3 := m.l3.Stats()
-	return soloResult(m.finish(), l3)
+	out := make([]Result, len(p.ms))
+	for i, m := range p.ms {
+		l3 := m.l3.Stats()
+		out[i] = soloResult(m.finish(), l3)
+	}
+	return out
 }
 
 // newRunSampler builds the run's windowed time-series sampler from
@@ -937,20 +1053,20 @@ func (m MultiResult) WeightedSpeedup(base MultiResult) (float64, error) {
 }
 
 // RunMix simulates a multi-core mix, one core per profile, sharing the
-// L3, controller and DRAM (see newMachine for the provisioning and
-// machine.run for the interleave). Mix samples carry per-core
+// L3, controller and DRAM (see pass.newMachine for the provisioning and
+// pass.run for the interleave). Mix samples carry per-core
 // "coreN.cpu" counters and no page-size histogram.
 func RunMix(mixName string, profs []workload.Profile, cfg Config) MultiResult {
 	if len(profs) == 0 {
 		panic("sim: empty mix")
 	}
-	return newMachine(profs, cfg).runMix(mixName)
+	return newPass(profs, []Config{cfg}).runMix(mixName)
 }
 
-// runMix runs a machine and reports it as a MultiResult.
-func (m *machine) runMix(mixName string) MultiResult {
-	m.run(func() obs.Snapshot { return m.state().Registry().Snapshot() })
-	out := m.finish()
+// runMix runs a pass of one machine and reports it as a MultiResult.
+func (p *pass) runMix(mixName string) MultiResult {
+	p.run(func(m *machine) obs.Snapshot { return m.state().Registry().Snapshot() })
+	out := p.ms[0].finish()
 	out.MixName = mixName
 	return out
 }
