@@ -30,15 +30,17 @@ test:
 seam:
 	cd benchmark && $(GO) test ./...
 
-# The concurrency-bearing packages: the parallel fan-out primitive,
-# the experiments that run cells through it, the simulator whose
-# state those cells must not share (and whose concurrent runs claim,
-# record and replay the process's cache-filter logs), the cache
+# The concurrency-bearing packages: the parallel fan-out primitive
+# and parallel.Memo, the keyed table behind every process-wide memo;
+# the experiments that run cells through them and share runs, grids
+# and capacity cells in Memos; the simulator whose state those cells
+# must not share (and whose concurrent runs claim, record and replay
+# the process's cache-filter logs through two Memos); the cache
 # hierarchies those logs drive and the metadata codec every run packs
-# entries with, the capacity tracker's fanned-out construction scan,
-# the workload images' process-wide pristine size and LZ block tables,
-# the dmc/mxt controllers that price blocks through them, and the obs
-# snapshots the live server reads while runs write them. The
+# entries with; the capacity tracker's fanned-out construction scan;
+# the workload images' pristine size and LZ block tables (Memos too)
+# and the dmc/mxt controllers that price blocks through them; and the
+# obs snapshots the live server reads while runs write them. The
 # heaviest sweeps skip under the race detector (see raceEnabled in
 # internal/experiments); the light cells still cover every grid call
 # shape on parallel.MapResilient.

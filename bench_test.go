@@ -16,8 +16,13 @@ package compresso_bench
 
 import (
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -111,6 +116,31 @@ func BenchmarkBPCVariants(b *testing.B) { runExperiment(b, "bpc-variants") }
 // DMC-style dual-compression controller.
 func BenchmarkRelatedDMC(b *testing.B) { runExperiment(b, "related-dmc") }
 
+// BenchmarkAttribution regenerates the cycle-accounting decomposition:
+// each backend's exposed and hidden latency stack, with its hot-page
+// profile.
+func BenchmarkAttribution(b *testing.B) { runExperiment(b, "attribution") }
+
+// BenchmarkBackendsRatio regenerates the registry-wide sweep's
+// performance and compression ratio for every backend.
+func BenchmarkBackendsRatio(b *testing.B) { runExperiment(b, "backends-ratio") }
+
+// BenchmarkBackendsTraffic regenerates the registry-wide sweep's
+// relative extra accesses for every backend.
+func BenchmarkBackendsTraffic(b *testing.B) { runExperiment(b, "backends-traffic") }
+
+// BenchmarkFleetPolicy regenerates the tier promotion/demotion policy
+// ablation over a mixed-backend fleet.
+func BenchmarkFleetPolicy(b *testing.B) { runExperiment(b, "fleet-policy") }
+
+// BenchmarkFleetSweep regenerates the multi-node fleet rollup per
+// backend: ratio, tier churn, move traffic and TCO.
+func BenchmarkFleetSweep(b *testing.B) { runExperiment(b, "fleet-sweep") }
+
+// BenchmarkOverlap regenerates the overlapped-controller timing model:
+// cycles and the hidden-latency split against the serial model.
+func BenchmarkOverlap(b *testing.B) { runExperiment(b, "overlap") }
+
 // BenchmarkRunAllQuick times one full quick-mode sweep of every
 // registered experiment through RunAll. Compare serial and parallel
 // wall time with `make bench-quick` (or -jobs N by hand); the rendered
@@ -130,3 +160,41 @@ func BenchmarkTab1(b *testing.B) { runExperiment(b, "tab1") }
 
 // BenchmarkTab5 prints Tab. V (related-work summary matrix).
 func BenchmarkTab5(b *testing.B) { runExperiment(b, "tab5") }
+
+// TestEveryExperimentHasABenchmark parses this file and requires a
+// runExperiment(b, "<name>") call for every registered experiment, so
+// the promise of one Benchmark per artifact holds as experiments join
+// the registry.
+func TestEveryExperimentHasABenchmark(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "bench_test.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	benched := map[string]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) != 2 {
+			return true
+		}
+		if fn, ok := call.Fun.(*ast.Ident); !ok || fn.Name != "runExperiment" {
+			return true
+		}
+		if lit, ok := call.Args[1].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			benched[name] = true
+		}
+		return true
+	})
+	var missing []string
+	for _, e := range experiments.List() {
+		if !benched[e.Name] {
+			missing = append(missing, e.Name)
+		}
+	}
+	if len(missing) > 0 {
+		t.Errorf("experiments without a runExperiment benchmark: %s", strings.Join(missing, ", "))
+	}
+}

@@ -134,37 +134,24 @@ func main() {
 	// An explicit -seed makes any value authoritative, including 0
 	// (which would otherwise alias the default 42); an explicit
 	// -trace-events must be a usable ring capacity.
-	seedSet, traceSet, jobsSet, capSet := false, false, false, false
-	fleetNodesSet, fleetPolicySet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "seed":
-			seedSet = true
-		case "trace-events":
-			traceSet = true
-		case "jobs":
-			jobsSet = true
-		case "capacity":
-			capSet = true
-		case "fleet-nodes":
-			fleetNodesSet = true
-		case "fleet-policy":
-			fleetPolicySet = true
-		}
-	})
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	usageErr := func(err error) {
 		fmt.Fprintln(os.Stderr, "compresso-sim:", err)
 		flag.Usage()
 		os.Exit(exitUsage)
 	}
-	if err := validateTraceEvents(traceSet, *traceEv); err != nil {
+	if err := validateTraceEvents(set["trace-events"], *traceEv); err != nil {
 		usageErr(err)
 	}
-	if err := validateCapacity(capSet, *capFrac, *bench); err != nil {
+	if err := validateCapacity(set["capacity"], *capFrac, *bench); err != nil {
+		usageErr(err)
+	}
+	if err := validateExp(*exp, set); err != nil {
 		usageErr(err)
 	}
 	rf := resilienceFlags{
-		Exp: *exp, JobsSet: jobsSet, Jobs: *jobs,
+		Exp: *exp, JobsSet: set["jobs"], Jobs: *jobs,
 		Journal: *journalDir, Resume: *resumeDir,
 		Retry: *retryN, RetryBase: *retryBase, RetryCap: *retryCap,
 		CellTimeout: *cellTO, Quarantine: *quarantine, Chaos: *chaosSpec,
@@ -173,8 +160,8 @@ func main() {
 		usageErr(err)
 	}
 	ff := fleetFlags{
-		Enabled: *fleetF, Nodes: *fleetNodes, NodesSet: fleetNodesSet,
-		Policy: *fleetPolicy, PolicySet: fleetPolicySet,
+		Enabled: *fleetF, Nodes: *fleetNodes, NodesSet: set["fleet-nodes"],
+		Policy: *fleetPolicy, PolicySet: set["fleet-policy"],
 	}
 	if err := ff.validate(); err != nil {
 		usageErr(err)
@@ -205,7 +192,7 @@ func main() {
 
 	expOpts := experiments.Options{
 		Out: os.Stdout, Quick: *quick,
-		Seed: *seed, SeedSet: seedSet, Jobs: *jobs,
+		Seed: *seed, SeedSet: set["seed"], Jobs: *jobs,
 		JSONDir: *jsonDir,
 	}
 	if tracker != nil {
@@ -404,6 +391,21 @@ func validateCapacity(set bool, frac float64, bench string) error {
 	}
 	if bench == "" {
 		return fmt.Errorf("-capacity only applies to -bench runs; add -bench NAME")
+	}
+	return nil
+}
+
+// validateExp rejects, with an -exp run, the flags that select another
+// run mode (or, for -inject and -audit-every, configure one), which the
+// experiment would otherwise silently ignore.
+func validateExp(exp string, set map[string]bool) error {
+	if exp == "" {
+		return nil
+	}
+	for _, name := range []string{"bench", "mix", "fleet", "inject", "audit-every"} {
+		if set[name] {
+			return fmt.Errorf("-%s does not apply to -exp runs; run it without -exp", name)
+		}
 	}
 	return nil
 }

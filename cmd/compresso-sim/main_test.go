@@ -111,6 +111,45 @@ func TestCapacityFlagValidation(t *testing.T) {
 	}
 }
 
+// TestExpFlagValidation pins the -exp contract: a flag that selects or
+// configures another run mode (-bench, -mix, -fleet, -inject,
+// -audit-every) is a flag error (exit 2) next to -exp, instead of being
+// silently ignored because -exp wins main's switch. Sweep-wide flags
+// pass.
+func TestExpFlagValidation(t *testing.T) {
+	cases := []struct {
+		name    string
+		exp     string
+		set     []string
+		wantErr string // substring; empty = must pass
+	}{
+		{name: "no exp", set: []string{"bench", "inject", "audit-every"}},
+		{name: "exp alone", exp: "fig9"},
+		{name: "exp with sweep flags", exp: "all", set: []string{"quick", "jobs", "seed", "json"}},
+		{name: "bench", exp: "fig9", set: []string{"bench"}, wantErr: "-bench does not apply to -exp"},
+		{name: "mix", exp: "all", set: []string{"mix"}, wantErr: "-mix does not apply to -exp"},
+		{name: "fleet", exp: "fleet-sweep", set: []string{"fleet"}, wantErr: "-fleet does not apply to -exp"},
+		{name: "inject", exp: "fig9", set: []string{"quick", "inject"}, wantErr: "-inject does not apply to -exp"},
+		{name: "audit-every", exp: "fig9", set: []string{"audit-every"}, wantErr: "-audit-every does not apply to -exp"},
+	}
+	for _, c := range cases {
+		set := map[string]bool{}
+		for _, name := range c.set {
+			set[name] = true
+		}
+		err := validateExp(c.exp, set)
+		if c.wantErr == "" {
+			if err != nil {
+				t.Errorf("%s: unexpected error %v", c.name, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			t.Errorf("%s: error %v, want substring %q", c.name, err, c.wantErr)
+		}
+	}
+}
+
 // TestInjectSpecValidation pins which -inject specs a run accepts: the
 // sites a simulation rolls, and not tracetrunc, whose trace files no
 // compresso-sim run writes.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"compresso/internal/figures"
+	"compresso/internal/parallel"
 	"compresso/internal/sim"
 	"compresso/internal/stats"
 	"compresso/internal/workload"
@@ -31,7 +32,7 @@ type BackendRow struct {
 // backendsCache memoizes the registry-wide sweep shared by
 // backends-ratio and backends-traffic (one computation per
 // (quick, seed) configuration).
-var backendsCache memo[[2]uint64, []BackendRow]
+var backendsCache parallel.Memo[[2]uint64, []BackendRow]
 
 // BackendsData sweeps every backend in the memctl registry over the
 // benchmark subset. The system list is taken from the registry at run
@@ -39,7 +40,7 @@ var backendsCache memo[[2]uint64, []BackendRow]
 // artifact — with no experiment changes (DESIGN.md §12). Benchmarks
 // are independent cells fanned out across Options.Jobs workers.
 func BackendsData(opt Options) []BackendRow {
-	rows, err := backendsCache.get(opt.Ctx, opt.sweepKey(), func() ([]BackendRow, error) {
+	rows, err := backendsCache.Get(opt.Ctx, opt.sweepKey(), func() ([]BackendRow, error) {
 		systems := sim.AllSystems()
 		return gridErr(opt, "backends", len(backendBenchmarks), func(ctx context.Context, i int) (BackendRow, error) {
 			prof, err := workload.ByName(backendBenchmarks[i])

@@ -7,6 +7,7 @@ import (
 
 	"compresso/internal/capacity"
 	"compresso/internal/figures"
+	"compresso/internal/parallel"
 	"compresso/internal/sim"
 	"compresso/internal/stats"
 	"compresso/internal/workload"
@@ -120,13 +121,13 @@ var Fig10Excluded = map[string]bool{"mcf": true, "GemsFDTD": true, "lbm": true}
 // fig10a, fig10b and fig12 (which share the same runs) compute it
 // once per (quick, seed) configuration. Results are deterministic;
 // concurrent callers under a parallel RunAll share one computation.
-var fig10Cache memo[[2]uint64, []Fig10Row]
+var fig10Cache parallel.Memo[[2]uint64, []Fig10Row]
 
 // Fig10Data runs the dual methodology for every performance benchmark.
 // Each benchmark is an independent cell, fanned out across
 // Options.Jobs workers and reassembled in suite order.
 func Fig10Data(opt Options) []Fig10Row {
-	rows, err := fig10Cache.get(opt.Ctx, opt.sweepKey(), func() ([]Fig10Row, error) {
+	rows, err := fig10Cache.Get(opt.Ctx, opt.sweepKey(), func() ([]Fig10Row, error) {
 		profs := workload.PerformanceSet()
 		return grid(opt, "fig10", len(profs), func(ctx context.Context, i int) Fig10Row {
 			prof := profs[i]

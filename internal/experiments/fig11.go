@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"compresso/internal/parallel"
 	"compresso/internal/sim"
 )
 
@@ -19,13 +20,13 @@ type Fig11Row struct {
 func (r Fig11Row) dual() (string, DualRow) { return r.Mix, r.DualRow }
 
 // fig11Cache memoizes the mix sweep shared by fig11a and fig11b.
-var fig11Cache memo[[2]uint64, []Fig11Row]
+var fig11Cache parallel.Memo[[2]uint64, []Fig11Row]
 
 // Fig11Data runs the dual methodology for every multi-core mix. Each
 // mix is an independent cell, fanned out across Options.Jobs workers
 // and reassembled in Tab. IV order.
 func Fig11Data(opt Options) ([]Fig11Row, error) {
-	return fig11Cache.get(opt.Ctx, opt.sweepKey(), func() ([]Fig11Row, error) {
+	return fig11Cache.Get(opt.Ctx, opt.sweepKey(), func() ([]Fig11Row, error) {
 		mixes := sim.Mixes()
 		return gridErr(opt, "fig11", len(mixes), func(ctx context.Context, m int) (Fig11Row, error) {
 			mix := mixes[m]

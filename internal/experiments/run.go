@@ -3,12 +3,13 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime/pprof"
 	"slices"
 	"strings"
-	"sync"
 
 	"compresso/internal/core"
+	"compresso/internal/parallel"
 	"compresso/internal/sim"
 	"compresso/internal/workload"
 )
@@ -46,9 +47,22 @@ type runKey struct {
 	core        string
 }
 
-// runCache memoizes single-core results across the whole sweep; each
-// distinct runKey simulates once per process (until resetMemos).
-var runCache memo[runKey, sim.Result]
+// runCache memoizes single-core results across the whole sweep, one
+// run map per op stream (streamKey): each distinct runKey simulates
+// once per process (until resetMemos). A pass updates its stream's map
+// under the stream's key, so one stream computes one pass at a time.
+// Two experiments sweeping the benchmarks in the same order would
+// otherwise run their passes on each stream side by side, one
+// recording its cache-filter log and the other simulating its caches
+// live (DESIGN.md §13); serialized, the second replays the first's
+// log.
+var runCache parallel.Memo[runKey, map[runKey]sim.Result]
+
+// streamKey keeps the fields of k that fix its op stream: the profile,
+// ops, scale and seed.
+func (k runKey) streamKey() runKey {
+	return runKey{prof: k.prof, ops: k.ops, scale: k.scale, seed: k.seed}
+}
 
 func (s runSpec) key(prof workload.Profile, opt Options) runKey {
 	k := runKey{
@@ -87,62 +101,6 @@ func (s runSpec) config(ctx context.Context, opt Options) sim.Config {
 	return cfg
 }
 
-// streamLocks holds one lock per op stream, keyed by the runKey fields
-// that fix the stream (profile, ops, scale, seed): runMany computes one
-// pass of a stream at a time. Two experiments sweeping the benchmarks
-// in the same order would otherwise run their passes on each stream
-// side by side, one recording its cache-filter log and the other
-// simulating its caches live (DESIGN.md §13); serialized, the second
-// replays the first's log.
-var streamLocks keyedLock
-
-// keyedLock is a set of mutexes by run key whose waits honour a
-// context. A key's entry lives while a caller holds or waits for it.
-type keyedLock struct {
-	mu sync.Mutex
-	m  map[runKey]*keyLock
-}
-
-type keyLock struct {
-	held  chan struct{} // a one-slot semaphore
-	users int           // callers holding or waiting
-}
-
-// lock takes key's lock, waiting on ctx (nil means never canceled):
-// when ctx fires first, lock returns ctx's error without the lock.
-// Otherwise the caller must call the returned unlock once.
-func (l *keyedLock) lock(ctx context.Context, key runKey) (unlock func(), err error) {
-	l.mu.Lock()
-	if l.m == nil {
-		l.m = map[runKey]*keyLock{}
-	}
-	kl := l.m[key]
-	if kl == nil {
-		kl = &keyLock{held: make(chan struct{}, 1)}
-		l.m[key] = kl
-	}
-	kl.users++
-	l.mu.Unlock()
-	leave := func() {
-		l.mu.Lock()
-		if kl.users--; kl.users == 0 {
-			delete(l.m, key)
-		}
-		l.mu.Unlock()
-	}
-	var canceled <-chan struct{}
-	if ctx != nil {
-		canceled = ctx.Done()
-	}
-	select {
-	case kl.held <- struct{}{}:
-		return func() { <-kl.held; leave() }, nil
-	case <-canceled:
-		leave()
-		return nil, ctx.Err()
-	}
-}
-
 // runSingle returns the result of simulating prof under spec: runMany
 // of one spec.
 func runSingle(ctx context.Context, opt Options, prof workload.Profile, spec runSpec) sim.Result {
@@ -151,49 +109,60 @@ func runSingle(ctx context.Context, opt Options, prof workload.Profile, spec run
 
 // runMany returns the results of simulating prof under each of specs,
 // in order, running only the runs no earlier caller in the process has
-// (runCache). It claims every such run at once (memo.getMany) and
-// computes them in one lockstep pass (sim.RunSingles), so a grid cell
-// that wants several systems on one benchmark draws its op stream and
-// builds its image once. The returned Results are shared: callers must
-// not mutate them.
+// (runCache). Under its stream's key it computes every missing run,
+// once however often specs repeats it, in one lockstep pass
+// (sim.RunSingles), so a grid cell that wants several systems on one
+// benchmark draws its op stream and builds its image once. The
+// returned Results are shared: callers must not mutate them.
 //
 // The computing caller's ctx, with the pprof labels bench=<profile> and
 // systems=<the pass's systems, comma-separated, each once> added for the
 // pass, is installed as every run's Cancel; a canceled or panicking pass
 // publishes nothing and unwinds to that caller alone. A caller waiting
-// on another's in-flight run stops waiting when its own ctx fires and
-// unwinds with the same kind of cancellation error a canceled
+// on another's pass of the stream stops waiting when its own ctx fires
+// and unwinds with the same kind of cancellation error a canceled
 // simulation throws, which the grid classifies as a cancellation.
 func runMany(ctx context.Context, opt Options, prof workload.Profile, specs []runSpec) []sim.Result {
 	keys := make([]runKey, len(specs))
 	for i, s := range specs {
 		keys[i] = s.key(prof, opt)
 	}
-	res, err := runCache.getMany(ctx, keys, func(idx []int) (res []sim.Result, _ error) {
-		k := keys[idx[0]]
-		unlock, err := streamLocks.lock(ctx, runKey{prof: k.prof, ops: k.ops, scale: k.scale, seed: k.seed})
-		if err != nil {
-			return nil, err
+	runs, err := runCache.Update(ctx, keys[0].streamKey(), func(runs map[runKey]sim.Result, _ bool) (map[runKey]sim.Result, error) {
+		var missing []runSpec
+		var missingKeys []runKey
+		for i, k := range keys {
+			if _, ok := runs[k]; !ok && !slices.Contains(missingKeys, k) {
+				missing, missingKeys = append(missing, specs[i]), append(missingKeys, k)
+			}
 		}
-		defer unlock()
-		claimed := make([]runSpec, len(idx))
-		for k, i := range idx {
-			claimed[k] = specs[i]
+		if missing == nil {
+			return runs, nil
 		}
-		labels := pprof.Labels("systems", systemNames(claimed), "bench", prof.Name)
+		var res []sim.Result
+		labels := pprof.Labels("systems", systemNames(missing), "bench", prof.Name)
 		pprof.Do(ctx, labels, func(ctx context.Context) {
-			cfgs := make([]sim.Config, len(claimed))
-			for k, s := range claimed {
-				cfgs[k] = s.config(ctx, opt)
+			cfgs := make([]sim.Config, len(missing))
+			for i, s := range missing {
+				cfgs[i] = s.config(ctx, opt)
 			}
 			res = sim.RunSingles(prof, cfgs)
 		})
-		return res, nil
+		// Published maps are shared read-only: extend a copy.
+		next := make(map[runKey]sim.Result, len(runs)+len(res))
+		maps.Copy(next, runs)
+		for i, k := range missingKeys {
+			next[k] = res[i]
+		}
+		return next, nil
 	})
 	if err != nil {
 		panic(fmt.Errorf("experiments: waiting for %s on %s: %w", systemNames(specs), prof.Name, err))
 	}
-	return res
+	out := make([]sim.Result, len(keys))
+	for i, k := range keys {
+		out[i] = runs[k]
+	}
+	return out
 }
 
 // systemNames names the systems of specs, comma-separated in order,

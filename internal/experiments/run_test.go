@@ -10,8 +10,6 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -173,10 +171,14 @@ func resultJSON(t *testing.T, r sim.Result) string {
 	return string(buf)
 }
 
-func cachedRuns() int {
-	runCache.mu.Lock()
-	defer runCache.mu.Unlock()
-	return len(runCache.m)
+// cachedRuns counts the runs the memo holds for prof's op stream under
+// opt.
+func cachedRuns(prof workload.Profile, opt Options) int {
+	runs, _, release := runCache.Claim(runSpec{}.key(prof, opt).streamKey())
+	if release != nil {
+		release(nil, false)
+	}
+	return len(runs)
 }
 
 // TestRunMemoHitMatchesFreshRun: a memo hit returns a Result whose
@@ -192,7 +194,7 @@ func TestRunMemoHitMatchesFreshRun(t *testing.T) {
 
 	first := runSingle(context.Background(), opt, prof, spec)
 	hit := runSingle(context.Background(), opt, prof, runSpec{sys: sim.Compresso, mod: fig6Mods()[0]})
-	if n := cachedRuns(); n != 1 {
+	if n := cachedRuns(prof, opt); n != 1 {
 		t.Fatalf("memo holds %d runs after two requests for one config, want 1", n)
 	}
 	if got := resultJSON(t, first); got != fresh {
@@ -224,7 +226,7 @@ func TestRunMemoCanceledPublishesNothing(t *testing.T) {
 		}()
 		runSingle(ctx, opt, prof, spec)
 	}()
-	if n := cachedRuns(); n != 0 {
+	if n := cachedRuns(prof, opt); n != 0 {
 		t.Fatalf("canceled run left %d memo entries", n)
 	}
 	got := resultJSON(t, runSingle(context.Background(), opt, prof, spec))
@@ -247,10 +249,10 @@ func TestRunMemoWaiterCancelIsPrompt(t *testing.T) {
 	computed := make(chan struct{})
 	go func() {
 		defer close(computed)
-		runCache.get(context.Background(), spec.key(prof, opt), func() (sim.Result, error) {
+		runCache.Update(context.Background(), spec.key(prof, opt).streamKey(), func(map[runKey]sim.Result, bool) (map[runKey]sim.Result, error) {
 			close(started)
 			<-release
-			return sim.Result{}, errors.New("withdrawn")
+			return nil, errors.New("withdrawn")
 		})
 	}()
 	defer func() { close(release); <-computed }()
@@ -420,7 +422,7 @@ func TestRunManyFailedPassWithdrawsEveryRun(t *testing.T) {
 				}()
 				fail()
 			}()
-			if n := cachedRuns(); n != 0 {
+			if n := cachedRuns(prof, opt); n != 0 {
 				t.Fatalf("failed pass left %d memo entries", n)
 			}
 			got := runMany(context.Background(), opt, prof, healthy)
@@ -430,59 +432,48 @@ func TestRunManyFailedPassWithdrawsEveryRun(t *testing.T) {
 					t.Errorf("%s after the failed pass differs from a fresh sim.RunSingle", spec.sys)
 				}
 			}
-			if n := cachedRuns(); n != len(healthy) {
+			if n := cachedRuns(prof, opt); n != len(healthy) {
 				t.Fatalf("the recomputing pass published %d runs, want %d", n, len(healthy))
 			}
 		})
 	}
 }
 
-// TestKeyedLockSerializesPerKey: callers of one key hold its lock one
-// at a time while another key's lock stays free, a waiter whose
-// context fires returns its error without the lock, and a key's entry
-// is dropped once no caller holds or waits for it.
-func TestKeyedLockSerializesPerKey(t *testing.T) {
-	var l keyedLock
-	one, two := runKey{prof: "one"}, runKey{prof: "two"}
-	unlock, err := l.lock(context.Background(), one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := l.lock(context.Background(), two)
-	if err != nil {
-		t.Fatalf("a held key blocked another: %v", err)
-	}
-	other()
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := l.lock(ctx, one); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("waiter on a held key returned %v, want its deadline", err)
-	}
-	var inside, overlaps atomic.Int32
-	var wg sync.WaitGroup
-	unlock()
-	for range 8 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			unlock, err := l.lock(context.Background(), one)
-			if err != nil {
-				t.Error(err)
-				return
+// TestRunManyComputesMissingRunsOnce: runMany simulates only the runs
+// its stream's map lacks, each once however often specs repeats it,
+// and returns each spec's result in specs' order.
+func TestRunManyComputesMissingRunsOnce(t *testing.T) {
+	resetMemos()
+	defer resetMemos()
+	prof := gccProfile(t)
+	opt := quickOpts()
+	// The key resolves each modifier against zero pages; only the real
+	// controller build counts.
+	builds := map[int]int{}
+	variant := func(buffer int) runSpec {
+		return runSpec{sys: sim.Compresso, mod: func(c *core.Config) {
+			c.PrefetchBuffer = buffer
+			if c.OSPAPages != 0 {
+				builds[buffer]++
 			}
-			if inside.Add(1) > 1 {
-				overlaps.Add(1)
-			}
-			time.Sleep(time.Millisecond)
-			inside.Add(-1)
-			unlock()
-		}()
+		}}
 	}
-	wg.Wait()
-	if n := overlaps.Load(); n != 0 {
-		t.Fatalf("%d lockers of one key overlapped", n)
+	a, b := variant(3), variant(5)
+	first := runMany(context.Background(), opt, prof, []runSpec{a})
+	got := runMany(context.Background(), opt, prof, []runSpec{b, a, b})
+	if builds[3] != 1 || builds[5] != 1 {
+		t.Fatalf("simulated the variants %d and %d times, want once each", builds[3], builds[5])
 	}
-	if len(l.m) != 0 {
-		t.Fatalf("%d keys left after every caller left", len(l.m))
+	if n := cachedRuns(prof, opt); n != 2 {
+		t.Fatalf("memo holds %d runs for the stream, want 2", n)
+	}
+	if resultJSON(t, got[1]) != resultJSON(t, first[0]) {
+		t.Error("a memoized run came back different")
+	}
+	if resultJSON(t, got[0]) != resultJSON(t, got[2]) {
+		t.Error("a repeated spec got two different results")
+	}
+	if want := resultJSON(t, sim.RunSingle(prof, b.config(context.Background(), opt))); resultJSON(t, got[0]) != want {
+		t.Error("the computed run differs from a fresh sim.RunSingle")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"compresso/internal/capacity"
+	"compresso/internal/parallel"
 	"compresso/internal/sim"
 	"compresso/internal/stats"
 	"compresso/internal/workload"
@@ -49,7 +50,7 @@ type capKey struct {
 // only its outcomes at Tab. II's fractions, not its Recording.
 // Tab. II, Fig. 10 and Fig. 11 all read it, so Fig. 11's mixes reuse
 // Tab. II's mix cells.
-var capCache memo[capKey, capOutcomes]
+var capCache parallel.Memo[capKey, capOutcomes]
 
 // capacityCell returns the capacity evaluation of a benchmark (profs
 // of length 1) or a mix at ops operations per core and every Tab. II
@@ -63,7 +64,7 @@ func capacityCell(ctx context.Context, opt Options, name string, profs []workloa
 	cfg.FootprintScale = opt.scale()
 	cfg.Seed = opt.seed()
 	key := capKey{name: name, profs: fmt.Sprintf("%#v", profs), cfg: fmt.Sprintf("%#v", cfg)}
-	outs, err := capCache.get(ctx, key, func() (capOutcomes, error) {
+	outs, err := capCache.Get(ctx, key, func() (capOutcomes, error) {
 		var outs capOutcomes
 		copy(outs[:], capacity.Profile(name, profs, cfg).AtEach(tab2Fracs[:]))
 		return outs, nil

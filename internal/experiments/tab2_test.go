@@ -30,9 +30,9 @@ func TestCapacityCellsShared(t *testing.T) {
 	}
 	// The run memo may keep earlier tests' cycle runs: they do not
 	// touch the capacity cells.
-	fig10Cache.reset()
-	fig11Cache.reset()
-	capCache.reset()
+	fig10Cache.Reset()
+	fig11Cache.Reset()
+	capCache.Reset()
 	defer resetMemos()
 	opt := quickOpts()
 	Fig10Data(opt)
@@ -43,9 +43,7 @@ func TestCapacityCellsShared(t *testing.T) {
 	if _, err := Tab2Data(opt); err != nil {
 		t.Fatal(err)
 	}
-	capCache.mu.Lock()
-	cells := len(capCache.m)
-	capCache.mu.Unlock()
+	cells := capCache.Len()
 	if want := 2*len(workload.PerformanceSet()) + len(sim.Mixes()); cells != want {
 		t.Fatalf("capacity memo holds %d cells, want %d", cells, want)
 	}

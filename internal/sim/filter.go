@@ -2,10 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"compresso/internal/cache"
 	"compresso/internal/memctl"
+	"compresso/internal/parallel"
 	"compresso/internal/workload"
 )
 
@@ -49,22 +49,14 @@ func privateKey(prof workload.Profile, seed, ops, base uint64) filterKey {
 	return filterKey{profile: fmt.Sprintf("%#v", prof), seed: seed, ops: ops, base: base}
 }
 
-// filterSlot is one key's log of type L and the claim on recording it.
-type filterSlot[L any] struct {
-	recording bool // a run holds the claim
-	log       *L   // published by a completed recording
-}
-
-// filterTable holds the logs of type L by key.
-type filterTable[L any] struct {
-	mu    sync.Mutex
-	slots map[filterKey]*filterSlot[L]
-}
-
-// filterTables is a set of one-core and private-level logs.
+// filterTables is a set of one-core and private-level logs. A log is
+// published, and replayed from then on, only once a recording of its
+// key completes every op; a run that finds its key being recorded runs
+// live rather than waiting (Memo.Claim), so the outcome cannot depend
+// on scheduling.
 type filterTables struct {
-	one     filterTable[cache.FilterLog]
-	private filterTable[cache.PrivateLog]
+	one     parallel.Memo[filterKey, *cache.FilterLog]
+	private parallel.Memo[filterKey, *cache.PrivateLog]
 }
 
 // processFilters holds every log the process has recorded. A log is
@@ -75,57 +67,12 @@ var processFilters filterTables
 // ResetCacheFilters drops every cache-filter log the process has
 // published, so the next run of each op stream records it afresh (the
 // determinism tests use it to record at every jobs setting). A
-// recording in flight keeps its claim on the dropped slot: it completes
-// unharmed but publishes nothing, and a concurrent run of its key
-// records its own log. Results are the same either way.
+// recording in flight completes unharmed but publishes nothing, and a
+// concurrent run of its key records its own log. Results are the same
+// either way.
 func ResetCacheFilters() {
-	processFilters.one.reset()
-	processFilters.private.reset()
-}
-
-// reset drops every slot of t.
-func (t *filterTable[L]) reset() {
-	t.mu.Lock()
-	t.slots = nil
-	t.mu.Unlock()
-}
-
-// claim returns key's published log to replay, or nil with a non-nil
-// slot when the caller takes the claim to record a fresh log (it must
-// then release the slot), or nil and nil when another run is recording:
-// the caller runs live rather than waiting, so the outcome cannot
-// depend on scheduling.
-func (t *filterTable[L]) claim(key filterKey) (log *L, rec *filterSlot[L]) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := t.slots[key]
-	if s == nil {
-		if t.slots == nil {
-			t.slots = make(map[filterKey]*filterSlot[L])
-		}
-		s = &filterSlot[L]{}
-		t.slots[key] = s
-	}
-	switch {
-	case s.log != nil:
-		return s.log, nil
-	case s.recording:
-		return nil, nil
-	}
-	s.recording = true
-	return nil, s
-}
-
-// release ends a recording claim on slot s. Only a run that completed
-// every op publishes its log; after a panic or cancellation the next
-// run records afresh.
-func (t *filterTable[L]) release(s *filterSlot[L], log *L, completed bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s.recording = false
-	if completed {
-		s.log = log
-	}
+	processFilters.one.Reset()
+	processFilters.private.Reset()
 }
 
 // filterCaches connects a pass to its cache-filter logs in p.filters,
@@ -169,13 +116,13 @@ func (p *pass) filterCaches() (release func(completed bool)) {
 // a published log, or recording of a fresh one of the key's ops
 // Accesses, returning that recording's release, which finishes a
 // completed log before publishing it.
-func filterInto[L any](table *filterTable[L], key filterKey, fresh func(int) *L, finish, replay, record func(*L)) func(bool) {
-	log, slot := table.claim(key)
+func filterInto[L any](table *parallel.Memo[filterKey, *L], key filterKey, fresh func(int) *L, finish, replay, record func(*L)) func(bool) {
+	log, ok, release := table.Claim(key)
 	switch {
-	case log != nil:
+	case ok:
 		replay(log)
 		return nil
-	case slot == nil:
+	case release == nil:
 		return nil
 	}
 	log = fresh(int(key.ops))
@@ -184,6 +131,6 @@ func filterInto[L any](table *filterTable[L], key filterKey, fresh func(int) *L,
 		if completed {
 			finish(log)
 		}
-		table.release(slot, log, completed)
+		release(log, completed)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"compresso/internal/cache"
 	"compresso/internal/compress"
 	"compresso/internal/obs"
+	"compresso/internal/parallel"
 	"compresso/internal/workload"
 )
 
@@ -54,26 +55,53 @@ func runLive(t *testing.T, prof workload.Profile, cfg Config) Result {
 	return r
 }
 
-// logs counts table's published logs and its held recording claims.
-func logs[L any](table *filterTable[L]) (published, recording int) {
-	table.mu.Lock()
-	defer table.mu.Unlock()
-	for _, s := range table.slots {
-		if s.log != nil {
+// filterKeys returns the keys of the logs a pass of cfg over profs
+// claims: its one-core log's, or each core's private log's.
+func filterKeys(profs []workload.Profile, cfg Config) []filterKey {
+	if len(profs) == 1 {
+		return []filterKey{oneCoreKey(workload.Scale(profs[0], cfg.FootprintScale), cfg.Seed, cfg.Ops,
+			scaledL3Bytes(2<<20, cfg.FootprintScale))}
+	}
+	var keys []filterKey
+	var base uint64
+	for i, prof := range profs {
+		prof = workload.Scale(prof, cfg.FootprintScale)
+		keys = append(keys, privateKey(prof, workload.CoreSeed(cfg.Seed, i), cfg.Ops, base))
+		base += uint64(prof.FootprintPages)
+	}
+	return keys
+}
+
+// held reports whether a recording holds key's claim in table: a wait
+// on a canceled context gets the claim only when it is free.
+func held[L any](table *parallel.Memo[filterKey, *L], key filterKey) bool {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := table.Update(ctx, key, func(*L, bool) (*L, error) { return nil, errors.New("probe") })
+	return errors.Is(err, context.Canceled)
+}
+
+// hasLog reports whether table holds a published log for key.
+func hasLog[L any](table *parallel.Memo[filterKey, *L], key filterKey) bool {
+	_, ok, release := table.Claim(key)
+	if release != nil {
+		release(nil, false)
+	}
+	return ok
+}
+
+// logs counts the keys that have a published log in table, and those
+// whose claim a recording still holds.
+func logs[L any](table *parallel.Memo[filterKey, *L], keys []filterKey) (published, recording int) {
+	for _, k := range keys {
+		if hasLog(table, k) {
 			published++
 		}
-		if s.recording {
+		if held(table, k) {
 			recording++
 		}
 	}
 	return published, recording
-}
-
-// slot reports whether key has a slot in table.
-func slot[L any](table *filterTable[L], key filterKey) bool {
-	table.mu.Lock()
-	defer table.mu.Unlock()
-	return table.slots[key] != nil
 }
 
 // requireSameRun compares everything a run reports: the Result or
@@ -162,7 +190,7 @@ func TestAssetFreeRunReplays(t *testing.T) {
 	prof, cfg := filterCfg(Compresso)
 	cfg.Seed = 0xa55e7f9ee
 	l3 := scaledL3Bytes(2<<20, cfg.FootprintScale)
-	for slot(&processFilters.one, oneCoreKey(workload.Scale(prof, cfg.FootprintScale), cfg.Seed, cfg.Ops, l3)) {
+	for hasLog(&processFilters.one, oneCoreKey(workload.Scale(prof, cfg.FootprintScale), cfg.Seed, cfg.Ops, l3)) {
 		cfg.Seed++ // the test already ran in this process (-count)
 	}
 	first, replayed := runFiltered(prof, cfg, &processFilters)
@@ -184,7 +212,7 @@ func TestResetCacheFiltersRecordsAfresh(t *testing.T) {
 	prof, cfg := filterCfg(LCP)
 	cfg.Seed = 0x5e5e7
 	key := oneCoreKey(workload.Scale(prof, cfg.FootprintScale), cfg.Seed, cfg.Ops, scaledL3Bytes(2<<20, cfg.FootprintScale))
-	for slot(&processFilters.one, key) {
+	for hasLog(&processFilters.one, key) {
 		cfg.Seed++ // the test already ran in this process (-count)
 		key.seed++
 	}
@@ -200,10 +228,10 @@ func TestResetCacheFiltersRecordsAfresh(t *testing.T) {
 	requireSameRun(t, "re-recording after the reset", again, first)
 
 	var tables filterTables
-	_, held := tables.one.claim(key)
-	tables.one.reset()
-	tables.one.release(held, cache.NewFilterLog(1), true)
-	if published, recording := logs(&tables.one); published != 0 || recording != 0 {
+	_, _, release := tables.one.Claim(key)
+	tables.one.Reset()
+	release(cache.NewFilterLog(1), true)
+	if published, recording := logs(&tables.one, []filterKey{key}); published != 0 || recording != 0 {
 		t.Fatalf("a claim from before the reset left %d logs, %d claims", published, recording)
 	}
 }
@@ -262,14 +290,14 @@ func TestFilterCanceledRecordingPublishesNothing(t *testing.T) {
 		}()
 		runFiltered(prof, c, tables)
 	}()
-	if published, recording := logs(&tables.one); published != 0 || recording != 0 {
+	if published, recording := logs(&tables.one, filterKeys([]workload.Profile{prof}, cfg)); published != 0 || recording != 0 {
 		t.Fatalf("canceled recording left %d logs, %d claims", published, recording)
 	}
 	got, replayed := runFiltered(prof, cfg, tables)
 	if replayed {
 		t.Fatal("the run after a canceled recording replayed")
 	}
-	if published, _ := logs(&tables.one); published != 1 {
+	if published, _ := logs(&tables.one, filterKeys([]workload.Profile{prof}, cfg)); published != 1 {
 		t.Fatal("the run after a canceled recording published nothing")
 	}
 	cfg.Assets = nil
@@ -305,7 +333,7 @@ func TestFilterConcurrentRuns(t *testing.T) {
 		requireSameRun(t, string(sys), got[i], want)
 		requireSameRun(t, string(sys)+" (second)", got[i+len(Systems())], want)
 	}
-	if published, recording := logs(&tables.one); published != 1 || recording != 0 {
+	if published, recording := logs(&tables.one, filterKeys([]workload.Profile{prof}, base)); published != 1 || recording != 0 {
 		t.Fatalf("after the runs: %d logs published, %d claims held; want 1 and 0", published, recording)
 	}
 }
@@ -336,7 +364,7 @@ func TestFilterOpsMismatchPanics(t *testing.T) {
 		requireAssetsPanic(t, func() { RunSingle(prof, cfg) })
 	}
 	key := oneCoreKey(workload.Scale(prof, cfg.FootprintScale), cfg.Seed, cfg.Ops, scaledL3Bytes(2<<20, cfg.FootprintScale))
-	if slot(&processFilters.one, key) {
+	if hasLog(&processFilters.one, key) || held(&processFilters.one, key) {
 		t.Fatal("a run on assets for another op count claimed its log")
 	}
 }
@@ -480,14 +508,14 @@ func TestFilterMultiCoreCanceledRecordingPublishesNothing(t *testing.T) {
 		}()
 		runMixFiltered(t, profs, c, tables)
 	}()
-	if published, recording := logs(&tables.private); published != 0 || recording != 0 {
+	if published, recording := logs(&tables.private, filterKeys(profs, cfg)); published != 0 || recording != 0 {
 		t.Fatalf("canceled recording left %d logs, %d claims", published, recording)
 	}
 	got, replayed := runMixFiltered(t, profs, cfg, tables)
 	if replayed {
 		t.Fatal("the run after a canceled recording replayed")
 	}
-	if published, _ := logs(&tables.private); published != len(profs) {
+	if published, _ := logs(&tables.private, filterKeys(profs, cfg)); published != len(profs) {
 		t.Fatalf("the run after a canceled recording published %d of %d logs", published, len(profs))
 	}
 	cfg.Assets = nil
@@ -526,7 +554,7 @@ func TestFilterMultiCoreConcurrentRuns(t *testing.T) {
 		requireSameRun(t, string(sys), got[i], want)
 		requireSameRun(t, string(sys)+" (second)", got[i+len(Systems())], want)
 	}
-	if published, recording := logs(&tables.private); published != len(profs) || recording != 0 {
+	if published, recording := logs(&tables.private, filterKeys(profs, base)); published != len(profs) || recording != 0 {
 		t.Fatalf("after the runs: %d logs published, %d claims held; want %d and 0", published, recording, len(profs))
 	}
 }
@@ -542,7 +570,7 @@ func TestFilterMultiCoreOpsMismatchPanics(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		requireAssetsPanic(t, func() { RunMix("pair", profs, cfg) })
 	}
-	if key := privateKey(workload.Scale(profs[0], cfg.FootprintScale), cfg.Seed, cfg.Ops, 0); slot(&processFilters.private, key) {
+	if key := privateKey(workload.Scale(profs[0], cfg.FootprintScale), cfg.Seed, cfg.Ops, 0); hasLog(&processFilters.private, key) || held(&processFilters.private, key) {
 		t.Fatal("a run on assets for another op count claimed core 0's log")
 	}
 }
@@ -561,10 +589,10 @@ func TestFilterOneAndMultiCoreLogsNeverCross(t *testing.T) {
 		t.Fatal("the first one-core run replayed")
 	}
 	requireSameRun(t, "one-core recording", solo, wantSolo)
-	if one, _ := logs(&tables.one); one != 1 {
+	if one := tables.one.Len(); one != 1 {
 		t.Fatalf("one-core recording published %d one-core logs", one)
 	}
-	if private, _ := logs(&tables.private); private != 0 {
+	if private := tables.private.Len(); private != 0 {
 		t.Fatalf("one-core recording published %d private logs", private)
 	}
 	for i, replay := range []bool{false, true} {
@@ -579,7 +607,7 @@ func TestFilterOneAndMultiCoreLogsNeverCross(t *testing.T) {
 		}
 		requireSameRun(t, fmt.Sprintf("one-core replay %d", i), solo, wantSolo)
 	}
-	if one, _ := logs(&tables.one); one != 1 {
+	if one := tables.one.Len(); one != 1 {
 		t.Fatalf("mix runs left %d one-core logs, want 1", one)
 	}
 }

@@ -106,7 +106,7 @@ func TestRunSinglesMatchesRunSingle(t *testing.T) {
 	busy := &filterTables{}
 	key := oneCoreKey(workload.Scale(prof, cfgs[0].FootprintScale), cfgs[0].Seed, cfgs[0].Ops,
 		scaledL3Bytes(2<<20, cfgs[0].FootprintScale))
-	if _, slot := busy.one.claim(key); slot == nil {
+	if _, _, release := busy.one.Claim(key); release == nil {
 		t.Fatal("a fresh table refused the claim")
 	}
 	for _, run := range []struct {
@@ -127,7 +127,7 @@ func TestRunSinglesMatchesRunSingle(t *testing.T) {
 			requireSameRun(t, what, got[i], want[i])
 		}
 	}
-	if published, recording := logs(&recorded.one); published != 1 || recording != 0 {
+	if published, recording := logs(&recorded.one, []filterKey{key}); published != 1 || recording != 0 {
 		t.Fatalf("after the passes: %d logs published, %d claims held; want 1 and 0", published, recording)
 	}
 	if got := RunSingles(prof, nil); got != nil {

@@ -10,16 +10,12 @@ import (
 )
 
 // The block-table tests use seeds no other test binds (97xx), and each
-// drops its key's block table first, so they hold in any order and
-// under -count.
+// drops the block tables first, so they hold in any order and under
+// -count.
 
-// dropBlockTable forgets an image's block table, so the next pricer
-// starts from an empty one.
-func dropBlockTable(im *Image) {
-	blockTables.Lock()
-	delete(blockTables.m, im.imageKey())
-	blockTables.Unlock()
-}
+// dropBlockTables forgets every block table, so the next pricer of any
+// key starts from an empty one.
+func dropBlockTables() { blockTables.Reset() }
 
 // liveBlockSize is compress.LZSizeBlock over the block's live bytes,
 // read line by line with no memo involved.
@@ -40,7 +36,7 @@ func TestBlockTableMatchesLZSizeBlock(t *testing.T) {
 		p := sizeTestProfile(t, name, 16)
 		const seed = 9701
 		first, second, fresh := NewImage(p, seed), NewImage(p, seed), NewImage(p, seed)
-		dropBlockTable(first)
+		dropBlockTables()
 		for l := uint64(0); l < first.Lines(); l += memctl.LZBlockLines {
 			want := liveBlockSize(fresh, l)
 			if got := first.SizeLZBlock(l); got != want {
@@ -88,7 +84,7 @@ func TestStoredBlockPricedFromLiveBytes(t *testing.T) {
 	const seed = 9711
 	p := sizeTestProfile(t, "gcc", 16)
 	im := NewImage(p, seed)
-	dropBlockTable(im)
+	dropBlockTables()
 	ref := NewImage(p, seed)
 	for l := uint64(0); l < im.Lines(); l += memctl.LZBlockLines {
 		im.SizeLZBlock(l) // the table now prices every pristine block
@@ -160,7 +156,7 @@ func TestBlockTableConcurrentPricing(t *testing.T) {
 	const seed = 9731
 	p := sizeTestProfile(t, "mcf", 64)
 	ref := NewImage(p, seed)
-	dropBlockTable(ref)
+	dropBlockTables()
 	want := make([]int, ref.Lines()/memctl.LZBlockLines)
 	for b := range want {
 		want[b] = liveBlockSize(ref, uint64(b)*memctl.LZBlockLines)
@@ -198,7 +194,7 @@ func TestSecondCodecSizeLine(t *testing.T) {
 	const seed = 9741
 	p := sizeTestProfile(t, "GemsFDTD", 16)
 	im := NewImage(p, seed)
-	dropSizeTable(im, bdi)
+	dropSizeTables()
 	im.SizeAll(bpc, 1)
 	ref := NewImage(p, seed)
 	for l := uint64(0); l < im.Lines(); l += 7 {

@@ -1,12 +1,13 @@
 package workload
 
 import (
+	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"compresso/internal/compress"
 	"compresso/internal/memctl"
+	"compresso/internal/parallel"
 )
 
 // Before its first store an image's content is a pure function of its
@@ -39,43 +40,27 @@ func (im *Image) sizeKey(codec compress.Codec) sizeKey {
 	return sizeKey{im.imageKey(), codec.Name()}
 }
 
-// sizeTable is one key's table. mu is held for the whole fill, so
-// concurrent binders of one key wait for it rather than repeat it. The
-// fill runs only the codec's sizing over the filler's own bytes, which
-// never binds an image, so holding mu across it cannot deadlock.
-type sizeTable struct {
-	mu    sync.Mutex
-	sizes []int16 // nil until a fill succeeds; read-only from then on
-}
-
-var sizeTables = struct {
-	sync.Mutex
-	m map[sizeKey]*sizeTable
-}{m: make(map[sizeKey]*sizeTable)}
+// sizeTables holds the pristine size tables by key. A binder that
+// finds its key being filled waits for the fill rather than repeat it.
+// The fill runs only the codec's sizing over the filler's own bytes,
+// which never binds an image, so holding the key across it cannot
+// deadlock.
+var sizeTables parallel.Memo[sizeKey, []int16]
 
 // pristineSizes returns the shared size table for im's key, filling it
 // from im's own bytes over jobs workers when no image has published it
 // yet. im must never have been stored to. A fill that panics publishes
 // nothing, and the next binder fills again.
 func pristineSizes(im *Image, codec compress.Codec, jobs int) []int16 {
-	k := im.sizeKey(codec)
-	sizeTables.Lock()
-	tab := sizeTables.m[k]
-	if tab == nil {
-		tab = new(sizeTable)
-		sizeTables.m[k] = tab
-	}
-	sizeTables.Unlock()
-
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
-	if tab.sizes == nil {
+	// The fill returns no error and the context never ends, so Get
+	// returns none.
+	sizes, _ := sizeTables.Get(context.TODO(), im.sizeKey(codec), func() ([]int16, error) {
 		sizes := unknownSizes(im.Lines())
 		im.Materialize(jobs)
 		im.sizeInto(codec, sizes, jobs)
-		tab.sizes = sizes
-	}
-	return tab.sizes
+		return sizes, nil
+	})
+	return sizes
 }
 
 // The dmc and mxt baselines price cold data in 1 KB LZ blocks
@@ -86,20 +71,13 @@ func pristineSizes(im *Image, codec compress.Codec, jobs int) []int16 {
 // whole table up front. Entry b holds block b's size plus one, 0 until
 // some image prices the block from bytes no store has reached;
 // concurrent pricers of one block store the same number.
-var blockTables = struct {
-	sync.Mutex
-	m map[imageKey][]atomic.Uint32
-}{m: make(map[imageKey][]atomic.Uint32)}
+var blockTables parallel.Memo[imageKey, []atomic.Uint32]
 
-// pristineBlocks returns the shared block table for im's key.
+// pristineBlocks returns the shared block table for im's key. Get
+// returns no error, as in pristineSizes.
 func pristineBlocks(im *Image) []atomic.Uint32 {
-	k := im.imageKey()
-	blockTables.Lock()
-	defer blockTables.Unlock()
-	tab := blockTables.m[k]
-	if tab == nil {
-		tab = make([]atomic.Uint32, im.Lines()/memctl.LZBlockLines)
-		blockTables.m[k] = tab
-	}
+	tab, _ := blockTables.Get(context.TODO(), im.imageKey(), func() ([]atomic.Uint32, error) {
+		return make([]atomic.Uint32, im.Lines()/memctl.LZBlockLines), nil
+	})
 	return tab
 }

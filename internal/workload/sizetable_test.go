@@ -9,28 +9,21 @@ import (
 )
 
 // Every test here uses a seed no other test in the package binds, and a
-// test that needs its key's table empty drops it first, so the tests
-// hold in any order and under -count.
+// test that needs its key's table empty drops the tables first, so the
+// tests hold in any order and under -count.
 
 // tableSizes returns the published table for an image's key, or nil.
 func tableSizes(im *Image, codec compress.Codec) []int16 {
-	sizeTables.Lock()
-	tab := sizeTables.m[im.sizeKey(codec)]
-	sizeTables.Unlock()
-	if tab == nil {
-		return nil
+	sizes, _, release := sizeTables.Claim(im.sizeKey(codec))
+	if release != nil {
+		release(nil, false)
 	}
-	tab.mu.Lock()
-	defer tab.mu.Unlock()
-	return tab.sizes
+	return sizes
 }
 
-// dropSizeTable forgets an image's key, so the next binder fills again.
-func dropSizeTable(im *Image, codec compress.Codec) {
-	sizeTables.Lock()
-	delete(sizeTables.m, im.sizeKey(codec))
-	sizeTables.Unlock()
-}
+// dropSizeTables forgets every published size table, so the next
+// binder of any key fills again.
+func dropSizeTables() { sizeTables.Reset() }
 
 func sizeTestProfile(t testing.TB, name string, scale int) Profile {
 	t.Helper()
@@ -140,7 +133,7 @@ func TestSizeTableSkipsStoredImages(t *testing.T) {
 	p := sizeTestProfile(t, "soplex", 16)
 
 	stored := NewImage(p, seed)
-	dropSizeTable(stored, codec)
+	dropSizeTables()
 	line := firstStoreChangingSize(t, stored, p, seed, codec)
 	stored.SizeAll(codec, 2)
 	if stored.sharedSize || tableSizes(stored, codec) != nil {
@@ -192,7 +185,7 @@ func TestSizeTableFailedFillPublishesNothing(t *testing.T) {
 	const seed = 9401
 	p := sizeTestProfile(t, "gcc", 16)
 	first := NewImage(p, seed)
-	dropSizeTable(first, codec)
+	dropSizeTables()
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -230,10 +223,10 @@ func TestSizeTableFillJobsInvariant(t *testing.T) {
 	const seed = 9501
 	p := sizeTestProfile(t, "mcf", 16)
 	serial := NewImage(p, seed)
-	dropSizeTable(serial, codec)
+	dropSizeTables()
 	serial.SizeAll(codec, 1)
 	want := tableSizes(serial, codec)
-	dropSizeTable(serial, codec)
+	dropSizeTables()
 	fanned := NewImage(p, seed)
 	fanned.SizeAll(codec, 4)
 	got := tableSizes(fanned, codec)
@@ -257,7 +250,7 @@ func TestSizeTableConcurrentBind(t *testing.T) {
 	for i := range images {
 		images[i] = NewImage(p, seed)
 	}
-	dropSizeTable(images[0], codec)
+	dropSizeTables()
 	var wg sync.WaitGroup
 	for i := range images {
 		wg.Add(1)
