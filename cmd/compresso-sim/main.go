@@ -1,18 +1,27 @@
 // compresso-sim runs the paper's experiments (tables and figures) or
-// ad-hoc single-benchmark simulations.
+// ad-hoc simulations. One mode flag picks what runs; a flag that mode
+// does not read is a usage error (exit 2). The modes and their flags:
 //
-// Usage:
+//	-promcheck FILE          nothing else
+//	-list, -systems          nothing else
+//	-exp NAME|all            -quick -seed -jobs -json -serve -progress -trace-out
+//	                         -journal -resume -retry -retry-base -retry-cap
+//	                         -cell-timeout -quarantine -chaos -chaos-seed -chaos-delay
+//	-fleet                   -fleet-nodes -fleet-policy -quick -seed -scale -jobs -json -serve
+//	-bench NAME -capacity F  -ops -scale -seed -jobs -json
+//	-bench NAME              -system or -compare, and the run flags
+//	-mix NAME                the run flags
+//	-inject, -audit-every    the run flags (the robustness demo: gcc on compresso)
 //
-//	compresso-sim -list
-//	compresso-sim -systems
-//	compresso-sim -exp fig2 [-quick] [-seed N]
-//	compresso-sim -exp all [-quick]
-//	compresso-sim -bench gcc -system <any registered backend> [-ops N] [-scale N]
-//	compresso-sim -bench gcc -attribution [-top-pages N]
+// The run flags are -ops -scale -seed -jobs -overlap -attribution
+// -top-pages -inject -audit-every -trace-events -json -json-summary
+// -serve -sample-every -sample-windows -trace-out. Every mode but
+// -promcheck also reads -cpuprofile and -memprofile.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -21,6 +30,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -54,62 +64,12 @@ const (
 )
 
 func main() {
-	var (
-		list     = flag.Bool("list", false, "list available experiments")
-		exp      = flag.String("exp", "", "experiment to run (or 'all')")
-		quick    = flag.Bool("quick", false, "reduced footprints and trace lengths")
-		seed     = flag.Uint64("seed", 42, "random seed (0 is a valid seed when passed explicitly)")
-		jobs     = flag.Int("jobs", 0, "parallel workers for experiment cells (0 = all cores); output is byte-identical for any value")
-		bench    = flag.String("bench", "", "run one benchmark instead of an experiment")
-		mix      = flag.String("mix", "", "run one Tab. IV mix (e.g. mix1) across all systems")
-		capFrac  = flag.Float64("capacity", 0, "with -bench: run the memory-capacity evaluation at this constrained fraction (e.g. 0.7)")
-		system   = flag.String("system", "compresso", "system for -bench: any registered backend (see -systems)")
-		systemsF = flag.Bool("systems", false, "list the registered memory-controller backends")
-		ops      = flag.Uint64("ops", 200_000, "trace operations for -bench")
-		scale    = flag.Int("scale", 4, "footprint divisor for -bench")
-		compare  = flag.Bool("compare", false, "with -bench: run all four systems and compare")
-		overlap  = flag.Bool("overlap", false, "opt-in overlapped-controller timing: pipeline decompression latency against DRAM service (memctl.overlap_* stats); off preserves the serial model")
-		attrF    = flag.Bool("attribution", false, "attach the cycle-accounting ledger to -bench/-mix runs: per-component latency breakdown, hot-page profile, attr.* metrics (observation-only; results are byte-identical either way)")
-		topPages = flag.Int("top-pages", 0, fmt.Sprintf("with -attribution: bound the hot-page overhead profile to the top N pages (0 uses the default %d)", sim.DefaultTopPages))
-		inject   = flag.String("inject", "", "fault-injection spec, e.g. bitflip:1e-6,mdmiss:1e-4 (sites: bitflip, metaflip, chunkdrop, chunkdup, mdmiss)")
-		auditEv  = flag.Uint64("audit-every", 0, "run a repairing state audit every N demand ops (0 disables)")
-		jsonDir  = flag.String("json", "", "write JSON artifacts for every run/experiment into this directory")
-
-		fleetF      = flag.Bool("fleet", false, "run a multi-node fleet simulation: every node wraps a registered backend with hot/cold tiering and ballooning (see -fleet-nodes, -fleet-policy)")
-		fleetNodes  = flag.Int("fleet-nodes", 16, "with -fleet: fleet size in nodes")
-		fleetPolicy = flag.String("fleet-policy", "hysteresis", "with -fleet: tier promotion/demotion policy (hysteresis, aggressive, static)")
-		traceEv     = flag.Int("trace-events", 0, "retain the newest N controller events in the result trace (omit to disable tracing)")
-		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf     = flag.String("memprofile", "", "write a heap profile to this file on exit")
-
-		serve     = flag.String("serve", "", "serve live introspection (/metrics, /timeseries, /events, /progress, /healthz, pprof) on this address, e.g. 127.0.0.1:8080 (port 0 picks a free port)")
-		sampleEv  = flag.Uint64("sample-every", 0, "snapshot live run metrics every N demand ops into a windowed time series (0 disables; determinism-neutral)")
-		sampleWin = flag.Int("sample-windows", sim.DefaultSampleWindows, "retain the newest N sample windows")
-		progressF = flag.Bool("progress", false, "render a throttled progress line on stderr during experiment sweeps")
-		traceOut  = flag.String("trace-out", "", "write a Chrome/Perfetto trace-event JSON file (controller events + experiment cell spans) on exit")
-		jsonSum   = flag.Bool("json-summary", false, "shrink -json run artifacts: drop raw trace events, keep trace counts and all metrics")
-		promCheck = flag.String("promcheck", "", "validate a Prometheus text exposition file ('-' for stdin) and exit")
-
-		journalDir = flag.String("journal", "", "with -exp: journal completed grid cells into DIR/journal.jsonl; an interrupted run resumed from the same DIR re-executes only the remainder")
-		resumeDir  = flag.String("resume", "", "with -exp: resume from an existing journal directory (DIR/journal.jsonl must exist); implies -journal DIR")
-		retryN     = flag.Int("retry", 1, "with -exp: attempts per grid cell (>= 1); transient failures and cell timeouts retry with exponential backoff")
-		retryBase  = flag.Duration("retry-base", 10*time.Millisecond, "with -exp: backoff before the first retry (doubles per retry, deterministic jitter)")
-		retryCap   = flag.Duration("retry-cap", 2*time.Second, "with -exp: backoff ceiling")
-		cellTO     = flag.Duration("cell-timeout", 0, "with -exp: per-attempt deadline for one grid cell (0 disables); expiry is retryable")
-		quarantine = flag.Bool("quarantine", false, "with -exp: partial-results mode — failing cells are quarantined into a failure manifest and the run completes with exit code 3")
-		chaosSpec  = flag.String("chaos", "", "with -exp: chaos spec, e.g. cellpanic:0.02,celltransient:0.1 (sites: cellpanic, celltransient, celldelay, cellkill)")
-		chaosSeed  = flag.Uint64("chaos-seed", 1, "seed for the chaos decision streams")
-		chaosDelay = flag.Duration("chaos-delay", 2*time.Millisecond, "stall injected when the celldelay chaos site fires")
-	)
-	flag.Parse()
-
-	if *promCheck != "" {
-		runPromCheck(*promCheck)
-		return
+	c, err := parseArgs(os.Args[1:], os.Stderr)
+	if err != nil {
+		os.Exit(usageExit(err))
 	}
-
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+	if c.cpuProfile != "" {
+		f, err := os.Create(c.cpuProfile)
 		if err != nil {
 			fatal(err)
 		}
@@ -119,52 +79,9 @@ func main() {
 		stopCPUProfile = func() { pprof.StopCPUProfile(); f.Close() }
 		defer finishProfiles()
 	}
-	if *memProf != "" {
-		heapProfilePath = *memProf
+	if c.memProfile != "" {
+		heapProfilePath = c.memProfile
 		defer finishProfiles()
-	}
-	traceEvents = *traceEv
-	artifactDir = *jsonDir
-	sampleEvery = *sampleEv
-	sampleWindows = *sampleWin
-	summaryArtifacts = *jsonSum
-	attributionOn = *attrF
-	topPagesN = *topPages
-
-	// An explicit -seed makes any value authoritative, including 0
-	// (which would otherwise alias the default 42); an explicit
-	// -trace-events must be a usable ring capacity.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	usageErr := func(err error) {
-		fmt.Fprintln(os.Stderr, "compresso-sim:", err)
-		flag.Usage()
-		os.Exit(exitUsage)
-	}
-	if err := validateTraceEvents(set["trace-events"], *traceEv); err != nil {
-		usageErr(err)
-	}
-	if err := validateCapacity(set["capacity"], *capFrac, *bench); err != nil {
-		usageErr(err)
-	}
-	if err := validateExp(*exp, set); err != nil {
-		usageErr(err)
-	}
-	rf := resilienceFlags{
-		Exp: *exp, JobsSet: set["jobs"], Jobs: *jobs,
-		Journal: *journalDir, Resume: *resumeDir,
-		Retry: *retryN, RetryBase: *retryBase, RetryCap: *retryCap,
-		CellTimeout: *cellTO, Quarantine: *quarantine, Chaos: *chaosSpec,
-	}
-	if err := rf.validate(); err != nil {
-		usageErr(err)
-	}
-	ff := fleetFlags{
-		Enabled: *fleetF, Nodes: *fleetNodes, NodesSet: set["fleet-nodes"],
-		Policy: *fleetPolicy, PolicySet: set["fleet-policy"],
-	}
-	if err := ff.validate(); err != nil {
-		usageErr(err)
 	}
 
 	// Live introspection. The grids feed one progress Tracker; the
@@ -174,15 +91,15 @@ func main() {
 	// byte-identical with or without them (DESIGN.md §9).
 	var tracker *progress.Tracker
 	var term *progress.Terminal
-	if *serve != "" || *progressF || *traceOut != "" {
+	if c.serve != "" || c.progress || c.traceOut != "" {
 		tracker = progress.NewTracker()
 	}
-	if *progressF {
+	if c.progress {
 		term = progress.NewTerminal(tracker, os.Stderr)
 	}
-	if *serve != "" {
+	if c.serve != "" {
 		server = obshttp.New(tracker)
-		addr, err := server.Start(*serve)
+		addr, err := server.Start(c.serve)
 		if err != nil {
 			fatal(err)
 		}
@@ -190,27 +107,34 @@ func main() {
 		defer server.Close()
 	}
 
-	expOpts := experiments.Options{
-		Out: os.Stdout, Quick: *quick,
-		Seed: *seed, SeedSet: set["seed"], Jobs: *jobs,
-		JSONDir: *jsonDir,
-	}
-	if tracker != nil {
-		expOpts.Progress = tracker // a nil *Tracker must not become a non-nil sink
-	}
-
-	// Resilience wiring for experiment runs (DESIGN.md §11): a signal-
-	// canceled context so SIGINT/SIGTERM drain the grids gracefully
-	// (journal, artifacts and trace for completed cells still flush; a
-	// second signal kills immediately), plus the retry / quarantine /
-	// chaos / journal options.
 	var (
 		expCtx   context.Context
 		jrnl     *journal.Journal
 		failures *parallel.FailureLog
 		chaos    *faults.Chaos
+		runErr   error
 	)
-	if *exp != "" {
+	switch c.mode {
+	case modePromCheck:
+		runPromCheck(c.promCheck)
+	case modeList:
+		tbl := stats.NewTable("experiment", "description")
+		for _, e := range experiments.List() {
+			tbl.AddRow(e.Name, e.Desc)
+		}
+		tbl.Render(os.Stdout)
+	case modeSystems:
+		tbl := stats.NewTable("system", "description")
+		for _, b := range memctl.Backends() {
+			tbl.AddRow(b.Name, b.Desc)
+		}
+		tbl.Render(os.Stdout)
+	case modeExp:
+		// Resilience wiring (DESIGN.md §11): a signal-canceled context so
+		// SIGINT/SIGTERM drain the grids gracefully (journal, artifacts and
+		// trace for completed cells still flush; a second signal kills
+		// immediately), plus the retry / quarantine / chaos / journal
+		// options.
 		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 		go func() {
@@ -218,75 +142,51 @@ func main() {
 			stop() // restore default handling: a second signal terminates
 		}()
 		expCtx = ctx
-		expOpts.Ctx = ctx
-		expOpts.CellTimeout = *cellTO
-		if *retryN > 1 {
+		expOpts := experiments.Options{
+			Out: os.Stdout, Quick: c.quick,
+			Seed: c.seed, SeedSet: c.seedSet, Jobs: c.jobs,
+			JSONDir: c.jsonDir, Ctx: ctx, CellTimeout: c.cellTimeout, Quarantine: c.quarantine,
+		}
+		if tracker != nil {
+			expOpts.Progress = tracker // a nil *Tracker must not become a non-nil sink
+		}
+		if c.retry > 1 {
 			expOpts.Retry = parallel.RetryPolicy{
-				MaxAttempts: *retryN, BaseBackoff: *retryBase,
-				MaxBackoff: *retryCap, Seed: *seed,
+				MaxAttempts: c.retry, BaseBackoff: c.retryBase,
+				MaxBackoff: c.retryCap, Seed: c.seed,
 			}
 		}
-		expOpts.Quarantine = *quarantine
-		if *quarantine {
+		if c.quarantine {
 			failures = &parallel.FailureLog{}
 			expOpts.Failures = failures
 		}
-		if *chaosSpec != "" {
-			ccfg, err := faults.ParseChaosSpec(*chaosSpec, *chaosSeed)
-			if err != nil {
-				usageErr(err)
-			}
-			ccfg.Delay = *chaosDelay
-			chaos = faults.NewChaos(ccfg)
+		if c.chaosSpec != "" {
+			chaos = faults.NewChaos(c.chaos)
 			expOpts.Chaos = chaos
 		}
-		if dir := rf.journalDir(); dir != "" {
-			j, err := journal.Open(dir)
+		if c.journal != "" {
+			j, err := journal.Open(c.journal)
 			if err != nil {
 				fatal(err)
 			}
 			jrnl = j
 			expOpts.Journal = j
 		}
-	}
-
-	runOpts := runOptions{ops: *ops, scale: *scale, seed: *seed, inject: *inject,
-		auditEvery: *auditEv, jobs: *jobs, overlap: *overlap}
-	var runErr error
-	switch {
-	case *list:
-		tbl := stats.NewTable("experiment", "description")
-		for _, e := range experiments.List() {
-			tbl.AddRow(e.Name, e.Desc)
+		if c.exp == "all" {
+			// RunAll recovers from per-experiment panics so one broken
+			// artifact does not kill the batch.
+			runErr = experiments.RunAll(expOpts)
+		} else {
+			runErr = experiments.Run(c.exp, expOpts)
 		}
-		tbl.Render(os.Stdout)
-	case *systemsF:
-		tbl := stats.NewTable("system", "description")
-		for _, b := range memctl.Backends() {
-			tbl.AddRow(b.Name, b.Desc)
-		}
-		tbl.Render(os.Stdout)
-	case *exp == "all":
-		// RunAll recovers from per-experiment panics so one broken
-		// artifact does not kill the batch.
-		runErr = experiments.RunAll(expOpts)
-	case *exp != "":
-		runErr = experiments.Run(*exp, expOpts)
-	case *fleetF:
-		runFleet(*fleetNodes, *fleetPolicy, *quick, *seed, *scale, *jobs)
-	case *bench != "" && *capFrac > 0:
-		runCapacity(*bench, *capFrac, *ops, *scale, *seed, *jobs)
-	case *bench != "":
-		runBench(*bench, *system, *compare, runOpts)
-	case *mix != "":
-		runMixCLI(*mix, runOpts)
-	case *inject != "" || *auditEv > 0:
-		// Robustness demo: injection/auditing flags alone run the
-		// default benchmark on the Compresso system.
-		runBench("gcc", "compresso", false, runOpts)
-	default:
-		flag.Usage()
-		os.Exit(2)
+	case modeFleet:
+		runFleet(c)
+	case modeCapacity:
+		runCapacity(c)
+	case modeBench, modeDemo:
+		runBench(c)
+	case modeMix:
+		runMixCLI(c)
 	}
 
 	if term != nil {
@@ -298,13 +198,13 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "compresso-sim: journal %s: %s\n", jrnl.Path(), jrnl.Stats())
 	}
-	if *traceOut != "" {
-		writeTraceOut(*traceOut, tracker)
+	if c.traceOut != "" {
+		writeTraceOut(c.traceOut, tracker)
 	}
 	if chaos != nil {
 		fmt.Fprintf(os.Stderr, "compresso-sim: chaos: %s\n", chaos.Totals())
 	}
-	writeFailureManifest(failures, *jsonDir)
+	writeFailureManifest(failures, c.jsonDir)
 
 	// Exit code: an interrupt or quarantined failures end a run that
 	// still flushed everything it completed — exit 3, distinct from a
@@ -327,6 +227,306 @@ func main() {
 		}
 		os.Exit(code)
 	}
+}
+
+// A mode is one way to run compresso-sim: the mode flag that picks it
+// ("" for the two modes pickMode picks otherwise), its name in
+// messages, and every flag it reads, its own included. A mode reads a
+// flag when the flag can change what the mode prints, writes or serves.
+type mode struct{ flag, name, flags string }
+
+// Flag groups the mode table shares, as space-separated flag names.
+const (
+	profileFlags = "cpuprofile memprofile"
+	// runFlags are read by every cycle run: -bench, -mix and the demo.
+	runFlags = "ops scale seed jobs overlap attribution top-pages inject audit-every " +
+		"trace-events json json-summary serve sample-every sample-windows trace-out " + profileFlags
+	resilienceFlags = "journal resume retry retry-base retry-cap cell-timeout quarantine " +
+		"chaos chaos-seed chaos-delay"
+)
+
+// The mode table.
+var (
+	modePromCheck = &mode{"promcheck", "-promcheck", "promcheck"}
+	modeList      = &mode{"list", "-list", "list " + profileFlags}
+	modeSystems   = &mode{"systems", "-systems", "systems " + profileFlags}
+	modeExp       = &mode{"exp", "-exp", "exp quick seed jobs json serve progress trace-out " +
+		resilienceFlags + " " + profileFlags}
+	modeFleet = &mode{"fleet", "-fleet", "fleet fleet-nodes fleet-policy quick seed scale jobs json serve " +
+		profileFlags}
+	modeCapacity = &mode{"", "-bench -capacity", "bench capacity ops scale seed jobs json " + profileFlags}
+	modeBench    = &mode{"bench", "-bench", "bench system compare " + runFlags}
+	modeMix      = &mode{"mix", "-mix", "mix " + runFlags}
+	modeDemo     = &mode{"", "-inject/-audit-every", runFlags}
+	modes        = []*mode{modePromCheck, modeList, modeSystems, modeExp, modeFleet,
+		modeCapacity, modeBench, modeMix, modeDemo}
+)
+
+// reads reports whether mode m reads the named flag.
+func (m *mode) reads(name string) bool {
+	return slices.Contains(strings.Fields(m.flags), name)
+}
+
+// needs lists the flags that mean nothing without another flag.
+var needs = [][2]string{
+	{"top-pages", "attribution"},
+	{"sample-every", "serve"}, // the sampled series reaches only the live server
+	{"sample-windows", "sample-every"},
+	{"chaos-seed", "chaos"}, {"chaos-delay", "chaos"},
+	{"retry-base", "retry"}, {"retry-cap", "retry"},
+	{"fleet-nodes", "fleet"}, {"fleet-policy", "fleet"},
+	{"capacity", "bench"},
+	{"json-summary", "json"},
+}
+
+// pickMode picks the mode the set flags name: at most one mode flag
+// may be set. -bench with -capacity picks the capacity model, and
+// -inject or -audit-every with no mode flag pick the robustness demo.
+func pickMode(set map[string]bool) (*mode, error) {
+	var picked []string
+	m := modeDemo
+	for _, md := range modes {
+		if md.flag != "" && set[md.flag] {
+			picked = append(picked, md.name)
+			m = md
+		}
+	}
+	switch {
+	case len(picked) > 1:
+		return nil, fmt.Errorf("%s each pick a mode; pass one", strings.Join(picked, " and "))
+	case m == modeBench && set["capacity"]:
+		return modeCapacity, nil
+	case len(picked) == 0 && !set["inject"] && !set["audit-every"]:
+		return nil, errors.New("no mode flag given; pass one of -promcheck, -list, -systems, -exp, -fleet, -bench, -mix, -inject or -audit-every")
+	}
+	return m, nil
+}
+
+// cli is one checked command line: the mode it runs and every flag
+// value, with the name-valued flags resolved.
+type cli struct {
+	mode *mode
+
+	promCheck, exp, benchName, mixName, system, inject string
+	jsonDir, fleetPolicy, cpuProfile, memProfile       string
+	serve, traceOut, journal, resume, chaosSpec        string
+
+	quick, compare, overlap, attribution, progress, jsonSummary, quarantine bool
+
+	seed, ops, auditEvery, sampleEvery, chaosSeed  uint64
+	seedSet                                        bool
+	jobs, scale, topPages, fleetNodes, traceEvents int
+	sampleWindows, retry                           int
+	capacity                                       float64
+	retryBase, retryCap, cellTimeout, chaosDelay   time.Duration
+
+	bench   workload.Profile
+	mix     sim.Mix
+	systems []sim.System // the -bench run's systems
+	faults  faults.Config
+	policy  fleet.Policy
+	chaos   faults.ChaosConfig
+}
+
+// usageExit is the exit code of a parseArgs error: 0 for -h, else 2.
+func usageExit(err error) int {
+	if errors.Is(err, flag.ErrHelp) {
+		return exitOK
+	}
+	return exitUsage
+}
+
+// parseArgs parses and checks a command line before anything runs. A
+// malformed flag, two mode flags, a flag the mode does not read, a flag
+// without the flag it needs, an out-of-range value and an unknown name
+// are each an error, reported on stderr with the usage text.
+func parseArgs(args []string, stderr io.Writer) (*cli, error) {
+	fs := flag.NewFlagSet(os.Args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	c := &cli{}
+	fs.Bool("list", false, "list available experiments")
+	fs.StringVar(&c.exp, "exp", "", "experiment to run (or 'all')")
+	fs.BoolVar(&c.quick, "quick", false, "reduced footprints and trace lengths")
+	fs.Uint64Var(&c.seed, "seed", 42, "random seed (0 is a valid seed when passed explicitly)")
+	fs.IntVar(&c.jobs, "jobs", 0, "parallel workers for experiment cells (0 = all cores); output is byte-identical for any value")
+	fs.StringVar(&c.benchName, "bench", "", "run one benchmark instead of an experiment")
+	fs.StringVar(&c.mixName, "mix", "", "run one Tab. IV mix (e.g. mix1) across all systems")
+	fs.Float64Var(&c.capacity, "capacity", 0, "with -bench: run the memory-capacity evaluation at this constrained fraction (e.g. 0.7)")
+	fs.StringVar(&c.system, "system", "compresso", "system for -bench: any registered backend (see -systems)")
+	fs.Bool("systems", false, "list the registered memory-controller backends")
+	fs.Uint64Var(&c.ops, "ops", 200_000, "trace operations for -bench")
+	fs.IntVar(&c.scale, "scale", 4, "footprint divisor for -bench")
+	fs.BoolVar(&c.compare, "compare", false, "with -bench: run all four systems and compare")
+	fs.BoolVar(&c.overlap, "overlap", false, "opt-in overlapped-controller timing: pipeline decompression latency against DRAM service (memctl.overlap_* stats); off preserves the serial model")
+	fs.BoolVar(&c.attribution, "attribution", false, "attach the cycle-accounting ledger to -bench/-mix runs: per-component latency breakdown, hot-page profile, attr.* metrics (observation-only; results are byte-identical either way)")
+	fs.IntVar(&c.topPages, "top-pages", 0, fmt.Sprintf("with -attribution: bound the hot-page overhead profile to the top N pages (0 uses the default %d)", sim.DefaultTopPages))
+	fs.StringVar(&c.inject, "inject", "", "fault-injection spec, e.g. bitflip:1e-6,mdmiss:1e-4 (sites: bitflip, metaflip, chunkdrop, chunkdup, mdmiss)")
+	fs.Uint64Var(&c.auditEvery, "audit-every", 0, "run a repairing state audit every N demand ops (0 disables)")
+	fs.StringVar(&c.jsonDir, "json", "", "write JSON artifacts for every run/experiment into this directory")
+
+	fs.Bool("fleet", false, "run a multi-node fleet simulation: every node wraps a registered backend with hot/cold tiering and ballooning (see -fleet-nodes, -fleet-policy)")
+	fs.IntVar(&c.fleetNodes, "fleet-nodes", 16, "with -fleet: fleet size in nodes")
+	fs.StringVar(&c.fleetPolicy, "fleet-policy", "hysteresis", "with -fleet: tier promotion/demotion policy (hysteresis, aggressive, static)")
+	fs.IntVar(&c.traceEvents, "trace-events", 0, "retain the newest N controller events in the result trace (omit to disable tracing)")
+	fs.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+
+	fs.StringVar(&c.serve, "serve", "", "serve live introspection (/metrics, /timeseries, /events, /progress, /healthz, pprof) on this address, e.g. 127.0.0.1:8080 (port 0 picks a free port)")
+	fs.Uint64Var(&c.sampleEvery, "sample-every", 0, "snapshot live run metrics every N demand ops into a windowed time series (0 disables; determinism-neutral)")
+	fs.IntVar(&c.sampleWindows, "sample-windows", sim.DefaultSampleWindows, "retain the newest N sample windows")
+	fs.BoolVar(&c.progress, "progress", false, "render a throttled progress line on stderr during experiment sweeps")
+	fs.StringVar(&c.traceOut, "trace-out", "", "write a Chrome/Perfetto trace-event JSON file (controller events + experiment cell spans) on exit")
+	fs.BoolVar(&c.jsonSummary, "json-summary", false, "shrink -json run artifacts: drop raw trace events, keep trace counts and all metrics")
+	fs.StringVar(&c.promCheck, "promcheck", "", "validate a Prometheus text exposition file ('-' for stdin) and exit")
+
+	fs.StringVar(&c.journal, "journal", "", "with -exp: journal completed grid cells into DIR/journal.jsonl; an interrupted run resumed from the same DIR re-executes only the remainder")
+	fs.StringVar(&c.resume, "resume", "", "with -exp: resume from an existing journal directory (DIR/journal.jsonl must exist); implies -journal DIR")
+	fs.IntVar(&c.retry, "retry", 1, "with -exp: attempts per grid cell (>= 1); transient failures and cell timeouts retry with exponential backoff")
+	fs.DurationVar(&c.retryBase, "retry-base", 10*time.Millisecond, "with -exp: backoff before the first retry (doubles per retry, deterministic jitter)")
+	fs.DurationVar(&c.retryCap, "retry-cap", 2*time.Second, "with -exp: backoff ceiling")
+	fs.DurationVar(&c.cellTimeout, "cell-timeout", 0, "with -exp: per-attempt deadline for one grid cell (0 disables); expiry is retryable")
+	fs.BoolVar(&c.quarantine, "quarantine", false, "with -exp: partial-results mode — failing cells are quarantined into a failure manifest and the run completes with exit code 3")
+	fs.StringVar(&c.chaosSpec, "chaos", "", "with -exp: chaos spec, e.g. cellpanic:0.02,celltransient:0.1 (sites: cellpanic, celltransient, celldelay, cellkill)")
+	fs.Uint64Var(&c.chaosSeed, "chaos-seed", 1, "seed for the chaos decision streams")
+	fs.DurationVar(&c.chaosDelay, "chaos-delay", 2*time.Millisecond, "stall injected when the celldelay chaos site fires")
+
+	if err := fs.Parse(args); err != nil {
+		return nil, err // the flag package already printed it with the usage
+	}
+	// A flag is set when the command line passes it; an explicit
+	// -flag=false is the default, not a request.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) {
+		if b, ok := f.Value.(interface{ IsBoolFlag() bool }); !ok || !b.IsBoolFlag() || f.Value.String() != "false" {
+			set[f.Name] = true
+		}
+	})
+	if err := c.check(set); err != nil {
+		fmt.Fprintln(stderr, "compresso-sim:", err)
+		fs.Usage()
+		return nil, err
+	}
+	return c, nil
+}
+
+// check applies the mode table to the set flags, then checks every
+// value's range and resolves every name.
+func (c *cli) check(set map[string]bool) (err error) {
+	for _, n := range needs {
+		if set[n[0]] && !set[n[1]] {
+			return fmt.Errorf("-%s needs -%s", n[0], n[1])
+		}
+	}
+	if set["system"] && set["compare"] {
+		return errors.New("-system and -compare conflict: -compare runs every paper system")
+	}
+	if c.mode, err = pickMode(set); err != nil {
+		return err
+	}
+	var stray []string
+	for name := range set {
+		if !c.mode.reads(name) {
+			stray = append(stray, "-"+name)
+		}
+	}
+	if len(stray) > 0 {
+		sort.Strings(stray)
+		return fmt.Errorf("%s runs do not read %s", c.mode.name, strings.Join(stray, ", "))
+	}
+	c.seedSet = set["seed"]
+
+	// bad records the first failed range check.
+	bad := func(failed bool, format string, args ...any) {
+		if failed && err == nil {
+			err = fmt.Errorf(format, args...)
+		}
+	}
+	// obs.NewTracer turns any capacity <= 0 into a no-op tracer.
+	bad(set["trace-events"] && c.traceEvents <= 0, "-trace-events must be a positive ring capacity (got %d); omit the flag to disable tracing", c.traceEvents)
+	bad(set["capacity"] && !(c.capacity > 0 && c.capacity <= 1), "-capacity must be a constrained memory fraction in (0, 1], got %v", c.capacity)
+	bad(c.jobs < 0, "-jobs must be >= 1 (or 0 for all cores), got %d", c.jobs)
+	bad(c.scale < 1, "-scale must be >= 1, got %d", c.scale)
+	bad(c.ops < 1, "-ops must be >= 1, got %d", c.ops)
+	bad(c.topPages < 0, "-top-pages must be >= 0 (0 uses the default %d), got %d", sim.DefaultTopPages, c.topPages)
+	bad(c.sampleWindows < 1, "-sample-windows must be >= 1, got %d", c.sampleWindows)
+	bad(c.fleetNodes < 1, "-fleet-nodes must be >= 1, got %d", c.fleetNodes)
+	bad(c.retry < 1, "-retry is the total attempts per cell and must be >= 1, got %d; use -retry 3 to allow two re-attempts", c.retry)
+	bad(c.retryBase < 0, "-retry-base must be >= 0, got %v", c.retryBase)
+	bad(c.retryCap < 0, "-retry-cap must be >= 0 (0 = uncapped), got %v", c.retryCap)
+	bad(c.cellTimeout < 0, "-cell-timeout must be >= 0 (0 disables the per-cell deadline), got %v", c.cellTimeout)
+	bad(c.resume != "" && c.journal != "" && c.resume != c.journal,
+		"-resume %s and -journal %s disagree; pass just one (-resume journals into the directory it resumes from)", c.resume, c.journal)
+	if err != nil {
+		return err
+	}
+
+	switch c.mode {
+	case modeExp:
+		names := []string{"all"}
+		for _, e := range experiments.List() {
+			names = append(names, e.Name)
+		}
+		if err := known("exp", "experiment", c.exp, names); err != nil {
+			return err
+		}
+		if c.chaosSpec != "" {
+			if c.chaos, err = faults.ParseChaosSpec(c.chaosSpec, c.chaosSeed); err != nil {
+				return fmt.Errorf("-chaos: %w", err)
+			}
+			c.chaos.Delay = c.chaosDelay
+		}
+		if c.resume != "" {
+			if _, err := os.Stat(filepath.Join(c.resume, journal.FileName)); err != nil {
+				return fmt.Errorf("-resume %s: no journal to resume (%v); start the run with -journal %s instead", c.resume, err, c.resume)
+			}
+			c.journal = c.resume // -resume journals into the directory it resumes from
+		}
+	case modeFleet:
+		if c.policy, err = fleet.PolicyByName(c.fleetPolicy); err != nil {
+			return fmt.Errorf("-fleet-policy: %w", err)
+		}
+	case modeMix:
+		var names []string
+		for _, mx := range sim.Mixes() {
+			names = append(names, mx.Name)
+			if mx.Name == c.mixName {
+				c.mix = mx
+			}
+		}
+		if err := known("mix", "mix", c.mixName, names); err != nil {
+			return err
+		}
+	case modeDemo:
+		c.benchName = "gcc" // the robustness demo runs gcc on compresso
+	}
+	if c.mode == modeCapacity || c.mode == modeBench || c.mode == modeDemo {
+		if c.bench, err = workload.ByName(c.benchName); err != nil {
+			return fmt.Errorf("-bench: %w", err)
+		}
+	}
+	if c.mode == modeBench || c.mode == modeDemo {
+		c.systems = []sim.System{sim.System(c.system)}
+		if c.compare {
+			c.systems = sim.Systems()
+		} else if err := known("system", "system", c.system, memctl.BackendNames()); err != nil {
+			return err
+		}
+	}
+	if c.mode.reads("inject") {
+		if c.faults, err = parseInject(c.inject, c.seed); err != nil {
+			return fmt.Errorf("-inject: %w", err)
+		}
+	}
+	return nil
+}
+
+// known checks the value of a name-valued flag against the names it
+// may take.
+func known(flag, noun, name string, names []string) error {
+	if !slices.Contains(names, name) {
+		return fmt.Errorf("-%s: unknown %s %q (have %s)", flag, noun, name, strings.Join(names, ", "))
+	}
+	return nil
 }
 
 // writeFailureManifest reports quarantined cells: one stderr line per
@@ -354,19 +554,6 @@ func writeFailureManifest(failures *parallel.FailureLog, jsonDir string) {
 	fmt.Fprintf(os.Stderr, "compresso-sim: wrote failure manifest %s\n", path)
 }
 
-// validateTraceEvents rejects an explicitly-set non-positive
-// -trace-events value. Before this check, `-trace-events 0` and
-// negative values were silently swallowed: obs.NewTracer returns a
-// nil (no-op) tracer for any capacity <= 0, so a typo like
-// `-trace-events -100` recorded nothing without a diagnostic. Only
-// omitting the flag disables tracing now.
-func validateTraceEvents(set bool, n int) error {
-	if set && n <= 0 {
-		return fmt.Errorf("-trace-events must be a positive ring capacity (got %d); omit the flag to disable tracing", n)
-	}
-	return nil
-}
-
 // injectSites are the fault sites a compresso-sim run rolls: every
 // site but tracetrunc, which tears trace files, and compresso-sim
 // writes none, so a rate there would be accepted and do nothing.
@@ -379,172 +566,36 @@ func parseInject(spec string, seed uint64) (faults.Config, error) {
 	return faults.ParseSpec(spec, seed, injectSites)
 }
 
-// validateCapacity rejects a -capacity that would be ignored or
-// meaningless: it must be a constrained fraction in (0, 1] of a -bench
-// run.
-func validateCapacity(set bool, frac float64, bench string) error {
-	if !set {
-		return nil
-	}
-	if !(frac > 0 && frac <= 1) {
-		return fmt.Errorf("-capacity must be a constrained memory fraction in (0, 1], got %v", frac)
-	}
-	if bench == "" {
-		return fmt.Errorf("-capacity only applies to -bench runs; add -bench NAME")
-	}
-	return nil
-}
-
-// validateExp rejects, with an -exp run, the flags that select another
-// run mode (or, for -inject and -audit-every, configure one), which the
-// experiment would otherwise silently ignore.
-func validateExp(exp string, set map[string]bool) error {
-	if exp == "" {
-		return nil
-	}
-	for _, name := range []string{"bench", "mix", "fleet", "inject", "audit-every"} {
-		if set[name] {
-			return fmt.Errorf("-%s does not apply to -exp runs; run it without -exp", name)
-		}
-	}
-	return nil
-}
-
-// resilienceFlags is the validated view of the resilience-related CLI
-// flags; validate turns every nonsensical combination into an
-// actionable flag error (exit 2) instead of a silent misbehavior.
-type resilienceFlags struct {
-	Exp         string
-	JobsSet     bool
-	Jobs        int
-	Journal     string
-	Resume      string
-	Retry       int
-	RetryBase   time.Duration
-	RetryCap    time.Duration
-	CellTimeout time.Duration
-	Quarantine  bool
-	Chaos       string
-}
-
-// journalDir resolves the run's journal directory (-resume implies
-// journaling into the resumed directory).
-func (f resilienceFlags) journalDir() string {
-	if f.Resume != "" {
-		return f.Resume
-	}
-	return f.Journal
-}
-
-func (f resilienceFlags) validate() error {
-	if f.JobsSet && f.Jobs < 0 {
-		return fmt.Errorf("-jobs must be >= 1 (or 0 for all cores), got %d", f.Jobs)
-	}
-	if f.Retry < 1 {
-		return fmt.Errorf("-retry is the total attempts per cell and must be >= 1, got %d; use -retry 3 to allow two re-attempts", f.Retry)
-	}
-	if f.RetryBase < 0 {
-		return fmt.Errorf("-retry-base must be >= 0, got %v", f.RetryBase)
-	}
-	if f.RetryCap < 0 {
-		return fmt.Errorf("-retry-cap must be >= 0 (0 = uncapped), got %v", f.RetryCap)
-	}
-	if f.CellTimeout < 0 {
-		return fmt.Errorf("-cell-timeout must be >= 0 (0 disables the per-cell deadline), got %v", f.CellTimeout)
-	}
-	if f.Resume != "" && f.Journal != "" && f.Resume != f.Journal {
-		return fmt.Errorf("-resume %s and -journal %s disagree; pass just one (-resume journals into the directory it resumes from)", f.Resume, f.Journal)
-	}
-	expOnly := ""
-	switch {
-	case f.Resume != "":
-		expOnly = "-resume"
-	case f.Journal != "":
-		expOnly = "-journal"
-	case f.Quarantine:
-		expOnly = "-quarantine"
-	case f.Chaos != "":
-		expOnly = "-chaos"
-	case f.CellTimeout > 0:
-		expOnly = "-cell-timeout"
-	case f.Retry > 1:
-		expOnly = "-retry"
-	}
-	if expOnly != "" && f.Exp == "" {
-		return fmt.Errorf("%s only applies to experiment runs; add -exp <name> or -exp all", expOnly)
-	}
-	if f.Resume != "" {
-		if _, err := os.Stat(filepath.Join(f.Resume, journal.FileName)); err != nil {
-			return fmt.Errorf("-resume %s: no journal to resume (%v); start the run with -journal %s instead", f.Resume, err, f.Resume)
-		}
-	}
-	return nil
-}
-
-// fleetFlags is the validated view of the -fleet flag family; like
-// resilienceFlags, validate turns every nonsensical combination into
-// an actionable flag error (exit 2).
-type fleetFlags struct {
-	Enabled   bool
-	Nodes     int
-	NodesSet  bool
-	Policy    string
-	PolicySet bool
-}
-
-func (f fleetFlags) validate() error {
-	if !f.Enabled {
-		switch {
-		case f.NodesSet:
-			return fmt.Errorf("-fleet-nodes only applies to fleet runs; add -fleet")
-		case f.PolicySet:
-			return fmt.Errorf("-fleet-policy only applies to fleet runs; add -fleet")
-		}
-		return nil
-	}
-	if f.Nodes < 1 {
-		return fmt.Errorf("-fleet-nodes must be >= 1, got %d", f.Nodes)
-	}
-	if _, err := fleet.PolicyByName(f.Policy); err != nil {
-		return fmt.Errorf("-fleet-policy: %w", err)
-	}
-	return nil
-}
-
 // runFleet executes the -fleet mode: a mixed-backend fleet under the
 // chosen tier policy, with the rollup table on stdout and a
 // kind-"fleet" artifact under -json.
-func runFleet(nodes int, policyName string, quick bool, seed uint64, scale, jobs int) {
-	pol, err := fleet.PolicyByName(policyName)
-	if err != nil {
-		fatal(err)
-	}
-	specs, err := fleet.Mix(nodes, fleet.Backends, seed)
+func runFleet(c *cli) {
+	specs, err := fleet.Mix(c.fleetNodes, fleet.Backends, c.seed)
 	if err != nil {
 		fatal(err)
 	}
 	epochs, opsPerEpoch := 4, uint64(2000)
-	if quick {
+	if c.quick {
 		epochs, opsPerEpoch = 3, 500
 	}
 	res, err := fleet.Run(fleet.Config{
 		Nodes:          specs,
-		Policy:         pol,
+		Policy:         c.policy,
 		Epochs:         epochs,
 		OpsPerEpoch:    opsPerEpoch,
-		FootprintScale: scale,
-		Jobs:           jobs,
+		FootprintScale: c.scale,
+		Jobs:           c.jobs,
 	})
 	if err != nil {
 		fatal(err)
 	}
 	snap := res.Registry().Snapshot()
-	name := fmt.Sprintf("%s_%dn", pol.Name, nodes)
+	name := fmt.Sprintf("%s_%dn", c.policy.Name, c.fleetNodes)
 	publishRun("fleet_"+name, snap, obs.Trace{}, obs.AttributionSnapshot{})
-	writeRunArtifact("fleet", name, runArtifact(res, snap))
+	c.writeArtifact("fleet", name, runPayload{Result: res, Metrics: snap})
 
 	fmt.Printf("fleet: %d nodes over %s, policy %s, %d epochs x %d ops (scale %d)\n",
-		nodes, strings.Join(fleet.Backends, "/"), pol.Name, epochs, opsPerEpoch, scale)
+		c.fleetNodes, strings.Join(fleet.Backends, "/"), c.policy.Name, epochs, opsPerEpoch, c.scale)
 	tbl := stats.NewTable("node", "bench", "backend", "ratio", "hot-pgs", "promo", "demo", "balloon-pgs")
 	for _, n := range res.Nodes {
 		tbl.AddRow(n.ID, n.Bench, n.Backend, n.Ratio, n.HotPages,
@@ -594,20 +645,13 @@ func writeTraceOut(path string, tracker *progress.Tracker) {
 	fmt.Fprintf(os.Stderr, "compresso-sim: wrote trace %s (%d events)\n", path, len(events))
 }
 
-// Profiling and artifact state shared by the runner helpers. fatal
+// Profiling and live-server state shared by the runner helpers. fatal
 // exits with os.Exit (skipping defers), so it flushes the profiles
 // explicitly; finishProfiles is idempotent to allow both paths.
 var (
-	stopCPUProfile   func()
-	heapProfilePath  string
-	traceEvents      int
-	artifactDir      string
-	sampleEvery      uint64
-	sampleWindows    int
-	summaryArtifacts bool
-	server           *obshttp.Server
-	attributionOn    bool
-	topPagesN        int
+	stopCPUProfile  func()
+	heapProfilePath string
+	server          *obshttp.Server
 	// lastTrace is the most recent run's controller-event trace, the
 	// pid-1 half of -trace-out; lastAttr is the matching attribution
 	// ledger, exported as pid-3 counter tracks.
@@ -644,12 +688,12 @@ type runPayload struct {
 	Metrics obs.Snapshot `json:"metrics"`
 }
 
-// writeRunArtifact serializes an ad-hoc run result under -json DIR.
-func writeRunArtifact(kind, name string, data any) {
-	if artifactDir == "" {
+// writeArtifact serializes an ad-hoc run result under -json DIR.
+func (c *cli) writeArtifact(kind, name string, data any) {
+	if c.jsonDir == "" {
 		return
 	}
-	path, err := obs.WriteArtifact(artifactDir, obs.Artifact{Kind: kind, Name: name, Data: data})
+	path, err := obs.WriteArtifact(c.jsonDir, obs.Artifact{Kind: kind, Name: name, Data: data})
 	if err != nil {
 		fatal(err)
 	}
@@ -662,26 +706,15 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-func parseSystem(name string) (sim.System, error) {
-	if _, ok := memctl.LookupBackend(name); ok {
-		return sim.System(name), nil
-	}
-	return "", fmt.Errorf("unknown system %q (registered: %s)",
-		name, strings.Join(memctl.BackendNames(), ", "))
-}
-
-func runCapacity(bench string, frac float64, ops uint64, scale int, seed uint64, jobs int) {
-	prof, err := workload.ByName(bench)
-	if err != nil {
-		fatal(err)
-	}
+func runCapacity(c *cli) {
+	prof, frac := c.bench, c.capacity
 	cfg := capacity.DefaultConfig()
-	cfg.Ops = ops
-	cfg.FootprintScale = scale
-	cfg.Seed = seed
-	cfg.Jobs = jobs
+	cfg.Ops = c.ops
+	cfg.FootprintScale = c.scale
+	cfg.Seed = c.seed
+	cfg.Jobs = c.jobs
 	out := capacity.Profile(prof.Name, []workload.Profile{prof}, cfg).At(frac)
-	writeRunArtifact("capacity", fmt.Sprintf("%s_%.0f", prof.Name, frac*100), out)
+	c.writeArtifact("capacity", fmt.Sprintf("%s_%.0f", prof.Name, frac*100), out)
 	fmt.Printf("%s at %.0f%% of footprint (%d MB scaled):\n",
 		prof.Name, frac*100, out.FootprintB>>20)
 	tbl := stats.NewTable("system", "rel-perf", "faults", "mean-ratio")
@@ -695,11 +728,11 @@ func runCapacity(bench string, frac float64, ops uint64, scale int, seed uint64,
 // attachLive wires the observation flags into a run config: the
 // -sample-every time-series sampler (feeding the live server when
 // -serve is active) and the -attribution cycle-accounting ledger.
-func attachLive(cfg *sim.Config, name string) {
-	cfg.SampleEvery = sampleEvery
-	cfg.SampleWindows = sampleWindows
-	cfg.Attribution = attributionOn
-	cfg.TopPages = topPagesN
+func (c *cli) attachLive(cfg *sim.Config, name string) {
+	cfg.SampleEvery = c.sampleEvery
+	cfg.SampleWindows = c.sampleWindows
+	cfg.Attribution = c.attribution
+	cfg.TopPages = c.topPages
 	if server != nil && cfg.SampleEvery > 0 {
 		server.AttachRun(name, cfg.SampleEvery)
 		cfg.OnSample = server.SampleRun
@@ -751,8 +784,8 @@ func printObsSummary(snap obs.Snapshot, trace obs.Trace) {
 // runArtifact builds the runPayload for -json, honoring -json-summary
 // by dropping the raw trace events (counts survive, so truncation
 // stays visible) from the serialized copy.
-func runArtifact(res any, snap obs.Snapshot) runPayload {
-	if summaryArtifacts {
+func (c *cli) runArtifact(res any, snap obs.Snapshot) runPayload {
+	if c.jsonSummary {
 		switch r := res.(type) {
 		case sim.Result:
 			r.Trace.Events = nil
@@ -779,32 +812,17 @@ func printRobustness(mem memctl.Stats, totals faults.Totals, outcome audit.Outco
 	}
 }
 
-// runOptions carries the flags every ad-hoc -bench / -mix run shares.
-type runOptions struct {
-	ops        uint64
-	scale      int
-	seed       uint64
-	inject     string
-	auditEvery uint64
-	jobs       int
-	overlap    bool
-}
-
-// config returns system s's run config under o, with the -inject /
+// config returns system s's cycle-run config, with the -inject /
 // -audit-every / -trace-events robustness settings applied.
-func (o runOptions) config(s sim.System) sim.Config {
+func (c *cli) config(s sim.System) sim.Config {
 	cfg := sim.DefaultConfig(s)
-	cfg.Ops = o.ops
-	cfg.FootprintScale = o.scale
-	cfg.Seed = o.seed
-	cfg.Overlap = o.overlap
-	fc, err := parseInject(o.inject, cfg.Seed)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Inject = fc
-	cfg.AuditEvery = o.auditEvery
-	cfg.TraceEvents = traceEvents
+	cfg.Ops = c.ops
+	cfg.FootprintScale = c.scale
+	cfg.Seed = c.seed
+	cfg.Overlap = c.overlap
+	cfg.Inject = c.faults
+	cfg.AuditEvery = c.auditEvery
+	cfg.TraceEvents = c.traceEvents
 	return cfg
 }
 
@@ -826,29 +844,29 @@ type runView struct {
 // each run and writes its kind artifact, hands the results to render
 // and prints the last run's robustness, observability and attribution
 // summaries, so output is byte-identical at any -jobs.
-func compareSystems[R any](kind, label string, profs []workload.Profile, systems []sim.System, o runOptions,
+func compareSystems[R any](c *cli, kind, label string, profs []workload.Profile, systems []sim.System,
 	run func(sim.Config) (R, runView), render func([]R)) {
 	var assets *sim.MixAssets
 	if len(systems) > 1 {
-		assets = sim.PrepareAssets(profs, o.config(systems[0]), compress.BPC{}, o.jobs)
+		assets = sim.PrepareAssets(profs, c.config(systems[0]), compress.BPC{}, c.jobs)
 	}
 	type systemRun struct {
 		name string
 		res  R
 		view runView
 	}
-	runs := parallel.Map(parallel.Workers(o.jobs, len(systems)), len(systems), func(i int) systemRun {
-		cfg := o.config(systems[i])
+	runs := parallel.Map(parallel.Workers(c.jobs, len(systems)), len(systems), func(i int) systemRun {
+		cfg := c.config(systems[i])
 		cfg.Assets = assets
 		name := label + "_" + systems[i].String()
-		attachLive(&cfg, name)
+		c.attachLive(&cfg, name)
 		res, view := run(cfg)
 		return systemRun{name: name, res: res, view: view}
 	})
 	results := make([]R, len(runs))
 	for i, r := range runs {
 		publishRun(r.name, r.view.snap, r.view.trace, r.view.attr)
-		writeRunArtifact(kind, r.name, runArtifact(r.res, r.view.snap))
+		c.writeArtifact(kind, r.name, c.runArtifact(r.res, r.view.snap))
 		results[i] = r.res
 	}
 	render(results)
@@ -858,25 +876,15 @@ func compareSystems[R any](kind, label string, profs []workload.Profile, systems
 	printAttribution(last.attr)
 }
 
-func runMixCLI(name string, o runOptions) {
-	var mix *sim.Mix
-	for _, m := range sim.Mixes() {
-		if m.Name == name {
-			mm := m
-			mix = &mm
-			break
-		}
-	}
-	if mix == nil {
-		fatal(fmt.Errorf("unknown mix %q (mix1..mix10)", name))
-	}
+func runMixCLI(c *cli) {
+	mix := c.mix
 	profs, err := mix.Profiles()
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("mix %s: %v\n", mix.Name, mix.Benches)
 	systems := sim.Systems()
-	compareSystems("mix", mix.Name, profs, systems, o, func(cfg sim.Config) (sim.MultiResult, runView) {
+	compareSystems(c, "mix", mix.Name, profs, systems, func(cfg sim.Config) (sim.MultiResult, runView) {
 		res := sim.RunMix(mix.Name, profs, cfg)
 		return res, runView{res.Registry().Snapshot(), res.Trace, res.Attribution, res.Mem, res.Faults, res.Audit}
 	}, func(results []sim.MultiResult) {
@@ -898,25 +906,14 @@ func runMixCLI(name string, o runOptions) {
 	})
 }
 
-func runBench(bench, system string, compare bool, o runOptions) {
-	prof, err := workload.ByName(bench)
-	if err != nil {
-		fatal(err)
-	}
-	systems := sim.Systems()
-	if !compare {
-		s, err := parseSystem(system)
-		if err != nil {
-			fatal(err)
-		}
-		systems = []sim.System{s}
-	}
-	compareSystems("bench", prof.Name, []workload.Profile{prof}, systems, o, func(cfg sim.Config) (sim.Result, runView) {
+func runBench(c *cli) {
+	prof := c.bench
+	compareSystems(c, "bench", prof.Name, []workload.Profile{prof}, c.systems, func(cfg sim.Config) (sim.Result, runView) {
 		res := sim.RunSingle(prof, cfg)
 		return res, runView{res.Registry().Snapshot(), res.Trace, res.Attribution, res.Mem, res.Faults, res.Audit}
 	}, func(results []sim.Result) {
 		fmt.Printf("benchmark %s (%d pages footprint / scale %d, %d ops)\n",
-			prof.Name, prof.FootprintPages, o.scale, o.ops)
+			prof.Name, prof.FootprintPages, c.scale, c.ops)
 		tbl := stats.NewTable("system", "cycles", "ipc", "ratio", "extra-accesses", "l3-miss", "md-hit")
 		for _, res := range results {
 			tbl.AddRow(res.System, res.Cycles, res.IPC, res.Ratio,
