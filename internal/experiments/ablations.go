@@ -25,6 +25,22 @@ type AbBinsRow struct {
 	Resize8Pages, Resize4Pages uint64
 }
 
+// abBinsSpecs is an ab-bins cell's runs: 8 bins, the default config
+// (both the 4-bin and the 8-page-size column, so one run feeds both)
+// and 4 page sizes.
+func abBinsSpecs() []runSpec {
+	return []runSpec{
+		{sys: sim.Compresso, mod: func(c *core.Config) { c.Bins = compress.EightBins }},
+		{sys: sim.Compresso},
+		{sys: sim.Compresso, mod: func(c *core.Config) {
+			c.PageSizes = []int{2, 4, 6, 8}
+			c.DynamicIRExpansion = false // needs +1-chunk growth
+		}},
+	}
+}
+
+func abBinsRuns() []demand { return everyProfile(workload.All(), abBinsSpecs()) }
+
 // AbBinsData runs the bin-count and page-size-count ablations.
 // Benchmarks are independent cells fanned out across Options.Jobs
 // workers.
@@ -32,16 +48,7 @@ func AbBinsData(opt Options) []AbBinsRow {
 	profs := workload.All()
 	return grid(opt, "ab-bins", len(profs), func(ctx context.Context, i int) AbBinsRow {
 		prof := profs[i]
-		// The default config is both the 4-bin and the 8-page-size
-		// column, so one run feeds both.
-		runs := runMany(ctx, opt, prof, []runSpec{
-			{sys: sim.Compresso, mod: func(c *core.Config) { c.Bins = compress.EightBins }},
-			{sys: sim.Compresso},
-			{sys: sim.Compresso, mod: func(c *core.Config) {
-				c.PageSizes = []int{2, 4, 6, 8}
-				c.DynamicIRExpansion = false // needs +1-chunk growth
-			}},
-		})
+		runs := runMany(ctx, opt, prof, abBinsSpecs())
 		eightBins, fourBins, fourPages := runs[0], runs[1], runs[2]
 		eightPages := fourBins
 		return AbBinsRow{
@@ -91,6 +98,17 @@ type AbAlignRow struct {
 	RatioAligned float64
 }
 
+// abAlignSpecs is an ab-align cell's runs: the unoptimized system with
+// legacy bins, then with alignment-friendly bins.
+func abAlignSpecs() []runSpec {
+	spec := func(bins compress.Bins) runSpec {
+		return runSpec{sys: sim.Compresso, mod: func(c *core.Config) { baselineMod(c); c.Bins = bins }}
+	}
+	return []runSpec{spec(compress.LegacyBins), spec(compress.CompressoBins)}
+}
+
+func abAlignRuns() []demand { return everyProfile(workload.All(), abAlignSpecs()) }
+
 // AbAlignData runs the alignment ablation on the otherwise-unoptimized
 // system (isolating the bin effect, as the paper's search did).
 // Benchmarks are independent cells fanned out across Options.Jobs
@@ -99,10 +117,7 @@ func AbAlignData(opt Options) []AbAlignRow {
 	profs := workload.All()
 	return grid(opt, "ab-align", len(profs), func(ctx context.Context, i int) AbAlignRow {
 		prof := profs[i]
-		spec := func(bins compress.Bins) runSpec {
-			return runSpec{sys: sim.Compresso, mod: func(c *core.Config) { baselineMod(c); c.Bins = bins }}
-		}
-		runs := runMany(ctx, opt, prof, []runSpec{spec(compress.LegacyBins), spec(compress.CompressoBins)})
+		runs := runMany(ctx, opt, prof, abAlignSpecs())
 		legacy, aligned := runs[0], runs[1]
 		return AbAlignRow{
 			Bench:        prof.Name,
@@ -184,7 +199,7 @@ func runBPCVariants(opt Options) (any, error) {
 }
 
 func init() {
-	register("ab-bins", "ablation: 8 vs 4 line bins and page sizes (§IV-A1)", runAbBins)
-	register("ab-align", "ablation: alignment-friendly line sizes (§IV-B1)", runAbAlign)
+	registerRuns("ab-bins", "ablation: 8 vs 4 line bins and page sizes (§IV-A1)", runAbBins, abBinsRuns)
+	registerRuns("ab-align", "ablation: alignment-friendly line sizes (§IV-B1)", runAbAlign, abAlignRuns)
 	register("bpc-variants", "modified (best-of-transform) BPC vs baseline BPC (§II-A)", runBPCVariants)
 }

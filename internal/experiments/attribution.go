@@ -51,6 +51,21 @@ type AttributionRow struct {
 	Attribution  obs.AttributionSnapshot
 }
 
+// attributionSpec is sys's ledgered run of each attribution benchmark.
+func attributionSpec(sys sim.System) runSpec {
+	return runSpec{sys: sys, attribution: true, topPages: 8}
+}
+
+// attributionRuns declares every backend's attributionSpec on each
+// attribution benchmark.
+func attributionRuns() []demand {
+	var specs []runSpec
+	for _, sys := range sim.AllSystems() {
+		specs = append(specs, attributionSpec(sys))
+	}
+	return everyProfile(byNames(attributionBenches), specs)
+}
+
 // AttributionData runs every registered backend with the cycle
 // ledger attached and merges the per-benchmark snapshots into one row
 // per backend. Backends are independent cells fanned out across
@@ -66,7 +81,7 @@ func AttributionData(opt Options) ([]AttributionRow, error) {
 			if err != nil {
 				return AttributionRow{}, fmt.Errorf("attribution: %w", err)
 			}
-			res := runSingle(ctx, opt, prof, runSpec{sys: sys, attribution: true, topPages: 8})
+			res := runSingle(ctx, opt, prof, attributionSpec(sys))
 			if merged.Components == nil {
 				// Merge updates Components in place, and the memoized
 				// result's snapshot must stay as the run produced it.
@@ -174,5 +189,5 @@ func runAttribution(opt Options) (any, error) {
 }
 
 func init() {
-	register("attribution", "cycle-accounting decomposition: exposed/hidden latency stack per backend, with hot-page profile", runAttribution)
+	registerRuns("attribution", "cycle-accounting decomposition: exposed/hidden latency stack per backend, with hot-page profile", runAttribution, attributionRuns)
 }

@@ -34,6 +34,19 @@ type BackendRow struct {
 // (quick, seed) configuration).
 var backendsCache parallel.Memo[[2]uint64, []BackendRow]
 
+// backendsSpecs is a backends cell's runs: one per system, in order.
+func backendsSpecs(systems []sim.System) []runSpec {
+	specs := make([]runSpec, len(systems))
+	for s, sys := range systems {
+		specs[s] = runSpec{sys: sys}
+	}
+	return specs
+}
+
+func backendsRuns() []demand {
+	return everyProfile(byNames(backendBenchmarks), backendsSpecs(sim.AllSystems()))
+}
+
 // BackendsData sweeps every backend in the memctl registry over the
 // benchmark subset. The system list is taken from the registry at run
 // time, so newly registered backends join the sweep — and its JSON
@@ -54,12 +67,10 @@ func BackendsData(opt Options) []BackendRow {
 				Ratio:   make([]float64, len(systems)),
 				Extra:   make([]ExtraBreakdown, len(systems)),
 			}
-			specs := make([]runSpec, len(systems))
 			for s, sys := range systems {
 				row.Systems[s] = sys.String()
-				specs[s] = runSpec{sys: sys}
 			}
-			results := runMany(ctx, opt, prof, specs)
+			results := runMany(ctx, opt, prof, backendsSpecs(systems))
 			var baseCycles uint64
 			for s, res := range results {
 				if systems[s] == sim.Uncompressed {
@@ -154,6 +165,6 @@ func runBackendsTraffic(opt Options) (any, error) {
 }
 
 func init() {
-	register("backends-ratio", "registry-wide sweep: perf and compression ratio for every backend", runBackendsRatio)
-	register("backends-traffic", "registry-wide sweep: relative extra accesses for every backend", runBackendsTraffic)
+	registerRuns("backends-ratio", "registry-wide sweep: perf and compression ratio for every backend", runBackendsRatio, backendsRuns)
+	registerRuns("backends-traffic", "registry-wide sweep: relative extra accesses for every backend", runBackendsTraffic, backendsRuns)
 }

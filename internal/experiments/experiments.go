@@ -127,12 +127,21 @@ type Experiment struct {
 	// rows behind the tables — the JSON artifact payload (nil for
 	// prose-only artifacts, which produce no JSON file).
 	Run func(Options) (any, error)
+	// runs declares the single-core runs Run's grid cells ask for, for
+	// the plan to run ahead of them (nil when it simulates none).
+	runs func() []demand
 }
 
 var registry = map[string]Experiment{}
 
 func register(name, desc string, run func(Options) (any, error)) {
-	registry[name] = Experiment{Name: name, Desc: desc, Run: run}
+	registerRuns(name, desc, run, nil)
+}
+
+// registerRuns registers an experiment whose grid cells ask for the
+// single-core runs that runs declares.
+func registerRuns(name, desc string, run func(Options) (any, error), runs func() []demand) {
+	registry[name] = Experiment{Name: name, Desc: desc, Run: run, runs: runs}
 }
 
 // List returns all experiments sorted by name.
@@ -145,9 +154,10 @@ func List() []Experiment {
 	return out
 }
 
-// Run executes the named experiment. A panic inside the experiment is
-// converted to an error, so a defect in one artifact reports instead
-// of killing the process.
+// Run executes the named experiment, after the plan has run its
+// single-core runs. A panic inside the experiment is converted to an
+// error, so a defect in one artifact reports instead of killing the
+// process.
 func Run(name string, opt Options) error {
 	e, ok := registry[name]
 	if !ok {
@@ -158,6 +168,7 @@ func Run(name string, opt Options) error {
 		sort.Strings(names)
 		return fmt.Errorf("experiments: unknown experiment %q (have %v)", name, names)
 	}
+	plan(opt, []Experiment{e})
 	return runRecovering(e, opt)
 }
 
@@ -274,15 +285,16 @@ func writeArtifact(opt Options, name string, data any) error {
 	return err
 }
 
-// RunAll executes every registered experiment. Experiments run
-// concurrently (bounded by Options.Jobs), each rendering into its own
-// buffer; the buffers are flushed to opt.Out in name order, so the
-// output is byte-identical to a serial sweep. Each experiment runs
-// under panic recovery and a failure does not stop the batch; the
-// returned error joins every failure in name order (nil when all
-// succeeded).
+// RunAll executes every registered experiment, after the plan has run
+// their single-core runs. Experiments run concurrently (bounded by
+// Options.Jobs), each rendering into its own buffer; the buffers are
+// flushed to opt.Out in name order, so the output is byte-identical to
+// a serial sweep. Each experiment runs under panic recovery and a
+// failure does not stop the batch; the returned error joins every
+// failure in name order (nil when all succeeded).
 func RunAll(opt Options) error {
 	list := List()
+	plan(opt, list)
 	type outcome struct {
 		text string
 		err  error

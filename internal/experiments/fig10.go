@@ -123,6 +123,20 @@ var Fig10Excluded = map[string]bool{"mcf": true, "GemsFDTD": true, "lbm": true}
 // concurrent callers under a parallel RunAll share one computation.
 var fig10Cache parallel.Memo[[2]uint64, []Fig10Row]
 
+// fig10Specs is a Fig. 10 cell's cycle runs: the uncompressed baseline,
+// then CompressedSystems in order.
+func fig10Specs() []runSpec {
+	specs := []runSpec{{sys: sim.Uncompressed}}
+	for _, sys := range CompressedSystems {
+		specs = append(specs, runSpec{sys: sys})
+	}
+	return specs
+}
+
+// fig10Runs declares the runs of the Fig. 10 grid, which fig10a,
+// fig10b and fig12 share.
+func fig10Runs() []demand { return everyProfile(workload.PerformanceSet(), fig10Specs()) }
+
 // Fig10Data runs the dual methodology for every performance benchmark.
 // Each benchmark is an independent cell, fanned out across
 // Options.Jobs workers and reassembled in suite order.
@@ -134,11 +148,7 @@ func Fig10Data(opt Options) []Fig10Row {
 			row := Fig10Row{Bench: prof.Name, Runs: map[string]sim.Result{}}
 
 			// Cycle-based simulations, in one pass.
-			specs := []runSpec{{sys: sim.Uncompressed}}
-			for _, sys := range CompressedSystems {
-				specs = append(specs, runSpec{sys: sys})
-			}
-			runs := runMany(ctx, opt, prof, specs)
+			runs := runMany(ctx, opt, prof, fig10Specs())
 			base := runs[0]
 			for _, res := range runs {
 				row.Runs[res.System] = res
@@ -187,6 +197,6 @@ func runFig10b(opt Options) (any, error) {
 }
 
 func init() {
-	register("fig10a", "single-core cycle-based + memory-capacity evaluation", runFig10a)
-	register("fig10b", "single-core overall performance", runFig10b)
+	registerRuns("fig10a", "single-core cycle-based + memory-capacity evaluation", runFig10a, fig10Runs)
+	registerRuns("fig10b", "single-core overall performance", runFig10b, fig10Runs)
 }

@@ -69,5 +69,5 @@ func runFig12(opt Options) (any, error) {
 }
 
 func init() {
-	register("fig12", "DRAM and core energy relative to uncompressed", runFig12)
+	registerRuns("fig12", "DRAM and core energy relative to uncompressed", runFig12, fig10Runs)
 }

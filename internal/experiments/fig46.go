@@ -55,6 +55,21 @@ type Fig4Row struct {
 	Variable ExtraBreakdown
 }
 
+// fig4Specs is a Fig. 4 cell's runs: the unoptimized system with fixed
+// 512 B chunks, then with four variable chunk sizes.
+func fig4Specs() []runSpec {
+	return []runSpec{
+		{sys: sim.Compresso, mod: baselineMod},
+		{sys: sim.Compresso, mod: func(c *core.Config) {
+			baselineMod(c)
+			c.Allocation = core.VariableChunks
+			c.PageSizes = []int{1, 2, 4, 8}
+		}},
+	}
+}
+
+func fig4Runs() []demand { return everyProfile(workload.All(), fig4Specs()) }
+
 // Fig4Data runs the unoptimized compressed system per benchmark under
 // both allocation disciplines. Benchmarks are independent cells fanned
 // out across Options.Jobs workers.
@@ -62,14 +77,7 @@ func Fig4Data(opt Options) []Fig4Row {
 	profs := workload.All()
 	return grid(opt, "fig4", len(profs), func(ctx context.Context, i int) Fig4Row {
 		prof := profs[i]
-		runs := runMany(ctx, opt, prof, []runSpec{
-			{sys: sim.Compresso, mod: baselineMod},
-			{sys: sim.Compresso, mod: func(c *core.Config) {
-				baselineMod(c)
-				c.Allocation = core.VariableChunks
-				c.PageSizes = []int{1, 2, 4, 8}
-			}},
-		})
+		runs := runMany(ctx, opt, prof, fig4Specs())
 		return Fig4Row{
 			Bench:    prof.Name,
 			Fixed:    breakdown(runs[0]),
@@ -139,19 +147,26 @@ func fig6Mods() []func(*core.Config) {
 	}
 }
 
+// fig6Specs is a Fig. 6 cell's runs: Compresso at each stage, in order.
+func fig6Specs() []runSpec {
+	mods := fig6Mods()
+	specs := make([]runSpec, len(mods))
+	for s, mod := range mods {
+		specs[s] = runSpec{sys: sim.Compresso, mod: mod}
+	}
+	return specs
+}
+
+func fig6Runs() []demand { return everyProfile(workload.All(), fig6Specs()) }
+
 // Fig6Data runs the optimization staircase per benchmark. Benchmarks
 // are independent cells fanned out across Options.Jobs workers, each
 // running its stages in one lockstep pass over the benchmark's trace.
 func Fig6Data(opt Options) []Fig6Row {
-	mods := fig6Mods()
 	profs := workload.All()
 	return grid(opt, "fig6", len(profs), func(ctx context.Context, i int) Fig6Row {
-		specs := make([]runSpec, len(mods))
-		for s, mod := range mods {
-			specs[s] = runSpec{sys: sim.Compresso, mod: mod}
-		}
 		row := Fig6Row{Bench: profs[i].Name}
-		for s, res := range runMany(ctx, opt, profs[i], specs) {
+		for s, res := range runMany(ctx, opt, profs[i], fig6Specs()) {
 			row.Stages[s] = breakdown(res).Total()
 		}
 		return row
@@ -187,6 +202,6 @@ func runFig6(opt Options) (any, error) {
 }
 
 func init() {
-	register("fig4", "extra data movement of the unoptimized system, fixed vs variable chunks", runFig4)
-	register("fig6", "cumulative effect of the data-movement optimizations", runFig6)
+	registerRuns("fig4", "extra data movement of the unoptimized system, fixed vs variable chunks", runFig4, fig4Runs)
+	registerRuns("fig6", "cumulative effect of the data-movement optimizations", runFig6, fig6Runs)
 }

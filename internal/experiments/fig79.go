@@ -21,16 +21,24 @@ type Fig7Row struct {
 	RelativeNR float64 // NoRepack / WithRepack (the Fig. 7 bars)
 }
 
+// fig7Specs is a Fig. 7 cell's runs: Compresso with repacking, then
+// without.
+func fig7Specs() []runSpec {
+	return []runSpec{
+		{sys: sim.Compresso},
+		{sys: sim.Compresso, mod: func(c *core.Config) { c.DynamicRepacking = false }},
+	}
+}
+
+func fig7Runs() []demand { return everyProfile(workload.All(), fig7Specs()) }
+
 // Fig7Data runs Compresso with repacking on and off. Benchmarks are
 // independent cells fanned out across Options.Jobs workers.
 func Fig7Data(opt Options) []Fig7Row {
 	profs := workload.All()
 	return grid(opt, "fig7", len(profs), func(ctx context.Context, i int) Fig7Row {
 		prof := profs[i]
-		runs := runMany(ctx, opt, prof, []runSpec{
-			{sys: sim.Compresso},
-			{sys: sim.Compresso, mod: func(c *core.Config) { c.DynamicRepacking = false }},
-		})
+		runs := runMany(ctx, opt, prof, fig7Specs())
 		with, without := runs[0], runs[1]
 
 		return Fig7Row{
@@ -141,6 +149,6 @@ func runFig9(opt Options) (any, error) {
 }
 
 func init() {
-	register("fig7", "compression-ratio loss without dynamic repacking", runFig7)
+	registerRuns("fig7", "compression-ratio loss without dynamic repacking", runFig7, fig7Runs)
 	register("fig9", "SimPoint vs CompressPoint representativeness (GemsFDTD, astar)", runFig9)
 }

@@ -11,7 +11,10 @@ import (
 // output of `compresso-sim -exp all -quick -jobs 2`, byte for byte with
 // testdata/quick_sweep.txt. When a change moves the sweep's numbers on
 // purpose, regenerate the file with that command and say why in the
-// change.
+// change. It also pins the plan: the sweep's 429 distinct single-core
+// runs fall on 30 op streams, the plan runs one pass per stream, and no
+// grid cell starts a pass after it, which fails when an experiment's
+// declared runs miss one its cells ask for.
 func TestQuickSweepGolden(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("full quick sweep: skipped under -short and -race")
@@ -23,8 +26,20 @@ func TestQuickSweepGolden(t *testing.T) {
 	resetMemos()
 	defer resetMemos()
 	var got bytes.Buffer
-	if err := RunAll(Options{Out: &got, Quick: true, Seed: 42, Jobs: 2}); err != nil {
+	opt := Options{Out: &got, Quick: true, Seed: 42, Jobs: 2}
+	if err := RunAll(opt); err != nil {
 		t.Fatalf("RunAll: %v", err)
+	}
+	passes, runs := planPasses(opt, List()), 0
+	for _, p := range passes {
+		runs += len(p.specs)
+	}
+	if len(passes) != 30 || runs != 429 {
+		t.Errorf("the plan has %d runs on %d streams, want 429 on 30", runs, len(passes))
+	}
+	if planned, all := passCount.planned.Load(), passCount.all.Load(); planned != int64(len(passes)) || all != planned {
+		t.Errorf("the sweep ran %d passes, %d of them planned; want one planned pass per stream (%d) and no other",
+			all, planned, len(passes))
 	}
 	if bytes.Equal(got.Bytes(), want) {
 		return

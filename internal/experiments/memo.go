@@ -14,8 +14,9 @@ import "compresso/internal/sim"
 // what the caller would have computed itself, and the claim rule
 // (parallel.Memo) keeps a failure with the caller that raised it.
 
-// resetMemos clears every package-level memo, and the simulator's
-// cache-filter logs, so a rerun records them afresh.
+// resetMemos clears every package-level memo, the simulator's
+// cache-filter logs and the pass counts, so a rerun records them
+// afresh.
 // TestResetMemosClearsEveryMemo fails when a new memo is left out.
 func resetMemos() {
 	sim.ResetCacheFilters()
@@ -24,4 +25,6 @@ func resetMemos() {
 	backendsCache.Reset()
 	runCache.Reset()
 	capCache.Reset()
+	passCount.all.Store(0)
+	passCount.planned.Store(0)
 }

@@ -87,9 +87,10 @@ func declaredMemos(t *testing.T) []string {
 }
 
 // TestResetMemosClearsEveryMemo fills every package-level memo, calls
-// resetMemos and requires all of them to be empty. The determinism
-// tests rely on resetMemos to recompute shared sweeps at each jobs
-// value; a memo it skips serves the first value's rows to the second.
+// resetMemos and requires all of them to be empty, and the pass counts
+// zero. The determinism tests rely on resetMemos to recompute shared
+// sweeps at each jobs value; a memo it skips serves the first value's
+// rows to the second, and counts it skips read another sweep's passes.
 func TestResetMemosClearsEveryMemo(t *testing.T) {
 	unusedSweep := [2]uint64{^uint64(0), ^uint64(0)}
 	probes := map[string]memoProbe{
@@ -112,10 +113,15 @@ func TestResetMemosClearsEveryMemo(t *testing.T) {
 	for _, p := range probes {
 		p.fill()
 	}
+	passCount.all.Add(1)
+	passCount.planned.Add(1)
 	resetMemos()
 	for name, p := range probes {
 		if !p.dropped() {
 			t.Errorf("%s kept its entry through resetMemos", name)
 		}
+	}
+	if all, planned := passCount.all.Load(), passCount.planned.Load(); all != 0 || planned != 0 {
+		t.Errorf("passCount kept %d passes, %d planned, through resetMemos", all, planned)
 	}
 }

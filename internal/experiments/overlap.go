@@ -22,6 +22,14 @@ type OverlapRow struct {
 	ExposedPerRead float64 // residual critical-path cycles per timed read
 }
 
+// overlapSpecs is an overlap cell's runs: Compresso serial, then
+// overlapped.
+func overlapSpecs() []runSpec {
+	return []runSpec{{sys: sim.Compresso}, {sys: sim.Compresso, overlap: true}}
+}
+
+func overlapRuns() []demand { return everyProfile(workload.All(), overlapSpecs()) }
+
 // OverlapData runs Compresso on every benchmark twice — serial
 // decompression charging, then the overlapped-controller model — and
 // reports how much of the decompression latency DRAM service hides.
@@ -32,7 +40,7 @@ func OverlapData(opt Options) []OverlapRow {
 	profs := workload.All()
 	return grid(opt, "overlap", len(profs), func(ctx context.Context, i int) OverlapRow {
 		prof := profs[i]
-		runs := runMany(ctx, opt, prof, []runSpec{{sys: sim.Compresso}, {sys: sim.Compresso, overlap: true}})
+		runs := runMany(ctx, opt, prof, overlapSpecs())
 		serial, over := runs[0], runs[1]
 
 		row := OverlapRow{
@@ -74,5 +82,5 @@ func runOverlap(opt Options) (any, error) {
 }
 
 func init() {
-	register("overlap", "overlapped-controller timing model: cycles and hidden-latency split vs the serial model", runOverlap)
+	registerRuns("overlap", "overlapped-controller timing model: cycles and hidden-latency split vs the serial model", runOverlap, overlapRuns)
 }

@@ -32,6 +32,14 @@ type DMCRow struct {
 // footprints) plus one cache-friendly control.
 var dmcBenchmarks = []string{"mcf", "omnetpp", "GemsFDTD", "libquantum", "Graph500", "xalancbmk", "povray"}
 
+// relatedDMCSpecs is a related-dmc cell's runs: the uncompressed
+// baseline, MXT, DMC and Compresso.
+func relatedDMCSpecs() []runSpec {
+	return []runSpec{{sys: sim.Uncompressed}, {sys: sim.MXT}, {sys: sim.DMC}, {sys: sim.Compresso}}
+}
+
+func relatedDMCRuns() []demand { return everyProfile(byNames(dmcBenchmarks), relatedDMCSpecs()) }
+
 // RelatedDMCData runs the comparison (MXT, DMC, Compresso against the
 // uncompressed baseline). Benchmarks are independent cells fanned out
 // across Options.Jobs workers.
@@ -42,9 +50,7 @@ func RelatedDMCData(opt Options) ([]DMCRow, error) {
 		if err != nil {
 			return DMCRow{}, fmt.Errorf("related-dmc: %w", err)
 		}
-		runs := runMany(ctx, opt, prof, []runSpec{
-			{sys: sim.Uncompressed}, {sys: sim.MXT}, {sys: sim.DMC}, {sys: sim.Compresso},
-		})
+		runs := runMany(ctx, opt, prof, relatedDMCSpecs())
 		base, m, d, c := runs[0], runs[1], runs[2], runs[3]
 		return DMCRow{
 			Bench:        name,
@@ -83,5 +89,5 @@ func runRelatedDMC(opt Options) (any, error) {
 }
 
 func init() {
-	register("related-dmc", "related-work comparison: DMC dual compression vs Compresso (§VIII)", runRelatedDMC)
+	registerRuns("related-dmc", "related-work comparison: DMC dual compression vs Compresso (§VIII)", runRelatedDMC, relatedDMCRuns)
 }

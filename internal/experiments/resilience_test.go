@@ -345,7 +345,8 @@ func TestChaosQuarantineConvergence(t *testing.T) {
 }
 
 // TestRunAllSkipsOnCanceledContext: a canceled context fails every
-// experiment fast instead of running the sweep.
+// experiment fast instead of running the sweep, and the plan starts no
+// pass.
 func TestRunAllSkipsOnCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -358,5 +359,52 @@ func TestRunAllSkipsOnCanceledContext(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("canceled RunAll still took %v", elapsed)
+	}
+	if n := passCount.all.Load(); n != 0 {
+		t.Fatalf("canceled RunAll started %d passes", n)
+	}
+}
+
+// TestResumedRunStartsNoPass: a journaled Run whose cells all replay
+// asks for no run, so its plan must start no pass either, and the
+// replayed output is the recorded run's.
+func TestResumedRunStartsNoPass(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("two fig10a runs: skipped under -short and -race")
+	}
+	dir := t.TempDir()
+	resetMemos()
+	defer resetMemos()
+	j, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref bytes.Buffer
+	if err := Run("fig10a", Options{Out: &ref, Quick: true, Seed: 42, Jobs: 2, Journal: j}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if passCount.planned.Load() == 0 {
+		t.Fatal("the journaled run planned no pass")
+	}
+
+	resetMemos()
+	j2, err := journal.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	var out bytes.Buffer
+	if err := Run("fig10a", Options{Out: &out, Quick: true, Seed: 42, Jobs: 2, Journal: j2}); err != nil {
+		t.Fatal(err)
+	}
+	if st := j2.Stats(); st.Replayed != st.Loaded || st.Recorded != 0 {
+		t.Fatalf("resume replayed %d of %d journaled cells and recorded %d", st.Replayed, st.Loaded, st.Recorded)
+	}
+	if n := passCount.all.Load(); n != 0 {
+		t.Fatalf("a resume whose cells all replay started %d passes", n)
+	}
+	if out.String() != ref.String() {
+		t.Fatal("resumed output differs from the journaled run")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"runtime/pprof"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"compresso/internal/core"
 	"compresso/internal/parallel"
@@ -57,6 +58,11 @@ type runKey struct {
 // live (DESIGN.md §13); serialized, the second replays the first's
 // log.
 var runCache parallel.Memo[runKey, map[runKey]sim.Result]
+
+// passCount counts the lockstep passes runMany has started since the
+// last resetMemos: all of them, and those the plan started. Tests read
+// it to pin that a planned sweep leaves no pass to its grid cells.
+var passCount struct{ all, planned atomic.Int64 }
 
 // streamKey keeps the fields of k that fix its op stream: the profile,
 // ops, scale and seed.
@@ -138,6 +144,7 @@ func runMany(ctx context.Context, opt Options, prof workload.Profile, specs []ru
 		if missing == nil {
 			return runs, nil
 		}
+		passCount.all.Add(1)
 		var res []sim.Result
 		labels := pprof.Labels("systems", systemNames(missing), "bench", prof.Name)
 		pprof.Do(ctx, labels, func(ctx context.Context) {

@@ -15,6 +15,7 @@ import (
 
 	"compresso/internal/compress"
 	"compresso/internal/core"
+	"compresso/internal/progress"
 	"compresso/internal/sim"
 	"compresso/internal/workload"
 )
@@ -278,7 +279,9 @@ func TestRunMemoWaiterCancelIsPrompt(t *testing.T) {
 // TestRunMemoPanicSameErrorAtAnyJobs: when the simulation behind a
 // shared key panics, every grid cell asking for it sees its own panic,
 // never a cached failure, so the grid's fatal error is the same at any
-// worker count.
+// worker count. Declaring the run makes the plan's pass of it panic
+// first, which must change nothing: the error is the cell's own, and
+// the plan still runs the healthy pass declared after it.
 func TestRunMemoPanicSameErrorAtAnyJobs(t *testing.T) {
 	prof := gccProfile(t)
 	// The key resolves the config against zero pages; only the real
@@ -289,29 +292,50 @@ func TestRunMemoPanicSameErrorAtAnyJobs(t *testing.T) {
 			panic("boom in the controller build")
 		}
 	}
-	register("test-run-panic", "cells sharing one panicking run", func(opt Options) (any, error) {
+	spec := runSpec{sys: sim.Compresso, mod: mod}
+	runPanic := func(opt Options) (any, error) {
 		grid(opt, "shared", 8, func(ctx context.Context, i int) int {
-			runSingle(ctx, opt, prof, runSpec{sys: sim.Compresso, mod: mod})
+			runSingle(ctx, opt, prof, spec)
 			return i
 		})
 		return nil, nil
-	})
+	}
 	defer delete(registry, "test-run-panic")
-	errs := map[int]string{}
-	for _, jobs := range []int{1, 8} {
-		resetMemos()
-		err := Run("test-run-panic", Options{Out: io.Discard, Quick: true, Jobs: jobs, Ctx: context.Background()})
-		if err == nil || !strings.Contains(err.Error(), "boom") {
-			t.Fatalf("jobs=%d: err = %v, want the controller panic", jobs, err)
+	var first string
+	for _, declared := range []bool{false, true} {
+		var runs func() []demand
+		wantPlanned := int64(0)
+		if declared {
+			mcf, err := workload.ByName("mcf")
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = func() []demand {
+				return []demand{{prof: prof, specs: []runSpec{spec}}, {prof: mcf, specs: []runSpec{{sys: sim.Uncompressed}}}}
+			}
+			wantPlanned = 2
 		}
-		errs[jobs] = err.Error()
+		registerRuns("test-run-panic", "cells sharing one panicking run", runPanic, runs)
+		for _, jobs := range []int{1, 8} {
+			resetMemos()
+			err := Run("test-run-panic", Options{Out: io.Discard, Quick: true, Jobs: jobs, Ctx: context.Background()})
+			if err == nil || !strings.Contains(err.Error(), "boom") {
+				t.Fatalf("declared=%v jobs=%d: err = %v, want the controller panic", declared, jobs, err)
+			}
+			if first == "" {
+				first = err.Error()
+			} else if err.Error() != first {
+				t.Errorf("grid error depends on jobs or the plan:\n  undeclared, jobs=1: %s\n  declared=%v, jobs=%d: %s",
+					first, declared, jobs, err)
+			}
+			if planned := passCount.planned.Load(); planned != wantPlanned {
+				t.Errorf("declared=%v jobs=%d: the plan ran %d passes, want %d", declared, jobs, planned, wantPlanned)
+			}
+		}
 	}
 	resetMemos()
-	if errs[1] != errs[8] {
-		t.Errorf("grid error depends on jobs:\n  jobs=1: %s\n  jobs=8: %s", errs[1], errs[8])
-	}
-	if !strings.Contains(errs[8], "shared[0]") {
-		t.Errorf("grid error %q does not name cell 0", errs[8])
+	if !strings.Contains(first, "shared[0]") {
+		t.Errorf("grid error %q does not name cell 0", first)
 	}
 }
 
@@ -337,6 +361,34 @@ func TestAttributionLeavesMemoizedRunsIntact(t *testing.T) {
 	}
 }
 
+// labelRecorder returns a compresso modifier that appends the pprof
+// labels of the goroutine building the run's controller to *labels.
+// marker names the test, whose closure the goroutine's stack runs
+// through. The run key resolves the modifier against zero pages, which
+// records nothing.
+func labelRecorder(t *testing.T, marker string, labels *[]string) func(*core.Config) {
+	return func(c *core.Config) {
+		if c.OSPAPages == 0 {
+			return
+		}
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Error(err)
+		}
+		for _, rec := range strings.Split(buf.String(), "\n\n") {
+			if strings.Contains(rec, marker+".") && strings.Contains(rec, "pprof.(*Profile).WriteTo") {
+				line := ""
+				for _, l := range strings.Split(rec, "\n") {
+					if strings.HasPrefix(l, "# labels: ") {
+						line = l
+					}
+				}
+				*labels = append(*labels, line)
+			}
+		}
+	}
+}
+
 // TestComputingCellCarriesProfileLabels: a lockstep pass computed
 // inside an experiment's grid runs on a goroutine labeled with the
 // experiment, the pass's systems and the benchmark, the labels a
@@ -347,24 +399,7 @@ func TestComputingCellCarriesProfileLabels(t *testing.T) {
 	defer resetMemos()
 	prof := gccProfile(t)
 	var labels []string // the labels of every goroutine that called mod
-	mod := func(c *core.Config) {
-		var buf bytes.Buffer
-		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
-			t.Error(err)
-		}
-		for _, rec := range strings.Split(buf.String(), "\n\n") {
-			if strings.Contains(rec, "TestComputingCellCarriesProfileLabels.func") &&
-				strings.Contains(rec, "pprof.(*Profile).WriteTo") {
-				line := ""
-				for _, l := range strings.Split(rec, "\n") {
-					if strings.HasPrefix(l, "# labels: ") {
-						line = l
-					}
-				}
-				labels = append(labels, line)
-			}
-		}
-	}
+	mod := labelRecorder(t, "TestComputingCellCarriesProfileLabels", &labels)
 	e := Experiment{Name: "labels-probe", Run: func(opt Options) (any, error) {
 		grid(opt, "probe", 1, func(ctx context.Context, _ int) sim.Result {
 			return runMany(ctx, opt, prof, []runSpec{{sys: sim.Uncompressed}, {sys: sim.Compresso, mod: mod}})[1]
@@ -376,15 +411,55 @@ func TestComputingCellCarriesProfileLabels(t *testing.T) {
 	if err := runRecovering(e, opt); err != nil {
 		t.Fatal(err)
 	}
-	if len(labels) == 0 {
-		t.Fatal("the run never called its config modifier")
+	if len(labels) != 1 {
+		t.Fatalf("the run built its controller %d times, want once", len(labels))
 	}
-	// The memo key resolves mod before the run does; the last call is
-	// the computing one.
-	got := labels[len(labels)-1]
+	got := labels[0]
 	for _, want := range []string{`"experiment":"labels-probe"`, `"systems":"uncompressed,compresso"`, `"bench":"gcc"`} {
 		if !strings.Contains(got, want) {
 			t.Errorf("computing goroutine's labels %q lack %s", got, want)
+		}
+	}
+}
+
+// TestPlanRunsDeclaredPassesFirst: Run plans an experiment's declared
+// runs before its grid, in one pass per stream, reported to Progress as
+// the grid "plan" and labeled experiment=plan for -cpuprofile; the
+// grid's own request is then a memo hit.
+func TestPlanRunsDeclaredPassesFirst(t *testing.T) {
+	resetMemos()
+	defer resetMemos()
+	prof := gccProfile(t)
+	var labels []string
+	specs := []runSpec{{sys: sim.Uncompressed}, {sys: sim.Compresso, mod: labelRecorder(t, "TestPlanRunsDeclaredPassesFirst", &labels)}}
+	registerRuns("test-plan-probe", "one planned stream", func(opt Options) (any, error) {
+		grid(opt, "probe", 2, func(ctx context.Context, _ int) sim.Result {
+			return runMany(ctx, opt, prof, specs)[1]
+		})
+		return nil, nil
+	}, func() []demand { return []demand{{prof: prof, specs: specs}, {prof: prof, specs: specs[1:]}} })
+	defer delete(registry, "test-plan-probe")
+	tr := progress.NewTracker()
+	opt := quickOpts()
+	opt.Jobs = 2
+	opt.Progress = tr
+	if err := Run("test-plan-probe", opt); err != nil {
+		t.Fatal(err)
+	}
+	if all, planned := passCount.all.Load(), passCount.planned.Load(); all != 1 || planned != 1 {
+		t.Fatalf("ran %d passes, %d planned; want the one planned pass", all, planned)
+	}
+	st := tr.State()
+	if len(st.Grids) != 2 || st.Grids[0].Label != "plan" || st.Grids[0].Total != 1 || st.Grids[1].Label != "probe" {
+		t.Fatalf("grids %+v, want plan (1 cell) then probe", st.Grids)
+	}
+	if len(labels) != 1 {
+		t.Fatalf("the planned pass built its controller %d times, want once", len(labels))
+	}
+	got := labels[0]
+	for _, want := range []string{`"experiment":"plan"`, `"systems":"uncompressed,compresso"`, `"bench":"gcc"`} {
+		if !strings.Contains(got, want) {
+			t.Errorf("planned pass's labels %q lack %s", got, want)
 		}
 	}
 }

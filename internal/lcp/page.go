@@ -20,10 +20,11 @@ type Page struct {
 	Target uint8
 	Base   uint32 // buddy block base chunk
 	Chunks int    // 1, 2, 4 or 8
-	// exc maps exception-region slots to line indices (in slot order);
-	// excMask has bit line set for every line in exc. Pack and
-	// AddException are their only writers, which keeps them in sync.
-	exc     []int
+	// exc maps exception-region slots to line indices (in slot order;
+	// a line index is below 64, so one byte holds it); excMask has bit
+	// line set for every line in exc. Pack and AddException are their
+	// only writers, which keeps them in sync.
+	exc     []uint8
 	excMask uint64
 	// Sizes shadows each line's current binned size in bytes.
 	Sizes [metadata.LinesPerPage]uint8
@@ -61,7 +62,7 @@ func (p *Page) Pack(bins compress.Bins) {
 	p.excMask = 0
 	for line, s := range p.Sizes {
 		if s > p.Target {
-			p.exc = append(p.exc, line)
+			p.exc = append(p.exc, uint8(line))
 			p.excMask |= 1 << line
 		}
 	}
@@ -74,7 +75,7 @@ func (p *Page) ExcSlot(line int) (int, bool) {
 		return 0, false
 	}
 	for i, l := range p.exc {
-		if l == line {
+		if int(l) == line {
 			return i, true
 		}
 	}
@@ -109,7 +110,7 @@ func (p *Page) AddException(line int) (int, bool) {
 	if p.Bytes()+memctl.LineBytes > p.Chunks*metadata.ChunkSize {
 		return 0, false
 	}
-	p.exc = append(p.exc, line)
+	p.exc = append(p.exc, uint8(line))
 	p.excMask |= 1 << line
 	return len(p.exc) - 1, true
 }

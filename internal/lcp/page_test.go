@@ -33,10 +33,10 @@ func lineSizes(n int, size uint8) map[int]uint8 {
 }
 
 // lines returns the line indices 0..n-1.
-func lines(n int) []int {
-	l := make([]int, n)
+func lines(n int) []uint8 {
+	l := make([]uint8, n)
 	for i := range l {
-		l[i] = i
+		l[i] = uint8(i)
 	}
 	return l
 }
@@ -51,7 +51,7 @@ func TestPageLayout(t *testing.T) {
 		bins   compress.Bins
 		sizes  [metadata.LinesPerPage]uint8
 		target int
-		exc    []int
+		exc    []uint8
 		chunks int
 	}{
 		{
@@ -72,7 +72,7 @@ func TestPageLayout(t *testing.T) {
 			bins:   compress.LegacyBins,
 			sizes:  sizesOf(0, map[int]uint8{5: 64}),
 			target: 0,
-			exc:    []int{5},
+			exc:    []uint8{5},
 			chunks: 1,
 		},
 		{
@@ -106,7 +106,7 @@ func TestPageLayout(t *testing.T) {
 			bins:   compress.CompressoBins,
 			sizes:  sizesOf(8, map[int]uint8{40: 32, 2: 64, 17: 32}),
 			target: 8,
-			exc:    []int{2, 17, 40},
+			exc:    []uint8{2, 17, 40},
 			chunks: 2,
 		},
 	}
@@ -125,7 +125,7 @@ func TestPageLayout(t *testing.T) {
 				t.Fatalf("SizeFor(%d) = %d chunks, want %d", p.Bytes(), got, tc.chunks)
 			}
 			for slot, line := range p.exc {
-				if got := p.Offset(line); got != p.ExcOffset(slot) {
+				if got := p.Offset(int(line)); got != p.ExcOffset(slot) {
 					t.Fatalf("exception line %d at offset %d, want slot %d's %d", line, got, slot, p.ExcOffset(slot))
 				}
 			}
@@ -136,7 +136,7 @@ func TestPageLayout(t *testing.T) {
 // linearExcSlot is the reference ExcSlot: a scan of the exception list.
 func linearExcSlot(p *Page, line int) (int, bool) {
 	for i, l := range p.exc {
-		if l == line {
+		if int(l) == line {
 			return i, true
 		}
 	}
@@ -169,6 +169,66 @@ func TestExcSlotMatchesLinearScan(t *testing.T) {
 				if gotSlot != wantSlot || gotOK != wantOK {
 					t.Fatalf("trial %d step %d line %d: ExcSlot = %d, %v; linear scan %d, %v (exceptions %v)",
 						trial, step, line, gotSlot, gotOK, wantSlot, wantOK, p.exc)
+				}
+			}
+		}
+	}
+}
+
+// TestExcSlotOrder checks Pack, AddException and ExcSlot against a
+// model slot list kept apart from the page: Pack numbers the lines
+// above the target in line order, AddException appends at the next
+// slot and returns it, and ExcSlot, Offset and Bytes then answer from
+// that order (a repeated line keeps its first slot).
+func TestExcSlotOrder(t *testing.T) {
+	r := rng.New(29)
+	binSets := []compress.Bins{compress.LegacyBins, compress.CompressoBins, compress.EightBins}
+	for trial := 0; trial < 200; trial++ {
+		bins := binSets[trial%len(binSets)]
+		var p Page
+		var model []int
+		p.Chunks = 1 << r.Intn(4)
+		for step := 0; step < 40; step++ {
+			if r.Intn(4) == 0 {
+				for i := range p.Sizes {
+					p.Sizes[i] = uint8(bins.SizeOf(r.Intn(bins.Count())))
+				}
+				p.Pack(bins)
+				model = model[:0]
+				for line, s := range p.Sizes {
+					if s > p.Target {
+						model = append(model, line)
+					}
+				}
+			} else {
+				line := r.Intn(metadata.LinesPerPage)
+				room := p.Bytes()+memctl.LineBytes <= p.Chunks*metadata.ChunkSize
+				slot, ok := p.AddException(line)
+				if ok != room {
+					t.Fatalf("trial %d step %d: AddException(%d) ok = %v with room %v", trial, step, line, ok, room)
+				}
+				if ok {
+					model = append(model, line)
+					if slot != len(model)-1 {
+						t.Fatalf("trial %d step %d: AddException(%d) = slot %d, want %d", trial, step, line, slot, len(model)-1)
+					}
+				}
+			}
+			if want := metadata.LinesPerPage*int(p.Target) + len(model)*memctl.LineBytes; p.Bytes() != want {
+				t.Fatalf("trial %d step %d: Bytes = %d with %d exceptions, want %d", trial, step, p.Bytes(), len(model), want)
+			}
+			for line := 0; line < metadata.LinesPerPage; line++ {
+				wantSlot := slices.Index(model, line)
+				slot, ok := p.ExcSlot(line)
+				if ok != (wantSlot >= 0) || ok && slot != wantSlot {
+					t.Fatalf("trial %d step %d line %d: ExcSlot = %d, %v; model slots %v", trial, step, line, slot, ok, model)
+				}
+				wantOff := p.LineOffset(line)
+				if ok {
+					wantOff = p.ExcOffset(wantSlot)
+				}
+				if got := p.Offset(line); got != wantOff {
+					t.Fatalf("trial %d step %d line %d: Offset = %d, want %d", trial, step, line, got, wantOff)
 				}
 			}
 		}

@@ -60,8 +60,9 @@ type filterTables struct {
 }
 
 // processFilters holds every log the process has recorded. A log is
-// about one byte per op plus four per writeback or L3 install, so the
-// logs stay for the process's life, or until ResetCacheFilters.
+// about one byte per op plus four per writeback or L3 install. The logs
+// stay until ResetCacheFilters drops them, or ResetOneCoreFilters the
+// one-core ones.
 var processFilters filterTables
 
 // ResetCacheFilters drops every cache-filter log the process has
@@ -71,8 +72,16 @@ var processFilters filterTables
 // concurrent run of its key records its own log. Results are the same
 // either way.
 func ResetCacheFilters() {
-	processFilters.one.Reset()
+	ResetOneCoreFilters()
 	processFilters.private.Reset()
+}
+
+// ResetOneCoreFilters drops the one-core logs only, as ResetCacheFilters
+// drops them, and keeps the mixes' private-level logs. A caller that
+// has run the last pass of each one-core stream it will run calls it
+// to free logs no later run will replay.
+func ResetOneCoreFilters() {
+	processFilters.one.Reset()
 }
 
 // filterCaches connects a pass to its cache-filter logs in p.filters,

@@ -236,6 +236,29 @@ func TestResetCacheFiltersRecordsAfresh(t *testing.T) {
 	}
 }
 
+// TestResetOneCoreFiltersKeepsPrivateLogs: ResetOneCoreFilters drops
+// the process's one-core logs and leaves its private-level logs
+// published.
+func TestResetOneCoreFiltersKeepsPrivateLogs(t *testing.T) {
+	one := filterKey{profile: "reset-one-core probe", seed: 1, ops: 1, l3Bytes: 1}
+	private := filterKey{profile: "reset-one-core probe", seed: 1, ops: 1, base: 1}
+	for hasLog(&processFilters.one, one) || hasLog(&processFilters.private, private) {
+		one.seed++ // the test already ran in this process (-count)
+		private.seed++
+	}
+	_, _, releaseOne := processFilters.one.Claim(one)
+	releaseOne(cache.NewFilterLog(1), true)
+	_, _, releasePrivate := processFilters.private.Claim(private)
+	releasePrivate(cache.NewPrivateLog(1), true)
+	ResetOneCoreFilters()
+	if hasLog(&processFilters.one, one) {
+		t.Error("a one-core log survived ResetOneCoreFilters")
+	}
+	if !hasLog(&processFilters.private, private) {
+		t.Error("ResetOneCoreFilters dropped a private-level log")
+	}
+}
+
 // TestFilterKeyCoversStreamIdentity: each input that fixes a log's
 // content (the scaled profile, the seed, Ops, and the one-core L3 or
 // the core's base page) must change its key.
