@@ -878,10 +878,7 @@ func compareSystems[R any](c *cli, kind, label string, profs []workload.Profile,
 
 func runMixCLI(c *cli) {
 	mix := c.mix
-	profs, err := mix.Profiles()
-	if err != nil {
-		fatal(err)
-	}
+	profs := mix.Profiles()
 	fmt.Printf("mix %s: %v\n", mix.Name, mix.Benches)
 	systems := sim.Systems()
 	compareSystems(c, "mix", mix.Name, profs, systems, func(cfg sim.Config) (sim.MultiResult, runView) {

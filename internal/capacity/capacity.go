@@ -85,7 +85,10 @@ type Config struct {
 	// anchor (unconstrained memory ~1.39x the 70%-constrained
 	// baseline, Tab. II) rather than using a physical swap latency.
 	SwapCostOps float64
-	// FootprintScale divides footprints (test speed knob).
+	// FootprintScale divides every profile's footprint
+	// (workload.Scale). The paper's footprints are scale 1; the
+	// experiments' capacity cells (Tab. II, Figs. 10 and 11) run at the
+	// sweep's scale, 4 (16 in quick mode).
 	FootprintScale int
 	// Jobs bounds the worker pool for the tracker's batched
 	// construction scans (0 = all cores). Results are byte-identical

@@ -25,30 +25,23 @@ type AbBinsRow struct {
 	Resize8Pages, Resize4Pages uint64
 }
 
-// abBinsSpecs is an ab-bins cell's runs: 8 bins, the default config
-// (both the 4-bin and the 8-page-size column, so one run feeds both)
-// and 4 page sizes.
-func abBinsSpecs() []runSpec {
-	return []runSpec{
-		{sys: sim.Compresso, mod: func(c *core.Config) { c.Bins = compress.EightBins }},
-		{sys: sim.Compresso},
-		{sys: sim.Compresso, mod: func(c *core.Config) {
-			c.PageSizes = []int{2, 4, 6, 8}
-			c.DynamicIRExpansion = false // needs +1-chunk growth
-		}},
-	}
-}
-
-func abBinsRuns() []demand { return everyProfile(workload.All(), abBinsSpecs()) }
+// abBinsGrid is the ab-bins grid: on every benchmark, 8 bins, the
+// default config (both the 4-bin and the 8-page-size column, so one run
+// feeds both) and 4 page sizes.
+var abBinsGrid = singleGrid{profs: workload.All(), specs: []runSpec{
+	{sys: sim.Compresso, mod: func(c *core.Config) { c.Bins = compress.EightBins }},
+	{sys: sim.Compresso},
+	{sys: sim.Compresso, mod: func(c *core.Config) {
+		c.PageSizes = []int{2, 4, 6, 8}
+		c.DynamicIRExpansion = false // needs +1-chunk growth
+	}},
+}}
 
 // AbBinsData runs the bin-count and page-size-count ablations.
 // Benchmarks are independent cells fanned out across Options.Jobs
 // workers.
 func AbBinsData(opt Options) []AbBinsRow {
-	profs := workload.All()
-	return grid(opt, "ab-bins", len(profs), func(ctx context.Context, i int) AbBinsRow {
-		prof := profs[i]
-		runs := runMany(ctx, opt, prof, abBinsSpecs())
+	return perProfile(opt, "ab-bins", abBinsGrid, func(_ context.Context, prof workload.Profile, runs []sim.Result) AbBinsRow {
 		eightBins, fourBins, fourPages := runs[0], runs[1], runs[2]
 		eightPages := fourBins
 		return AbBinsRow{
@@ -98,26 +91,20 @@ type AbAlignRow struct {
 	RatioAligned float64
 }
 
-// abAlignSpecs is an ab-align cell's runs: the unoptimized system with
-// legacy bins, then with alignment-friendly bins.
-func abAlignSpecs() []runSpec {
-	spec := func(bins compress.Bins) runSpec {
-		return runSpec{sys: sim.Compresso, mod: func(c *core.Config) { baselineMod(c); c.Bins = bins }}
-	}
-	return []runSpec{spec(compress.LegacyBins), spec(compress.CompressoBins)}
-}
-
-func abAlignRuns() []demand { return everyProfile(workload.All(), abAlignSpecs()) }
+// abAlignGrid is the ab-align grid: on every benchmark, the
+// unoptimized system with legacy bins, then with alignment-friendly
+// bins.
+var abAlignGrid = singleGrid{profs: workload.All(), specs: []runSpec{
+	{sys: sim.Compresso, mod: func(c *core.Config) { baselineMod(c); c.Bins = compress.LegacyBins }},
+	{sys: sim.Compresso, mod: func(c *core.Config) { baselineMod(c); c.Bins = compress.CompressoBins }},
+}}
 
 // AbAlignData runs the alignment ablation on the otherwise-unoptimized
 // system (isolating the bin effect, as the paper's search did).
 // Benchmarks are independent cells fanned out across Options.Jobs
 // workers.
 func AbAlignData(opt Options) []AbAlignRow {
-	profs := workload.All()
-	return grid(opt, "ab-align", len(profs), func(ctx context.Context, i int) AbAlignRow {
-		prof := profs[i]
-		runs := runMany(ctx, opt, prof, abAlignSpecs())
+	return perProfile(opt, "ab-align", abAlignGrid, func(_ context.Context, prof workload.Profile, runs []sim.Result) AbAlignRow {
 		legacy, aligned := runs[0], runs[1]
 		return AbAlignRow{
 			Bench:        prof.Name,
@@ -199,7 +186,7 @@ func runBPCVariants(opt Options) (any, error) {
 }
 
 func init() {
-	registerRuns("ab-bins", "ablation: 8 vs 4 line bins and page sizes (§IV-A1)", runAbBins, abBinsRuns)
-	registerRuns("ab-align", "ablation: alignment-friendly line sizes (§IV-B1)", runAbAlign, abAlignRuns)
+	register("ab-bins", "ablation: 8 vs 4 line bins and page sizes (§IV-A1)", runAbBins, abBinsGrid)
+	register("ab-align", "ablation: alignment-friendly line sizes (§IV-B1)", runAbAlign, abAlignGrid)
 	register("bpc-variants", "modified (best-of-transform) BPC vs baseline BPC (§II-A)", runBPCVariants)
 }

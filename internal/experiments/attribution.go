@@ -8,7 +8,6 @@ import (
 	"compresso/internal/obs"
 	"compresso/internal/sim"
 	"compresso/internal/stats"
-	"compresso/internal/workload"
 )
 
 // attributionBenches is the workload pair behind the overhead
@@ -17,6 +16,14 @@ import (
 // backend so the stack reflects mixed behaviour rather than one trace
 // shape.
 var attributionBenches = []string{"gcc", "mcf"}
+
+// attributionGrid is the attribution benchmarks and one ledgered run
+// per backend, in registry order: cell i merges spec i's runs across
+// the benchmarks.
+var attributionGrid = singleGrid{
+	profs: mustProfiles(attributionBenches...),
+	specs: onSystems(runSpec{attribution: true, topPages: 8}, sim.AllSystems()...),
+}
 
 // attrGroup collapses the 13 ledger components into the paper-style
 // stack: raw DRAM time, metadata overhead, (de)compression latency,
@@ -51,37 +58,18 @@ type AttributionRow struct {
 	Attribution  obs.AttributionSnapshot
 }
 
-// attributionSpec is sys's ledgered run of each attribution benchmark.
-func attributionSpec(sys sim.System) runSpec {
-	return runSpec{sys: sys, attribution: true, topPages: 8}
-}
-
-// attributionRuns declares every backend's attributionSpec on each
-// attribution benchmark.
-func attributionRuns() []demand {
-	var specs []runSpec
-	for _, sys := range sim.AllSystems() {
-		specs = append(specs, attributionSpec(sys))
-	}
-	return everyProfile(byNames(attributionBenches), specs)
-}
-
 // AttributionData runs every registered backend with the cycle
 // ledger attached and merges the per-benchmark snapshots into one row
 // per backend. Backends are independent cells fanned out across
 // Options.Jobs workers.
 func AttributionData(opt Options) ([]AttributionRow, error) {
-	systems := sim.AllSystems()
-	return gridErr(opt, "attribution", len(systems), func(ctx context.Context, i int) (AttributionRow, error) {
-		sys := systems[i]
+	g := attributionGrid
+	return gridErr(opt, "attribution", len(g.specs), func(ctx context.Context, i int) (AttributionRow, error) {
+		sys := g.specs[i].sys
 		row := AttributionRow{System: sys.String(), Benches: attributionBenches}
 		var merged obs.AttributionSnapshot
-		for _, bench := range attributionBenches {
-			prof, err := workload.ByName(bench)
-			if err != nil {
-				return AttributionRow{}, fmt.Errorf("attribution: %w", err)
-			}
-			res := runSingle(ctx, opt, prof, attributionSpec(sys))
+		for _, prof := range g.profs {
+			res := runSingle(ctx, opt, prof, g.specs[i])
 			if merged.Components == nil {
 				// Merge updates Components in place, and the memoized
 				// result's snapshot must stay as the run produced it.
@@ -189,5 +177,5 @@ func runAttribution(opt Options) (any, error) {
 }
 
 func init() {
-	registerRuns("attribution", "cycle-accounting decomposition: exposed/hidden latency stack per backend, with hot-page profile", runAttribution, attributionRuns)
+	register("attribution", "cycle-accounting decomposition: exposed/hidden latency stack per backend, with hot-page profile", runAttribution, attributionGrid)
 }

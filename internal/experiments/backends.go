@@ -11,11 +11,15 @@ import (
 	"compresso/internal/workload"
 )
 
-// backendBenchmarks is the subset swept across every registered
+// backendsGrid sweeps a benchmark subset across every registered
 // backend: the capacity/bandwidth-sensitive classes plus one
 // cache-friendly control, kept small because the sweep is
-// benchmarks x (whole registry).
-var backendBenchmarks = []string{"gcc", "mcf", "omnetpp", "libquantum", "povray"}
+// benchmarks x (whole registry). Its runs are one per system, in
+// registry order.
+var backendsGrid = singleGrid{
+	profs: mustProfiles("gcc", "mcf", "omnetpp", "libquantum", "povray"),
+	specs: onSystems(runSpec{}, sim.AllSystems()...),
+}
 
 // BackendRow is one benchmark's results across every registered
 // backend. Systems carries the registry order the parallel slices are
@@ -34,46 +38,27 @@ type BackendRow struct {
 // (quick, seed) configuration).
 var backendsCache parallel.Memo[[2]uint64, []BackendRow]
 
-// backendsSpecs is a backends cell's runs: one per system, in order.
-func backendsSpecs(systems []sim.System) []runSpec {
-	specs := make([]runSpec, len(systems))
-	for s, sys := range systems {
-		specs[s] = runSpec{sys: sys}
-	}
-	return specs
-}
-
-func backendsRuns() []demand {
-	return everyProfile(byNames(backendBenchmarks), backendsSpecs(sim.AllSystems()))
-}
-
 // BackendsData sweeps every backend in the memctl registry over the
-// benchmark subset. The system list is taken from the registry at run
-// time, so newly registered backends join the sweep — and its JSON
-// artifact — with no experiment changes (DESIGN.md §12). Benchmarks
+// benchmark subset. The system list is taken from the registry when
+// the package initializes, after every backend sim imports has
+// registered, so newly registered backends join the sweep — and its
+// JSON artifact — with no experiment changes (DESIGN.md §12). Benchmarks
 // are independent cells fanned out across Options.Jobs workers.
 func BackendsData(opt Options) []BackendRow {
 	rows, err := backendsCache.Get(opt.Ctx, opt.sweepKey(), func() ([]BackendRow, error) {
-		systems := sim.AllSystems()
-		return gridErr(opt, "backends", len(backendBenchmarks), func(ctx context.Context, i int) (BackendRow, error) {
-			prof, err := workload.ByName(backendBenchmarks[i])
-			if err != nil {
-				return BackendRow{}, fmt.Errorf("backends: %w", err)
-			}
+		specs := backendsGrid.specs
+		return perProfile(opt, "backends", backendsGrid, func(_ context.Context, prof workload.Profile, results []sim.Result) BackendRow {
 			row := BackendRow{
 				Bench:   prof.Name,
-				Systems: make([]string, len(systems)),
-				Perf:    make([]float64, len(systems)),
-				Ratio:   make([]float64, len(systems)),
-				Extra:   make([]ExtraBreakdown, len(systems)),
+				Systems: make([]string, len(specs)),
+				Perf:    make([]float64, len(specs)),
+				Ratio:   make([]float64, len(specs)),
+				Extra:   make([]ExtraBreakdown, len(specs)),
 			}
-			for s, sys := range systems {
-				row.Systems[s] = sys.String()
-			}
-			results := runMany(ctx, opt, prof, backendsSpecs(systems))
 			var baseCycles uint64
 			for s, res := range results {
-				if systems[s] == sim.Uncompressed {
+				row.Systems[s] = specs[s].sys.String()
+				if specs[s].sys == sim.Uncompressed {
 					baseCycles = res.Cycles
 				}
 			}
@@ -82,8 +67,8 @@ func BackendsData(opt Options) []BackendRow {
 				row.Ratio[s] = res.Ratio
 				row.Extra[s] = breakdown(res)
 			}
-			return row, nil
-		})
+			return row
+		}), nil
 	})
 	if err != nil {
 		panic(err)
@@ -165,6 +150,6 @@ func runBackendsTraffic(opt Options) (any, error) {
 }
 
 func init() {
-	registerRuns("backends-ratio", "registry-wide sweep: perf and compression ratio for every backend", runBackendsRatio, backendsRuns)
-	registerRuns("backends-traffic", "registry-wide sweep: relative extra accesses for every backend", runBackendsTraffic, backendsRuns)
+	register("backends-ratio", "registry-wide sweep: perf and compression ratio for every backend", runBackendsRatio, backendsGrid)
+	register("backends-traffic", "registry-wide sweep: relative extra accesses for every backend", runBackendsTraffic, backendsGrid)
 }

@@ -127,21 +127,17 @@ type Experiment struct {
 	// rows behind the tables — the JSON artifact payload (nil for
 	// prose-only artifacts, which produce no JSON file).
 	Run func(Options) (any, error)
-	// runs declares the single-core runs Run's grid cells ask for, for
-	// the plan to run ahead of them (nil when it simulates none).
-	runs func() []demand
+	// grids are the single-core grids Run's cells read, for the plan
+	// to run their runs ahead of them.
+	grids []singleGrid
 }
 
 var registry = map[string]Experiment{}
 
-func register(name, desc string, run func(Options) (any, error)) {
-	registerRuns(name, desc, run, nil)
-}
-
-// registerRuns registers an experiment whose grid cells ask for the
-// single-core runs that runs declares.
-func registerRuns(name, desc string, run func(Options) (any, error), runs func() []demand) {
-	registry[name] = Experiment{Name: name, Desc: desc, Run: run, runs: runs}
+// register adds an experiment whose cells read the single-core grids
+// (none when it simulates no single-core run).
+func register(name, desc string, run func(Options) (any, error), grids ...singleGrid) {
+	registry[name] = Experiment{Name: name, Desc: desc, Run: run, grids: grids}
 }
 
 // List returns all experiments sorted by name.

@@ -164,10 +164,7 @@ func TestFig6Staircase(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	series, err := Fig9Data(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	series := Fig9Data(quickOpts())
 	if len(series) != 2 || series[0].Bench != "GemsFDTD" || series[1].Bench != "astar" {
 		t.Fatalf("series %+v", series)
 	}
@@ -182,10 +179,7 @@ func TestTab2Shape(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("tab2 sweep is slow")
 	}
-	cells, err := Tab2Data(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells := Tab2Data(quickOpts())
 	if len(cells) != 6 {
 		t.Fatalf("%d cells", len(cells))
 	}

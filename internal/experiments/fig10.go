@@ -123,32 +123,23 @@ var Fig10Excluded = map[string]bool{"mcf": true, "GemsFDTD": true, "lbm": true}
 // concurrent callers under a parallel RunAll share one computation.
 var fig10Cache parallel.Memo[[2]uint64, []Fig10Row]
 
-// fig10Specs is a Fig. 10 cell's cycle runs: the uncompressed baseline,
-// then CompressedSystems in order.
-func fig10Specs() []runSpec {
-	specs := []runSpec{{sys: sim.Uncompressed}}
-	for _, sys := range CompressedSystems {
-		specs = append(specs, runSpec{sys: sys})
-	}
-	return specs
+// fig10Grid is the Fig. 10 grid, which fig10a, fig10b and fig12 share:
+// on every performance benchmark, the uncompressed baseline, then
+// CompressedSystems in order.
+var fig10Grid = singleGrid{
+	profs: workload.PerformanceSet(),
+	specs: onSystems(runSpec{}, append([]sim.System{sim.Uncompressed}, CompressedSystems...)...),
 }
-
-// fig10Runs declares the runs of the Fig. 10 grid, which fig10a,
-// fig10b and fig12 share.
-func fig10Runs() []demand { return everyProfile(workload.PerformanceSet(), fig10Specs()) }
 
 // Fig10Data runs the dual methodology for every performance benchmark.
 // Each benchmark is an independent cell, fanned out across
 // Options.Jobs workers and reassembled in suite order.
 func Fig10Data(opt Options) []Fig10Row {
 	rows, err := fig10Cache.Get(opt.Ctx, opt.sweepKey(), func() ([]Fig10Row, error) {
-		profs := workload.PerformanceSet()
-		return grid(opt, "fig10", len(profs), func(ctx context.Context, i int) Fig10Row {
-			prof := profs[i]
+		return perProfile(opt, "fig10", fig10Grid, func(ctx context.Context, prof workload.Profile, runs []sim.Result) Fig10Row {
 			row := Fig10Row{Bench: prof.Name, Runs: map[string]sim.Result{}}
 
-			// Cycle-based simulations, in one pass.
-			runs := runMany(ctx, opt, prof, fig10Specs())
+			// The cycle-based simulations.
 			base := runs[0]
 			for _, res := range runs {
 				row.Runs[res.System] = res
@@ -197,6 +188,6 @@ func runFig10b(opt Options) (any, error) {
 }
 
 func init() {
-	registerRuns("fig10a", "single-core cycle-based + memory-capacity evaluation", runFig10a, fig10Runs)
-	registerRuns("fig10b", "single-core overall performance", runFig10b, fig10Runs)
+	register("fig10a", "single-core cycle-based + memory-capacity evaluation", runFig10a, fig10Grid)
+	register("fig10b", "single-core overall performance", runFig10b, fig10Grid)
 }

@@ -30,10 +30,7 @@ func Fig11Data(opt Options) ([]Fig11Row, error) {
 		mixes := sim.Mixes()
 		return gridErr(opt, "fig11", len(mixes), func(ctx context.Context, m int) (Fig11Row, error) {
 			mix := mixes[m]
-			profs, err := mix.Profiles()
-			if err != nil {
-				return Fig11Row{}, fmt.Errorf("fig11: mix %s: %w", mix.Name, err)
-			}
+			profs := mix.Profiles()
 			row := Fig11Row{Mix: mix.Name, Runs: map[string]sim.MultiResult{}}
 
 			mkCfg := func(sys sim.System) sim.Config {
@@ -49,10 +46,11 @@ func Fig11Data(opt Options) ([]Fig11Row, error) {
 			for i, sys := range CompressedSystems {
 				res := sim.RunMix(mix.Name, profs, mkCfg(sys))
 				row.Runs[res.System] = res
-				row.CycleRel[i], err = res.WeightedSpeedup(base)
+				rel, err := res.WeightedSpeedup(base)
 				if err != nil {
 					return Fig11Row{}, fmt.Errorf("fig11: mix %s: %w", mix.Name, err)
 				}
+				row.CycleRel[i] = rel
 			}
 
 			row.setCapacity(capacityCell(ctx, opt, mix.Name, profs, opt.ops()).at(dualFrac))

@@ -69,5 +69,5 @@ func runFig12(opt Options) (any, error) {
 }
 
 func init() {
-	registerRuns("fig12", "DRAM and core energy relative to uncompressed", runFig12, fig10Runs)
+	register("fig12", "DRAM and core energy relative to uncompressed", runFig12, fig10Grid)
 }

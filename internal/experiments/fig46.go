@@ -55,29 +55,22 @@ type Fig4Row struct {
 	Variable ExtraBreakdown
 }
 
-// fig4Specs is a Fig. 4 cell's runs: the unoptimized system with fixed
-// 512 B chunks, then with four variable chunk sizes.
-func fig4Specs() []runSpec {
-	return []runSpec{
-		{sys: sim.Compresso, mod: baselineMod},
-		{sys: sim.Compresso, mod: func(c *core.Config) {
-			baselineMod(c)
-			c.Allocation = core.VariableChunks
-			c.PageSizes = []int{1, 2, 4, 8}
-		}},
-	}
-}
-
-func fig4Runs() []demand { return everyProfile(workload.All(), fig4Specs()) }
+// fig4Grid is the Fig. 4 grid: on every benchmark, the unoptimized
+// system with fixed 512 B chunks, then with four variable chunk sizes.
+var fig4Grid = singleGrid{profs: workload.All(), specs: []runSpec{
+	{sys: sim.Compresso, mod: baselineMod},
+	{sys: sim.Compresso, mod: func(c *core.Config) {
+		baselineMod(c)
+		c.Allocation = core.VariableChunks
+		c.PageSizes = []int{1, 2, 4, 8}
+	}},
+}}
 
 // Fig4Data runs the unoptimized compressed system per benchmark under
 // both allocation disciplines. Benchmarks are independent cells fanned
 // out across Options.Jobs workers.
 func Fig4Data(opt Options) []Fig4Row {
-	profs := workload.All()
-	return grid(opt, "fig4", len(profs), func(ctx context.Context, i int) Fig4Row {
-		prof := profs[i]
-		runs := runMany(ctx, opt, prof, fig4Specs())
+	return perProfile(opt, "fig4", fig4Grid, func(_ context.Context, prof workload.Profile, runs []sim.Result) Fig4Row {
 		return Fig4Row{
 			Bench:    prof.Name,
 			Fixed:    breakdown(runs[0]),
@@ -120,53 +113,38 @@ type Fig6Row struct {
 	Stages [6]float64
 }
 
-// fig6Mods returns the cumulative config modifier per stage.
-func fig6Mods() []func(*core.Config) {
-	return []func(*core.Config){
-		baselineMod,
-		func(c *core.Config) { baselineMod(c); c.Bins = compress.CompressoBins },
-		func(c *core.Config) {
-			baselineMod(c)
-			c.Bins = compress.CompressoBins
-			c.PredictOverflows = true
-		},
-		func(c *core.Config) {
-			baselineMod(c)
-			c.Bins = compress.CompressoBins
-			c.PredictOverflows = true
-			c.DynamicIRExpansion = true
-		},
-		func(c *core.Config) {
-			baselineMod(c)
-			c.Bins = compress.CompressoBins
-			c.PredictOverflows = true
-			c.DynamicIRExpansion = true
-			c.MetadataCache = metadata.DefaultCacheConfig()
-		},
-		nil, // full Compresso: no modifier
-	}
-}
-
-// fig6Specs is a Fig. 6 cell's runs: Compresso at each stage, in order.
-func fig6Specs() []runSpec {
-	mods := fig6Mods()
-	specs := make([]runSpec, len(mods))
-	for s, mod := range mods {
-		specs[s] = runSpec{sys: sim.Compresso, mod: mod}
-	}
-	return specs
-}
-
-func fig6Runs() []demand { return everyProfile(workload.All(), fig6Specs()) }
+// fig6Grid is the Fig. 6 grid: on every benchmark, Compresso at each
+// cumulative stage, in order.
+var fig6Grid = singleGrid{profs: workload.All(), specs: []runSpec{
+	{sys: sim.Compresso, mod: baselineMod},
+	{sys: sim.Compresso, mod: func(c *core.Config) { baselineMod(c); c.Bins = compress.CompressoBins }},
+	{sys: sim.Compresso, mod: func(c *core.Config) {
+		baselineMod(c)
+		c.Bins = compress.CompressoBins
+		c.PredictOverflows = true
+	}},
+	{sys: sim.Compresso, mod: func(c *core.Config) {
+		baselineMod(c)
+		c.Bins = compress.CompressoBins
+		c.PredictOverflows = true
+		c.DynamicIRExpansion = true
+	}},
+	{sys: sim.Compresso, mod: func(c *core.Config) {
+		baselineMod(c)
+		c.Bins = compress.CompressoBins
+		c.PredictOverflows = true
+		c.DynamicIRExpansion = true
+		c.MetadataCache = metadata.DefaultCacheConfig()
+	}},
+	{sys: sim.Compresso}, // full Compresso: no modifier
+}}
 
 // Fig6Data runs the optimization staircase per benchmark. Benchmarks
-// are independent cells fanned out across Options.Jobs workers, each
-// running its stages in one lockstep pass over the benchmark's trace.
+// are independent cells fanned out across Options.Jobs workers.
 func Fig6Data(opt Options) []Fig6Row {
-	profs := workload.All()
-	return grid(opt, "fig6", len(profs), func(ctx context.Context, i int) Fig6Row {
-		row := Fig6Row{Bench: profs[i].Name}
-		for s, res := range runMany(ctx, opt, profs[i], fig6Specs()) {
+	return perProfile(opt, "fig6", fig6Grid, func(_ context.Context, prof workload.Profile, runs []sim.Result) Fig6Row {
+		row := Fig6Row{Bench: prof.Name}
+		for s, res := range runs {
 			row.Stages[s] = breakdown(res).Total()
 		}
 		return row
@@ -202,6 +180,6 @@ func runFig6(opt Options) (any, error) {
 }
 
 func init() {
-	registerRuns("fig4", "extra data movement of the unoptimized system, fixed vs variable chunks", runFig4, fig4Runs)
-	registerRuns("fig6", "cumulative effect of the data-movement optimizations", runFig6, fig6Runs)
+	register("fig4", "extra data movement of the unoptimized system, fixed vs variable chunks", runFig4, fig4Grid)
+	register("fig6", "cumulative effect of the data-movement optimizations", runFig6, fig6Grid)
 }

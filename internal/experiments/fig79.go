@@ -21,24 +21,17 @@ type Fig7Row struct {
 	RelativeNR float64 // NoRepack / WithRepack (the Fig. 7 bars)
 }
 
-// fig7Specs is a Fig. 7 cell's runs: Compresso with repacking, then
-// without.
-func fig7Specs() []runSpec {
-	return []runSpec{
-		{sys: sim.Compresso},
-		{sys: sim.Compresso, mod: func(c *core.Config) { c.DynamicRepacking = false }},
-	}
-}
-
-func fig7Runs() []demand { return everyProfile(workload.All(), fig7Specs()) }
+// fig7Grid is the Fig. 7 grid: on every benchmark, Compresso with
+// repacking, then without.
+var fig7Grid = singleGrid{profs: workload.All(), specs: []runSpec{
+	{sys: sim.Compresso},
+	{sys: sim.Compresso, mod: func(c *core.Config) { c.DynamicRepacking = false }},
+}}
 
 // Fig7Data runs Compresso with repacking on and off. Benchmarks are
 // independent cells fanned out across Options.Jobs workers.
 func Fig7Data(opt Options) []Fig7Row {
-	profs := workload.All()
-	return grid(opt, "fig7", len(profs), func(ctx context.Context, i int) Fig7Row {
-		prof := profs[i]
-		runs := runMany(ctx, opt, prof, fig7Specs())
+	return perProfile(opt, "fig7", fig7Grid, func(_ context.Context, prof workload.Profile, runs []sim.Result) Fig7Row {
 		with, without := runs[0], runs[1]
 
 		return Fig7Row{
@@ -77,23 +70,17 @@ type Fig9Series struct {
 	CompPointErr float64
 }
 
-// Fig9Data profiles the paper's two example benchmarks (GemsFDTD and
-// astar, both with pronounced compressibility phases) and compares the
-// representativeness of SimPoints vs CompressPoints.
-func Fig9Data(opt Options) ([]Fig9Series, error) {
+// fig9Profiles are the paper's two example benchmarks, both with
+// pronounced compressibility phases.
+var fig9Profiles = mustProfiles("GemsFDTD", "astar")
+
+// Fig9Data profiles fig9Profiles and compares the representativeness
+// of SimPoints vs CompressPoints.
+func Fig9Data(opt Options) []Fig9Series {
 	intervals := 12
 	opsPer := opt.ops() / 4
-	if opsPer == 0 {
-		opsPer = 1000
-	}
-	names := []string{"GemsFDTD", "astar"}
-	return gridErr(opt, "fig9", len(names), func(_ context.Context, i int) (Fig9Series, error) {
-		name := names[i]
-		prof, err := workload.ByName(name)
-		if err != nil {
-			return Fig9Series{}, fmt.Errorf("fig9: %w", err)
-		}
-		prof = workload.Scale(prof, opt.scale())
+	return grid(opt, "fig9", len(fig9Profiles), func(_ context.Context, i int) Fig9Series {
+		prof := workload.Scale(fig9Profiles[i], opt.scale())
 		// Concentrate writes so the phases move the whole image, like
 		// the paper's full-footprint dumps.
 		prof.HotFraction = 0.9
@@ -111,7 +98,7 @@ func Fig9Data(opt Options) ([]Fig9Series, error) {
 		ca := cpoints.KMeans(compF, 3, opt.seed())
 		cp, cw := cpoints.Pick(compF, ca, 3)
 
-		s := Fig9Series{Bench: name, TrueMean: cpoints.TrueMeanRatio(ivs)}
+		s := Fig9Series{Bench: prof.Name, TrueMean: cpoints.TrueMeanRatio(ivs)}
 		for _, iv := range ivs {
 			s.Ratios = append(s.Ratios, iv.Ratio)
 		}
@@ -119,7 +106,7 @@ func Fig9Data(opt Options) ([]Fig9Series, error) {
 		s.CompPointEst = cpoints.WeightedRatio(ivs, cp, cw)
 		s.SimPointErr = abs(s.SimPointEst - s.TrueMean)
 		s.CompPointErr = abs(s.CompPointEst - s.TrueMean)
-		return s, nil
+		return s
 	})
 }
 
@@ -131,10 +118,7 @@ func abs(x float64) float64 {
 }
 
 func runFig9(opt Options) (any, error) {
-	series, err := Fig9Data(opt)
-	if err != nil {
-		return nil, err
-	}
+	series := Fig9Data(opt)
 	header(opt.Out, "Fig. 9: SimPoint vs CompressPoint compressibility representativeness")
 	for _, s := range series {
 		fmt.Fprintf(opt.Out, "\n%s per-interval compression ratio:  %s\n  ", s.Bench, figures.Spark(s.Ratios))
@@ -149,6 +133,6 @@ func runFig9(opt Options) (any, error) {
 }
 
 func init() {
-	registerRuns("fig7", "compression-ratio loss without dynamic repacking", runFig7, fig7Runs)
+	register("fig7", "compression-ratio loss without dynamic repacking", runFig7, fig7Grid)
 	register("fig9", "SimPoint vs CompressPoint representativeness (GemsFDTD, astar)", runFig9)
 }

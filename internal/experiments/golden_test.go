@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -14,7 +15,7 @@ import (
 // change. It also pins the plan: the sweep's 429 distinct single-core
 // runs fall on 30 op streams, the plan runs one pass per stream, and no
 // grid cell starts a pass after it, which fails when an experiment's
-// declared runs miss one its cells ask for.
+// registered grids miss a run its cells ask for.
 func TestQuickSweepGolden(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("full quick sweep: skipped under -short and -race")
@@ -51,4 +52,25 @@ func TestQuickSweepGolden(t *testing.T) {
 		}
 	}
 	t.Fatalf("quick sweep has %d lines, testdata/quick_sweep.txt %d", len(g), len(w))
+}
+
+// TestEachExperimentPlansItsOwnRuns runs every experiment alone, in
+// quick mode, from empty memos: each must start only planned passes,
+// so an experiment whose cells lean on another experiment's registered
+// grid fails here even though the full sweep, which plans every grid,
+// would pass.
+func TestEachExperimentPlansItsOwnRuns(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("an experiment at a time in quick mode: skipped under -short and -race")
+	}
+	defer resetMemos()
+	for _, e := range List() {
+		resetMemos()
+		if err := Run(e.Name, Options{Out: io.Discard, Quick: true, Seed: 42, Jobs: 2}); err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
+		}
+		if all, planned := passCount.all.Load(), passCount.planned.Load(); all != planned {
+			t.Errorf("%s ran %d passes, %d of them planned; want only planned passes", e.Name, all, planned)
+		}
+	}
 }

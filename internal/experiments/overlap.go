@@ -22,13 +22,9 @@ type OverlapRow struct {
 	ExposedPerRead float64 // residual critical-path cycles per timed read
 }
 
-// overlapSpecs is an overlap cell's runs: Compresso serial, then
-// overlapped.
-func overlapSpecs() []runSpec {
-	return []runSpec{{sys: sim.Compresso}, {sys: sim.Compresso, overlap: true}}
-}
-
-func overlapRuns() []demand { return everyProfile(workload.All(), overlapSpecs()) }
+// overlapGrid is the overlap grid: on every benchmark, Compresso
+// serial, then overlapped.
+var overlapGrid = singleGrid{profs: workload.All(), specs: []runSpec{{sys: sim.Compresso}, {sys: sim.Compresso, overlap: true}}}
 
 // OverlapData runs Compresso on every benchmark twice — serial
 // decompression charging, then the overlapped-controller model — and
@@ -37,10 +33,7 @@ func overlapRuns() []demand { return everyProfile(workload.All(), overlapSpecs()
 // workers; the serial run is byte-identical to every other experiment's
 // Compresso runs (the overlap model is opt-in per run, not global).
 func OverlapData(opt Options) []OverlapRow {
-	profs := workload.All()
-	return grid(opt, "overlap", len(profs), func(ctx context.Context, i int) OverlapRow {
-		prof := profs[i]
-		runs := runMany(ctx, opt, prof, overlapSpecs())
+	return perProfile(opt, "overlap", overlapGrid, func(_ context.Context, prof workload.Profile, runs []sim.Result) OverlapRow {
 		serial, over := runs[0], runs[1]
 
 		row := OverlapRow{
@@ -82,5 +75,5 @@ func runOverlap(opt Options) (any, error) {
 }
 
 func init() {
-	registerRuns("overlap", "overlapped-controller timing model: cycles and hidden-latency split vs the serial model", runOverlap, overlapRuns)
+	register("overlap", "overlapped-controller timing model: cycles and hidden-latency split vs the serial model", runOverlap, overlapGrid)
 }

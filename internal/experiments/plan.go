@@ -10,74 +10,83 @@ import (
 	"compresso/internal/workload"
 )
 
-// demand is one runMany call an experiment's grid cell makes: the
-// single-core runs it asks for on one profile. An experiment declares
-// its demands from the same spec functions its cells call, so the plan
-// and the cells cannot drift apart.
-type demand struct {
+// singleGrid is one declaration of a single-core grid: the
+// benchmarks it sweeps and the runs it asks for on each, every spec
+// on every profile. The grid's cells read it (perProfile, or by index)
+// and its experiment registers it for the plan, so the two read one
+// list.
+type singleGrid struct {
+	profs []workload.Profile
+	specs []runSpec
+}
+
+// mustProfiles resolves benchmark names to their profiles, in order.
+// The names are program constants, so an unknown one panics at package
+// init.
+func mustProfiles(names ...string) []workload.Profile {
+	out := make([]workload.Profile, len(names))
+	for i, name := range names {
+		prof, err := workload.ByName(name)
+		if err != nil {
+			panic(err)
+		}
+		out[i] = prof
+	}
+	return out
+}
+
+// perProfile fans g out as the grid label, one cell per profile in
+// order; fn receives the cell's profile and its runs of g.specs, in
+// order.
+func perProfile[T any](opt Options, label string, g singleGrid, fn func(ctx context.Context, prof workload.Profile, runs []sim.Result) T) []T {
+	return grid(opt, label, len(g.profs), func(ctx context.Context, i int) T {
+		return fn(ctx, g.profs[i], runMany(ctx, opt, g.profs[i], g.specs))
+	})
+}
+
+// plannedPass is the runs of one op stream, all on one profile, which
+// the plan runs in one pass.
+type plannedPass struct {
 	prof  workload.Profile
 	specs []runSpec
 }
 
-// everyProfile is the demands of a grid whose cells each ask for specs
-// on their own profile of profs.
-func everyProfile(profs []workload.Profile, specs []runSpec) []demand {
-	out := make([]demand, len(profs))
-	for i, prof := range profs {
-		out[i] = demand{prof: prof, specs: specs}
-	}
-	return out
-}
-
-// byNames resolves the benchmark names a grid sweeps, skipping unknown
-// ones: the cell that asks for an unknown name reports it.
-func byNames(names []string) []workload.Profile {
-	var out []workload.Profile
-	for _, name := range names {
-		if prof, err := workload.ByName(name); err == nil {
-			out = append(out, prof)
-		}
-	}
-	return out
-}
-
-// planPasses groups the runs es declare by op stream (runKey.streamKey),
-// each distinct run once, into one demand per stream: the stream's
-// pass. The passes come largest first, so the longest pass does not
-// start last; equal sizes keep the order of their first demand.
-func planPasses(opt Options, es []Experiment) []demand {
-	var passes []demand
+// planPasses groups the runs of the grids es register by op stream
+// (runKey.streamKey), each distinct run once, into one plannedPass per
+// stream. The passes come largest first, so the longest pass does not
+// start last; equal sizes keep the order of their first run.
+func planPasses(opt Options, es []Experiment) []plannedPass {
+	var passes []plannedPass
 	stream := map[runKey]int{}
 	planned := map[runKey]bool{}
 	for _, e := range es {
-		if e.runs == nil {
-			continue
-		}
-		for _, d := range e.runs() {
-			for _, s := range d.specs {
-				k := s.key(d.prof, opt)
-				if planned[k] {
-					continue
+		for _, g := range e.grids {
+			for _, prof := range g.profs {
+				for _, s := range g.specs {
+					k := s.key(prof, opt)
+					if planned[k] {
+						continue
+					}
+					planned[k] = true
+					i, ok := stream[k.streamKey()]
+					if !ok {
+						i = len(passes)
+						stream[k.streamKey()] = i
+						passes = append(passes, plannedPass{prof: prof})
+					}
+					passes[i].specs = append(passes[i].specs, s)
 				}
-				planned[k] = true
-				i, ok := stream[k.streamKey()]
-				if !ok {
-					i = len(passes)
-					stream[k.streamKey()] = i
-					passes = append(passes, demand{prof: d.prof})
-				}
-				passes[i].specs = append(passes[i].specs, s)
 			}
 		}
 	}
-	slices.SortStableFunc(passes, func(a, b demand) int { return len(b.specs) - len(a.specs) })
+	slices.SortStableFunc(passes, func(a, b plannedPass) int { return len(b.specs) - len(a.specs) })
 	return passes
 }
 
-// plan runs every single-core run es ask for ahead of their fan-out:
-// one runMany, and so one lockstep pass, per op stream, on opt.Jobs
-// workers, so every grid cell's runMany is a runCache hit. The plan
-// only saves work. A pass that panics or is canceled publishes nothing
+// plan runs every run of the single-core grids es register ahead of
+// their fan-out: one runMany, and so one lockstep pass, per op stream,
+// on opt.Jobs workers, so every grid cell's runMany is a runCache hit.
+// The plan only saves work. A pass that panics or is canceled publishes nothing
 // (the claim rule), and the grid cell that asks for its runs computes
 // them itself and fails there as it would without a plan. Once the
 // passes end, no one-core cache-filter log has a reader left, so the

@@ -27,33 +27,23 @@ type DMCRow struct {
 	CompExtra    float64
 }
 
-// dmcBenchmarks is the subset used for the comparison: the capacity-
-// motivated classes DMC targets (hot/cold phase structure, large
-// footprints) plus one cache-friendly control.
-var dmcBenchmarks = []string{"mcf", "omnetpp", "GemsFDTD", "libquantum", "Graph500", "xalancbmk", "povray"}
-
-// relatedDMCSpecs is a related-dmc cell's runs: the uncompressed
-// baseline, MXT, DMC and Compresso.
-func relatedDMCSpecs() []runSpec {
-	return []runSpec{{sys: sim.Uncompressed}, {sys: sim.MXT}, {sys: sim.DMC}, {sys: sim.Compresso}}
+// relatedDMCGrid is the related-dmc grid: the capacity-motivated
+// classes DMC targets (hot/cold phase structure, large footprints) plus
+// one cache-friendly control, each on the uncompressed baseline, MXT,
+// DMC and Compresso.
+var relatedDMCGrid = singleGrid{
+	profs: mustProfiles("mcf", "omnetpp", "GemsFDTD", "libquantum", "Graph500", "xalancbmk", "povray"),
+	specs: onSystems(runSpec{}, sim.Uncompressed, sim.MXT, sim.DMC, sim.Compresso),
 }
-
-func relatedDMCRuns() []demand { return everyProfile(byNames(dmcBenchmarks), relatedDMCSpecs()) }
 
 // RelatedDMCData runs the comparison (MXT, DMC, Compresso against the
 // uncompressed baseline). Benchmarks are independent cells fanned out
 // across Options.Jobs workers.
-func RelatedDMCData(opt Options) ([]DMCRow, error) {
-	return gridErr(opt, "related-dmc", len(dmcBenchmarks), func(ctx context.Context, i int) (DMCRow, error) {
-		name := dmcBenchmarks[i]
-		prof, err := workload.ByName(name)
-		if err != nil {
-			return DMCRow{}, fmt.Errorf("related-dmc: %w", err)
-		}
-		runs := runMany(ctx, opt, prof, relatedDMCSpecs())
+func RelatedDMCData(opt Options) []DMCRow {
+	return perProfile(opt, "related-dmc", relatedDMCGrid, func(_ context.Context, prof workload.Profile, runs []sim.Result) DMCRow {
 		base, m, d, c := runs[0], runs[1], runs[2], runs[3]
 		return DMCRow{
-			Bench:        name,
+			Bench:        prof.Name,
 			MXTRel:       float64(base.Cycles) / float64(m.Cycles),
 			DMCRel:       float64(base.Cycles) / float64(d.Cycles),
 			CompressoRel: float64(base.Cycles) / float64(c.Cycles),
@@ -62,15 +52,12 @@ func RelatedDMCData(opt Options) ([]DMCRow, error) {
 			CompRatio:    c.Ratio,
 			DMCExtra:     d.Mem.RelativeExtra(),
 			CompExtra:    c.Mem.RelativeExtra(),
-		}, nil
+		}
 	})
 }
 
 func runRelatedDMC(opt Options) (any, error) {
-	rows, err := RelatedDMCData(opt)
-	if err != nil {
-		return nil, err
-	}
+	rows := RelatedDMCData(opt)
 	header(opt.Out, "Related work (§VIII): MXT / DMC style baselines vs Compresso")
 	tbl := stats.NewTable("bench", "mxt:perf", "dmc:perf", "compresso:perf",
 		"mxt:ratio", "dmc:ratio", "compresso:ratio", "dmc:extra", "compresso:extra")
@@ -89,5 +76,5 @@ func runRelatedDMC(opt Options) (any, error) {
 }
 
 func init() {
-	registerRuns("related-dmc", "related-work comparison: DMC dual compression vs Compresso (§VIII)", runRelatedDMC, relatedDMCRuns)
+	register("related-dmc", "related-work comparison: DMC dual compression vs Compresso (§VIII)", runRelatedDMC, relatedDMCGrid)
 }

@@ -28,6 +28,16 @@ type runSpec struct {
 	topPages    int
 }
 
+// onSystems is spec on each of systems, in order.
+func onSystems(spec runSpec, systems ...sim.System) []runSpec {
+	out := make([]runSpec, len(systems))
+	for i, sys := range systems {
+		out[i] = spec
+		out[i].sys = sys
+	}
+	return out
+}
+
 // runKey identifies a single-core run by everything that determines
 // its Result. core is the controller config the run resolves to —
 // core.DefaultConfig with the overlap flag and mod applied — rendered

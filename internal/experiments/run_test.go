@@ -148,13 +148,13 @@ func TestRunKeyCollapsesEqualConfigs(t *testing.T) {
 		return runSpec{sys: sim.Compresso, mod: mod}.key(prof, opt)
 	}
 	fig4Fixed := key(baselineMod)
-	if key(fig6Mods()[0]) != fig4Fixed {
+	if key(fig6Grid.specs[0].mod) != fig4Fixed {
 		t.Error("fig6 stage 0 does not share fig4's fixed-chunk run")
 	}
 	if key(func(c *core.Config) { baselineMod(c); c.Bins = compress.LegacyBins }) != fig4Fixed {
 		t.Error("ab-align's legacy column does not share fig4's fixed-chunk run")
 	}
-	if key(fig6Mods()[5]) != key(nil) {
+	if key(fig6Grid.specs[5].mod) != key(nil) {
 		t.Error("fig6's full-Compresso stage does not share the default run")
 	}
 	// Non-compresso systems ignore the modifier, and so does their key.
@@ -194,7 +194,7 @@ func TestRunMemoHitMatchesFreshRun(t *testing.T) {
 	fresh := resultJSON(t, sim.RunSingle(prof, spec.config(context.Background(), opt)))
 
 	first := runSingle(context.Background(), opt, prof, spec)
-	hit := runSingle(context.Background(), opt, prof, runSpec{sys: sim.Compresso, mod: fig6Mods()[0]})
+	hit := runSingle(context.Background(), opt, prof, runSpec{sys: sim.Compresso, mod: fig6Grid.specs[0].mod})
 	if n := cachedRuns(prof, opt); n != 1 {
 		t.Fatalf("memo holds %d runs after two requests for one config, want 1", n)
 	}
@@ -303,19 +303,16 @@ func TestRunMemoPanicSameErrorAtAnyJobs(t *testing.T) {
 	defer delete(registry, "test-run-panic")
 	var first string
 	for _, declared := range []bool{false, true} {
-		var runs func() []demand
+		var grids []singleGrid
 		wantPlanned := int64(0)
 		if declared {
-			mcf, err := workload.ByName("mcf")
-			if err != nil {
-				t.Fatal(err)
-			}
-			runs = func() []demand {
-				return []demand{{prof: prof, specs: []runSpec{spec}}, {prof: mcf, specs: []runSpec{{sys: sim.Uncompressed}}}}
+			grids = []singleGrid{
+				{profs: []workload.Profile{prof}, specs: []runSpec{spec}},
+				{profs: mustProfiles("mcf"), specs: []runSpec{{sys: sim.Uncompressed}}},
 			}
 			wantPlanned = 2
 		}
-		registerRuns("test-run-panic", "cells sharing one panicking run", runPanic, runs)
+		register("test-run-panic", "cells sharing one panicking run", runPanic, grids...)
 		for _, jobs := range []int{1, 8} {
 			resetMemos()
 			err := Run("test-run-panic", Options{Out: io.Discard, Quick: true, Jobs: jobs, Ctx: context.Background()})
@@ -432,12 +429,12 @@ func TestPlanRunsDeclaredPassesFirst(t *testing.T) {
 	prof := gccProfile(t)
 	var labels []string
 	specs := []runSpec{{sys: sim.Uncompressed}, {sys: sim.Compresso, mod: labelRecorder(t, "TestPlanRunsDeclaredPassesFirst", &labels)}}
-	registerRuns("test-plan-probe", "one planned stream", func(opt Options) (any, error) {
+	register("test-plan-probe", "one planned stream", func(opt Options) (any, error) {
 		grid(opt, "probe", 2, func(ctx context.Context, _ int) sim.Result {
 			return runMany(ctx, opt, prof, specs)[1]
 		})
 		return nil, nil
-	}, func() []demand { return []demand{{prof: prof, specs: specs}, {prof: prof, specs: specs[1:]}} })
+	}, singleGrid{profs: []workload.Profile{prof, prof}, specs: specs}, singleGrid{profs: []workload.Profile{prof}, specs: specs[1:]})
 	defer delete(registry, "test-plan-probe")
 	tr := progress.NewTracker()
 	opt := quickOpts()

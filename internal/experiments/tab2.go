@@ -82,17 +82,9 @@ func capacityCell(ctx context.Context, opt Options, name string, profs []workloa
 // once and replays that profile at every fraction (capacityCell, whose
 // mix cells Fig. 11 shares). The per-cell results are averaged back
 // into table order afterwards.
-func Tab2Data(opt Options) ([]Tab2Cell, error) {
+func Tab2Data(opt Options) []Tab2Cell {
 	profs := workload.PerformanceSet()
 	mixes := sim.Mixes()
-	mixProfs := make([][]workload.Profile, len(mixes))
-	for i, mix := range mixes {
-		ps, err := mix.Profiles()
-		if err != nil {
-			return nil, fmt.Errorf("tab2: mix %s: %w", mix.Name, err)
-		}
-		mixProfs[i] = ps
-	}
 
 	// Cell layout: the single-core benchmarks (one-core mixes) first,
 	// then the 4-core mixes. The row type's fields are exported so the
@@ -106,7 +98,7 @@ func Tab2Data(opt Options) ([]Tab2Cell, error) {
 			name, cores, ops = profs[j].Name, profs[j:j+1], ops*2
 		} else {
 			m := j - len(profs)
-			name, cores = mixes[m].Name, mixProfs[m]
+			name, cores = mixes[m].Name, mixes[m].Profiles()
 		}
 		var row [len(tab2Fracs)]rel
 		for f, out := range capacityCell(ctx, opt, name, cores, ops) {
@@ -134,14 +126,11 @@ func Tab2Data(opt Options) ([]Tab2Cell, error) {
 		cells = append(cells, mean(vals[:len(profs)], 1))
 		cells = append(cells, mean(vals[len(profs):], 4))
 	}
-	return cells, nil
+	return cells
 }
 
 func runTab2(opt Options) (any, error) {
-	cells, err := Tab2Data(opt)
-	if err != nil {
-		return nil, err
-	}
+	cells := Tab2Data(opt)
 	header(opt.Out, "Tab. II: speedup vs constrained-memory baseline at 80/70/60% of footprint")
 	tbl := stats.NewTable("memory", "cores", "lcp", "compresso", "unconstrained")
 	for _, c := range cells {

@@ -40,9 +40,12 @@ type BuildParams struct {
 	// backend's own MachineBytes sizing function.
 	MachineBytes int64
 
-	// FootprintScale is the run's footprint divisor; backends with a
-	// metadata cache shrink it via metadata.ScaleCacheForFootprint to
-	// preserve the paper's footprint-to-cache reach ratio.
+	// FootprintScale is the metadata-cache divisor: backends with a
+	// metadata cache shrink it via metadata.ScaleCacheForFootprint so
+	// it does not cover the whole scaled footprint. It is the run's
+	// footprint divisor on one core; a simulated multi-core machine
+	// gets half of it above 2, since its one cache covers every core's
+	// pages (sim's machine geometry).
 	FootprintScale int
 
 	// Mem is the (near) DRAM the controller issues accesses through.

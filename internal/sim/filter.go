@@ -28,20 +28,20 @@ import (
 // filterKey is what fixes a log's content: the scaled profile (rendered
 // with %#v, the identity the workload size table and the experiments'
 // run memo use), the seed and Ops, which fix the op stream, and where
-// the stream runs. A one-core log depends on the L3 geometry and so
-// sets l3Bytes; a private log depends on the line addresses its core's
-// base page gives the stream, which select the L1/L2 sets, and so sets
-// base. The two kinds live in separate tables.
+// the stream runs. A one-core log depends on the machine's L3 and so
+// sets geom, the pass geometry; a private log depends on the line
+// addresses its core's base page gives the stream, which select the
+// L1/L2 sets, and so sets base. The two kinds live in separate tables.
 type filterKey struct {
 	profile   string
 	seed, ops uint64
-	l3Bytes   int
+	geom      geometry
 	base      uint64
 }
 
 // oneCoreKey is the key of a one-core machine's log.
-func oneCoreKey(prof workload.Profile, seed, ops uint64, l3Bytes int) filterKey {
-	return filterKey{profile: fmt.Sprintf("%#v", prof), seed: seed, ops: ops, l3Bytes: l3Bytes}
+func oneCoreKey(prof workload.Profile, seed, ops uint64, geom geometry) filterKey {
+	return filterKey{profile: fmt.Sprintf("%#v", prof), seed: seed, ops: ops, geom: geom}
 }
 
 // privateKey is the key of one core's private-level log.
@@ -99,7 +99,7 @@ func (p *pass) filterCaches() (release func(completed bool)) {
 	}
 	lead := p.ms[0]
 	if n == 1 {
-		key := oneCoreKey(p.profs[0], p.cfg.Seed, p.cfg.Ops, lead.l3Bytes)
+		key := oneCoreKey(p.profs[0], p.cfg.Seed, p.cfg.Ops, p.geom)
 		return filterInto(&p.filters.one, key, cache.NewFilterLog, (*cache.FilterLog).Finish,
 			lead.hiers[0].Replay, lead.hiers[0].Record)
 	}

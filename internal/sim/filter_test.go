@@ -59,8 +59,7 @@ func runLive(t *testing.T, prof workload.Profile, cfg Config) Result {
 // claims: its one-core log's, or each core's private log's.
 func filterKeys(profs []workload.Profile, cfg Config) []filterKey {
 	if len(profs) == 1 {
-		return []filterKey{oneCoreKey(workload.Scale(profs[0], cfg.FootprintScale), cfg.Seed, cfg.Ops,
-			scaledL3Bytes(2<<20, cfg.FootprintScale))}
+		return []filterKey{oneCoreKey(workload.Scale(profs[0], cfg.FootprintScale), cfg.Seed, cfg.Ops, geometryOf(cfg.FootprintScale, 1))}
 	}
 	var keys []filterKey
 	var base uint64
@@ -189,8 +188,8 @@ func TestFilterReplayIsLive(t *testing.T) {
 func TestAssetFreeRunReplays(t *testing.T) {
 	prof, cfg := filterCfg(Compresso)
 	cfg.Seed = 0xa55e7f9ee
-	l3 := scaledL3Bytes(2<<20, cfg.FootprintScale)
-	for hasLog(&processFilters.one, oneCoreKey(workload.Scale(prof, cfg.FootprintScale), cfg.Seed, cfg.Ops, l3)) {
+	geom := geometryOf(cfg.FootprintScale, 1)
+	for hasLog(&processFilters.one, oneCoreKey(workload.Scale(prof, cfg.FootprintScale), cfg.Seed, cfg.Ops, geom)) {
 		cfg.Seed++ // the test already ran in this process (-count)
 	}
 	first, replayed := runFiltered(prof, cfg, &processFilters)
@@ -211,7 +210,7 @@ func TestAssetFreeRunReplays(t *testing.T) {
 func TestResetCacheFiltersRecordsAfresh(t *testing.T) {
 	prof, cfg := filterCfg(LCP)
 	cfg.Seed = 0x5e5e7
-	key := oneCoreKey(workload.Scale(prof, cfg.FootprintScale), cfg.Seed, cfg.Ops, scaledL3Bytes(2<<20, cfg.FootprintScale))
+	key := oneCoreKey(workload.Scale(prof, cfg.FootprintScale), cfg.Seed, cfg.Ops, geometryOf(cfg.FootprintScale, 1))
 	for hasLog(&processFilters.one, key) {
 		cfg.Seed++ // the test already ran in this process (-count)
 		key.seed++
@@ -240,7 +239,7 @@ func TestResetCacheFiltersRecordsAfresh(t *testing.T) {
 // the process's one-core logs and leaves its private-level logs
 // published.
 func TestResetOneCoreFiltersKeepsPrivateLogs(t *testing.T) {
-	one := filterKey{profile: "reset-one-core probe", seed: 1, ops: 1, l3Bytes: 1}
+	one := filterKey{profile: "reset-one-core probe", seed: 1, ops: 1, geom: geometry{l3Bytes: 1}}
 	private := filterKey{profile: "reset-one-core probe", seed: 1, ops: 1, base: 1}
 	for hasLog(&processFilters.one, one) || hasLog(&processFilters.private, private) {
 		one.seed++ // the test already ran in this process (-count)
@@ -260,20 +259,20 @@ func TestResetOneCoreFiltersKeepsPrivateLogs(t *testing.T) {
 }
 
 // TestFilterKeyCoversStreamIdentity: each input that fixes a log's
-// content (the scaled profile, the seed, Ops, and the one-core L3 or
-// the core's base page) must change its key.
+// content (the scaled profile, the seed, Ops, and the one-core
+// machine's geometry or the core's base page) must change its key.
 func TestFilterKeyCoversStreamIdentity(t *testing.T) {
 	prof, cfg := filterCfg(Compresso)
 	prof = workload.Scale(prof, cfg.FootprintScale)
-	l3 := scaledL3Bytes(2<<20, cfg.FootprintScale)
+	geom := geometryOf(cfg.FootprintScale, 1)
 	other := prof
 	other.WriteFrac /= 2
-	one := oneCoreKey(prof, cfg.Seed, cfg.Ops, l3)
+	one := oneCoreKey(prof, cfg.Seed, cfg.Ops, geom)
 	for name, k := range map[string]filterKey{
-		"profile": oneCoreKey(other, cfg.Seed, cfg.Ops, l3),
-		"seed":    oneCoreKey(prof, cfg.Seed+1, cfg.Ops, l3),
-		"ops":     oneCoreKey(prof, cfg.Seed, cfg.Ops+1, l3),
-		"L3":      oneCoreKey(prof, cfg.Seed, cfg.Ops, l3*2),
+		"profile": oneCoreKey(other, cfg.Seed, cfg.Ops, geom),
+		"seed":    oneCoreKey(prof, cfg.Seed+1, cfg.Ops, geom),
+		"ops":     oneCoreKey(prof, cfg.Seed, cfg.Ops+1, geom),
+		"L3":      oneCoreKey(prof, cfg.Seed, cfg.Ops, geometryOf(cfg.FootprintScale/2, 1)),
 	} {
 		if k == one {
 			t.Errorf("one-core key ignores the %s", name)
@@ -386,7 +385,7 @@ func TestFilterOpsMismatchPanics(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		requireAssetsPanic(t, func() { RunSingle(prof, cfg) })
 	}
-	key := oneCoreKey(workload.Scale(prof, cfg.FootprintScale), cfg.Seed, cfg.Ops, scaledL3Bytes(2<<20, cfg.FootprintScale))
+	key := oneCoreKey(workload.Scale(prof, cfg.FootprintScale), cfg.Seed, cfg.Ops, geometryOf(cfg.FootprintScale, 1))
 	if hasLog(&processFilters.one, key) || held(&processFilters.one, key) {
 		t.Fatal("a run on assets for another op count claimed its log")
 	}

@@ -104,8 +104,7 @@ func TestRunSinglesMatchesRunSingle(t *testing.T) {
 	}
 	recorded := &filterTables{}
 	busy := &filterTables{}
-	key := oneCoreKey(workload.Scale(prof, cfgs[0].FootprintScale), cfgs[0].Seed, cfgs[0].Ops,
-		scaledL3Bytes(2<<20, cfgs[0].FootprintScale))
+	key := oneCoreKey(workload.Scale(prof, cfgs[0].FootprintScale), cfgs[0].Seed, cfgs[0].Ops, geometryOf(cfgs[0].FootprintScale, 1))
 	if _, _, release := busy.one.Claim(key); release == nil {
 		t.Fatal("a fresh table refused the claim")
 	}

@@ -31,15 +31,17 @@ func Mixes() []Mix {
 	}
 }
 
-// Profiles resolves the mix's benchmark profiles.
-func (m Mix) Profiles() ([]workload.Profile, error) {
-	out := make([]workload.Profile, 0, 4)
-	for _, name := range m.Benches {
+// Profiles resolves the mix's benchmark profiles. Tab. IV is a
+// literal table of suite benchmarks (TestMixesResolve), so an unknown
+// name panics.
+func (m Mix) Profiles() []workload.Profile {
+	out := make([]workload.Profile, len(m.Benches))
+	for i, name := range m.Benches {
 		p, err := workload.ByName(name)
 		if err != nil {
-			return nil, fmt.Errorf("mix %s: %w", m.Name, err)
+			panic(fmt.Sprintf("sim: mix %s: %v", m.Name, err))
 		}
-		out = append(out, p)
+		out[i] = p
 	}
-	return out, nil
+	return out
 }

@@ -45,10 +45,7 @@ func TestWarmupResetsCPUCore(t *testing.T) {
 // TestWarmupResetsCPUCoreMix is the RunMix variant: every core's
 // cycle/instruction counters must cover only the post-warmup window.
 func TestWarmupResetsCPUCoreMix(t *testing.T) {
-	profs, err := Mixes()[1].Profiles() // milc, astar, gamess, tonto
-	if err != nil {
-		t.Fatal(err)
-	}
+	profs := Mixes()[1].Profiles() // milc, astar, gamess, tonto
 	cfg := quickCfg(Uncompressed)
 	cfg.Ops = 5_000
 	cfg.WarmupFrac = 0
@@ -211,10 +208,7 @@ func TestResultRegistry(t *testing.T) {
 		t.Fatal("run.ratio gauge wrong")
 	}
 
-	profs, err := Mixes()[1].Profiles()
-	if err != nil {
-		t.Fatal(err)
-	}
+	profs := Mixes()[1].Profiles()
 	mcfg := quickCfg(Compresso)
 	mcfg.Ops = 5_000
 	mix := RunMix("mix2", profs, mcfg)

@@ -89,10 +89,7 @@ func TestRunSingleSeriesSumsToFinalCounters(t *testing.T) {
 
 // TestRunMixSampling mirrors the single-core checks for RunMix.
 func TestRunMixSampling(t *testing.T) {
-	profs, err := Mixes()[0].Profiles()
-	if err != nil {
-		t.Fatal(err)
-	}
+	profs := Mixes()[0].Profiles()
 	cfg := quickCfg(Compresso)
 	cfg.Ops = 5_000
 	plain := RunMix("mix1", profs, cfg)

@@ -9,6 +9,7 @@ import (
 	"compresso/internal/compress"
 	"compresso/internal/core"
 	"compresso/internal/memctl"
+	"compresso/internal/metadata"
 	"compresso/internal/workload"
 )
 
@@ -100,12 +101,10 @@ func TestMixesResolve(t *testing.T) {
 		t.Fatalf("%d mixes, want 10", len(ms))
 	}
 	for _, m := range ms {
-		profs, err := m.Profiles()
-		if err != nil {
-			t.Fatalf("%s: %v", m.Name, err)
-		}
-		if len(profs) != 4 {
-			t.Fatalf("%s: %d profiles", m.Name, len(profs))
+		for i, prof := range m.Profiles() {
+			if prof.Name != m.Benches[i] {
+				t.Fatalf("%s: core %d resolves %q to %q", m.Name, i, m.Benches[i], prof.Name)
+			}
 		}
 	}
 	// Spot-check Tab. IV contents.
@@ -118,10 +117,7 @@ func TestMixesResolve(t *testing.T) {
 }
 
 func TestRunMix(t *testing.T) {
-	profs, err := Mixes()[1].Profiles() // milc, astar, gamess, tonto
-	if err != nil {
-		t.Fatal(err)
-	}
+	profs := Mixes()[1].Profiles() // milc, astar, gamess, tonto
 	cfg := quickCfg(Compresso)
 	cfg.Ops = 15_000
 	res := RunMix("mix2", profs, cfg)
@@ -322,10 +318,7 @@ func TestRunSingleIsOneCoreMix(t *testing.T) {
 // run, so they cannot count fewer accesses than a run that discards a
 // warmup prefix (mirrors TestWarmupReset for RunSingle).
 func TestRunMixMultiCoreZeroWarmup(t *testing.T) {
-	profs, err := Mixes()[1].Profiles() // milc, astar, gamess, tonto
-	if err != nil {
-		t.Fatal(err)
-	}
+	profs := Mixes()[1].Profiles() // milc, astar, gamess, tonto
 	cfg := quickCfg(Uncompressed)
 	cfg.Ops = 5_000
 	cfg.WarmupFrac = 0
@@ -409,24 +402,50 @@ func TestOverlapModel(t *testing.T) {
 	}
 }
 
-// TestScaledL3SmallerThanL2AboveScale4 pins a known gap in the scaled
-// cache geometry (DESIGN.md §5): the L3 shrinks with the footprint
-// divisor, 2 MB per core over the scale with a 128 KB floor, while
-// cache.NewHierarchy's 512 KB L2 does not. Up to scale 4 the victim L3
-// is at least the L2 it backs; above it, the L3 is smaller and almost
-// never hits, so its latency and geometry barely move the runs at
-// scale 8 (the BENCH_*.json runs) and 16 (make backends).
-func TestScaledL3SmallerThanL2AboveScale4(t *testing.T) {
+// TestMachineGeometry pins geometryOf at one and four cores: the L3,
+// the metadata-cache divisor the backends get, the channels, and the
+// metadata cache's reach per footprint page against the paper's (the
+// scale over the divisor metadata.ScaleCacheForFootprint applies). It
+// pins the two gaps geometryOf documents (DESIGN.md §5): one core's L3
+// is smaller than the 512 KB L2 above scale 4, where it almost never
+// hits, and the metadata cache reaches two (one core) or four (four
+// cores) times the paper's share of each footprint page.
+func TestMachineGeometry(t *testing.T) {
 	const l2Bytes = 512 << 10
-	for _, c := range []struct{ scale, want int }{
-		{1, 2 << 20}, {2, 1 << 20}, {4, 512 << 10}, {8, 256 << 10}, {16, 128 << 10}, {32, 128 << 10},
+	const kb = 1 << 10
+	for _, c := range []struct {
+		scale, cores int
+		want         geometry
+		reach        float64
+	}{
+		{1, 1, geometry{l3Bytes: 2048 * kb, mdScale: 1, channels: 1}, 1},
+		{2, 1, geometry{l3Bytes: 1024 * kb, mdScale: 2, channels: 1}, 2},
+		{3, 1, geometry{l3Bytes: 512 * kb, mdScale: 3, channels: 1}, 1.5},
+		{4, 1, geometry{l3Bytes: 512 * kb, mdScale: 4, channels: 1}, 2},
+		{8, 1, geometry{l3Bytes: 256 * kb, mdScale: 8, channels: 1}, 2},
+		{16, 1, geometry{l3Bytes: 128 * kb, mdScale: 16, channels: 1}, 2},
+		{32, 1, geometry{l3Bytes: 128 * kb, mdScale: 32, channels: 1}, 2},
+		{1, 4, geometry{l3Bytes: 8192 * kb, mdScale: 1, channels: 2}, 1},
+		{2, 4, geometry{l3Bytes: 4096 * kb, mdScale: 2, channels: 2}, 2},
+		{3, 4, geometry{l3Bytes: 8192 * kb, mdScale: 1, channels: 2}, 3},
+		{4, 4, geometry{l3Bytes: 4096 * kb, mdScale: 2, channels: 2}, 4},
+		{8, 4, geometry{l3Bytes: 2048 * kb, mdScale: 4, channels: 2}, 4},
+		{16, 4, geometry{l3Bytes: 1024 * kb, mdScale: 8, channels: 2}, 4},
+		{32, 4, geometry{l3Bytes: 512 * kb, mdScale: 16, channels: 2}, 4},
 	} {
-		got := scaledL3Bytes(2<<20, c.scale)
+		got := geometryOf(c.scale, c.cores)
 		if got != c.want {
-			t.Fatalf("scale %d: L3 %d B, want %d", c.scale, got, c.want)
+			t.Errorf("scale %d, %d cores: geometry %+v, want %+v", c.scale, c.cores, got, c.want)
 		}
-		if smaller := got < l2Bytes; smaller != (c.scale > 4) {
-			t.Fatalf("scale %d: L3 %d B against the %d B L2; the gap should open above scale 4 only", c.scale, got, l2Bytes)
+		if smaller := got.l3Bytes < l2Bytes; smaller != (c.cores == 1 && c.scale > 4) {
+			t.Errorf("scale %d, %d cores: L3 %d B against the %d B L2; the gap should open above scale 4 on one core only",
+				c.scale, c.cores, got.l3Bytes, l2Bytes)
+		}
+		md := metadata.DefaultCacheConfig()
+		full := md.SizeBytes
+		metadata.ScaleCacheForFootprint(&md, got.mdScale)
+		if reach := float64(c.scale) * float64(md.SizeBytes) / float64(full); reach != c.reach {
+			t.Errorf("scale %d, %d cores: metadata-cache reach %v times the paper's, want %v", c.scale, c.cores, reach, c.reach)
 		}
 	}
 }
